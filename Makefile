@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-wire chaos chaos-gob chaos-region chaos-disk fuzz-wire trace-smoke
+.PHONY: all build vet test race check bench bench-json bench-wire bench-ledger bench-compare chaos chaos-gob chaos-region chaos-disk fuzz-wire trace-smoke
 
 all: check
 
@@ -94,3 +94,14 @@ trace-smoke:
 BENCH_OUT ?= bench-out
 bench-json:
 	$(GO) run ./cmd/drdp-bench -fast -json $(BENCH_OUT) -csv $(BENCH_OUT)
+
+# Round-budget ledger (bench/): every workload, fresh process per run,
+# into $(LEDGER); bench-compare diffs that ledger against the committed
+# baseline, per workload and metric within BENCHMARK.json's bounds.
+LEDGER ?= $(BENCH_OUT)/ledger.json
+bench-ledger:
+	mkdir -p $(dir $(LEDGER))
+	bash bench/run.sh -collect $(LEDGER)
+
+bench-compare:
+	bash bench/run.sh -compare bench/baseline/seed.json $(LEDGER)

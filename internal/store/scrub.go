@@ -17,11 +17,11 @@ import (
 // succeeded (bit rot, a lying fsync) passes every code path until the
 // bytes are re-read — which for a store that serves from memory may be
 // never, until the restart that needs them. Scrub is the background
-// re-read: it CRC-walks the task log and verdict sidecar, verifies the
-// snapshot decodes, quarantines the corrupt range, and — given a
-// RepairSource — repairs the log by re-pulling verbatim frames from a
-// replica over the same FramesSince stream replication uses, restoring
-// the byte-identical-log invariant through bit rot.
+// re-read: it CRC-walks the task log, verdict sidecar and snapshot,
+// quarantines the corrupt range, and — given a RepairSource — repairs
+// the log by re-pulling verbatim frames from a replica over the same
+// FramesSince stream replication uses, restoring the byte-identical-log
+// invariant through bit rot.
 
 // RepairSource supplies the verbatim frames and verdicts a scrub uses
 // to repair quarantined ranges — typically the shard leader, reached
@@ -58,7 +58,7 @@ type ScrubReport struct {
 	RepairedFrames int  // frames restored verbatim from the RepairSource
 	Repaired       bool // the quarantined range was fully restored
 
-	SnapshotOK       bool // snapshot file decoded (or is absent)
+	SnapshotOK       bool // snapshot file verified (or is absent)
 	SnapshotRepaired bool // corrupt snapshot rewritten from memory
 
 	VerdictFrames     int  // intact sidecar records verified
@@ -274,9 +274,11 @@ func (s *Store) finishScrubLocked(rep *ScrubReport) {
 	s.logger.Info("store: scrub cleared poisoned state", "dir", s.opts.Dir)
 }
 
-// snapshotIntactLocked re-reads and decodes the snapshot file (absent =
-// intact). I/O errors other than not-exist propagate; decode or
-// consistency failures report corrupt. Caller holds s.mu.
+// snapshotIntactLocked re-reads the snapshot file (absent = intact): a
+// v2 snapshot is proven by its CRC and header without decoding a task,
+// a v1 one is decoded whole. Failing to open it for reasons
+// other than not-exist propagates; any read, decode or consistency
+// failure reports corrupt. Caller holds s.mu.
 func (s *Store) snapshotIntactLocked() (bool, error) {
 	f, err := s.fs.OpenFile(filepath.Join(s.opts.Dir, snapshotName), os.O_RDONLY, 0)
 	if err != nil {
@@ -286,17 +288,8 @@ func (s *Store) snapshotIntactLocked() (bool, error) {
 		return false, fmt.Errorf("store: scrub: open snapshot: %w", err)
 	}
 	defer f.Close()
-	snap, err := decodeSnapshot(f)
-	if err != nil {
-		return false, nil
-	}
-	if uint64(len(snap.Tasks)) > snap.Version {
-		return false, nil
-	}
-	if snap.Seqs != nil && len(snap.Seqs) != len(snap.Tasks) {
-		return false, nil
-	}
-	return true, nil
+	_, err = readSnapshot(f, nil)
+	return err == nil, nil
 }
 
 // logRepairPlan captures what a detection walk found while the lock
@@ -494,14 +487,10 @@ func (s *Store) rewriteVerdictsLocked(rep *ScrubReport, peer map[uint64]bool) er
 	}
 	// Rewrite the whole sidecar from the merged map, ordered by sequence
 	// number so the result is deterministic for a given verdict set.
-	seqs := make([]uint64, 0, len(s.verdicts))
-	for seq := range s.verdicts {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	recs := s.sortedVerdictsLocked()
 	var raw []byte
-	for _, seq := range seqs {
-		frame, err := encodePayload(verdictRecord{Seq: seq, Quarantined: s.verdicts[seq]})
+	for _, rec := range recs {
+		frame, err := encodePayload(rec)
 		if err != nil {
 			return err
 		}
@@ -523,13 +512,13 @@ func (s *Store) rewriteVerdictsLocked(rep *ScrubReport, peer map[uint64]bool) er
 		return fmt.Errorf("store: scrub: sync verdict log: %w", err)
 	}
 	s.verdictSize = int64(len(raw))
-	rep.VerdictsRewritten = len(seqs)
-	telemetry.StoreScrubRepaired.Add(float64(len(seqs)))
+	rep.VerdictsRewritten = len(recs)
+	telemetry.StoreScrubRepaired.Add(float64(len(recs)))
 	if peer != nil {
 		s.verdictsTruncated = false // the peer's set is folded in; nothing left to re-derive
 	}
 	s.logger.Warn("store: scrub rewrote corrupt verdict sidecar",
-		"dir", s.opts.Dir, "verdicts", len(seqs))
+		"dir", s.opts.Dir, "verdicts", len(recs))
 	return nil
 }
 

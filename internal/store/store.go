@@ -5,11 +5,25 @@
 //
 // # On-disk layout
 //
-// A store directory holds at most two files:
+// A store directory holds at most three files:
 //
-//	snapshot.gob   gob({Version, Tasks, Seqs, Verdicts}) — the compacted prefix
+//	snapshot.gob   the compacted prefix (layout below)
 //	tasks.log      framed records appended since the snapshot
 //	verdicts.log   framed admission verdicts appended since the snapshot
+//
+// The snapshot (v2) is one gob stream between a magic and a checksum:
+//
+//	"SNP2" gob({Version, Count, Verdicts}) gob({Seq, Task}) × Count [4-byte IEEE CRC32][SCRC]
+//
+// where Verdicts is a seq-sorted slice (so equal states write equal
+// bytes) and the CRC covers everything before it. Compaction streams it
+// straight into a temp file through a 64 KB buffer, holding one record
+// at a time instead of an encoded copy of the pool; recovery decodes it
+// record by record into the store and checks the CRC at the end, and
+// the scrubber checks CRC and header without decoding tasks at all. A
+// v1 snapshot — one gob({Version, Tasks, Seqs, Verdicts}) value, with or
+// without the [CRC][SCRC] trailer — still loads, and the next
+// compaction rewrites it as v2.
 //
 // Each log record is framed as
 //
@@ -49,6 +63,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -181,11 +196,21 @@ type logRecord struct {
 	Task dpprior.TaskPosterior
 }
 
-// snapshotFile is the compacted on-disk prefix. Seqs and Verdicts are
-// absent from pre-admission snapshots; gob decodes them as nil and
-// recovery derives Seqs as the contiguous prefix (which is exactly what
-// it was before tasks could be dropped).
-type snapshotFile struct {
+// snapshotHeader opens a v2 snapshot stream; Count logRecord values
+// follow it on the same gob encoder, in ascending Seq order. Verdicts
+// are seq-sorted.
+type snapshotHeader struct {
+	Version  uint64
+	Count    uint64
+	Verdicts []verdictRecord
+}
+
+// snapshotV1 is the legacy snapshot: the whole pool as one gob value.
+// It is read, never written. Seqs and Verdicts are absent from
+// pre-admission snapshots; gob decodes them as nil and recovery derives
+// Seqs as the contiguous prefix (which is exactly what it was before
+// tasks could be dropped).
+type snapshotV1 struct {
 	Version  uint64
 	Tasks    []dpprior.TaskPosterior
 	Seqs     []uint64
@@ -243,30 +268,213 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// snapshotMagic trails a checksummed snapshot file:
-// [gob payload][4-byte IEEE CRC32 of payload][magic]. Legacy snapshots
-// (no trailer) still load; they just cannot be integrity-checked.
-var snapshotMagic = []byte("SCRC")
+var (
+	// snapshotMagic ends every checksummed snapshot, after the 4-byte
+	// IEEE CRC32 of everything before it. v1 snapshots without it still
+	// load; they just cannot be integrity-checked.
+	snapshotMagic = []byte("SCRC")
+	// snapshotV2Magic opens a v2 snapshot. No v1 file can start with it:
+	// a gob stream opens with a type definition, whose negative type id
+	// cannot encode as 'N'.
+	snapshotV2Magic = []byte("SNP2")
+)
 
-// decodeSnapshot reads one snapshot file, verifying the CRC trailer
-// when present. Any decode or checksum failure reports the file corrupt.
-func decodeSnapshot(f File) (snapshotFile, error) {
-	var snap snapshotFile
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		return snap, err
+const (
+	// snapshotBufBytes sizes the buffer between the gob stream and the
+	// snapshot file, in both directions.
+	snapshotBufBytes = 64 << 10
+	// minSnapshotRecordBytes is the smallest gob value message (length,
+	// type id, end of struct): file size / it bounds how many records a
+	// snapshot can hold, whatever its header claims.
+	minSnapshotRecordBytes = 3
+)
+
+// writeSnapshot streams the v2 layout to w. One encoder carries the
+// header and every record, so the gob type descriptors go out once, and
+// a fixed buffer sits between it and w: memory is one encoded record
+// plus the buffer however large the pool is. tasks and seqs are
+// parallel; verdicts must be seq-sorted.
+func writeSnapshot(w io.Writer, version uint64, tasks []dpprior.TaskPosterior, seqs []uint64, verdicts []verdictRecord) error {
+	bw := bufio.NewWriterSize(w, snapshotBufBytes)
+	crc := crc32.NewIEEE()
+	body := io.MultiWriter(bw, crc)
+	if _, err := body.Write(snapshotV2Magic); err != nil {
+		return err
 	}
-	if n := len(raw); n >= 8 && bytes.Equal(raw[n-4:], snapshotMagic) {
-		payload := raw[:n-8]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[n-8:n-4]) {
-			return snap, errors.New("snapshot checksum mismatch")
+	enc := gob.NewEncoder(body)
+	if err := enc.Encode(snapshotHeader{Version: version, Count: uint64(len(tasks)), Verdicts: verdicts}); err != nil {
+		return err
+	}
+	rec := new(logRecord) // one record, reused: boxing a value per Encode would allocate
+	for i, t := range tasks {
+		rec.Seq, rec.Task = seqs[i], t
+		if err := enc.Encode(rec); err != nil {
+			return err
 		}
-		raw = payload
 	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		return snap, err
+	var trailer [8]byte
+	binary.BigEndian.PutUint32(trailer[:4], crc.Sum32())
+	copy(trailer[4:], snapshotMagic)
+	if _, err := bw.Write(trailer[:]); err != nil {
+		return err
 	}
-	return snap, nil
+	return bw.Flush()
+}
+
+// readSnapshot streams one snapshot file of either layout. With into
+// non-nil every stored task is recovered into it as it is decoded;
+// with into nil a v2 snapshot's records are not decoded at all — its
+// checksum vouches for them — which is how the scrubber checks the file
+// without building a second copy of the pool. The CRC trailer
+// (mandatory for v2, optional for v1) is checked once the last byte has
+// been read, before Open returns the store. Any failure means corrupt.
+func readSnapshot(f File, into *Store) (snapshotHeader, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return snapshotHeader{}, err
+	}
+	payload, trailered, want := size, false, uint32(0)
+	if size >= 8 {
+		var trailer [8]byte
+		if _, err := f.Seek(size-8, io.SeekStart); err != nil {
+			return snapshotHeader{}, err
+		}
+		if _, err := io.ReadFull(f, trailer[:]); err != nil {
+			return snapshotHeader{}, err
+		}
+		if bytes.Equal(trailer[4:], snapshotMagic) {
+			payload, trailered, want = size-8, true, binary.BigEndian.Uint32(trailer[:4])
+		}
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return snapshotHeader{}, err
+	}
+	crc := crc32.NewIEEE()
+	br := bufio.NewReaderSize(io.TeeReader(io.LimitReader(f, payload), crc), snapshotBufBytes)
+	var hdr snapshotHeader
+	if magic, _ := br.Peek(len(snapshotV2Magic)); bytes.Equal(magic, snapshotV2Magic) {
+		if !trailered {
+			return hdr, errors.New("v2 snapshot without checksum trailer")
+		}
+		br.Discard(len(magic)) // cannot fail: Peek buffered these bytes
+		hdr, err = readSnapshotV2(gob.NewDecoder(br), payload, into)
+	} else {
+		hdr, err = readSnapshotV1(gob.NewDecoder(br), into)
+	}
+	if err != nil {
+		return hdr, err
+	}
+	// Whatever the decoder left unread still belongs to the checksum.
+	if _, err := io.Copy(io.Discard, br); err != nil {
+		return hdr, err
+	}
+	if trailered && crc.Sum32() != want {
+		return hdr, errors.New("snapshot checksum mismatch")
+	}
+	return hdr, nil
+}
+
+// readSnapshotV2 decodes the header and, with into non-nil, the Count
+// records behind it. Count is untrusted: it only sizes the destination
+// up to what payload bytes can hold.
+func readSnapshotV2(dec *gob.Decoder, payload int64, into *Store) (snapshotHeader, error) {
+	var hdr snapshotHeader
+	if err := dec.Decode(&hdr); err != nil {
+		return hdr, fmt.Errorf("header: %w", err)
+	}
+	if hdr.Count > hdr.Version {
+		return hdr, fmt.Errorf("%d tasks above version %d", hdr.Count, hdr.Version)
+	}
+	var prev uint64
+	for _, v := range hdr.Verdicts {
+		if err := checkSeq("verdict", v.Seq, prev, hdr.Version); err != nil {
+			return hdr, err
+		}
+		prev = v.Seq
+	}
+	if into == nil {
+		return hdr, nil
+	}
+	n := min(hdr.Count, uint64(payload/minSnapshotRecordBytes))
+	into.tasks = make([]dpprior.TaskPosterior, 0, n)
+	into.seqs = make([]uint64, 0, n)
+	prev = 0
+	for i := uint64(0); i < hdr.Count; i++ {
+		var rec logRecord // fresh each time: gob decodes into existing slices
+		if err := dec.Decode(&rec); err != nil {
+			return hdr, fmt.Errorf("record %d of %d: %w", i+1, hdr.Count, err)
+		}
+		if err := checkSeq("record", rec.Seq, prev, hdr.Version); err != nil {
+			return hdr, err
+		}
+		prev = rec.Seq
+		into.recoverTask(rec.Seq, rec.Task)
+	}
+	return hdr, nil
+}
+
+// checkSeq enforces the order every persisted seq list keeps: strictly
+// ascending, within (0, version].
+func checkSeq(what string, seq, prev, version uint64) error {
+	if seq <= prev || seq > version {
+		return fmt.Errorf("%s seq %d out of order or above version %d", what, seq, version)
+	}
+	return nil
+}
+
+// readSnapshotV1 decodes a legacy one-value snapshot, recovering its
+// tasks into into when non-nil.
+func readSnapshotV1(dec *gob.Decoder, into *Store) (snapshotHeader, error) {
+	var snap snapshotV1
+	if err := dec.Decode(&snap); err != nil {
+		return snapshotHeader{}, err
+	}
+	hdr := snapshotHeader{Version: snap.Version, Count: uint64(len(snap.Tasks))}
+	if hdr.Count > snap.Version {
+		return hdr, fmt.Errorf("%d tasks above version %d", len(snap.Tasks), snap.Version)
+	}
+	if snap.Seqs != nil && len(snap.Seqs) != len(snap.Tasks) {
+		return hdr, fmt.Errorf("%d tasks but %d seqs", len(snap.Tasks), len(snap.Seqs))
+	}
+	var prev uint64
+	for _, seq := range snap.Seqs {
+		if err := checkSeq("task", seq, prev, snap.Version); err != nil {
+			return hdr, err
+		}
+		prev = seq
+	}
+	// Verdicts for seqs the snapshot never issued are dropped, as the
+	// sidecar replay drops them, so the v2 rewrite holds a valid header.
+	for seq, q := range snap.Verdicts {
+		if seq != 0 && seq <= snap.Version {
+			hdr.Verdicts = append(hdr.Verdicts, verdictRecord{Seq: seq, Quarantined: q})
+		}
+	}
+	if into == nil {
+		return hdr, nil
+	}
+	into.tasks = make([]dpprior.TaskPosterior, 0, len(snap.Tasks))
+	into.seqs = make([]uint64, 0, len(snap.Tasks))
+	for i, t := range snap.Tasks {
+		seq := uint64(i + 1) // pre-admission: the contiguous seq prefix
+		if snap.Seqs != nil {
+			seq = snap.Seqs[i]
+		}
+		into.recoverTask(seq, t)
+	}
+	return hdr, nil
+}
+
+// recoverTask adds one task read back from disk during Open. A task
+// Options.Validate rejects is dropped but keeps its sequence number: the
+// version is the count of tasks ever appended, valid or not.
+func (s *Store) recoverTask(seq uint64, t dpprior.TaskPosterior) {
+	if s.opts.Validate != nil && s.opts.Validate(t) != nil {
+		s.recovery.InvalidRecords++
+		return
+	}
+	s.tasks = append(s.tasks, t)
+	s.seqs = append(s.seqs, seq)
 }
 
 func (s *Store) loadSnapshot() error {
@@ -279,41 +487,16 @@ func (s *Store) loadSnapshot() error {
 		return fmt.Errorf("store: open snapshot: %w", err)
 	}
 	defer f.Close()
-	snap, err := decodeSnapshot(f)
+	hdr, err := readSnapshot(f, s)
 	if err != nil {
 		return fmt.Errorf("store: snapshot %s is corrupt (delete it to start cold): %w", path, err)
 	}
-	if uint64(len(snap.Tasks)) > snap.Version {
-		return fmt.Errorf("store: snapshot %s holds %d tasks above version %d",
-			path, len(snap.Tasks), snap.Version)
+	for _, v := range hdr.Verdicts {
+		s.verdicts[v.Seq] = v.Quarantined
 	}
-	if snap.Seqs == nil {
-		// Pre-admission snapshot: tasks were the contiguous seq prefix.
-		snap.Seqs = make([]uint64, len(snap.Tasks))
-		for i := range snap.Seqs {
-			snap.Seqs[i] = uint64(i + 1)
-		}
-	}
-	if len(snap.Seqs) != len(snap.Tasks) {
-		return fmt.Errorf("store: snapshot %s holds %d tasks but %d seqs",
-			path, len(snap.Tasks), len(snap.Seqs))
-	}
-	for i, t := range snap.Tasks {
-		if s.opts.Validate != nil {
-			if err := s.opts.Validate(t); err != nil {
-				s.recovery.InvalidRecords++
-				continue
-			}
-		}
-		s.tasks = append(s.tasks, t)
-		s.seqs = append(s.seqs, snap.Seqs[i])
-	}
-	for seq, q := range snap.Verdicts {
-		s.verdicts[seq] = q
-	}
-	s.version = snap.Version
-	s.snapVersion = snap.Version
-	s.recovery.SnapshotTasks = len(snap.Tasks)
+	s.version = hdr.Version
+	s.snapVersion = hdr.Version
+	s.recovery.SnapshotTasks = int(hdr.Count)
 	return nil
 }
 
@@ -356,16 +539,7 @@ func (s *Store) replayLog() error {
 		s.version = rec.Seq
 		s.recovery.LogRecords++
 		s.sinceSnap++
-		if s.opts.Validate != nil {
-			if err := s.opts.Validate(rec.Task); err != nil {
-				// Drop the task but keep its sequence number: the version
-				// is the count of tasks ever appended, valid or not.
-				s.recovery.InvalidRecords++
-				continue
-			}
-		}
-		s.tasks = append(s.tasks, rec.Task)
-		s.seqs = append(s.seqs, rec.Seq)
+		s.recoverTask(rec.Seq, rec.Task)
 	}
 	if _, err := f.Seek(offset, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seek log end: %w", err)
@@ -540,23 +714,9 @@ func (s *Store) snapshotLocked() error {
 		return fmt.Errorf("store: snapshot temp: %w", err)
 	}
 	defer s.fs.Remove(tmp.Name())
-	snap := snapshotFile{Version: s.version, Tasks: s.tasks, Seqs: s.seqs}
-	if len(s.verdicts) > 0 {
-		snap.Verdicts = s.verdicts
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: encode snapshot: %w", err)
-	}
-	// Trailer: CRC over the payload, then the magic. The scrubber (and
-	// every future load) can prove the snapshot intact instead of hoping
-	// gob notices.
-	var trailer [8]byte
-	binary.BigEndian.PutUint32(trailer[:4], crc32.ChecksumIEEE(payload.Bytes()))
-	copy(trailer[4:], snapshotMagic)
-	payload.Write(trailer[:])
-	if _, err := tmp.Write(payload.Bytes()); err != nil {
+	// The CRC trailer lets the scrubber (and every future load) prove the
+	// snapshot intact instead of hoping gob notices.
+	if err := writeSnapshot(tmp, s.version, s.tasks, s.seqs, s.sortedVerdictsLocked()); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}

@@ -118,6 +118,18 @@ func (s *Store) SetVerdicts(verdicts map[uint64]bool) error {
 	return nil
 }
 
+// sortedVerdictsLocked returns the verdict map as records in ascending
+// seq order: the deterministic form every rewrite persists. Caller
+// holds s.mu.
+func (s *Store) sortedVerdictsLocked() []verdictRecord {
+	out := make([]verdictRecord, 0, len(s.verdicts))
+	for seq, q := range s.verdicts {
+		out = append(out, verdictRecord{Seq: seq, Quarantined: q})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
 // Verdicts returns a copy of the recorded admission verdicts
 // (seq → quarantined).
 func (s *Store) Verdicts() map[uint64]bool {
