@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -281,6 +282,7 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 		y:       y,
 		tau:     tau,
 		losses:  make([]float64, n),
+		weights: make([]float64, n),
 	}
 
 	fitStart := time.Now()
@@ -302,8 +304,7 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 	}
 
 	final := mat.Vec(res.Theta)
-	model.ParLosses(l.pool, l.model, final, x, y, prob.losses)
-	robust, _ := l.set.WorstCasePool(l.pool, prob.losses, l.lipschitz(final))
+	robust, _ := prob.score(final, l.set)
 	out := &Result{
 		Params:        final,
 		Objective:     res.Objective,
@@ -442,7 +443,16 @@ type drdpProblem struct {
 	x       *mat.Dense
 	y       []float64
 	tau     float64
-	losses  []float64 // scratch, length n
+
+	// Memo of the last point score evaluated: the point, its per-sample
+	// losses, and the worst-case value and weights under set. worstAt is
+	// false until value and weights belong to (theta, set).
+	theta   mat.Vec   // nil before the first score
+	losses  []float64 // length n
+	weights []float64 // length n
+	value   float64
+	set     dro.Set
+	worstAt bool
 
 	// Inner-solver stats from the most recent mStep call, read by the
 	// progress hook right after each EM iteration (the EM loop is
@@ -454,8 +464,8 @@ type drdpProblem struct {
 var _ em.Problem[[]float64] = (*drdpProblem)(nil)
 
 // clone returns a problem sharing the learner and data but with private
-// scratch, so parallel multi-start runs never race on the loss buffer or
-// the inner-solver stats.
+// scratch and memo, so parallel multi-start runs never race on the loss
+// and weight buffers or the inner-solver stats.
 func (p *drdpProblem) clone() *drdpProblem {
 	return &drdpProblem{
 		learner: p.learner,
@@ -463,6 +473,7 @@ func (p *drdpProblem) clone() *drdpProblem {
 		y:       p.y,
 		tau:     p.tau,
 		losses:  make([]float64, len(p.losses)),
+		weights: make([]float64, len(p.weights)),
 	}
 }
 
@@ -482,7 +493,6 @@ func (p *drdpProblem) MStep(theta []float64, gamma []float64) []float64 {
 
 func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 	l := p.learner
-	mdl := l.model
 	// The surrogate is linear in the responsibilities, so folding the
 	// prior weight τ into them keeps value and gradient consistent.
 	var scaled []float64
@@ -492,19 +502,28 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 			scaled[i] = p.tau * g
 		}
 	}
-	if l.sgd != nil {
+	var res opt.Result
+	switch {
+	case l.sgd != nil:
 		return p.stochasticMStep(theta, scaled)
+	case l.proximal:
+		res = p.proximalMStep(theta, scaled)
+	case l.lbfgsMem > 0:
+		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, opt.LBFGSOptions{Options: l.mstep, Memory: l.lbfgsMem})
+	default:
+		res = opt.GD(p.surrogate(l.set, scaled), theta, l.mstep)
 	}
-	if l.proximal {
-		return p.proximalMStep(theta, scaled)
-	}
-	if l.lbfgsMem > 0 {
-		return p.lbfgsMStep(theta, scaled)
-	}
-	f := func(th mat.Vec, grad mat.Vec) float64 {
-		model.ParLosses(l.pool, mdl, th, p.x, p.y, p.losses)
-		lip := l.lipschitz(th)
-		value, weights := l.set.WorstCasePool(l.pool, p.losses, lip)
+	p.lastMStepIters, p.lastGradNorm = res.Iterations, res.GradNorm
+	return res.Theta
+}
+
+// surrogate returns the batch M-step objective: the worst-case loss over
+// set plus the τ-scaled prior surrogate (scaled is nil without a prior),
+// with its gradient.
+func (p *drdpProblem) surrogate(set dro.Set, scaled []float64) opt.Func {
+	l := p.learner
+	return func(th mat.Vec, grad mat.Vec) float64 {
+		value, weights := p.score(th, set)
 		if scaled != nil {
 			value += l.prior.SurrogateValue(th, scaled)
 		}
@@ -512,8 +531,8 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 			mat.Fill(grad, 0)
 			// Danskin: gradient through the worst-case weights; normalize
 			// by n is built into weights (they sum to 1).
-			model.ParWeightedGrad(l.pool, mdl, th, p.x, p.y, weights, grad)
-			if rho := l.set.ThetaPenalty(); rho > 0 {
+			model.ParWeightedGrad(l.pool, l.model, th, p.x, p.y, weights, grad)
+			if rho := set.ThetaPenalty(); rho > 0 {
 				l.lipschitzGrad(th, rho, grad)
 			}
 			if scaled != nil {
@@ -522,20 +541,56 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 		}
 		return value
 	}
-	res := opt.GD(f, theta, l.mstep)
-	p.lastMStepIters, p.lastGradNorm = res.Iterations, res.GradNorm
-	return res.Theta
 }
 
 // Objective evaluates the true DRDP objective (robust loss + τ·(−log p)).
 func (p *drdpProblem) objective(theta mat.Vec) float64 {
 	l := p.learner
-	model.ParLosses(l.pool, l.model, theta, p.x, p.y, p.losses)
-	v, _ := l.set.WorstCasePool(l.pool, p.losses, l.lipschitz(theta))
+	v, _ := p.score(theta, l.set)
 	if l.prior != nil {
 		v += p.tau * -l.prior.LogDensity(theta)
 	}
 	return v
+}
+
+// score returns the worst-case loss of theta over set and the worst-case
+// weights, for the batch M-step solvers, the EM objective and the final
+// certificate. It remembers the last point, so asking again for it — an
+// accepted line-search trial re-evaluated with its gradient, the M-step's
+// result scored by the objective, the next M-step's opening call — costs
+// no data sweep or dual solve.
+//
+// The memo is keyed by θ's bit pattern (math.Float64bits, not ==, so −0
+// and +0 stay distinct points) and by the set: the losses depend on θ
+// alone and survive a change of set, the worst case is recomputed from
+// them. A hit returns exactly the bits the miss computed, so the memo
+// cannot change a result. The weights and p.losses stay valid until the
+// next score call.
+func (p *drdpProblem) score(theta mat.Vec, set dro.Set) (float64, []float64) {
+	l := p.learner
+	if !sameBits(p.theta, theta) {
+		model.ParLosses(l.pool, l.model, theta, p.x, p.y, p.losses)
+		p.theta = append(p.theta[:0], theta...)
+		p.worstAt = false
+	}
+	if !p.worstAt || p.set != set {
+		p.value = set.WorstCaseInto(l.pool, p.losses, l.lipschitz(theta), p.weights)
+		p.set, p.worstAt = set, true
+	}
+	return p.value, p.weights
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b mat.Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Objective implements em.Problem.

@@ -43,41 +43,12 @@ func WithLBFGSMStep(memory int) Option {
 	}
 }
 
-// lbfgsMStep minimizes the same objective as mStep with opt.LBFGS.
-func (p *drdpProblem) lbfgsMStep(theta mat.Vec, scaled []float64) mat.Vec {
-	l := p.learner
-	mdl := l.model
-	f := func(th mat.Vec, grad mat.Vec) float64 {
-		model.ParLosses(l.pool, mdl, th, p.x, p.y, p.losses)
-		value, weights := l.set.WorstCasePool(l.pool, p.losses, l.lipschitz(th))
-		if scaled != nil {
-			value += l.prior.SurrogateValue(th, scaled)
-		}
-		if grad != nil {
-			mat.Fill(grad, 0)
-			model.ParWeightedGrad(l.pool, mdl, th, p.x, p.y, weights, grad)
-			if rho := l.set.ThetaPenalty(); rho > 0 {
-				l.lipschitzGrad(th, rho, grad)
-			}
-			if scaled != nil {
-				l.prior.SurrogateGrad(th, scaled, grad)
-			}
-		}
-		return value
-	}
-	res := opt.LBFGS(f, theta, opt.LBFGSOptions{Options: l.mstep, Memory: l.lbfgsMem})
-	p.lastMStepIters, p.lastGradNorm = res.Iterations, res.GradNorm
-	return res.Theta
-}
-
 // proximalMStep minimizes the surrogate objective with opt.ProxGD: the
 // smooth part is the worst-case-weighted loss plus the τ-scaled prior
 // surrogate; the Wasserstein penalty enters via its prox.
-func (p *drdpProblem) proximalMStep(theta mat.Vec, scaled []float64) mat.Vec {
+func (p *drdpProblem) proximalMStep(theta mat.Vec, scaled []float64) opt.Result {
 	l := p.learner
-	mdl := l.model
-	bn := mdl.(model.BlockNormer) // validated in WithProximalMStep
-	from, to := bn.WeightBlock()
+	from, to := l.model.(model.BlockNormer).WeightBlock() // validated in WithProximalMStep
 
 	rho := l.set.ThetaPenalty()
 	// The smooth part must exclude the penalty the prox handles; for
@@ -86,29 +57,11 @@ func (p *drdpProblem) proximalMStep(theta mat.Vec, scaled []float64) mat.Vec {
 	if smoothSet.Kind == dro.Wasserstein {
 		smoothSet = dro.Set{Kind: dro.None}
 	}
-
-	f := func(th mat.Vec, grad mat.Vec) float64 {
-		model.ParLosses(l.pool, mdl, th, p.x, p.y, p.losses)
-		value, weights := smoothSet.WorstCasePool(l.pool, p.losses, 0)
-		if scaled != nil {
-			value += l.prior.SurrogateValue(th, scaled)
-		}
-		if grad != nil {
-			mat.Fill(grad, 0)
-			model.ParWeightedGrad(l.pool, mdl, th, p.x, p.y, weights, grad)
-			if scaled != nil {
-				l.prior.SurrogateGrad(th, scaled, grad)
-			}
-		}
-		return value
-	}
 	penalty := func(th mat.Vec) float64 {
 		if rho == 0 {
 			return 0
 		}
 		return rho * mat.Norm2(th[from:to])
 	}
-	res := opt.ProxGD(f, opt.ProxL2Block(rho, from, to), penalty, theta, l.mstep)
-	p.lastMStepIters, p.lastGradNorm = res.Iterations, res.GradNorm
-	return res.Theta
+	return opt.ProxGD(p.surrogate(smoothSet, scaled), opt.ProxL2Block(rho, from, to), penalty, theta, l.mstep)
 }

@@ -116,26 +116,41 @@ func (s Set) WorstCase(losses []float64, lipschitz float64) (value float64, weig
 // pool. A nil pool runs inline through the identical chunk grid, so the
 // result is bit-for-bit the same at any parallelism.
 func (s Set) WorstCasePool(p *parallel.Pool, losses []float64, lipschitz float64) (value float64, weights []float64) {
+	weights = make([]float64, len(losses))
+	return s.WorstCaseInto(p, losses, lipschitz, weights), weights
+}
+
+// WorstCaseInto is WorstCasePool writing the worst-case weights into the
+// caller's buffer, which must have one entry per loss, instead of
+// allocating them. The value and weights are bit-for-bit those of
+// WorstCasePool.
+func (s Set) WorstCaseInto(p *parallel.Pool, losses []float64, lipschitz float64, weights []float64) float64 {
 	if len(losses) == 0 {
 		panic("dro: WorstCase: empty losses")
 	}
-	n := len(losses)
+	if len(weights) != len(losses) {
+		panic(fmt.Sprintf("dro: WorstCase: %d weights for %d losses", len(weights), len(losses)))
+	}
 	switch s.Kind {
 	case None:
-		return meanPool(p, losses), uniform(n)
+		fillUniform(weights)
+		return meanPool(p, losses)
 	case Wasserstein:
-		return meanPool(p, losses) + s.Rho*lipschitz, uniform(n)
+		fillUniform(weights)
+		return meanPool(p, losses) + s.Rho*lipschitz
 	case KL:
 		if s.Rho == 0 {
-			return meanPool(p, losses), uniform(n)
+			fillUniform(weights)
+			return meanPool(p, losses)
 		}
-		v, w, _ := klWorstCase(p, losses, s.Rho)
-		return v, w
+		v, _ := klWorstCase(p, losses, s.Rho, weights)
+		return v
 	case Chi2:
 		if s.Rho == 0 {
-			return meanPool(p, losses), uniform(n)
+			fillUniform(weights)
+			return meanPool(p, losses)
 		}
-		return chi2WorstCase(p, losses, s.Rho)
+		return chi2WorstCase(p, losses, s.Rho, weights)
 	default:
 		panic(fmt.Sprintf("dro: WorstCase: unknown kind %d", int(s.Kind)))
 	}
@@ -155,12 +170,11 @@ func meanPool(p *parallel.Pool, x []float64) float64 {
 	return p.SumChunked(len(x), func(i int) float64 { return x[i] }) / float64(len(x))
 }
 
-func uniform(n int) []float64 {
-	w := make([]float64, n)
+// fillUniform writes the empirical distribution's weights 1/n into w.
+func fillUniform(w []float64) {
 	for i := range w {
-		w[i] = 1 / float64(n)
+		w[i] = 1 / float64(len(w))
 	}
-	return w
 }
 
 // scanLosses returns the extrema of losses plus a NaN flag, computed per
@@ -215,7 +229,9 @@ func scanLosses(p *parallel.Pool, losses []float64) (minL, maxL float64, hasNaN 
 // or NaN as the data dictates, but the weights stay a safe mean-gradient
 // direction instead of NaN poison.
 func KLWorstCase(losses []float64, rho float64) (value float64, weights []float64, lambda float64) {
-	return klWorstCase(nil, losses, rho)
+	weights = make([]float64, len(losses))
+	value, lambda = klWorstCase(nil, losses, rho, weights)
+	return value, weights, lambda
 }
 
 // klDegenerateRel is the relative spread below which KL tilting is
@@ -229,17 +245,21 @@ func KLWorstCase(losses []float64, rho float64) (value float64, weights []float6
 // the true tilt at such spreads differs from uniform by O(spread/ρ).
 const klDegenerateRel = 1e-12
 
-func klWorstCase(p *parallel.Pool, losses []float64, rho float64) (value float64, weights []float64, lambda float64) {
+// klWorstCase is KLWorstCase on the pool, writing the weights into the
+// caller's buffer.
+func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []float64) (value float64, lambda float64) {
 	if rho <= 0 {
 		panic(fmt.Sprintf("dro: KLWorstCase: rho %g must be positive", rho))
 	}
 	n := len(losses)
 	minL, maxL, hasNaN := scanLosses(p, losses)
 	if hasNaN {
-		return math.NaN(), uniform(n), math.Inf(1)
+		fillUniform(weights)
+		return math.NaN(), math.Inf(1)
 	}
 	if math.IsInf(maxL, 0) || math.IsInf(minL, 0) {
-		return maxL, uniform(n), math.Inf(1)
+		fillUniform(weights)
+		return maxL, math.Inf(1)
 	}
 	spread := maxL - minL
 	if math.IsInf(spread, 1) {
@@ -250,7 +270,8 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64) (value float64
 	}
 	if spread <= klDegenerateRel*(1+math.Abs(maxL)) {
 		// Degenerate: every distribution in the ball has the same mean.
-		return maxL, uniform(n), math.Inf(1)
+		fillUniform(weights)
+		return maxL, math.Inf(1)
 	}
 
 	dual := func(lam float64) float64 {
@@ -284,7 +305,6 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64) (value float64
 
 	// Tilted weights at λ*. The argmax entries contribute exp(0) = 1, so
 	// the normalizer is ≥ 1 and the division is always safe.
-	weights = make([]float64, n)
 	p.ForEachChunk(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			weights[i] = math.Exp((losses[i] - maxL) / lambda)
@@ -296,7 +316,7 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64) (value float64
 			weights[i] /= z
 		}
 	})
-	return value, weights, lambda
+	return value, lambda
 }
 
 // Chi2WorstCase solves  sup_Q E_Q[ℓ]  over the χ² ball
@@ -309,23 +329,27 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64) (value float64
 //
 // Non-finite losses take the same uniform-weight fallback as KLWorstCase.
 func Chi2WorstCase(losses []float64, rho float64) (value float64, weights []float64) {
-	return chi2WorstCase(nil, losses, rho)
+	weights = make([]float64, len(losses))
+	return chi2WorstCase(nil, losses, rho, weights), weights
 }
 
-func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64) (value float64, weights []float64) {
+// chi2WorstCase is Chi2WorstCase on the pool, writing the weights into
+// the caller's buffer.
+func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64, weights []float64) float64 {
 	if rho <= 0 {
 		panic(fmt.Sprintf("dro: Chi2WorstCase: rho %g must be positive", rho))
 	}
 	n := len(losses)
 	_, maxL, hasNaN := scanLosses(p, losses)
 	if hasNaN {
-		return math.NaN(), uniform(n)
+		fillUniform(weights)
+		return math.NaN()
 	}
 	if math.IsInf(maxL, 1) {
-		return maxL, uniform(n)
+		fillUniform(weights)
+		return maxL
 	}
 	active := make([]bool, n) // true = clamped to zero
-	weights = make([]float64, n)
 
 	for pass := 0; pass < n; pass++ {
 		// Solve on the free set.
@@ -347,7 +371,8 @@ func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64) (value float
 		if math.IsInf(mean, 0) || math.IsNaN(mean) {
 			// The free-set sum overflowed (losses near ±MaxFloat64):
 			// centered deviations would be NaN. Give up on tilting.
-			return maxL, uniform(n)
+			fillUniform(weights)
+			return maxL
 		}
 		// Largest centered deviation, for an overflow-safe sum of
 		// squares: Σ d² computed directly overflows once |d| exceeds
@@ -431,7 +456,8 @@ func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64) (value float
 		return 0
 	})
 	if z <= 0 || math.IsInf(z, 0) || math.IsNaN(z) {
-		return maxL, uniform(n)
+		fillUniform(weights)
+		return maxL
 	}
 	p.ForEachChunk(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -441,8 +467,7 @@ func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64) (value float
 			weights[i] /= z
 		}
 	})
-	value = p.SumChunked(n, func(i int) float64 { return weights[i] * losses[i] })
-	return value, weights
+	return p.SumChunked(n, func(i int) float64 { return weights[i] * losses[i] })
 }
 
 // goldenSection minimizes convex f on [a, b] to high precision.

@@ -34,6 +34,8 @@ func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 	rhos := make([]float64, 0, m)
 
 	dir := make(mat.Vec, n)
+	trial := make(mat.Vec, n)
+	newGrad := make(mat.Vec, n)
 	alpha := make([]float64, m)
 	rejected := 0 // consecutive curvature-pair rejections
 
@@ -74,7 +76,6 @@ func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 		// Armijo backtracking along dir.
 		const c, shrink = 1e-4, 0.5
 		t := 1.0
-		trial := make(mat.Vec, n)
 		var trialVal float64
 		accepted := false
 		backtracks := 0
@@ -99,7 +100,6 @@ func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 			ss, ys, rhos = ss[:0], ys[:0], rhos[:0]
 		}
 
-		newGrad := make(mat.Vec, n)
 		newVal := f(trial, newGrad)
 		s := mat.SubVec(trial, theta)
 		y := mat.SubVec(newGrad, grad)

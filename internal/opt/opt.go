@@ -53,6 +53,7 @@ func GD(f Func, theta0 mat.Vec, opts Options) Result {
 	o := opts.withDefaults()
 	theta := mat.CloneVec(theta0)
 	grad := make(mat.Vec, len(theta))
+	trial := make(mat.Vec, len(theta))
 	value := f(theta, grad)
 	step := o.InitStep
 
@@ -65,7 +66,6 @@ func GD(f Func, theta0 mat.Vec, opts Options) Result {
 		// Backtracking: find t with f(θ − t g) ≤ f(θ) − c t ‖g‖².
 		const c, shrink = 1e-4, 0.5
 		t := step
-		trial := make(mat.Vec, len(theta))
 		var trialVal float64
 		accepted := false
 		for ls := 0; ls < 50; ls++ {
@@ -103,6 +103,7 @@ func ProxGD(fn Func, prox Prox, penalty func(mat.Vec) float64, theta0 mat.Vec, o
 	o := opts.withDefaults()
 	theta := mat.CloneVec(theta0)
 	grad := make(mat.Vec, len(theta))
+	trial := make(mat.Vec, len(theta))
 	fval := fn(theta, grad)
 	step := o.InitStep
 
@@ -116,7 +117,6 @@ func ProxGD(fn Func, prox Prox, penalty func(mat.Vec) float64, theta0 mat.Vec, o
 	var iter int
 	for iter = 0; iter < o.MaxIter; iter++ {
 		t := step
-		trial := make(mat.Vec, len(theta))
 		var trialF float64
 		accepted := false
 		for ls := 0; ls < 50; ls++ {
