@@ -97,50 +97,9 @@ func Build(tasks []TaskPosterior, opts BuildOptions) (*Prior, error) {
 //	x_j | c ~ N(φ_c, s² I),  φ_c ~ N(0, σ0² I),  partition ~ CRP(α).
 func gibbsCluster(rng *rand.Rand, tasks []TaskPosterior, o BuildOptions) []int {
 	n := len(tasks)
-	dim := len(tasks[0].Mu)
-	s2 := o.ClusterScale * o.ClusterScale
-	sigma02 := o.BaseSigma * o.BaseSigma
-
-	// Cluster state: member counts and coordinate sums.
-	type cluster struct {
-		count int
-		sum   mat.Vec
-	}
-	var clusters []*cluster
+	g := newGibbsState(tasks, o)
 	assign := make([]int, n)
 	for i := range assign {
-		assign[i] = -1
-	}
-
-	// Predictive log density of x joining cluster c (nil = new cluster).
-	predictive := func(x mat.Vec, c *cluster) float64 {
-		var postVar, quad float64
-		if c == nil || c.count == 0 {
-			postVar = sigma02 + s2
-			quad = mat.Dot(x, x)
-		} else {
-			prec := 1/sigma02 + float64(c.count)/s2
-			postVar = 1/prec + s2
-			var ss float64
-			for j, v := range x {
-				m := c.sum[j] / s2 / prec
-				d := v - m
-				ss += d * d
-			}
-			quad = ss
-		}
-		return -0.5*float64(dim)*math.Log(2*math.Pi*postVar) - quad/(2*postVar)
-	}
-
-	addTo := func(i, c int) {
-		assign[i] = c
-		clusters[c].count++
-		mat.Axpy(1, tasks[i].Mu, clusters[c].sum)
-	}
-	removeFrom := func(i int) {
-		c := clusters[assign[i]]
-		c.count--
-		mat.Axpy(-1, tasks[i].Mu, c.sum)
 		assign[i] = -1
 	}
 
@@ -148,47 +107,16 @@ func gibbsCluster(rng *rand.Rand, tasks []TaskPosterior, o BuildOptions) []int {
 	for sweep := 0; sweep <= o.GibbsIters; sweep++ {
 		for i := 0; i < n; i++ {
 			if assign[i] >= 0 {
-				removeFrom(i)
+				g.move(i, assign[i], -1)
+				assign[i] = -1
 			}
-			logp := make([]float64, 0, len(clusters)+1)
-			ids := make([]int, 0, len(clusters)+1)
-			for c, cl := range clusters {
-				if cl.count == 0 {
-					continue
-				}
-				logp = append(logp, math.Log(float64(cl.count))+predictive(tasks[i].Mu, cl))
-				ids = append(ids, c)
-			}
-			logp = append(logp, math.Log(o.Alpha)+predictive(tasks[i].Mu, nil))
-			ids = append(ids, -1)
-
-			probs := mat.Softmax(logp, logp)
-			u := rng.Float64()
-			var acc float64
-			choice := len(probs) - 1
-			for k, p := range probs {
-				acc += p
-				if u < acc {
-					choice = k
-					break
-				}
-			}
-			target := ids[choice]
+			g.score(i)
+			target := g.ids[drawLog(rng, g.logp)]
 			if target == -1 {
-				// Reuse an emptied slot if available, else grow.
-				target = -1
-				for c, cl := range clusters {
-					if cl.count == 0 {
-						target = c
-						break
-					}
-				}
-				if target == -1 {
-					clusters = append(clusters, &cluster{sum: make(mat.Vec, dim)})
-					target = len(clusters) - 1
-				}
+				target = g.open()
 			}
-			addTo(i, target)
+			assign[i] = target
+			g.move(i, target, 1)
 		}
 	}
 	// Renumber clusters densely.
@@ -203,6 +131,150 @@ func gibbsCluster(rng *rand.Rand, tasks []TaskPosterior, o BuildOptions) []int {
 		out[i] = id
 	}
 	return out
+}
+
+// gibbsState is gibbsCluster's sampler state. Task x joins an occupied
+// cluster c of m members with log weight
+//
+//	log m − (d/2)·log(2π·v_m) − |x − μ_c|²/(2·v_m),
+//	prec_m = 1/σ0² + m/s²,  v_m = 1/prec_m + s²,  μ_c = sum_c / s² / prec_m,
+//
+// and opens a new cluster with log α − (d/2)·log(2π·v₀) − |x|²/(2·v₀),
+// v₀ = σ0² + s². The terms that depend only on m are tabulated once per
+// build, each μ_c is recomputed only when its membership changes, and
+// the new-cluster weight is computed once per task, so scoring a (task,
+// cluster) pair is one subtract-multiply-add per coordinate. Every
+// number is the same expression over the same operands as a direct
+// evaluation of the formulas above, so scores are bit-identical to it
+// (TestGibbsScoresBitIdentical) and so are assignments and rng
+// consumption (TestGibbsMatchesReference).
+type gibbsState struct {
+	tasks    []TaskPosterior
+	s2       float64
+	byCount  []countTerms // byCount[m]: terms for a cluster of m members
+	fresh    []float64    // fresh[i]: log weight of task i opening a cluster
+	clusters []clusterStat
+	logp     []float64 // score reuses these across visits
+	ids      []int
+}
+
+// countTerms are the predictive terms that depend only on a cluster's
+// member count m.
+type countTerms struct {
+	prec    float64 // posterior precision of φ_c
+	norm    float64 // −(d/2)·log(2π·v_m)
+	twoVar  float64 // 2·v_m
+	logSize float64 // log m
+}
+
+// clusterStat is one cluster's member count, coordinate sum and
+// posterior mean μ_c.
+type clusterStat struct {
+	count     int
+	sum, mean mat.Vec
+}
+
+func newGibbsState(tasks []TaskPosterior, o BuildOptions) *gibbsState {
+	n := len(tasks)
+	dim := len(tasks[0].Mu)
+	s2 := o.ClusterScale * o.ClusterScale
+	sigma02 := o.BaseSigma * o.BaseSigma
+	g := &gibbsState{
+		tasks:   tasks,
+		s2:      s2,
+		byCount: make([]countTerms, n+1),
+		fresh:   make([]float64, n),
+	}
+	for m := 1; m <= n; m++ {
+		prec := 1/sigma02 + float64(m)/s2
+		postVar := 1/prec + s2
+		g.byCount[m] = countTerms{
+			prec:    prec,
+			norm:    -0.5 * float64(dim) * math.Log(2*math.Pi*postVar),
+			twoVar:  2 * postVar,
+			logSize: math.Log(float64(m)),
+		}
+	}
+	newVar := sigma02 + s2
+	newNorm := -0.5 * float64(dim) * math.Log(2*math.Pi*newVar)
+	logAlpha := math.Log(o.Alpha)
+	for i, t := range tasks {
+		g.fresh[i] = logAlpha + (newNorm - mat.Dot(t.Mu, t.Mu)/(2*newVar))
+	}
+	return g
+}
+
+// move adds (sign 1) or removes (sign −1) task i's mean to or from
+// cluster c and brings the cluster's posterior mean up to date.
+func (g *gibbsState) move(i, c int, sign float64) {
+	cl := &g.clusters[c]
+	if sign > 0 {
+		cl.count++
+	} else {
+		cl.count--
+	}
+	mat.Axpy(sign, g.tasks[i].Mu, cl.sum)
+	if cl.count == 0 {
+		return
+	}
+	prec := g.byCount[cl.count].prec
+	for j, v := range cl.sum {
+		cl.mean[j] = v / g.s2 / prec
+	}
+}
+
+// score sets logp to task i's log weight for joining each occupied
+// cluster, in slot order, then for opening a new one; ids holds the
+// matching slot, −1 for the new cluster.
+func (g *gibbsState) score(i int) {
+	x := g.tasks[i].Mu
+	g.logp, g.ids = g.logp[:0], g.ids[:0]
+	for c := range g.clusters {
+		cl := &g.clusters[c]
+		if cl.count == 0 {
+			continue
+		}
+		mean := cl.mean[:len(x)]
+		var ss float64
+		for j, v := range x {
+			d := v - mean[j]
+			ss += d * d
+		}
+		t := &g.byCount[cl.count]
+		g.logp = append(g.logp, t.logSize+(t.norm-ss/t.twoVar))
+		g.ids = append(g.ids, c)
+	}
+	g.logp = append(g.logp, g.fresh[i])
+	g.ids = append(g.ids, -1)
+}
+
+// open returns the first emptied cluster slot, appending one if none is
+// empty.
+func (g *gibbsState) open() int {
+	for c := range g.clusters {
+		if g.clusters[c].count == 0 {
+			return c
+		}
+	}
+	dim := len(g.tasks[0].Mu)
+	g.clusters = append(g.clusters, clusterStat{sum: make(mat.Vec, dim), mean: make(mat.Vec, dim)})
+	return len(g.clusters) - 1
+}
+
+// drawLog samples an index from softmax(logp) by inverse CDF with one
+// rng.Float64 draw, exponentiating only up to the chosen entry; the
+// last index absorbs any rounding shortfall.
+func drawLog(rng *rand.Rand, logp []float64) int {
+	lse := mat.LogSumExp(logp)
+	u := rng.Float64()
+	var acc float64
+	for k, v := range logp {
+		acc += math.Exp(v - lse)
+		if u < acc {
+			return k
+		}
+	}
+	return len(logp) - 1
 }
 
 // assemble moment-matches one component per cluster and applies CRP

@@ -1,8 +1,11 @@
 package dpprior
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/drdp/drdp/internal/mat"
@@ -208,6 +211,334 @@ func TestBuildDeterministicGivenSeed(t *testing.T) {
 	for i := range p1.Components {
 		if mat.Dist2(p1.Components[i].Mu, p2.Components[i].Mu) > 1e-12 {
 			t.Errorf("component %d means differ across identical runs", i)
+		}
+	}
+}
+
+// referenceGibbsCluster is the direct collapsed Gibbs sampler: every
+// predictive term is evaluated from the cluster sums on every visit.
+// It is the oracle gibbsCluster must reproduce bit for bit.
+func referenceGibbsCluster(rng *rand.Rand, tasks []TaskPosterior, o BuildOptions) []int {
+	n := len(tasks)
+	dim := len(tasks[0].Mu)
+	s2 := o.ClusterScale * o.ClusterScale
+	sigma02 := o.BaseSigma * o.BaseSigma
+
+	// Cluster state: member counts and coordinate sums.
+	type cluster struct {
+		count int
+		sum   mat.Vec
+	}
+	var clusters []*cluster
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+
+	// Predictive log density of x joining cluster c (nil = new cluster).
+	predictive := func(x mat.Vec, c *cluster) float64 {
+		var postVar, quad float64
+		if c == nil || c.count == 0 {
+			postVar = sigma02 + s2
+			quad = mat.Dot(x, x)
+		} else {
+			prec := 1/sigma02 + float64(c.count)/s2
+			postVar = 1/prec + s2
+			var ss float64
+			for j, v := range x {
+				m := c.sum[j] / s2 / prec
+				d := v - m
+				ss += d * d
+			}
+			quad = ss
+		}
+		return -0.5*float64(dim)*math.Log(2*math.Pi*postVar) - quad/(2*postVar)
+	}
+
+	addTo := func(i, c int) {
+		assign[i] = c
+		clusters[c].count++
+		mat.Axpy(1, tasks[i].Mu, clusters[c].sum)
+	}
+	removeFrom := func(i int) {
+		c := clusters[assign[i]]
+		c.count--
+		mat.Axpy(-1, tasks[i].Mu, c.sum)
+		assign[i] = -1
+	}
+
+	// Sequential initialization then Gibbs sweeps.
+	for sweep := 0; sweep <= o.GibbsIters; sweep++ {
+		for i := 0; i < n; i++ {
+			if assign[i] >= 0 {
+				removeFrom(i)
+			}
+			logp := make([]float64, 0, len(clusters)+1)
+			ids := make([]int, 0, len(clusters)+1)
+			for c, cl := range clusters {
+				if cl.count == 0 {
+					continue
+				}
+				logp = append(logp, math.Log(float64(cl.count))+predictive(tasks[i].Mu, cl))
+				ids = append(ids, c)
+			}
+			logp = append(logp, math.Log(o.Alpha)+predictive(tasks[i].Mu, nil))
+			ids = append(ids, -1)
+
+			probs := mat.Softmax(logp, logp)
+			u := rng.Float64()
+			var acc float64
+			choice := len(probs) - 1
+			for k, p := range probs {
+				acc += p
+				if u < acc {
+					choice = k
+					break
+				}
+			}
+			target := ids[choice]
+			if target == -1 {
+				// Reuse an emptied slot if available, else grow.
+				target = -1
+				for c, cl := range clusters {
+					if cl.count == 0 {
+						target = c
+						break
+					}
+				}
+				if target == -1 {
+					clusters = append(clusters, &cluster{sum: make(mat.Vec, dim)})
+					target = len(clusters) - 1
+				}
+			}
+			addTo(i, target)
+		}
+	}
+	// Renumber clusters densely.
+	remap := map[int]int{}
+	out := make([]int, n)
+	for i, a := range assign {
+		id, ok := remap[a]
+		if !ok {
+			id = len(remap)
+			remap[a] = id
+		}
+		out[i] = id
+	}
+	return out
+}
+
+// referenceBuild is Build on the reference sampler (inputs are valid).
+func referenceBuild(tasks []TaskPosterior, opts BuildOptions) (*Prior, error) {
+	o := opts.defaults(tasks)
+	assign := referenceGibbsCluster(rand.New(rand.NewSource(o.Seed)), tasks, o)
+	return assemble(tasks, assign, o)
+}
+
+// referenceSummarize is SummarizeTasks on the reference sampler.
+func referenceSummarize(tasks []TaskPosterior, opts BuildOptions) ([]TaskPosterior, error) {
+	if opts.MaxComponents <= 0 {
+		opts.MaxComponents = DefaultSummaryComponents
+	}
+	if len(tasks) <= opts.MaxComponents {
+		return tasks, nil
+	}
+	p, err := referenceBuild(tasks, opts)
+	if err != nil {
+		return nil, err
+	}
+	totalN := 0
+	for _, t := range tasks {
+		totalN = min(totalN+t.N, MaxTaskN)
+	}
+	return ComponentTasks(p, totalN), nil
+}
+
+// gibbsInstance draws one randomized clustering problem. The case index
+// picks a shape: general, a single task, identical tasks, one far
+// outlier, a tiny ClusterScale (every task a singleton, so each visit
+// empties a slot and the new-cluster draw reuses it), a large α (many
+// short-lived clusters), a huge ClusterScale (one cluster), or an
+// explicit BaseSigma with truncation.
+func gibbsInstance(idx int) ([]TaskPosterior, BuildOptions, string) {
+	rng := rand.New(rand.NewSource(int64(1000 + idx)))
+	dims := []int{1, 2, 3, 5, 17, 49}
+	dim := dims[rng.Intn(len(dims))]
+	n := 2 + rng.Intn(90)
+	k := 1 + rng.Intn(8)
+	spreads := []float64{0.5, 2, 4, 8, 30}
+	spread := spreads[rng.Intn(len(spreads))]
+	alphas := []float64{0.01, 0.3, 1, 5, 100}
+	opts := BuildOptions{
+		Alpha:      alphas[rng.Intn(len(alphas))],
+		GibbsIters: []int{0, 3, 12}[rng.Intn(3)],
+		Seed:       rng.Int63(),
+	}
+	if rng.Intn(2) == 0 {
+		opts.MaxComponents = 1 + rng.Intn(5)
+	}
+	if rng.Intn(3) == 0 {
+		opts.ClusterScale = 0.05 + 2*rng.Float64()
+	}
+	shape := idx % 8
+	switch shape {
+	case 1:
+		n = 1
+	case 4:
+		opts.ClusterScale = 1e-9
+	case 5:
+		opts.Alpha = 1e3
+	case 6:
+		opts.ClusterScale = 1e4
+	case 7:
+		opts.BaseSigma = 0.1 + 10*rng.Float64()
+	}
+	centers := make([]mat.Vec, k)
+	for c := range centers {
+		centers[c] = make(mat.Vec, dim)
+		for j := range centers[c] {
+			centers[c][j] = spread * rng.NormFloat64() / math.Sqrt(float64(dim))
+		}
+	}
+	within := 0.05 + 0.5*rng.Float64()
+	tasks := make([]TaskPosterior, n)
+	for i := range tasks {
+		mu := mat.CloneVec(centers[rng.Intn(k)])
+		if shape != 2 {
+			for j := range mu {
+				mu[j] += within * rng.NormFloat64()
+			}
+		}
+		if shape == 3 && i == n/2 {
+			mat.Scale(1e3, mu)
+			mu[0] += 1e3
+		}
+		sigma := mat.Eye(dim)
+		sigma.ScaleBy(within * within * (0.5 + rng.Float64()))
+		tasks[i] = TaskPosterior{Mu: mu, Sigma: sigma, N: 1 + rng.Intn(300)}
+	}
+	desc := fmt.Sprintf("case %d (shape %d): n=%d dim=%d k=%d spread=%g %+v", idx, shape, n, dim, k, spread, opts)
+	return tasks, opts, desc
+}
+
+// TestGibbsMatchesReference pins the tabulated sampler to the direct one:
+// identical assignments, identical rng consumption, and gob-identical
+// Build and SummarizeTasks outputs over randomized instances.
+func TestGibbsMatchesReference(t *testing.T) {
+	for idx := 0; idx < 240; idx++ {
+		tasks, opts, desc := gibbsInstance(idx)
+
+		o := opts.defaults(tasks)
+		gotRNG := rand.New(rand.NewSource(o.Seed))
+		wantRNG := rand.New(rand.NewSource(o.Seed))
+		got := gibbsCluster(gotRNG, tasks, o)
+		want := referenceGibbsCluster(wantRNG, tasks, o)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: assignments differ\n got %v\nwant %v", desc, got, want)
+		}
+		if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
+			t.Fatalf("%s: rng streams diverged", desc)
+		}
+
+		gp, err := Build(tasks, opts)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", desc, err)
+		}
+		wp, err := referenceBuild(tasks, opts)
+		if err != nil {
+			t.Fatalf("%s: reference Build: %v", desc, err)
+		}
+		if !bytes.Equal(gobBytes(t, gp), gobBytes(t, wp)) {
+			t.Fatalf("%s: Build priors differ", desc)
+		}
+
+		gs, err := SummarizeTasks(tasks, opts)
+		if err != nil {
+			t.Fatalf("%s: SummarizeTasks: %v", desc, err)
+		}
+		ws, err := referenceSummarize(tasks, opts)
+		if err != nil {
+			t.Fatalf("%s: reference SummarizeTasks: %v", desc, err)
+		}
+		if !bytes.Equal(gobBytes(t, gs), gobBytes(t, ws)) {
+			t.Fatalf("%s: summaries differ", desc)
+		}
+	}
+}
+
+// directScores evaluates referenceGibbsCluster's predictive formulas for
+// task x from g's cluster counts and sums.
+func directScores(g *gibbsState, x mat.Vec, o BuildOptions) ([]float64, []int) {
+	dim := len(x)
+	s2 := o.ClusterScale * o.ClusterScale
+	sigma02 := o.BaseSigma * o.BaseSigma
+	predictive := func(count int, sum mat.Vec) float64 {
+		var postVar, quad float64
+		if count == 0 {
+			postVar = sigma02 + s2
+			quad = mat.Dot(x, x)
+		} else {
+			prec := 1/sigma02 + float64(count)/s2
+			postVar = 1/prec + s2
+			var ss float64
+			for j, v := range x {
+				m := sum[j] / s2 / prec
+				d := v - m
+				ss += d * d
+			}
+			quad = ss
+		}
+		return -0.5*float64(dim)*math.Log(2*math.Pi*postVar) - quad/(2*postVar)
+	}
+	var logp []float64
+	var ids []int
+	for c, cl := range g.clusters {
+		if cl.count == 0 {
+			continue
+		}
+		logp = append(logp, math.Log(float64(cl.count))+predictive(cl.count, cl.sum))
+		ids = append(ids, c)
+	}
+	return append(logp, math.Log(o.Alpha)+predictive(0, nil)), append(ids, -1)
+}
+
+// TestGibbsScoresBitIdentical checks the tabulated score kernel against
+// the direct formulas bit for bit, over random walks of moves (joins,
+// leaves, emptied and reopened slots). Sampling decisions alone cannot
+// see a last-bit difference in a score; this test can.
+func TestGibbsScoresBitIdentical(t *testing.T) {
+	for idx := 0; idx < 120; idx++ {
+		tasks, opts, desc := gibbsInstance(idx)
+		o := opts.defaults(tasks)
+		n := len(tasks)
+		g := newGibbsState(tasks, o)
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = -1
+		}
+		rng := rand.New(rand.NewSource(int64(idx)))
+		for step := 0; step < 4*n+8; step++ {
+			i := rng.Intn(n)
+			if assign[i] >= 0 {
+				g.move(i, assign[i], -1)
+				assign[i] = -1
+			}
+			g.score(i)
+			logp, ids := directScores(g, tasks[i].Mu, o)
+			if !slices.Equal(g.ids, ids) {
+				t.Fatalf("%s step %d: slots %v, want %v", desc, step, g.ids, ids)
+			}
+			for k := range logp {
+				if math.Float64bits(g.logp[k]) != math.Float64bits(logp[k]) {
+					t.Fatalf("%s step %d: score %d is %v, want %v", desc, step, k, g.logp[k], logp[k])
+				}
+			}
+			target := g.ids[rng.Intn(len(g.ids))]
+			if target == -1 {
+				target = g.open()
+			}
+			assign[i] = target
+			g.move(i, target, 1)
 		}
 	}
 }

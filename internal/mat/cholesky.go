@@ -177,22 +177,23 @@ func (c *Cholesky) MulVecL(x Vec) Vec {
 	return y
 }
 
-// SolveL solves L y = b (forward substitution only). The squared norm of
-// the result is the Mahalanobis quadratic (b)ᵀA⁻¹(b), which the Gaussian
-// log-density uses without completing the full solve.
-func (c *Cholesky) SolveL(b Vec) Vec {
+// SolveLInPlace solves L y = b (forward substitution only), overwriting
+// b with y. The squared norm of y is the Mahalanobis quadratic
+// bᵀA⁻¹b, which the Gaussian log-density uses without completing the
+// full solve. Entry i of b is read before it is written and entries
+// k < i already hold y_k, so the arithmetic is that of a substitution
+// into a separate vector, operation for operation.
+func (c *Cholesky) SolveLInPlace(b Vec) {
 	n := c.L.Rows
 	if len(b) != n {
-		panic(fmt.Sprintf("mat: Cholesky.SolveL: length %d, want %d", len(b), n))
+		panic(fmt.Sprintf("mat: Cholesky.SolveLInPlace: length %d, want %d", len(b), n))
 	}
-	y := make(Vec, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		row := c.L.Data[i*n : i*n+i]
 		for k, v := range row {
-			s -= v * y[k]
+			s -= v * b[k]
 		}
-		y[i] = s / c.L.Data[i*n+i]
+		b[i] = s / c.L.Data[i*n+i]
 	}
-	return y
 }

@@ -283,11 +283,43 @@ func TestCholeskySolveL(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	// ||L⁻¹ b||² must equal bᵀ A⁻¹ b.
-	y := ch.SolveL(b)
+	y := CloneVec(b)
+	ch.SolveLInPlace(y)
 	lhs := Dot(y, y)
 	rhs := Dot(b, ch.SolveVec(b))
 	if !almostEq(lhs, rhs, 1e-9) {
 		t.Errorf("Mahalanobis identity: %v vs %v", lhs, rhs)
+	}
+}
+
+// TestCholeskySolveLInPlaceBits: the in-place forward substitution gives
+// the bits of an out-of-place one (b read, y written separately).
+func TestCholeskySolveLInPlaceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 3, 17, 49} {
+		ch, err := NewCholesky(randPSD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make(Vec, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want := make(Vec, n)
+		for i := 0; i < n; i++ {
+			s := b[i]
+			for k := 0; k < i; k++ {
+				s -= ch.L.Data[i*n+k] * want[k]
+			}
+			want[i] = s / ch.L.Data[i*n+i]
+		}
+		got := CloneVec(b)
+		ch.SolveLInPlace(got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: entry %d is %v, want %v", n, i, got[i], want[i])
+			}
+		}
 	}
 }
 

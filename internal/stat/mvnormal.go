@@ -43,9 +43,32 @@ func (m *MVNormal) Dim() int { return len(m.Mu) }
 
 // LogPDF returns the log density at x.
 func (m *MVNormal) LogPDF(x mat.Vec) float64 {
-	diff := mat.SubVec(x, m.Mu)
-	y := m.chol.SolveL(diff)
+	var buf [stackDim]float64
+	y := m.whiten(x, buf[:])
 	return m.lognc - 0.5*mat.Dot(y, y)
+}
+
+// stackDim is the largest dimension whose whitening scratch lives on
+// the caller's stack; larger ones allocate.
+const stackDim = 64
+
+// whiten returns L⁻¹(x − Mu), written into buf when it is long enough:
+// the mean is subtracted and the forward substitution runs in place in
+// one vector.
+func (m *MVNormal) whiten(x, buf mat.Vec) mat.Vec {
+	if len(x) != len(m.Mu) {
+		panic(fmt.Sprintf("stat: MVNormal: point has dim %d, want %d", len(x), len(m.Mu)))
+	}
+	y := buf
+	if len(y) < len(x) {
+		y = make(mat.Vec, len(x))
+	}
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = v - m.Mu[i]
+	}
+	m.chol.SolveLInPlace(y)
+	return y
 }
 
 // Sample draws one vector as Mu + L z with z standard normal.
@@ -61,9 +84,8 @@ func (m *MVNormal) Sample(rng *rand.Rand) mat.Vec {
 
 // Mahalanobis returns sqrt((x-Mu)ᵀ Σ⁻¹ (x-Mu)).
 func (m *MVNormal) Mahalanobis(x mat.Vec) float64 {
-	diff := mat.SubVec(x, m.Mu)
-	y := m.chol.SolveL(diff)
-	return mat.Norm2(y)
+	var buf [stackDim]float64
+	return mat.Norm2(m.whiten(x, buf[:]))
 }
 
 // Precision returns Σ⁻¹ as a fresh matrix.

@@ -185,3 +185,66 @@ func TestMVNormalRankDeficientSigma(t *testing.T) {
 		t.Fatalf("LogPDF on jitter-repaired sigma = %g, want finite", lp)
 	}
 }
+
+// randomMVNormal draws an SPD covariance BᵀB + I and a random mean.
+func randomMVNormal(t *testing.T, seed int64, d int) *MVNormal {
+	t.Helper()
+	rng := NewRNG(seed)
+	b := mat.NewDense(d, d)
+	for i := range b.Data {
+		b.Data[i] = rng.NormFloat64()
+	}
+	sigma := b.T().Mul(b)
+	for i := 0; i < d; i++ {
+		sigma.Data[i*d+i] += 1
+	}
+	sigma.Symmetrize()
+	mu := make(mat.Vec, d)
+	for i := range mu {
+		mu[i] = rng.NormFloat64()
+	}
+	mv, err := NewMVNormal(mu, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mv
+}
+
+// TestLogPDFMatchesAllocatingSolve: the whitening scratch, on the stack
+// path and above it, gives the bits of SubVec followed by a solve in a
+// fresh vector.
+func TestLogPDFMatchesAllocatingSolve(t *testing.T) {
+	for _, d := range []int{1, 5, 49, stackDim, stackDim + 3} {
+		mv := randomMVNormal(t, int64(d), d)
+		rng := NewRNG(int64(100 + d))
+		for trial := 0; trial < 5; trial++ {
+			x := make(mat.Vec, d)
+			for i := range x {
+				x[i] = 3 * rng.NormFloat64()
+			}
+			y := mat.SubVec(x, mv.Mu)
+			mv.chol.SolveLInPlace(y)
+			wantLP := mv.lognc - 0.5*mat.Dot(y, y)
+			wantM := mat.Norm2(y)
+			if got := mv.LogPDF(x); math.Float64bits(got) != math.Float64bits(wantLP) {
+				t.Fatalf("d=%d: LogPDF %v, want %v", d, got, wantLP)
+			}
+			if got := mv.Mahalanobis(x); math.Float64bits(got) != math.Float64bits(wantM) {
+				t.Fatalf("d=%d: Mahalanobis %v, want %v", d, got, wantM)
+			}
+		}
+	}
+}
+
+// TestLogPDFAllocBudget: density evaluation at d = 49 allocates nothing.
+func TestLogPDFAllocBudget(t *testing.T) {
+	mv := randomMVNormal(t, 7, 49)
+	x := make(mat.Vec, 49)
+	var sink float64
+	logPDF := testing.AllocsPerRun(100, func() { sink += mv.LogPDF(x) })
+	mahal := testing.AllocsPerRun(100, func() { sink += mv.Mahalanobis(x) })
+	t.Logf("d=49: LogPDF %.0f allocs, Mahalanobis %.0f allocs", logPDF, mahal)
+	if logPDF != 0 || mahal != 0 {
+		t.Fatalf("d=49: LogPDF %.0f allocs, Mahalanobis %.0f allocs, want 0", logPDF, mahal)
+	}
+}
