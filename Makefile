@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-wire bench-ledger bench-compare chaos chaos-gob chaos-region chaos-disk fuzz-wire trace-smoke
+.PHONY: all build vet test race check bench bench-json bench-wire bench-ledger bench-compare chaos chaos-region chaos-disk fuzz-wire trace-smoke
 
 all: check
 
@@ -31,18 +31,13 @@ chaos:
 	$(GO) test -race -count=2 -run 'Cluster|Repl|Follower|SemiSync|Dedupe|MinVersion|PullLog|Trace' \
 		./internal/cluster/ ./internal/sim/ ./internal/edge/ ./internal/trace/
 
-# Same chaos matrix with every auto-negotiating client forced onto the
-# gob fallback, so both wire codecs carry the failover guarantees.
-chaos-gob:
-	DRDP_WIRE=gob $(MAKE) chaos
-
 # Hierarchical-tier chaos: the region partition scenario (degradation
 # ladder fresh→regional→cached→local-only, gossip under cloud outage,
 # byte-identical cloud prior after heal), the region sync/gossip unit
-# tests, and the strict-wire + mux-close regression tests, repeated
-# under the race detector.
+# tests, and the handshake-refusal + mux-close regression tests,
+# repeated under the race detector.
 chaos-region:
-	$(GO) test -race -count=2 -run 'Region|RunRegions|Mux|StrictBinary|Ladder' \
+	$(GO) test -race -count=2 -run 'Region|Flush|SyncDown|Gossip|Mux|StrictBinary|Ladder' \
 		./internal/region/ ./internal/sim/ ./internal/edge/
 
 # Disk-fault chaos: the storage-and-gray-failure suites under the race
@@ -59,15 +54,12 @@ chaos-disk:
 	mkdir -p $(BENCH_OUT)
 	$(GO) run ./cmd/drdp-bench -fast -only table19 -json $(BENCH_OUT)
 
-# Wire codec gates: the microbenchmarks with allocation reporting, the
-# decode allocs/op budget (binary decode into reused buffers must stay
-# at exactly 0 allocs/op — the test fails on any regression), and the
-# Table 16 binary-vs-gob comparison as a BENCH_table16.json artifact.
+# Wire codec gates: the microbenchmarks with allocation reporting and
+# the decode allocs/op budget (binary decode into reused buffers must
+# stay at exactly 0 allocs/op — the test fails on any regression).
 bench-wire:
 	$(GO) test -run TestBinaryDecodeAllocBudget -count=1 -v ./internal/wire/
 	$(GO) test -bench 'BenchmarkWire' -benchmem -run '^$$' ./internal/wire/
-	mkdir -p $(BENCH_OUT)
-	$(GO) run ./cmd/drdp-bench -fast -only table16 -json $(BENCH_OUT)
 
 # Short fuzz smoke over the binary codec: round-trip stability plus
 # malformed-frame rejection (CI runs this; `go test -fuzz` without

@@ -60,7 +60,6 @@ var jobs = []job{
 	{id: "table13", table: experiment.Table13Parallel},
 	{id: "table14", table: experiment.Table14PoisonedEdges},
 	{id: "table15", table: experiment.Table15ShardedCluster},
-	{id: "table16", table: experiment.Table16WireSpeed},
 	{id: "table18", table: experiment.Table18Regions},
 	{id: "table19", table: experiment.Table19DiskChaos},
 }

@@ -223,7 +223,6 @@ func runCluster(shards, replicas, rounds, perRound, dim, killShard, killRound in
 	fmt.Printf("cluster: %d shards × %d replicas, %d tasks over %d rounds in %v (%.1f rounds/s)\n",
 		res.Shards, res.Replicas, res.Tasks, res.Rounds,
 		res.Elapsed.Round(time.Millisecond), res.RoundsPerSec)
-	fmt.Printf("wire: connection codecs %v (DRDP_WIRE=gob forces the fallback)\n", res.Codecs)
 	if res.Killed != "" {
 		fmt.Printf("fault: killed leader %s; failover %v, read-path recovery %v\n",
 			res.Killed, res.FailoverTime.Round(time.Millisecond), res.RecoveryTime.Round(time.Millisecond))

@@ -29,6 +29,8 @@
 package drdp
 
 import (
+	"time"
+
 	"github.com/drdp/drdp/internal/baseline"
 	"github.com/drdp/drdp/internal/cluster"
 	"github.com/drdp/drdp/internal/core"
@@ -294,14 +296,9 @@ type (
 	PriorCache = edge.PriorCache
 	// RunStatus reports the degradation level a device round ran at.
 	RunStatus = edge.RunStatus
-	// MuxClient pipelines concurrent requests over one negotiated
-	// connection (FIFO multiplexing; safe for many goroutines).
+	// MuxClient pipelines concurrent requests over one connection (FIFO
+	// multiplexing; safe for many goroutines).
 	MuxClient = edge.MuxClient
-	// WireCodec identifies how a connection serializes messages
-	// (binary or the gob fallback).
-	WireCodec = wire.Codec
-	// WirePreference is the dial-time codec preference.
-	WirePreference = wire.Preference
 	// Degradation is the prior level a round actually used.
 	Degradation = edge.Degradation
 	// FaultConfig schedules deterministic faults on a connection
@@ -325,22 +322,17 @@ const (
 	DegradedLocal = edge.DegradedLocal
 )
 
-// Wire codec selection (see DESIGN.md S22).
-const (
-	// WirePreferAuto negotiates the binary codec and falls back to gob
-	// against servers that predate the handshake.
-	WirePreferAuto = wire.PreferAuto
-	// WirePreferGob skips negotiation and speaks pure gob.
-	WirePreferGob = wire.PreferGob
-	// WirePreferBinary requires the binary codec: against a peer that
-	// cannot negotiate it, the dial fails instead of silently running
-	// the session over gob.
-	WirePreferBinary = wire.PreferBinary
-	// WireCodecGob is the reflection-based fallback every peer speaks.
-	WireCodecGob = wire.CodecGob
-	// WireCodecBinary is the fixed-layout zero-reflection codec.
-	WireCodecBinary = wire.CodecBinary
-)
+// WirePreferBinary is the only wire codec preference.
+//
+// Deprecated: every connection speaks the binary codec (see DESIGN.md
+// S22); nothing reads a preference.
+const WirePreferBinary = wire.PreferBinary
+
+// DialMux connects a multiplexed pipelining client. The preference
+// argument is ignored: every connection is binary.
+func DialMux(addr string, timeout time.Duration, _ wire.Preference) (*MuxClient, error) {
+	return edge.DialMux(addr, timeout)
+}
 
 // Durable task store: crash-safe persistence for the cloud server's
 // reported tasks (append-only log + snapshot compaction).
@@ -439,14 +431,6 @@ var (
 	DialResilient = edge.DialResilient
 	// NewResilientClient wraps a custom dial function (simulated links).
 	NewResilientClient = edge.NewResilientClient
-	// DialMux connects a multiplexed pipelining client with the given
-	// codec preference (WirePreferAuto negotiates binary, falls back to
-	// gob against pre-negotiation servers).
-	DialMux = edge.DialMux
-	// ParseWirePreference maps "auto"/"gob"/"binary" (the -wire flag
-	// and DRDP_WIRE values) to a WirePreference; unknown names are
-	// configuration errors, not silently "auto".
-	ParseWirePreference = wire.ParsePreference
 	// NewPriorCache creates an optionally file-backed prior cache.
 	NewPriorCache = edge.NewPriorCache
 	// DefaultRetryPolicy is the recommended edge retry schedule.

@@ -250,16 +250,13 @@ func (c *ShardedClient) batchReportTasks(ts []dpprior.TaskPosterior) (int, error
 	return done, nil
 }
 
-// Codecs reports the negotiated wire codec of every live connection
-// (coordinator and shard nodes) as codec-name → connection count, so
-// cluster results can state which codec actually carried the round.
+// Codecs reports the wire codec of every client connection (coordinator
+// and shard nodes) as codec-name → connection count.
+//
+// Deprecated: every connection is binary; Codecs always reports
+// {"binary": connections}.
 func (c *ShardedClient) Codecs() map[string]int {
-	out := make(map[string]int)
-	out[c.coord.Codec().String()]++
-	for _, rc := range c.conns {
-		out[rc.Codec().String()]++
-	}
-	return out
+	return map[string]int{"binary": 1 + len(c.conns)}
 }
 
 // ShardPrior fetches one shard's current prior, trying followers first

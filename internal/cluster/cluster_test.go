@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -372,5 +374,48 @@ func TestShardedClientDedupeRouting(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("merged prior invalid: %v", err)
+	}
+}
+
+// TestCoordinatorClosesNonHelloPeer: the shard-map endpoint opens every
+// connection with the same handshake as a cloud server. A gob-speaking
+// client of an earlier release is closed without a byte of answer and
+// counted as a decode error; a drdp client still gets the map.
+func TestCoordinatorClosesNonHelloPeer(t *testing.T) {
+	cl, err := Start(fastConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	before := telemetry.ServerDecodeErrors.Value()
+	conn, err := net.Dial("tcp", cl.CoordinatorAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var opening bytes.Buffer
+	if err := gob.NewEncoder(&opening).Encode(&edge.Request{Kind: edge.GetShardMap}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(opening.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 64))
+	if n != 0 || err == nil {
+		t.Fatalf("coordinator answered %d bytes (err %v), want a close without answer", n, err)
+	}
+	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("coordinator left the connection open")
+	}
+	if got := telemetry.ServerDecodeErrors.Value() - before; got < 1 {
+		t.Errorf("decode errors moved by %g, want the refused handshake counted", got)
+	}
+
+	rc := edge.DialResilient(cl.CoordinatorAddr(), edge.ResilientOptions{Logger: telemetry.Discard()})
+	defer rc.Close()
+	if m, _, err := rc.FetchShardMap(0); err != nil || len(m.Shards) != 1 {
+		t.Fatalf("shard map after the refused peer: %+v, %v", m, err)
 	}
 }

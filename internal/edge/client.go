@@ -1,10 +1,8 @@
 package edge
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -19,11 +17,8 @@ import (
 // share one MuxClient, which is).
 type Client struct {
 	conn    net.Conn
-	codec   wire.Codec
-	enc     *gob.Encoder  // gob stream state (CodecGob)
-	dec     *gob.Decoder  //
-	benc    *wire.Encoder // framed binary state (CodecBinary)
-	bdec    *wire.Decoder //
+	enc     *wire.Encoder
+	dec     *wire.Decoder
 	timeout time.Duration // per-round-trip deadline; 0 = none
 	parent  *trace.Span   // trace parent for subsequent round trips
 }
@@ -37,64 +32,19 @@ func (c *Client) SetTraceParent(s *trace.Span) { c.parent = s }
 // zero removes the bound. Protects device loops from a hung cloud.
 func (c *Client) SetRoundTripTimeout(d time.Duration) { c.timeout = d }
 
-// Codec reports which codec this connection negotiated.
-func (c *Client) Codec() wire.Codec { return c.codec }
-
-// Dial connects to the cloud server at addr with the given timeout (zero
-// means no timeout), negotiating the wire codec per the process-wide
-// preference (DRDP_WIRE). An unrecognized DRDP_WIRE value fails the dial.
+// Dial connects to the cloud server at addr and runs the wire handshake,
+// both bounded by timeout (zero means no dial timeout and the default
+// handshake timeout). A peer that does not answer the hello with a
+// valid ack fails the dial.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	pref, err := wire.DefaultPreference()
-	if err != nil {
-		return nil, fmt.Errorf("edge: dial %s: %w", addr, err)
-	}
-	return DialPreference(addr, timeout, pref)
-}
-
-// DialPreference connects with an explicit codec preference. PreferAuto
-// sends the negotiation hello and follows the server's choice; a server
-// that predates the handshake kills the connection, and the client
-// redials and speaks pure gob. PreferBinary is the strict mode: the
-// connection must settle on the binary codec, and a legacy server (or a
-// server that answers gob) fails the dial with an error instead of a
-// silent downgrade. PreferGob skips negotiation entirely — byte-for-byte
-// the legacy client.
-func DialPreference(addr string, timeout time.Duration, pref wire.Preference) (*Client, error) {
 	conn, err := dialTCP(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	if pref == wire.PreferGob {
-		return NewClient(conn), nil
-	}
-	codec, nerr := negotiate(conn, timeout)
-	if nerr != nil {
-		// The hello poisoned the stream (legacy server, or a transport
-		// fault mid-handshake): the only safe recovery is a fresh
-		// connection speaking the universal codec — unless the caller
-		// demanded binary, in which case downgrading is the bug.
+	if err := wire.ClientHandshake(conn, timeout); err != nil {
 		conn.Close()
-		if pref == wire.PreferBinary {
-			telemetry.WireNegotiateClientStrict.Inc()
-			return nil, fmt.Errorf("edge: dial %s: binary codec required but negotiation failed (legacy gob-only server?): %w", addr, nerr)
-		}
-		telemetry.WireNegotiateClientFallback.Inc()
-		conn, err = dialTCP(addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return NewClient(conn), nil
+		return nil, fmt.Errorf("edge: dial %s: %w", addr, err)
 	}
-	if codec == wire.CodecBinary {
-		telemetry.WireNegotiateClientBinary.Inc()
-		return NewBinaryClient(conn), nil
-	}
-	if pref == wire.PreferBinary {
-		conn.Close()
-		telemetry.WireNegotiateClientStrict.Inc()
-		return nil, fmt.Errorf("edge: dial %s: binary codec required but server chose %s", addr, codec)
-	}
-	telemetry.WireNegotiateClientGob.Inc()
 	return NewClient(conn), nil
 }
 
@@ -106,96 +56,22 @@ func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 	return conn, nil
 }
 
-// negotiate runs the client half of the wire handshake on a fresh
-// connection. Any error means the connection is unusable — the hello is
-// already on the wire — so the caller must close it and fall back to gob
-// on a new dial.
-func negotiate(conn net.Conn, timeout time.Duration) (wire.Codec, error) {
-	if timeout <= 0 {
-		timeout = wire.DefaultNegotiateTimeout
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return wire.CodecGob, err
-	}
-	defer conn.SetDeadline(time.Time{})
-	if err := wire.WriteHello(conn, wire.CodecBinary); err != nil {
-		return wire.CodecGob, err
-	}
-	return wire.ReadAck(conn)
-}
-
-// NewClient wraps an existing connection in the gob codec (useful with
-// simulated links, and the fallback half of every negotiation).
+// NewClient wraps a connection whose handshake is already done
+// (wire.ClientHandshake) — useful with simulated links.
 func NewClient(conn net.Conn) *Client {
 	return &Client{
-		conn:  conn,
-		codec: wire.CodecGob,
-		enc:   gob.NewEncoder(gobCountWriter{conn}),
-		dec:   gob.NewDecoder(gobCountReader{conn}),
+		conn: conn,
+		enc:  wire.NewEncoder(conn),
+		dec:  wire.NewDecoder(conn, DefaultMaxFrameBytes),
 	}
-}
-
-// NewBinaryClient wraps a connection that has already negotiated the
-// binary codec (the ack consumed).
-func NewBinaryClient(conn net.Conn) *Client {
-	return &Client{
-		conn:  conn,
-		codec: wire.CodecBinary,
-		benc:  wire.NewEncoder(conn),
-		bdec:  wire.NewDecoder(conn, DefaultMaxFrameBytes),
-	}
-}
-
-// gobCountWriter and gobCountReader attribute gob traffic to the
-// codec-labeled wire counters; the binary framer counts its own.
-type gobCountWriter struct{ w io.Writer }
-
-func (g gobCountWriter) Write(p []byte) (int, error) {
-	n, err := g.w.Write(p)
-	telemetry.WireBytesGobOut.Add(float64(n))
-	return n, err
-}
-
-type gobCountReader struct{ r io.Reader }
-
-func (g gobCountReader) Read(p []byte) (int, error) {
-	n, err := g.r.Read(p)
-	telemetry.WireBytesGobIn.Add(float64(n))
-	return n, err
 }
 
 // Close closes the underlying connection and releases pooled codec
 // buffers.
 func (c *Client) Close() error {
-	if c.benc != nil {
-		c.benc.Release()
-	}
-	if c.bdec != nil {
-		c.bdec.Release()
-	}
+	c.enc.Release()
+	c.dec.Release()
 	return c.conn.Close()
-}
-
-func (c *Client) writeRequest(req *Request) error {
-	if c.codec == wire.CodecBinary {
-		return c.benc.EncodeRequest(req)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return err
-	}
-	telemetry.WireMsgsGobOut.Inc()
-	return nil
-}
-
-func (c *Client) readResponse(resp *Response) error {
-	if c.codec == wire.CodecBinary {
-		return c.bdec.DecodeResponse(resp)
-	}
-	if err := c.dec.Decode(resp); err != nil {
-		return err
-	}
-	telemetry.WireMsgsGobIn.Inc()
-	return nil
 }
 
 func (c *Client) roundTrip(req *Request) (*Response, error) {
@@ -205,8 +81,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		return c.roundTripUntraced(req)
 	}
 	sp := c.parent.Child("rpc "+req.Kind.String(),
-		trace.Str("peer", c.conn.RemoteAddr().String()),
-		trace.Str("codec", c.codec.String()))
+		trace.Str("peer", c.conn.RemoteAddr().String()))
 	req.TraceID, req.ParentSpan = sp.WireContext()
 	resp, err := c.roundTripUntraced(req)
 	if err != nil {
@@ -225,11 +100,11 @@ func (c *Client) roundTripUntraced(req *Request) (*Response, error) {
 		}
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.writeRequest(req); err != nil {
+	if err := c.enc.EncodeRequest(req); err != nil {
 		return nil, fmt.Errorf("edge: send %s: %w", req.Kind, err)
 	}
 	var resp Response
-	if err := c.readResponse(&resp); err != nil {
+	if err := c.dec.DecodeResponse(&resp); err != nil {
 		return nil, fmt.Errorf("edge: receive %s response: %w", req.Kind, err)
 	}
 	if err := errOf(&resp); err != nil {

@@ -11,7 +11,6 @@ import (
 	"github.com/drdp/drdp/internal/model"
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 // Cloud is the client-side surface a Device drives the knowledge-transfer
@@ -84,11 +83,6 @@ type RunStatus struct {
 	// ReportErr is a non-fatal upload failure: training succeeded but the
 	// solved task could not be reported back.
 	ReportErr error
-	// Codec names the wire codec the round's cloud connection had
-	// negotiated ("binary", "gob"; empty for clients that predate
-	// negotiation or in-process clouds), so sim tables can report
-	// gob-fallback rounds truthfully.
-	Codec string
 }
 
 // Device bundles an edge device's learning configuration and drives the
@@ -262,9 +256,6 @@ func (d *Device) RunWithStatus(c Cloud, x *mat.Dense, y []float64, report bool) 
 		defer func() { round.End() }()
 	}
 	prior, st, err := d.fetch(c)
-	if cc, ok := c.(interface{ Codec() wire.Codec }); ok {
-		st.Codec = cc.Codec().String()
-	}
 	if err != nil {
 		round.Event("fetch-failed", trace.Err(err))
 		return nil, st, err

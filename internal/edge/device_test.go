@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
@@ -191,4 +192,117 @@ type flakyReporter struct {
 func (f *flakyReporter) ReportTask(task dpprior.TaskPosterior) (uint64, error) {
 	f.srv.Close()
 	return f.Cloud.ReportTask(task)
+}
+
+// staticCloud serves one fixed prior; failingCloud fails everything
+// with a transport-looking error. Together they drive the regional
+// rung of the degradation ladder without sockets.
+type staticCloud struct {
+	prior   *dpprior.Prior
+	version uint64
+	reports []dpprior.TaskPosterior
+}
+
+func (s *staticCloud) FetchPrior(int) (*dpprior.Prior, uint64, error) {
+	return s.prior, s.version, nil
+}
+func (s *staticCloud) FetchPriorIfNewer(int, uint64) (*dpprior.Prior, uint64, error) {
+	return s.prior, s.version, nil
+}
+func (s *staticCloud) FetchPriorDelta(int, uint64, *dpprior.Prior) (*dpprior.Prior, uint64, error) {
+	return s.prior, s.version, nil
+}
+func (s *staticCloud) ReportTask(t dpprior.TaskPosterior) (uint64, error) {
+	s.reports = append(s.reports, t)
+	return s.version, nil
+}
+
+type failingCloud struct{ reports int }
+
+var errFakeLink = errors.New("edge_test: link down")
+
+func (f *failingCloud) FetchPrior(int) (*dpprior.Prior, uint64, error) { return nil, 0, errFakeLink }
+func (f *failingCloud) FetchPriorIfNewer(int, uint64) (*dpprior.Prior, uint64, error) {
+	return nil, 0, errFakeLink
+}
+func (f *failingCloud) FetchPriorDelta(int, uint64, *dpprior.Prior) (*dpprior.Prior, uint64, error) {
+	return nil, 0, errFakeLink
+}
+func (f *failingCloud) ReportTask(dpprior.TaskPosterior) (uint64, error) {
+	f.reports++
+	return 0, errFakeLink
+}
+
+// TestDeviceRegionalFallback: with the primary cloud dead and a
+// regional aggregator configured, the round runs on the regional prior
+// at DegradedRegional — above the cache on the ladder — and the report
+// goes to the region.
+func TestDeviceRegionalFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(420))
+	dev, train := testDevice(t, rng)
+	prior, err := dpprior.Build(seedTasks(rng, 4, 3), dpprior.BuildOptions{Alpha: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regional := &staticCloud{prior: prior, version: 7}
+	dev.Regional = regional
+
+	res, st, err := dev.RunWithStatus(&failingCloud{}, train.X, train.Y, true)
+	if err != nil || res == nil {
+		t.Fatalf("regional round failed: %v", err)
+	}
+	if st.Degradation != DegradedRegional || st.PriorVersion != 7 || st.FetchErr == nil {
+		t.Errorf("regional status %+v", st)
+	}
+	if len(regional.reports) != 1 {
+		t.Errorf("region saw %d reports, want 1 (reports route to the region)", len(regional.reports))
+	}
+}
+
+// TestDeviceLadderOrder walks one device down the full ladder:
+// fresh → regional → cached → local-only, each rung forced by killing
+// the next-better source.
+func TestDeviceLadderOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(421))
+	dev, train := testDevice(t, rng)
+	prior, err := dpprior.Build(seedTasks(rng, 4, 3), dpprior.BuildOptions{Alpha: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewPriorCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Cache = cache
+	dev.FallbackLocal = true
+	healthy := &staticCloud{prior: prior, version: 3}
+	regional := &staticCloud{prior: prior, version: 9}
+
+	var got []Degradation
+	run := func(primary Cloud) {
+		t.Helper()
+		_, st, err := dev.RunWithStatus(primary, train.X, train.Y, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, st.Degradation)
+	}
+
+	run(healthy) // fresh, warms the cache
+	dev.Regional = regional
+	run(&failingCloud{}) // cloud dead → regional
+	dev.Regional = &failingCloud{}
+	run(&failingCloud{}) // region dead too → cached
+	dev.Cache = nil
+	run(&failingCloud{}) // cache gone → local-only
+
+	want := []Degradation{DegradedNone, DegradedRegional, DegradedCached, DegradedLocal}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ladder = %v, want %v", got, want)
+		}
+	}
+	if DegradedRegional.String() != "regional-prior" {
+		t.Errorf("DegradedRegional.String() = %q", DegradedRegional.String())
+	}
 }

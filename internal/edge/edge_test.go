@@ -13,6 +13,7 @@ import (
 	"github.com/drdp/drdp/internal/dro"
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/model"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // startServer spins up a cloud server on a random port and returns its
@@ -285,6 +286,9 @@ func TestThrottledConnDelays(t *testing.T) {
 	slow := LinkProfile{Name: "test", Latency: 30 * time.Millisecond, Bandwidth: 1e9}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.ClientHandshake(conn, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(slow.Throttle(conn))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // TestServerSurvivesGarbageBytes throws random junk at the server; it
@@ -50,9 +51,8 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Half a gob stream: write a few bytes that look like a length
-		// prefix, then vanish.
-		conn.Write([]byte{0x20, 0x01})
+		// The hello, then half a frame header, then vanish.
+		conn.Write(append(append([]byte(nil), goldenHello...), 0x20, 0x01))
 		conn.Close()
 	}
 	c, err := Dial(addr, time.Second)
@@ -150,8 +150,12 @@ func TestRoundTripTimeout(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Read forever, answer never.
+			// Complete the handshake, then read forever, answer never.
 			go func() {
+				if wire.ServerHandshake(conn, conn) != nil {
+					conn.Close()
+					return
+				}
 				buf := make([]byte, 1024)
 				for {
 					if _, err := conn.Read(buf); err != nil {

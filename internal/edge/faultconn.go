@@ -41,7 +41,7 @@ type FaultConfig struct {
 	// leaving a torn frame on the peer's decoder.
 	PartialWrite float64
 	// CorruptWrite flips bits in the buffer before sending, poisoning the
-	// peer's gob stream.
+	// peer's frame stream.
 	CorruptWrite float64
 	// CorruptRead flips bits in received data, poisoning our decoder.
 	CorruptRead float64
@@ -100,7 +100,7 @@ func (f *FaultConfig) Dialer(dial func() (net.Conn, error)) func() (net.Conn, er
 var faultMu sync.Mutex
 
 // FaultyConn injects the configured faults into a net.Conn. Safe for the
-// one-reader/one-writer pattern the gob protocol uses.
+// one-reader/one-writer pattern the protocol uses.
 type FaultyConn struct {
 	net.Conn
 	cfg FaultConfig

@@ -71,7 +71,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetRoundTripTimeout(2 * time.Second)
-	// A dim-100 posterior gobs to ~80 KB — far past the 4 KiB cap.
+	// A dim-100 posterior encodes to ~80 KB — far past the 4 KiB cap.
 	big := dpprior.TaskPosterior{Mu: make(mat.Vec, 100), Sigma: mat.Eye(100), N: 10}
 	if _, err := c.ReportTask(big); err == nil {
 		t.Fatal("oversized frame accepted")

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
-	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/wire"
 )
 
@@ -30,25 +28,22 @@ const muxMaxInflight = 1024
 // BatchReportTasks this is the high-fan-in upload path: one frame per
 // round per device, many devices per connection.
 //
-// A transport fault poisons the whole connection (stream state is
-// per-connection in both codecs): every in-flight and later call fails,
+// A transport fault poisons the whole connection (request/response
+// pairing is per-connection): every in-flight and later call fails,
 // and the owner redials. There is no internal retry — wrap calls at the
 // fleet layer or use ResilientClient where per-call retry matters.
 type MuxClient struct {
-	conn  net.Conn
-	codec wire.Codec
+	conn net.Conn
 
 	// wmu serializes request write + waiter enqueue, so queue order
 	// always matches wire order.
 	wmu  sync.Mutex
 	enc  *wire.Encoder
-	genc *gob.Encoder
 	dead error // set once the connection is poisoned
 
 	pending chan chan muxResult
 
-	dec  *wire.Decoder
-	gdec *gob.Decoder
+	dec *wire.Decoder
 
 	readerDone sync.WaitGroup
 }
@@ -58,73 +53,46 @@ type muxResult struct {
 	err  error
 }
 
-// DialMux connects to addr, negotiates the wire codec per pref, and
-// returns a multiplexed client ready for concurrent callers. Under
-// PreferBinary the dial fails unless the connection settles on the
-// binary codec — no silent gob fallback.
-func DialMux(addr string, timeout time.Duration, pref wire.Preference) (*MuxClient, error) {
-	return DialMuxFunc(func() (net.Conn, error) { return dialTCP(addr, timeout) }, timeout, pref)
+// DialMux connects to addr, runs the wire handshake, and returns a
+// multiplexed client ready for concurrent callers.
+func DialMux(addr string, timeout time.Duration) (*MuxClient, error) {
+	return DialMuxFunc(func() (net.Conn, error) { return dialTCP(addr, timeout) }, timeout)
 }
 
 // DialMuxFunc is DialMux over a caller-supplied dial function, for
 // uplinks that are not plain TCP dials: fault-injected links in chaos
 // tests, or a regional aggregator's gated cloud connection.
-func DialMuxFunc(dial func() (net.Conn, error), timeout time.Duration, pref wire.Preference) (*MuxClient, error) {
+func DialMuxFunc(dial func() (net.Conn, error), timeout time.Duration) (*MuxClient, error) {
 	conn, err := dial()
 	if err != nil {
 		return nil, err
 	}
-	if pref != wire.PreferGob {
-		codec, nerr := negotiate(conn, timeout)
-		if nerr == nil {
-			if codec == wire.CodecBinary {
-				telemetry.WireNegotiateClientBinary.Inc()
-				return NewMuxClient(conn, codec), nil
-			}
-			if pref == wire.PreferBinary {
-				conn.Close()
-				telemetry.WireNegotiateClientStrict.Inc()
-				return nil, fmt.Errorf("edge: mux: binary codec required but server chose %s", codec)
-			}
-			telemetry.WireNegotiateClientGob.Inc()
-			return NewMuxClient(conn, codec), nil
-		}
+	if err := wire.ClientHandshake(conn, timeout); err != nil {
 		conn.Close()
-		if pref == wire.PreferBinary {
-			telemetry.WireNegotiateClientStrict.Inc()
-			return nil, fmt.Errorf("edge: mux: binary codec required but negotiation failed (legacy gob-only server?): %w", nerr)
-		}
-		telemetry.WireNegotiateClientFallback.Inc()
-		if conn, err = dial(); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("edge: mux: %w", err)
 	}
-	return NewMuxClient(conn, wire.CodecGob), nil
+	return NewMuxClient(conn), nil
 }
 
-// NewMuxClient wraps a connection whose codec is already settled
-// (negotiation ack consumed for binary, nothing sent for gob) and
+// NewMuxClient wraps a connection whose handshake is already done and
 // starts the response reader.
-func NewMuxClient(conn net.Conn, codec wire.Codec) *MuxClient {
+func NewMuxClient(conn net.Conn) *MuxClient {
 	m := &MuxClient{
 		conn:    conn,
-		codec:   codec,
+		enc:     wire.NewEncoder(conn),
+		dec:     wire.NewDecoder(conn, DefaultMaxFrameBytes),
 		pending: make(chan chan muxResult, muxMaxInflight),
-	}
-	if codec == wire.CodecBinary {
-		m.enc = wire.NewEncoder(conn)
-		m.dec = wire.NewDecoder(conn, DefaultMaxFrameBytes)
-	} else {
-		m.genc = gob.NewEncoder(gobCountWriter{conn})
-		m.gdec = gob.NewDecoder(gobCountReader{conn})
 	}
 	m.readerDone.Add(1)
 	go m.readLoop()
 	return m
 }
 
-// Codec reports the connection's negotiated codec.
-func (m *MuxClient) Codec() wire.Codec { return m.codec }
+// Codec reports the connection's codec.
+//
+// Deprecated: every connection is binary; Codec always reports
+// wire.CodecBinary.
+func (m *MuxClient) Codec() wire.Codec { return wire.CodecBinary }
 
 // errMuxClosed marks a connection its owner closed deliberately, as
 // opposed to one a transport fault poisoned first.
@@ -171,16 +139,7 @@ func (m *MuxClient) readLoop() {
 		// A fresh Response per iteration: callers retain the payloads, so
 		// decode must not reuse buffers across messages.
 		resp := new(Response)
-		var err error
-		if m.codec == wire.CodecBinary {
-			err = m.dec.DecodeResponse(resp)
-		} else {
-			err = m.gdec.Decode(resp)
-			if err == nil {
-				telemetry.WireMsgsGobIn.Inc()
-			}
-		}
-		if err != nil {
+		if err := m.dec.DecodeResponse(resp); err != nil {
 			m.fail(fmt.Errorf("edge: mux: receive: %w", err))
 			return
 		}
@@ -210,15 +169,7 @@ func (m *MuxClient) roundTrip(req *Request) (*Response, error) {
 		m.wmu.Unlock()
 		return nil, fmt.Errorf("edge: mux: more than %d requests in flight", muxMaxInflight)
 	}
-	var err error
-	if m.codec == wire.CodecBinary {
-		err = m.enc.EncodeRequest(req)
-	} else {
-		err = m.genc.Encode(req)
-		if err == nil {
-			telemetry.WireMsgsGobOut.Inc()
-		}
-	}
+	err := m.enc.EncodeRequest(req)
 	m.wmu.Unlock()
 	if err != nil {
 		// The waiter is already queued; poisoning the connection fails it

@@ -4,18 +4,15 @@
 // models the latency/bandwidth profiles of typical edge uplinks for the
 // systems-cost experiments.
 //
-// The protocol runs a sequence of (Request, Response) exchanges over TCP,
-// serialized by one of two codecs negotiated per connection (see
-// internal/wire): the fixed-layout binary codec frames every message as
-// [length][CRC32][payload] with the length checked against MaxFrameBytes
-// before allocation and the CRC before decoding; the gob fallback streams
-// gob values through a limit-enforcing reader that fails the connection
-// the moment a frame exceeds the same budget. A binary-capable client
-// opens with a gob-compatible hello; servers that understand it ack a
-// codec, servers that predate it choke on the hello and the client
-// redials pure gob — so old edges against new servers and new edges
-// against old servers both interoperate. The op set is deliberately
-// small; four RPCs carry the entire knowledge-transfer loop of the paper:
+// The protocol runs a sequence of (Request, Response) exchanges over TCP
+// in one codec (see internal/wire): every connection opens with a
+// 12-byte hello answered by an 8-byte ack, a version check that lets
+// nothing but a drdp peer through, and then carries fixed-layout binary
+// messages framed as [length][CRC32][payload], with the length checked
+// against MaxFrameBytes before allocation and the CRC before decoding.
+// A server closes any connection that does not open with a valid hello,
+// without answering. The op set is deliberately small; four RPCs carry
+// the entire knowledge-transfer loop of the paper:
 //
 //	GetPrior:      edge  → cloud   "give me the current prior for dim d"
 //	GetPriorDelta: edge  → cloud   "I hold version v; send me what changed"
@@ -29,8 +26,8 @@
 //
 // # Failure model
 //
-// Because codec stream state is per-connection (gob's encoder/decoder
-// state especially), any I/O error bricks a Client: the resilient layer
+// Because a broken frame stream cannot be resynchronized, any I/O error
+// bricks a Client: the resilient layer
 // treats every transport fault as fatal to the session and recovers by
 // redialing. The layers compose:
 //
@@ -47,9 +44,9 @@
 //     underlying fetch/report errors are reported truthfully in
 //     RunStatus, never swallowed.
 //   - CloudServer survives misbehaving peers: per-connection panic
-//     recovery, a per-frame size limit (MaxFrameBytes) enforced in both
-//     codecs, and idle read deadlines (IdleTimeout) that reclaim silent
-//     connections.
+//     recovery, the handshake check, a per-frame size limit
+//     (MaxFrameBytes), and idle read deadlines (IdleTimeout) that reclaim
+//     silent connections.
 //
 // FaultConfig provides a deterministic fault-injection net.Conn wrapper
 // (drops, resets, partial writes, corruption, delays) for driving the
@@ -64,10 +61,9 @@ import (
 	"github.com/drdp/drdp/internal/wire"
 )
 
-// The protocol message types and shard-map routing moved to
+// The protocol message types and shard-map routing live in
 // internal/wire so the codec layer and every tier share one definition;
-// the aliases keep the package's historical API (and the gob stream,
-// which identifies structs by bare type name) unchanged.
+// the aliases keep the package's historical API unchanged.
 type (
 	// RequestKind enumerates protocol operations.
 	RequestKind = wire.RequestKind

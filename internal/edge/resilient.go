@@ -35,12 +35,9 @@ type ResilientOptions struct {
 	// the default handler (stderr, WARN level) so real transport trouble
 	// is visible out of the box; pass telemetry.Discard() to silence.
 	Logger *slog.Logger
-	// WireCodec is the dial-time codec preference. The zero value
-	// (wire.PreferAuto) negotiates for the binary codec and falls back to
-	// gob against servers that predate the handshake; wire.PreferGob
-	// skips negotiation entirely. Construction reads DRDP_WIRE when the
-	// caller leaves this at auto, so the dual-codec test matrix needs no
-	// plumbing.
+	// WireCodec was the dial-time codec preference.
+	//
+	// Deprecated: every connection is binary; nothing reads it.
 	WireCodec wire.Preference
 }
 
@@ -54,8 +51,8 @@ type TransportStats struct {
 }
 
 // ResilientClient is a self-healing cloud connection. Where Client
-// bricks on the first I/O error (gob encoder/decoder state is
-// per-connection), ResilientClient redials broken streams, retries
+// bricks on the first I/O error (a broken frame stream cannot be
+// resynchronized), ResilientClient redials broken streams, retries
 // failed round trips with exponential backoff and seeded jitter, and
 // fails fast through a circuit breaker once the cloud looks down.
 //
@@ -80,11 +77,6 @@ type ResilientClient struct {
 	c      *Client // current session; nil when disconnected
 	stats  TransportStats
 	parent *trace.Span // trace parent for subsequent calls
-
-	// gobOnly latches after a failed handshake: the server evidently
-	// predates negotiation, so later redials skip the hello instead of
-	// paying a doomed extra dial every reconnect.
-	gobOnly bool
 }
 
 // SetTraceParent sets the span under which subsequent calls record their
@@ -137,23 +129,13 @@ func NewResilientClient(dial func() (net.Conn, error), opts ResilientOptions) *R
 			userCB(from, to)
 		}
 	}
-	if opts.WireCodec == wire.PreferAuto {
-		if p, err := wire.DefaultPreference(); err != nil {
-			// The constructor has no error return; refusing to negotiate is
-			// the safe reading of a preference nobody can have meant.
-			logger.Warn("edge: invalid DRDP_WIRE ignored; negotiating automatically", "err", err)
-		} else {
-			opts.WireCodec = p
-		}
-	}
 	return &ResilientClient{
-		dial:    dial,
-		opts:    opts,
-		rng:     rand.New(rand.NewSource(seed)),
-		br:      newBreaker(brCfg, nil),
-		logger:  logger,
-		sleep:   time.Sleep,
-		gobOnly: opts.WireCodec == wire.PreferGob,
+		dial:   dial,
+		opts:   opts,
+		rng:    rand.New(rand.NewSource(seed)),
+		br:     newBreaker(brCfg, nil),
+		logger: logger,
+		sleep:  time.Sleep,
 	}
 }
 
@@ -175,24 +157,11 @@ func (r *ResilientClient) TransportStats() TransportStats {
 	return st
 }
 
-// Codec reports the current session's negotiated codec; a disconnected
-// client reports what its next session would open with (gob once the
-// fallback latch is set, binary otherwise).
-func (r *ResilientClient) Codec() wire.Codec {
-	if r.c != nil {
-		return r.c.Codec()
-	}
-	if r.gobOnly {
-		return wire.CodecGob
-	}
-	return wire.CodecBinary
-}
-
-// connect ensures a live session, dialing if necessary, and points the
-// session at the current call span so its rpc spans nest correctly.
-// Unless the gob latch is set, a fresh connection negotiates the wire
-// codec; a server that chokes on the hello costs one extra dial, sets
-// the latch, and every later reconnect speaks gob directly.
+// connect ensures a live session, dialing and running the wire
+// handshake if necessary, and points the session at the current call
+// span so its rpc spans nest correctly. A failed handshake is a failed
+// attempt like any other: the connection is dropped and the retry loop
+// dials afresh.
 func (r *ResilientClient) connect(call *trace.Span) error {
 	if r.c != nil {
 		r.c.SetTraceParent(call)
@@ -206,54 +175,15 @@ func (r *ResilientClient) connect(call *trace.Span) error {
 		sp.EndErr(err)
 		return err
 	}
-	wrap := func(c net.Conn) countConn {
-		return countConn{Conn: c, sent: telemetry.EdgeClientSent, recv: telemetry.EdgeClientReceived}
+	if err := wire.ClientHandshake(conn, r.opts.DialTimeout); err != nil {
+		conn.Close()
+		err = fmt.Errorf("edge: %w", err)
+		sp.EndErr(err)
+		return err
 	}
-	var c *Client
-	if r.gobOnly {
-		c = NewClient(wrap(conn))
-	} else {
-		codec, nerr := negotiate(conn, r.opts.DialTimeout)
-		switch {
-		case nerr != nil && r.opts.WireCodec == wire.PreferBinary:
-			// Strict mode: a handshake the server killed (legacy gob-only)
-			// must fail the attempt, not latch a silent gob downgrade.
-			conn.Close()
-			telemetry.WireNegotiateClientStrict.Inc()
-			nerr = fmt.Errorf("edge: binary codec required but negotiation failed (legacy gob-only server?): %w", nerr)
-			sp.EndErr(nerr)
-			return nerr
-		case nerr != nil:
-			// Legacy server (or a fault mid-handshake): the hello poisoned
-			// the stream, so redial and fall back to the universal codec.
-			conn.Close()
-			telemetry.WireNegotiateClientFallback.Inc()
-			r.gobOnly = true
-			sp.Event("gob-fallback", trace.Err(nerr))
-			r.logger.Info("edge: wire negotiation failed; falling back to gob", "err", nerr)
-			conn, err = r.dial()
-			if err != nil {
-				sp.EndErr(err)
-				return err
-			}
-			c = NewClient(wrap(conn))
-		case codec == wire.CodecBinary:
-			telemetry.WireNegotiateClientBinary.Inc()
-			c = NewBinaryClient(wrap(conn))
-		case r.opts.WireCodec == wire.PreferBinary:
-			conn.Close()
-			telemetry.WireNegotiateClientStrict.Inc()
-			nerr = fmt.Errorf("edge: binary codec required but server chose %s", codec)
-			sp.EndErr(nerr)
-			return nerr
-		default:
-			telemetry.WireNegotiateClientGob.Inc()
-			c = NewClient(wrap(conn))
-		}
-	}
-	sp.SetAttr(trace.Str("peer", conn.RemoteAddr().String()),
-		trace.Str("codec", c.Codec().String()))
+	sp.SetAttr(trace.Str("peer", conn.RemoteAddr().String()))
 	sp.End()
+	c := NewClient(countConn{Conn: conn, sent: telemetry.EdgeClientSent, recv: telemetry.EdgeClientReceived})
 	c.SetRoundTripTimeout(r.opts.RoundTripTimeout)
 	c.SetTraceParent(call)
 	r.c = c
@@ -341,7 +271,7 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 			// cannot succeed.
 			return nil, err
 		}
-		// Transport fault: the gob stream is now in an unknown state, so
+		// Transport fault: the frame stream is now in an unknown state, so
 		// the session is unusable — drop it and redial on the next try.
 		call.Event("transport-fault", trace.Err(err))
 		r.c.Close()

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -807,18 +806,17 @@ func (s *CloudServer) shed(conn net.Conn) {
 	if err := conn.SetDeadline(time.Now().Add(shedDeadline)); err != nil {
 		return
 	}
-	cc := countConn{Conn: conn, sent: telemetry.ServerSent, recv: telemetry.ServerReceived}
-	br := bufio.NewReader(cc)
-	sc, err := s.negotiateCodec(conn, cc, br)
+	dec, enc, err := s.accept(conn)
 	if err != nil {
 		return
 	}
-	defer sc.release()
+	defer dec.Release()
+	defer enc.Release()
 	var req Request
-	if err := sc.readRequest(&req); err != nil {
+	if err := dec.DecodeRequest(&req); err != nil {
 		return
 	}
-	_ = sc.writeResponse(&Response{
+	_ = enc.EncodeResponse(&Response{
 		Err:  "server overloaded: connection limit reached",
 		Code: CodeOverloaded,
 	})
@@ -875,116 +873,19 @@ func (s *CloudServer) Close() error {
 	return err
 }
 
-// limitedConnReader enforces a per-frame byte budget on the decode side:
-// handle resets the budget after every successfully decoded request, so
-// legitimate traffic is unaffected while a hostile or corrupt length
-// prefix cannot make gob slurp unbounded memory.
-type limitedConnReader struct {
-	r         io.Reader
-	remaining int64
-	max       int64
-}
-
-var errFrameTooLarge = errors.New("edge: request frame exceeds size limit")
-
-func (l *limitedConnReader) Read(p []byte) (int, error) {
-	if l.max <= 0 {
-		return l.r.Read(p)
+// accept runs the server half of the wire handshake on a fresh
+// connection and returns its framed decoder and encoder, both counting
+// bytes into the server's traffic counters. A peer that does not open
+// with a valid hello gets no answer and an error; the caller closes the
+// connection. The frame limit is enforced by the decoder before it
+// allocates.
+func (s *CloudServer) accept(conn net.Conn) (*wire.Decoder, *wire.Encoder, error) {
+	cc := countConn{Conn: conn, sent: telemetry.ServerSent, recv: telemetry.ServerReceived}
+	br := bufio.NewReader(cc)
+	if err := wire.ServerHandshake(br, cc); err != nil {
+		return nil, nil, err
 	}
-	if l.remaining <= 0 {
-		return 0, errFrameTooLarge
-	}
-	if int64(len(p)) > l.remaining {
-		p = p[:l.remaining]
-	}
-	n, err := l.r.Read(p)
-	l.remaining -= int64(n)
-	return n, err
-}
-
-func (l *limitedConnReader) reset() { l.remaining = l.max }
-
-// serverCodec is one connection's negotiated request/response codec.
-type serverCodec interface {
-	readRequest(req *Request) error
-	writeResponse(resp *Response) error
-	codec() wire.Codec
-	release()
-}
-
-// gobServerCodec is the fallback: a gob stream through the per-frame
-// limit reader, exactly the pre-negotiation server.
-type gobServerCodec struct {
-	lim *limitedConnReader
-	dec *gob.Decoder
-	enc *gob.Encoder
-}
-
-func (g *gobServerCodec) readRequest(req *Request) error {
-	g.lim.reset()
-	if err := g.dec.Decode(req); err != nil {
-		return err
-	}
-	telemetry.WireMsgsGobIn.Inc()
-	return nil
-}
-
-func (g *gobServerCodec) writeResponse(resp *Response) error {
-	if err := g.enc.Encode(resp); err != nil {
-		return err
-	}
-	telemetry.WireMsgsGobOut.Inc()
-	return nil
-}
-
-func (g *gobServerCodec) codec() wire.Codec { return wire.CodecGob }
-func (g *gobServerCodec) release()          {}
-
-// binaryServerCodec frames messages with the fixed-layout codec; the
-// frame limit is enforced by the wire decoder before allocation.
-type binaryServerCodec struct {
-	dec *wire.Decoder
-	enc *wire.Encoder
-}
-
-func (b *binaryServerCodec) readRequest(req *Request) error     { return b.dec.DecodeRequest(req) }
-func (b *binaryServerCodec) writeResponse(resp *Response) error { return b.enc.EncodeResponse(resp) }
-func (b *binaryServerCodec) codec() wire.Codec                  { return wire.CodecBinary }
-func (b *binaryServerCodec) release()                           { b.dec.Release(); b.enc.Release() }
-
-// negotiateCodec picks the connection's codec from its first bytes: a
-// hello gets an ack (honoring the client's preference) and the binary
-// framer; anything else is a legacy gob client whose peeked bytes flow
-// unchanged into the gob decoder. The caller must have armed a read
-// deadline if it wants the sniff bounded.
-func (s *CloudServer) negotiateCodec(conn net.Conn, cc countConn, br *bufio.Reader) (serverCodec, error) {
-	if wire.SniffHello(br) {
-		prefer, _, err := wire.ReadHello(br)
-		if err != nil {
-			return nil, err
-		}
-		chosen := wire.CodecBinary
-		if prefer == wire.CodecGob {
-			chosen = wire.CodecGob
-		}
-		if err := wire.WriteAck(cc, chosen); err != nil {
-			return nil, err
-		}
-		if chosen == wire.CodecBinary {
-			telemetry.WireNegotiateServerBinary.Inc()
-			return &binaryServerCodec{
-				dec: wire.NewDecoder(br, s.MaxFrameBytes),
-				enc: wire.NewEncoder(cc),
-			}, nil
-		}
-		telemetry.WireNegotiateServerGob.Inc()
-	}
-	lim := &limitedConnReader{r: gobCountReader{br}, max: s.MaxFrameBytes}
-	return &gobServerCodec{
-		lim: lim,
-		dec: gob.NewDecoder(lim),
-		enc: gob.NewEncoder(gobCountWriter{cc}),
-	}, nil
+	return wire.NewDecoder(br, s.MaxFrameBytes), wire.NewEncoder(cc), nil
 }
 
 func (s *CloudServer) handle(conn net.Conn) {
@@ -997,20 +898,25 @@ func (s *CloudServer) handle(conn net.Conn) {
 				"remote", conn.RemoteAddr().String(), "panic", r)
 		}
 	}()
-	cc := countConn{Conn: conn, sent: telemetry.ServerSent, recv: telemetry.ServerReceived}
-	br := bufio.NewReader(cc)
-	// The codec sniff is this connection's first read; arm the idle
-	// deadline first so a silent peer cannot pin the goroutine in it.
+	// The hello is this connection's first read; arm the idle deadline
+	// first so a silent peer cannot pin the goroutine in it.
 	if s.IdleTimeout > 0 {
 		if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
 			return
 		}
 	}
-	sc, err := s.negotiateCodec(conn, cc, br)
+	dec, enc, err := s.accept(conn)
 	if err != nil {
+		// Not a drdp peer (or a garbled one): close without answering.
+		if !errors.Is(err, io.EOF) {
+			telemetry.ServerDecodeErrors.Inc()
+			s.logger.Warn("edge: handshake failed",
+				"remote", conn.RemoteAddr().String(), "err", err)
+		}
 		return
 	}
-	defer sc.release()
+	defer dec.Release()
+	defer enc.Release()
 	for {
 		if s.IdleTimeout > 0 {
 			// A peer that goes silent must not pin this goroutine forever.
@@ -1019,7 +925,7 @@ func (s *CloudServer) handle(conn net.Conn) {
 			}
 		}
 		var req Request
-		if err := sc.readRequest(&req); err != nil {
+		if err := dec.DecodeRequest(&req); err != nil {
 			if !errors.Is(err, io.EOF) {
 				telemetry.ServerDecodeErrors.Inc()
 				s.logger.Warn("edge: decode request failed",
@@ -1033,8 +939,7 @@ func (s *CloudServer) handle(conn net.Conn) {
 		var sp *trace.Span
 		if req.TraceID != 0 {
 			sp = s.traceRecorder().Join(req.TraceID, req.ParentSpan,
-				"serve "+req.Kind.String(), trace.Str("node", s.NodeName()),
-				trace.Str("codec", sc.codec().String()))
+				"serve "+req.Kind.String(), trace.Str("node", s.NodeName()))
 		}
 		resp := s.serveRequest(&req, sp)
 		sp.EndErr(errOf(resp))
@@ -1044,7 +949,7 @@ func (s *CloudServer) handle(conn net.Conn) {
 		if sp != nil {
 			telemetry.RecordExemplar("drdp_edge_server_request_seconds", sp.TraceID().String(), served)
 		}
-		if err := sc.writeResponse(resp); err != nil {
+		if err := enc.EncodeResponse(resp); err != nil {
 			s.logger.Warn("edge: encode response failed",
 				"remote", conn.RemoteAddr().String(), "err", err)
 			return

@@ -56,8 +56,6 @@ type Config struct {
 	// Dial overrides the uplink dial — chaos tests gate or fault the
 	// cloud link here. nil dials CloudAddr over TCP.
 	Dial func() (net.Conn, error)
-	// PeerDial overrides gossip dials by peer address. nil dials TCP.
-	PeerDial func(addr string) (net.Conn, error)
 	// Peers lists sibling regions' serve addresses for gossip.
 	Peers []string
 	// Dir is the region store directory ("" = in-memory).
@@ -68,9 +66,11 @@ type Config struct {
 	// Admission, when non-nil, turns on the local admission judge so a
 	// poisoned device is quarantined at the region instead of the cloud.
 	Admission *edge.AdmissionConfig
-	// WireCodec is the uplink codec preference (see wire.Preference).
+	// WireCodec was the uplink codec preference.
+	//
+	// Deprecated: every connection is binary; nothing reads it.
 	WireCodec wire.Preference
-	// DialTimeout bounds uplink/gossip dials and negotiation
+	// DialTimeout bounds uplink/gossip dials and handshakes
 	// (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
 	// Seed derives deterministic summarization seeds per flush window.
@@ -203,7 +203,7 @@ func (r *Region) uplink() (*edge.MuxClient, error) {
 			return net.DialTimeout("tcp", r.cfg.CloudAddr, r.cfg.DialTimeout)
 		}
 	}
-	up, err := edge.DialMuxFunc(dial, r.cfg.DialTimeout, r.cfg.WireCodec)
+	up, err := edge.DialMuxFunc(dial, r.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -390,22 +390,12 @@ func (r *Region) GossipOnce() (int, error) {
 	r.mu.Lock()
 	peers := append([]string(nil), r.cfg.Peers...)
 	timeout := r.cfg.DialTimeout
-	peerDial := r.cfg.PeerDial
 	r.mu.Unlock()
 
 	injected := 0
 	var firstErr error
 	for _, addr := range peers {
-		var c *edge.Client
-		var err error
-		if peerDial != nil {
-			var conn net.Conn
-			if conn, err = peerDial(addr); err == nil {
-				c = edge.NewClient(conn)
-			}
-		} else {
-			c, err = edge.Dial(addr, timeout)
-		}
+		c, err := edge.Dial(addr, timeout)
 		if err == nil {
 			var p *dpprior.Prior
 			p, _, err = c.FetchPrior(0)

@@ -14,7 +14,6 @@ import (
 	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/telemetry"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 func synthTasks(rng *rand.Rand, k, dim int) []dpprior.TaskPosterior {
@@ -265,7 +264,7 @@ func TestGossipAbsorbsPeerComponents(t *testing.T) {
 }
 
 // TestRegionServesDevicesOverWire: a region is a real CloudServer —
-// an edge client negotiates binary against it, uploads, and fetches
+// an edge client dials it, uploads, and fetches
 // the regional prior back.
 func TestRegionServesDevicesOverWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -279,7 +278,7 @@ func TestRegionServesDevicesOverWire(t *testing.T) {
 	go r.ListenAndServe("127.0.0.1:0", addrCh)
 	addr := <-addrCh
 
-	c, err := edge.DialPreference(addr, time.Second, wire.PreferBinary)
+	c, err := edge.Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,11 +100,6 @@ type ClusterResult struct {
 	MergedComponents int
 	PriorBytes       []byte // gob of the final merged prior (byte-identity checks)
 
-	// Codecs tallies the upload client's negotiated wire codecs at the end
-	// of the run (codec name → connection count), so results state whether
-	// the rounds ran binary or fell back to gob.
-	Codecs map[string]int
-
 	// Traces is the flight-recorder snapshot at the end of an Audit run
 	// (nil otherwise).
 	Traces *trace.Snapshot
@@ -235,7 +230,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	if s := out.Elapsed.Seconds(); s > 0 {
 		out.RoundsPerSec = float64(cfg.Rounds) / s
 	}
-	out.Codecs = sc.Codecs()
 
 	if !cl.Quiesce(15 * time.Second) {
 		return nil, errors.New("sim: cluster did not quiesce")

@@ -19,7 +19,6 @@ import (
 	"github.com/drdp/drdp/internal/model"
 	"github.com/drdp/drdp/internal/region"
 	"github.com/drdp/drdp/internal/telemetry"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 // RegionsConfig sizes a hierarchical edge → region → cloud scenario.
@@ -296,7 +295,6 @@ func RunRegions(cfg RegionsConfig) (*RegionsResult, error) {
 				MaxComponents: cfg.SummaryComponents,
 				Seed:          cfg.Seed + 100 + int64(i),
 			},
-			WireCodec:   wire.PreferAuto,
 			DialTimeout: 2 * time.Second,
 			Seed:        cfg.Seed + 200 + int64(i),
 			Logger:      logger,
@@ -329,7 +327,7 @@ func RunRegions(cfg RegionsConfig) (*RegionsResult, error) {
 	// Per-region uploader muxes: the device-fleet upload path.
 	uploaders := make([]*edge.MuxClient, cfg.Regions)
 	for i, addr := range regionAddrs {
-		u, err := edge.DialMux(addr, 2*time.Second, wire.PreferAuto)
+		u, err := edge.DialMux(addr, 2*time.Second)
 		if err != nil {
 			return nil, fmt.Errorf("sim: uploader for region %d: %w", i, err)
 		}

@@ -1,224 +1,140 @@
 // Package wire is drdp's wire subsystem: the protocol message types
-// shared by every tier (edge client, cloud server, shard cluster), a
-// versioned fixed-layout binary codec for them, and the per-connection
-// negotiation handshake that picks a codec while keeping gob as the
-// universal fallback.
+// shared by every tier (edge client, cloud server, shard cluster), the
+// versioned fixed-layout binary codec that carries them, and the
+// per-connection handshake that opens every connection.
 //
-// # Codecs
+// # Codec
 //
-// Two codecs can carry the (Request, Response) exchange:
+// Every (Request, Response) exchange travels in the binary codec: a
+// fixed-layout little-endian encoding framed as
+// [u32 length][u32 IEEE CRC32][payload]. No reflection on either side;
+// message buffers are reused per connection (and pooled across
+// short-lived encoders), so steady-state decode performs zero
+// allocations for payloads the caller does not retain.
 //
-//   - CodecGob: one gob stream per direction, exactly the original
-//     protocol. Every pre-negotiation peer speaks it, so it is the
-//     interop floor: an old edge against a new server (no hello sent →
-//     the server answers gob) and a new edge against an old server
-//     (hello rejected → the client redials and speaks gob) both work.
-//   - CodecBinary: fixed-layout little-endian encoding framed as
-//     [u32 length][u32 IEEE CRC32][payload]. No reflection on either
-//     side; message buffers are reused per connection (and pooled
-//     across short-lived encoders), so steady-state decode performs
-//     zero allocations for payloads the caller does not retain.
+// # Handshake
 //
-// # Negotiation
+// A client opens every connection with a 12-byte hello:
 //
-// A binary-capable client opens every connection with a 12-byte hello:
+//	[0x0b]['D' 'R' 'D' 'W'][version][codec][5 reserved bytes]
 //
-//	[0x0b]['D' 'R' 'D' 'W'][version][preferred codec][5 reserved bytes]
+// and the server answers an 8-byte ack:
 //
-// The leading 0x0b doubles as a gob message length (11 bytes follow), so
-// a legacy gob server consumes the hello fully, fails decoding it, and
-// closes the connection immediately — the client detects the closed
-// stream, redials, and speaks pure gob. A negotiating server peeks at
-// the first five bytes: on the magic it consumes the hello and answers
-// an 8-byte ack naming the chosen codec; anything else is a legacy gob
-// client and the peeked bytes flow unchanged into the gob decoder.
+//	['D' 'R' 'D' 'W'][version][codec][2 reserved bytes]
+//
+// The handshake is a protocol check, not a choice: both sides require
+// the magic, Version and CodecBinary, and a server closes a connection
+// whose first bytes are anything else without answering. The layout is
+// unchanged since Version 1, so peers built against earlier releases of
+// this package still connect.
 //
 // Message kinds, framing, and the binary layouts are documented on the
 // types in this package and in DESIGN.md (S22).
 package wire
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
-	"sync"
+	"net"
 	"time"
+
+	"github.com/drdp/drdp/internal/telemetry"
 )
 
 // Codec identifies how (Request, Response) values are serialized on a
-// connection.
+// connection. CodecBinary is the only codec.
 type Codec uint8
 
-// Codecs, in negotiation-preference order.
-const (
-	// CodecGob is the reflection-based fallback every peer speaks.
-	CodecGob Codec = iota
-	// CodecBinary is the fixed-layout little-endian codec.
-	CodecBinary
-)
+// CodecBinary is the fixed-layout little-endian codec; its value is the
+// codec byte of the hello and the ack.
+const CodecBinary Codec = 1
 
-// String names the codec as it appears in telemetry labels and trace
-// attributes.
+// String names the codec as it appears in telemetry labels.
 func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
+	if c == CodecBinary {
 		return "binary"
-	default:
-		return fmt.Sprintf("Codec(%d)", uint8(c))
 	}
+	return fmt.Sprintf("Codec(%d)", uint8(c))
 }
 
-// Preference is a client-side dial policy: negotiate for binary (with
-// the gob fallback), require binary strictly, or skip negotiation
-// entirely.
+// Preference was the dial-time codec choice.
+//
+// Deprecated: the binary codec is the only codec; nothing reads a
+// Preference. It remains so existing configuration literals compile.
 type Preference int
 
-// Dial preferences.
-const (
-	// PreferAuto sends the hello and takes whatever the server picks,
-	// falling back to pure gob when the server predates negotiation.
-	PreferAuto Preference = iota
-	// PreferGob skips the hello and speaks pure gob — byte-for-byte the
-	// pre-negotiation client, used against legacy servers and by the
-	// dual-codec test matrix.
-	PreferGob
-	// PreferBinary sends the hello and requires the binary codec: a
-	// server that kills the handshake (legacy gob-only) or answers gob
-	// fails the dial with an error instead of silently falling back.
-	// Use it where a gob session would be a deployment bug — e.g. a
-	// regional uplink sized for the binary codec's byte budget.
-	PreferBinary
-)
+// PreferBinary is the only Preference.
+//
+// Deprecated: every connection is binary; nothing reads it.
+const PreferBinary Preference = 0
 
-// String names the preference as it appears in flags and errors.
-func (p Preference) String() string {
-	switch p {
-	case PreferAuto:
-		return "auto"
-	case PreferGob:
-		return "gob"
-	case PreferBinary:
-		return "binary"
-	default:
-		return fmt.Sprintf("Preference(%d)", int(p))
-	}
-}
-
-// ParsePreference maps a configuration string to a Preference: "" and
-// "auto" negotiate with gob fallback, "binary" requires the binary
-// codec strictly, "gob" skips negotiation. Any other value — including
-// the typo'd codec name that used to silently mean auto — is an error,
-// so a misconfigured -wire/DRDP_WIRE fails loudly instead of quietly
-// changing the fleet's codec mix.
-func ParsePreference(s string) (Preference, error) {
-	switch s {
-	case "", "auto":
-		return PreferAuto, nil
-	case "gob":
-		return PreferGob, nil
-	case "binary":
-		return PreferBinary, nil
-	default:
-		return PreferAuto, fmt.Errorf("wire: unknown codec preference %q (valid: auto, binary, gob)", s)
-	}
-}
-
-// DefaultPreference is the process-wide dial policy, read once from the
-// DRDP_WIRE environment variable ("gob" forces the fallback codec,
-// "binary" requires the binary codec strictly, ""/"auto" negotiates).
-// An unrecognized value is reported as an error alongside PreferAuto;
-// dial paths refuse to proceed on it. The chaos and cluster suites run
-// twice, once per value, to pin both codec paths.
-var DefaultPreference = sync.OnceValues(func() (Preference, error) {
-	p, err := ParsePreference(os.Getenv("DRDP_WIRE"))
-	if err != nil {
-		return PreferAuto, fmt.Errorf("DRDP_WIRE: %w", err)
-	}
-	return p, nil
-})
-
-// Negotiation constants.
+// Handshake constants.
 const (
 	// Version is the wire-protocol version carried in hello and ack.
 	Version = 1
-	// helloLen is the on-the-wire hello size: the gob-compatible length
-	// byte plus magic, version, codec, and reserved padding.
+	// helloLen is the on-the-wire hello size: a leading length byte plus
+	// magic, version, codec, and reserved padding.
 	helloLen = 12
 	// ackLen is the on-the-wire ack size.
 	ackLen = 8
-	// DefaultNegotiateTimeout bounds the hello/ack exchange so a client
-	// against a silent peer degrades to gob quickly instead of hanging.
-	DefaultNegotiateTimeout = 2 * time.Second
+	// defaultHandshakeTimeout bounds the client's hello/ack exchange when
+	// the caller gives no timeout, so a silent peer fails the dial
+	// instead of hanging it.
+	defaultHandshakeTimeout = 2 * time.Second
 )
 
-// magic tags negotiation messages. The hello's leading length byte is
-// not part of it; see the package comment.
-var magic = [4]byte{'D', 'R', 'D', 'W'}
+// hello and ack are the only handshake messages either side ever sends.
+// Their trailing reserved bytes are zero on send and ignored on receipt.
+var (
+	hello = [helloLen]byte{helloLen - 1, 'D', 'R', 'D', 'W', Version, byte(CodecBinary)}
+	ack   = [ackLen]byte{'D', 'R', 'D', 'W', Version, byte(CodecBinary)}
+)
 
-// WriteHello sends the client hello naming the preferred codec.
-func WriteHello(w io.Writer, prefer Codec) error {
-	var b [helloLen]byte
-	b[0] = helloLen - 1 // a valid gob message length: legacy servers consume the rest
-	copy(b[1:5], magic[:])
-	b[5] = Version
-	b[6] = byte(prefer)
-	_, err := w.Write(b[:])
-	return err
-}
-
-// SniffHello reports whether the connection's first bytes are a
-// negotiation hello, without consuming them. A short or failed peek
-// (EOF, deadline) reports false and lets the caller's decode path
-// surface the underlying condition.
-func SniffHello(br *bufio.Reader) bool {
-	b, err := br.Peek(5)
-	if err != nil || len(b) < 5 {
-		return false
+// ClientHandshake runs the client half of the handshake on a fresh
+// connection: it sends the hello and checks the server's ack, both
+// within timeout (2s when <= 0). Any error leaves the connection
+// unusable; the caller closes it.
+func ClientHandshake(conn net.Conn, timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = defaultHandshakeTimeout
 	}
-	return b[0] == helloLen-1 && b[1] == magic[0] && b[2] == magic[1] && b[3] == magic[2] && b[4] == magic[3]
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	if _, err := conn.Write(hello[:]); err != nil {
+		return fmt.Errorf("wire: write hello: %w", err)
+	}
+	var b [ackLen]byte
+	if _, err := io.ReadFull(conn, b[:]); err != nil {
+		return fmt.Errorf("wire: read ack: %w", err)
+	}
+	if [6]byte(b[:6]) != [6]byte(ack[:6]) {
+		return fmt.Errorf("wire: bad ack % x", b[:6])
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return err
+	}
+	telemetry.WireNegotiateClientBinary.Inc()
+	return nil
 }
 
-// ReadHello consumes a sniffed hello and returns the client's preferred
-// codec and protocol version.
-func ReadHello(r io.Reader) (Codec, byte, error) {
+// ServerHandshake runs the server half: it reads the connection's first
+// 12 bytes from r, checks them as a hello, and writes the ack to w. A
+// peer whose first bytes are not a valid hello gets no answer and an
+// error; the caller closes the connection. An io.EOF error (possibly
+// wrapped) means the peer sent nothing at all. The caller arms any read
+// deadline it wants the wait bounded by.
+func ServerHandshake(r io.Reader, w io.Writer) error {
 	var b [helloLen]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return CodecGob, 0, fmt.Errorf("wire: read hello: %w", err)
+		return fmt.Errorf("wire: read hello: %w", err)
 	}
-	if b[0] != helloLen-1 || [4]byte(b[1:5]) != magic {
-		return CodecGob, 0, fmt.Errorf("wire: bad hello magic")
+	if [7]byte(b[:7]) != [7]byte(hello[:7]) {
+		return fmt.Errorf("wire: bad hello % x", b[:7])
 	}
-	return Codec(b[6]), b[5], nil
-}
-
-// WriteAck answers a hello with the server's chosen codec.
-func WriteAck(w io.Writer, chosen Codec) error {
-	var b [ackLen]byte
-	copy(b[0:4], magic[:])
-	b[4] = Version
-	b[5] = byte(chosen)
-	_, err := w.Write(b[:])
-	return err
-}
-
-// ReadAck reads the server's negotiation answer. Any error — including
-// a peer that closed the connection because it never heard of the
-// handshake — means the caller must drop the connection and fall back
-// to gob on a fresh one.
-func ReadAck(r io.Reader) (Codec, error) {
-	var b [ackLen]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return CodecGob, fmt.Errorf("wire: read ack: %w", err)
+	if _, err := w.Write(ack[:]); err != nil {
+		return fmt.Errorf("wire: write ack: %w", err)
 	}
-	if [4]byte(b[0:4]) != magic {
-		return CodecGob, fmt.Errorf("wire: bad ack magic")
-	}
-	c := Codec(b[5])
-	if c != CodecGob && c != CodecBinary {
-		return CodecGob, fmt.Errorf("wire: server chose unknown codec %d", b[5])
-	}
-	return c, nil
+	telemetry.WireNegotiateServerBinary.Inc()
+	return nil
 }

@@ -1,12 +1,15 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/mat"
@@ -110,60 +113,102 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNegotiationHandshake pins the hello/ack exchange — including the
-// property the gob fallback depends on: the hello's first byte is a
-// valid gob message length, so a legacy server consumes exactly the
-// hello before failing.
+// goldenHello and goldenAck are the handshake bytes of wire Version 1,
+// byte for byte. Peers built against any earlier release send and expect
+// exactly these, so they must never drift.
+var (
+	goldenHello = []byte{0x0b, 'D', 'R', 'D', 'W', 0x01, 0x01, 0, 0, 0, 0, 0}
+	goldenAck   = []byte{'D', 'R', 'D', 'W', 0x01, 0x01, 0, 0}
+)
+
+// TestNegotiationHandshake pins both halves of the handshake to the
+// golden bytes: the client sends exactly goldenHello and accepts
+// goldenAck; the server answers goldenHello with exactly goldenAck.
 func TestNegotiationHandshake(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHello(&buf, CodecBinary); err != nil {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	done := make(chan error, 1)
+	go func() { done <- ClientHandshake(client, time.Second) }()
+	got := make([]byte, len(goldenHello))
+	if _, err := io.ReadFull(server, got); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != helloLen {
-		t.Fatalf("hello is %d bytes, want %d", buf.Len(), helloLen)
+	if !bytes.Equal(got, goldenHello) {
+		t.Fatalf("client hello = % x, want % x", got, goldenHello)
 	}
-	if buf.Bytes()[0] != helloLen-1 {
-		t.Fatalf("hello leading byte %#x is not the gob length %#x", buf.Bytes()[0], helloLen-1)
-	}
-	br := bufio.NewReader(bytes.NewReader(buf.Bytes()))
-	if !SniffHello(br) {
-		t.Fatal("SniffHello missed a real hello")
-	}
-	codec, version, err := ReadHello(br)
-	if err != nil {
+	if _, err := server.Write(goldenAck); err != nil {
 		t.Fatal(err)
 	}
-	if codec != CodecBinary || version != Version {
-		t.Fatalf("ReadHello = (%v, %d), want (%v, %d)", codec, version, CodecBinary, Version)
+	if err := <-done; err != nil {
+		t.Fatalf("client rejected the golden ack: %v", err)
 	}
 
-	// A gob stream's opening bytes must not sniff as a hello.
-	if SniffHello(bufio.NewReader(strings.NewReader("\x1f\xff\x81\x03\x01\x01"))) {
-		t.Error("SniffHello matched a gob stream")
+	var ackOut bytes.Buffer
+	if err := ServerHandshake(bytes.NewReader(goldenHello), &ackOut); err != nil {
+		t.Fatalf("server rejected the golden hello: %v", err)
 	}
-	// Nor a short or empty stream.
-	if SniffHello(bufio.NewReader(strings.NewReader("\x0b"))) {
-		t.Error("SniffHello matched a 1-byte stream")
+	if !bytes.Equal(ackOut.Bytes(), goldenAck) {
+		t.Fatalf("server ack = % x, want % x", ackOut.Bytes(), goldenAck)
 	}
+}
 
-	for _, c := range []Codec{CodecGob, CodecBinary} {
-		var ab bytes.Buffer
-		if err := WriteAck(&ab, c); err != nil {
-			t.Fatal(err)
+// TestServerHandshakeRejects: anything but a Version 1 binary hello is
+// refused without a single byte of answer.
+func TestServerHandshakeRejects(t *testing.T) {
+	with := func(i int, v byte) []byte {
+		b := append([]byte(nil), goldenHello...)
+		b[i] = v
+		return b
+	}
+	for name, in := range map[string][]byte{
+		"empty":         nil,
+		"truncated":     goldenHello[:7],
+		"length byte":   with(0, 0x0c),
+		"bad magic":     with(2, 'X'),
+		"wrong version": with(5, 2),
+		"codec 0":       with(6, 0),
+		"frame":         {4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4},
+	} {
+		var out bytes.Buffer
+		if err := ServerHandshake(bytes.NewReader(in), &out); err == nil {
+			t.Errorf("%s: hello % x accepted", name, in)
 		}
-		got, err := ReadAck(&ab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c {
-			t.Errorf("ack round trip: got %v, want %v", got, c)
+		if out.Len() != 0 {
+			t.Errorf("%s: server answered % x", name, out.Bytes())
 		}
 	}
-	if _, err := ReadAck(strings.NewReader("XXXXXXXX")); err == nil {
-		t.Error("garbage ack accepted")
+	err := ServerHandshake(bytes.NewReader(nil), io.Discard)
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("empty stream error %v, want io.EOF", err)
 	}
-	if _, err := ReadAck(strings.NewReader("DR")); err == nil {
-		t.Error("truncated ack accepted")
+}
+
+// TestClientHandshakeRejects: an ack that is not the Version 1 binary
+// ack — including a server choosing codec 0 — fails the handshake.
+func TestClientHandshakeRejects(t *testing.T) {
+	with := func(i int, v byte) []byte {
+		b := append([]byte(nil), goldenAck...)
+		b[i] = v
+		return b
+	}
+	for name, answer := range map[string][]byte{
+		"closed":        nil,
+		"truncated":     goldenAck[:3],
+		"bad magic":     with(0, 'X'),
+		"wrong version": with(4, 0),
+		"codec 0":       with(5, 0),
+	} {
+		client, server := net.Pipe()
+		go func() {
+			io.ReadFull(server, make([]byte, len(goldenHello))) //nolint:errcheck
+			server.Write(answer)                                //nolint:errcheck
+			server.Close()
+		}()
+		if err := ClientHandshake(client, time.Second); err == nil {
+			t.Errorf("%s: ack % x accepted", name, answer)
+		}
+		client.Close()
 	}
 }
 
@@ -345,43 +390,5 @@ func TestBinaryDecodeAllocBudget(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("response decode with reuse allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestParsePreference pins the configuration strings: the three valid
-// modes parse, and anything else — including the typos that used to
-// silently mean auto — is rejected.
-func TestParsePreference(t *testing.T) {
-	for s, want := range map[string]Preference{
-		"":       PreferAuto,
-		"auto":   PreferAuto,
-		"gob":    PreferGob,
-		"binary": PreferBinary,
-	} {
-		got, err := ParsePreference(s)
-		if err != nil {
-			t.Errorf("ParsePreference(%q): unexpected error %v", s, err)
-		}
-		if got != want {
-			t.Errorf("ParsePreference(%q) = %v, want %v", s, got, want)
-		}
-	}
-	for _, s := range []string{"nonsense", "Binary", "GOB", "auto ", "binry"} {
-		if _, err := ParsePreference(s); err == nil {
-			t.Errorf("ParsePreference(%q) accepted, want error", s)
-		}
-	}
-}
-
-// TestPreferenceString pins the flag-facing names.
-func TestPreferenceString(t *testing.T) {
-	for p, want := range map[Preference]string{
-		PreferAuto:   "auto",
-		PreferGob:    "gob",
-		PreferBinary: "binary",
-	} {
-		if got := p.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), got, want)
-		}
 	}
 }
