@@ -155,34 +155,48 @@ func (c *ShardedClient) reportTask(t dpprior.TaskPosterior) (uint64, error) {
 	if err := c.refreshMap(false); err != nil {
 		return 0, err
 	}
-	shard := c.m.ShardOf(t.Fingerprint())
+	fp := t.Fingerprint()
+	route := func() int { return c.m.ShardOf(fp) }
 	if c.op != nil {
-		c.op.SetAttr(trace.Int("shard", int64(shard)))
+		c.op.SetAttr(trace.Int("shard", int64(route())))
 	}
+	var v uint64
+	err := c.toLeader("report", route, func(rc *edge.ResilientClient) (err error) {
+		v, err = rc.ReportTask(t)
+		return err
+	})
+	return v, err
+}
+
+// toLeader sends one write to a shard's leader, following redirects: a
+// CodeNotLeader answer or a transport failure means the topology likely
+// moved, so it gives the coordinator a beat to notice, forces a map
+// refresh and retries against the new leader — three attempts in all.
+// Any other rejection (validation, overload budget exhausted) returns at
+// once: redirecting cannot help. route picks the shard under the current
+// map and is asked again after each refresh.
+func (c *ShardedClient) toLeader(what string, route func() int, send func(*edge.ResilientClient) error) error {
+	shard := route()
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			if err := c.refreshMap(true); err != nil {
-				return 0, err
+				return err
 			}
-			shard = c.m.ShardOf(t.Fingerprint())
+			shard = route()
 		}
-		v, err := c.conn(c.m.Shards[shard].Leader).ReportTask(t)
+		err := send(c.conn(c.m.Shards[shard].Leader))
 		if err == nil {
-			return v, nil
+			return nil
 		}
 		lastErr = err
 		var se *edge.ServerError
 		if errors.As(err, &se) && se.Code != edge.CodeNotLeader {
-			// A real rejection (validation, overload budget exhausted):
-			// redirecting cannot help.
-			return 0, err
+			return err
 		}
-		// Not-leader or transport failure: the topology likely moved.
-		// Give the coordinator a beat to notice before re-resolving.
 		time.Sleep(10 * time.Millisecond)
 	}
-	return 0, fmt.Errorf("cluster: report to shard %d failed after redirects: %w", shard, lastErr)
+	return fmt.Errorf("cluster: %s to shard %d failed after redirects: %w", what, shard, lastErr)
 }
 
 // BatchReportTasks ships a round's task posteriors in one framed write
@@ -216,33 +230,18 @@ func (c *ShardedClient) batchReportTasks(ts []dpprior.TaskPosterior) (int, error
 		if !ok {
 			continue
 		}
-		var lastErr error
-		sent := false
-		for attempt := 0; attempt < 3 && !sent; attempt++ {
-			if attempt > 0 {
-				if err := c.refreshMap(true); err != nil {
-					return done, err
-				}
-			}
-			_, n, err := c.conn(c.m.Shards[shard].Leader).BatchReportTasks(batch)
+		// The retry is safe: cluster nodes dedupe uploads by fingerprint,
+		// so tasks that landed before an ambiguous failure ack without a
+		// second append.
+		err := c.toLeader("batch", func() int { return shard }, func(rc *edge.ResilientClient) error {
+			_, n, err := rc.BatchReportTasks(batch)
 			if err == nil {
 				done += n
-				sent = true
-				break
 			}
-			lastErr = err
-			var se *edge.ServerError
-			if errors.As(err, &se) && se.Code != edge.CodeNotLeader {
-				return done, err
-			}
-			// Not-leader or transport failure: re-resolve and retry. The
-			// retry is safe — cluster nodes dedupe uploads by fingerprint,
-			// so tasks that landed before an ambiguous failure ack without
-			// a second append.
-			time.Sleep(10 * time.Millisecond)
-		}
-		if !sent {
-			return done, fmt.Errorf("cluster: batch to shard %d failed after redirects: %w", shard, lastErr)
+			return err
+		})
+		if err != nil {
+			return done, err
 		}
 	}
 	return done, nil

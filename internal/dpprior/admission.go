@@ -309,6 +309,62 @@ func Judge(served *Compiled, accepted, undecided []TaskPosterior, opts Admission
 	return quarantine, deferred, true
 }
 
+// Admit runs one admission pass over pool, given in store order.
+// verdict(i) returns task i's sticky verdict, if it has one; the tasks
+// without one are judged (Judge) against served (nil = cold start) with
+// the accepted tasks as reference. Admit returns the tasks a rebuild may
+// use, in pool order — order is what keeps a seeded Build byte-identical
+// to a clean-only baseline when the admitted sets match — the new
+// verdicts by pool index, and the pool indices Judge deferred. When the
+// population is still too small to judge, undecided tasks get no verdict
+// and are admitted provisionally. A deferred task is the opposite of
+// provisional: it also gets no verdict, but is held out of this rebuild
+// until a later, larger pass judges it. The caller persists the new
+// verdicts.
+func Admit(pool []TaskPosterior, verdict func(i int) (quarantined, decided bool), served *Prior, opts AdmissionOptions) (admitted []TaskPosterior, verdicts map[int]bool, deferred []int) {
+	held := make([]bool, len(pool))
+	var accepted, undecided []TaskPosterior
+	var undecidedIdx []int
+	for i := range pool {
+		q, decided := verdict(i)
+		switch {
+		case !decided:
+			undecided = append(undecided, pool[i])
+			undecidedIdx = append(undecidedIdx, i)
+		case q:
+			held[i] = true
+		default:
+			accepted = append(accepted, pool[i])
+		}
+	}
+	if len(undecided) > 0 {
+		var c *Compiled
+		if served != nil {
+			if comp, err := Compile(served); err == nil {
+				c = comp
+			}
+		}
+		if q, def, ok := Judge(c, accepted, undecided, opts); ok {
+			verdicts = make(map[int]bool, len(undecided))
+			for j, i := range undecidedIdx {
+				held[i] = q[j] || def[j]
+				if def[j] {
+					deferred = append(deferred, i)
+				} else {
+					verdicts[i] = q[j]
+				}
+			}
+		}
+	}
+	admitted = make([]TaskPosterior, 0, len(pool))
+	for i := range pool {
+		if !held[i] {
+			admitted = append(admitted, pool[i])
+		}
+	}
+	return admitted, verdicts, deferred
+}
+
 // median returns the median of xs, sorting it in place. NaNs sort as
 // smaller than everything (they count as catastrophically low scores).
 func median(xs []float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,6 +268,111 @@ func TestPriorServedDuringRebuild(t *testing.T) {
 	if _, v2, err := srv.Prior(); err != nil || v2 != v1+1 {
 		t.Errorf("after release: version %d err %v, want %d", v2, err, v1+1)
 	}
+}
+
+// TestColdStartRunsOneBuild: reads that find no prior yet wait for the
+// worker's first build instead of running their own, so a herd of cold
+// reads costs one Gibbs build, and every read gets that build's version.
+func TestColdStartRunsOneBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	srv, err := NewCloudServer(nil, dpprior.BuildOptions{Alpha: 1, Seed: 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan uint64, 1)
+	release := make(chan struct{})
+	srv.priorMu.Lock()
+	srv.buildHook = func(v uint64) {
+		select {
+		case entered <- v:
+		default:
+		}
+		<-release
+	}
+	srv.priorMu.Unlock()
+	if _, _, err := srv.addTasks(clusterTasks(rng, 4, []float64{-20, 20}, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case v := <-entered:
+		if v != 6 {
+			t.Fatalf("worker building version %d, want 6", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rebuild worker never started")
+	}
+	rebuilds := telemetry.ServerRebuilds.Value()
+
+	const reads = 8
+	var released atomic.Bool
+	type read struct {
+		version uint64
+		err     error
+		early   bool
+	}
+	results := make(chan read, reads)
+	for i := 0; i < reads; i++ {
+		go func() {
+			_, v, err := srv.Prior()
+			results <- read{v, err, !released.Load()}
+		}()
+	}
+	// Time for a read that builds on its own to return before the worker
+	// is released.
+	time.Sleep(100 * time.Millisecond)
+	released.Store(true)
+	close(release)
+	for i := 0; i < reads; i++ {
+		r := <-results
+		if r.early {
+			t.Error("a cold read returned before the worker's build")
+		}
+		if r.err != nil || r.version != 6 {
+			t.Errorf("cold read: version %d err %v, want version 6", r.version, r.err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := telemetry.ServerRebuilds.Value() - rebuilds; got != 1 {
+		t.Errorf("%v builds for one cold version, want 1", got)
+	}
+}
+
+// TestStatsPriorVersionIsBuilt: Stats reports the version of the prior
+// it describes, not the store version a rebuild in flight will reach.
+func TestStatsPriorVersionIsBuilt(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	_, srv := startServer(t, clusterTasks(rng, 4, []float64{-20, 20}, 2))
+	srv.WaitCaughtUp()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv.priorMu.Lock()
+	srv.buildHook = func(uint64) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	srv.priorMu.Unlock()
+	if _, err := srv.AddTask(clusterTask(rng, 4, 60)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rebuild worker never started")
+	}
+	_, v, err := srv.Prior()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().PriorVersion; got != v {
+		t.Errorf("Stats().PriorVersion = %d during a rebuild, want the served %d", got, v)
+	}
+	close(release)
+	srv.WaitCaughtUp()
 }
 
 // TestConcurrentReportAndDeltaFetch drives reports, full fetches, and

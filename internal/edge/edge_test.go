@@ -241,6 +241,7 @@ func TestServerAddTaskErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	if _, err := srv.AddTask(dpprior.TaskPosterior{Mu: mat.Vec{1}, Sigma: mat.NewDense(2, 2)}); err == nil {
 		t.Error("shape mismatch accepted")
 	}

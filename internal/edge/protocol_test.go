@@ -44,6 +44,7 @@ func TestListenAndServeBadAddr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	if err := srv.ListenAndServe("256.256.256.256:0", nil); err == nil {
 		t.Error("bad address accepted")
 	}
@@ -54,6 +55,7 @@ func TestUnknownRequestKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	resp := srv.dispatch(&Request{Kind: RequestKind(42)}, nil)
 	if resp.Err == "" {
 		t.Error("unknown request kind accepted")

@@ -30,7 +30,7 @@ const (
 	// synchronization; clients further behind fall back to a full fetch.
 	deltaHistory = 8
 	// DefaultRebuildTimeout is how long one background prior rebuild may
-	// run before the watchdog flags the worker as stalled.
+	// run before its stall timer flags the worker as stalled.
 	DefaultRebuildTimeout = 2 * time.Minute
 	// shedDeadline bounds a shed connection: long enough to read one
 	// request and write the CodeOverloaded answer, short enough that a
@@ -51,7 +51,9 @@ const (
 // and an AddTask burst coalesces into however many rebuilds the worker
 // can actually run. The version clients see is therefore always the
 // version of the prior they were served (the built version), which
-// trails the store version while a rebuild is in flight.
+// trails the store version while a rebuild is in flight. The worker is
+// the only builder: a read that finds no prior yet waits for its first
+// build.
 //
 // Recent built priors are retained so GetPriorDelta can answer with the
 // component-level difference against the version a client already
@@ -114,13 +116,15 @@ type CloudServer struct {
 	built     uint64 // store version the served prior corresponds to
 	history   map[uint64]*dpprior.Prior
 	histOrder []uint64
-	// builtCond is broadcast whenever built advances, a rebuild fails
-	// (buildsFailed), the watchdog flags a stall, or the server closes.
+	// builtCond is broadcast whenever a build ends (built advances or
+	// buildsFailed counts a failure, buildErr holding the last error), the
+	// stall timer flags a stall, or the server closes.
 	builtCond    *sync.Cond
 	buildsFailed uint64
-
-	// buildMu serializes cold-start synchronous builds.
-	buildMu sync.Mutex
+	buildErr     error
+	// buildEpoch advances at the start and at the end of every build, so
+	// a stall timer can tell whether the build it timed is still running.
+	buildEpoch uint64
 
 	// admMu guards the admission configuration (settable on a live server).
 	admMu sync.Mutex
@@ -133,9 +137,8 @@ type CloudServer struct {
 	quarantinedN atomic.Int64
 	rejected     atomic.Int64
 
-	// Rebuild watchdog state: buildingSince is the UnixNano start of the
-	// in-flight build (0 = idle); stalled latches the watchdog verdict.
-	buildingSince    atomic.Int64
+	// Stall detection: stalled latches the verdict of the timer armed for
+	// each build (flagStall) until that build ends.
 	rebuildTimeoutNs atomic.Int64
 	stalled          atomic.Bool
 	healthStop       func()
@@ -179,11 +182,12 @@ func NewCloudServer(seed []dpprior.TaskPosterior, opts dpprior.BuildOptions, log
 }
 
 // NewCloudServerWithStore creates a server on an opened store — the
-// durable path: tasks the store recovered are served immediately, and
-// every reported task is appended before it is acknowledged. The server
-// owns the store from here on: Close syncs and closes it. Seed tasks
-// are appended only when the store is empty, so re-seeding a recovered
-// store never duplicates tasks.
+// durable path: tasks the store recovered are served from the first read
+// on (which waits for the first build), and every reported task is
+// appended before it is acknowledged. The server owns the store from
+// here on: Close syncs and closes it. Seed tasks are appended only when
+// the store is empty, so re-seeding a recovered store never duplicates
+// tasks.
 func NewCloudServerWithStore(st *store.Store, seed []dpprior.TaskPosterior, opts dpprior.BuildOptions, logger *slog.Logger) (*CloudServer, error) {
 	if opts.Alpha <= 0 {
 		return nil, fmt.Errorf("edge: NewCloudServer: alpha %g must be positive", opts.Alpha)
@@ -222,10 +226,11 @@ func NewCloudServerWithStore(st *store.Store, seed []dpprior.TaskPosterior, opts
 		}
 		return nil
 	})
-	s.workerWg.Add(2)
+	// The first build runs on first demand — a read, WaitCaughtUp, AddTask
+	// or SetAdmission — so an admission configuration installed right
+	// after construction governs it.
+	s.workerWg.Add(1)
 	go s.rebuildLoop()
-	go s.watchdog()
-	s.kickRebuild()
 	return s, nil
 }
 
@@ -253,8 +258,9 @@ func (s *CloudServer) SetAdmission(cfg AdmissionConfig) {
 	s.kickRebuild()
 }
 
-// SetRebuildTimeout adjusts the watchdog's stall threshold (safe on a
-// live server; non-positive values are ignored).
+// SetRebuildTimeout adjusts the rebuild stall threshold (safe on a
+// live server, from the next build on; non-positive values are
+// ignored).
 func (s *CloudServer) SetRebuildTimeout(d time.Duration) {
 	if d > 0 {
 		s.rebuildTimeoutNs.Store(int64(d))
@@ -328,48 +334,28 @@ func (s *CloudServer) appendTask(t dpprior.TaskPosterior) (uint64, error) {
 // in-process) and returns the new store version. The served prior
 // catches up asynchronously; use WaitCaughtUp to block until it has.
 func (s *CloudServer) AddTask(t dpprior.TaskPosterior) (uint64, error) {
-	return s.addTask(t, nil)
+	v, _, err := s.addTasks([]dpprior.TaskPosterior{t}, nil)
+	return v, err
 }
 
-// addTask is AddTask with the caller's span: the durable append and the
-// semi-sync acknowledgement wait each become a child span, so a trace of
-// a slow upload shows whether the disk or the follower quorum ate the
-// time.
-func (s *CloudServer) addTask(t dpprior.TaskPosterior, sp *trace.Span) (uint64, error) {
-	ap := sp.Child("store-append")
-	v, err := s.appendTask(t)
-	if err != nil {
-		ap.EndErr(err)
-		return 0, err
-	}
-	ap.SetAttr(trace.Int("version", int64(v)))
-	ap.End()
-	s.kickRebuild()
-	if s.syncReplicas.Load() > 0 && !s.IsFollower() {
-		aw := sp.Child("ack-wait", trace.Int("version", int64(v)))
-		s.waitAcked(v)
-		aw.End()
-	}
-	return v, nil
-}
-
-// addTasks appends a round's tasks in upload order, then pays the
-// cross-cutting costs once for the whole batch: one rebuild kick and —
-// under semi-sync replication — one quorum wait on the final version,
-// instead of per task. A validation rejection stops the batch; the tasks
-// already appended stay appended (they are durable) and the returned
-// count tells the client exactly where the batch stopped. Retrying a
-// batch is safe under upload dedupe: already-stored tasks ack without a
-// second append.
+// addTasks appends tasks in upload order, then pays the cross-cutting
+// costs once for the whole batch: one rebuild kick and — under semi-sync
+// replication — one quorum wait on the final version, instead of per
+// task. The durable appends and the acknowledgement wait each become a
+// child span of sp, so a trace of a slow upload shows whether the disk or
+// the follower quorum ate the time. A validation rejection stops the
+// batch; the tasks already appended stay appended (they are durable) and
+// the returned count tells the client exactly where the batch stopped.
+// Retrying a batch is safe under upload dedupe: already-stored tasks ack
+// without a second append.
 func (s *CloudServer) addTasks(ts []dpprior.TaskPosterior, sp *trace.Span) (uint64, int, error) {
-	ap := sp.Child("store-append-batch", trace.Int("tasks", int64(len(ts))))
+	ap := sp.Child("store-append", trace.Int("tasks", int64(len(ts))))
 	var version uint64
 	done := 0
 	var err error
 	for i := range ts {
 		var v uint64
 		if v, err = s.appendTask(ts[i]); err != nil {
-			err = fmt.Errorf("batch task %d: %w", i, err)
 			break
 		}
 		version = v
@@ -410,55 +396,7 @@ func (s *CloudServer) rebuildLoop() {
 			return
 		case <-s.rebuildCh:
 		}
-		for {
-			tasks, seqs, v := s.st.ViewRecords()
-			s.priorMu.Lock()
-			built := s.built
-			hook := s.buildHook
-			s.priorMu.Unlock()
-			if v == 0 || v == built {
-				break
-			}
-			// Published before the hook so the watchdog times the whole
-			// build, including anything a test seam blocks on.
-			s.buildingSince.Store(time.Now().UnixNano())
-			if hook != nil {
-				hook(v)
-			}
-			// The rebuild gets its own head-sampled trace: quarantine
-			// verdicts land on it as events, so a post-mortem can see which
-			// uploads the admission judge held out of the served prior.
-			rsp := s.traceRecorder().StartTrace("rebuild",
-				trace.Str("node", s.NodeName()), trace.Int("version", int64(v)), trace.Int("tasks", int64(len(tasks))))
-			admitted := s.admit(tasks, seqs, true, rsp)
-			if len(admitted) == 0 {
-				// Everything stored is quarantined: keep serving whatever
-				// prior exists, but mark the version covered so WaitCaughtUp
-				// waiters are released.
-				rsp.Event("all-quarantined")
-				rsp.End()
-				s.buildingSince.Store(0)
-				s.advanceBuilt(v)
-				continue
-			}
-			bsp := rsp.Child("build", trace.Int("admitted", int64(len(admitted))))
-			p, err := dpprior.Build(admitted, s.opts)
-			s.buildingSince.Store(0)
-			if err != nil {
-				// Leave the previous prior serving; the next AddTask (or
-				// cold-start fetch) retries.
-				bsp.EndErr(err)
-				rsp.EndErr(err)
-				s.logger.Error("edge: background prior rebuild failed", "version", v, "err", err)
-				s.priorMu.Lock()
-				s.buildsFailed++
-				s.builtCond.Broadcast()
-				s.priorMu.Unlock()
-				break
-			}
-			bsp.End()
-			rsp.End()
-			s.setBuilt(p, v)
+		for s.rebuild() {
 			select {
 			case <-s.stopCh:
 				return
@@ -468,72 +406,81 @@ func (s *CloudServer) rebuildLoop() {
 	}
 }
 
-// watchdog detects a wedged rebuild worker: when one build runs past the
-// rebuild timeout, the stall is latched into telemetry (gauge + event)
-// and the /healthz readiness check, and cleared once the worker moves
-// again.
-func (s *CloudServer) watchdog() {
-	defer s.workerWg.Done()
-	// The poll interval derives from the mutable rebuild timeout, so a
-	// plain Ticker won't do — but the timer itself is reused across laps
-	// instead of allocating a fresh time.After every poll.
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// rebuild builds the prior for the current store version when the
+// served one trails it, and reports whether it ran a build that
+// succeeded — the worker then looks again, since tasks may have landed
+// meanwhile. It is the only code that builds, times and publishes the
+// served prior.
+func (s *CloudServer) rebuild() bool {
+	tasks, seqs, v := s.st.ViewRecords()
+	s.priorMu.Lock()
+	if v == 0 || v == s.built {
+		s.priorMu.Unlock()
+		return false
 	}
-	defer timer.Stop()
-	for {
-		timeout := time.Duration(s.rebuildTimeoutNs.Load())
-		poll := timeout / 4
-		if poll < 10*time.Millisecond {
-			poll = 10 * time.Millisecond
-		}
-		if poll > time.Second {
-			poll = time.Second
-		}
-		timer.Reset(poll)
-		select {
-		case <-s.stopCh:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			return
-		case <-timer.C:
-		}
-		since := s.buildingSince.Load()
-		stalled := since != 0 && time.Since(time.Unix(0, since)) > timeout
-		if stalled {
-			if !s.stalled.Swap(true) {
-				telemetry.ServerRebuildStalled.Set(1)
-				telemetry.Events.RecordKV("edge_server", "rebuild-stalled",
-					"for", time.Since(time.Unix(0, since)).Round(time.Millisecond).String())
-				s.logger.Error("edge: prior rebuild worker stalled",
-					"for", time.Since(time.Unix(0, since)).Round(time.Millisecond))
-				// Release reads waiting on their floor (awaitFloor).
-				s.priorMu.Lock()
-				s.builtCond.Broadcast()
-				s.priorMu.Unlock()
-			}
-		} else if s.stalled.Swap(false) {
-			telemetry.ServerRebuildStalled.Set(0)
-			s.logger.Info("edge: prior rebuild worker recovered")
-		}
+	hook := s.buildHook
+	s.buildEpoch++
+	epoch := s.buildEpoch
+	s.priorMu.Unlock()
+	// Armed before the hook so the stall timer covers the whole build,
+	// including anything a test seam blocks on.
+	start := time.Now()
+	stall := time.AfterFunc(time.Duration(s.rebuildTimeoutNs.Load()), func() { s.flagStall(epoch, start) })
+	if hook != nil {
+		hook(v)
+	}
+	// The rebuild gets its own head-sampled trace: quarantine verdicts
+	// land on it as events, so a post-mortem can see which uploads the
+	// admission judge held out of the served prior.
+	rsp := s.traceRecorder().StartTrace("rebuild",
+		trace.Str("node", s.NodeName()), trace.Int("version", int64(v)), trace.Int("tasks", int64(len(tasks))))
+	var p *dpprior.Prior
+	var err error
+	if admitted := s.admit(tasks, seqs, rsp); len(admitted) == 0 {
+		// Everything stored is quarantined: keep serving whatever prior
+		// exists, but mark the version covered so waiters are released.
+		rsp.Event("all-quarantined")
+	} else {
+		bsp := rsp.Child("build", trace.Int("admitted", int64(len(admitted))))
+		p, err = dpprior.Build(admitted, s.opts)
+		bsp.EndErr(err)
+	}
+	rsp.EndErr(err)
+	stall.Stop()
+	if err != nil {
+		// The previous prior keeps serving; the next AddTask (or cold
+		// read) retries.
+		s.logger.Error("edge: background prior rebuild failed", "version", v, "err", err)
+	}
+	s.setBuilt(p, v, err)
+	return err == nil
+}
+
+// flagStall is the stall check, run by the timer rebuild arms for
+// each build: when the build opened at epoch is still running past the
+// rebuild timeout, the stall is latched into telemetry (gauge + event),
+// the /healthz readiness check and the floor waits (awaitBuilt). The
+// build's end clears it (setBuilt).
+func (s *CloudServer) flagStall(epoch uint64, start time.Time) {
+	s.priorMu.Lock()
+	flag := s.buildEpoch == epoch && !s.stalled.Swap(true)
+	if flag {
+		s.builtCond.Broadcast()
+	}
+	s.priorMu.Unlock()
+	if flag {
+		d := time.Since(start).Round(time.Millisecond)
+		telemetry.ServerRebuildStalled.Set(1)
+		telemetry.Events.RecordKV("edge_server", "rebuild-stalled", "for", d.String())
+		s.logger.Error("edge: prior rebuild worker stalled", "for", d)
 	}
 }
 
-// admit applies the admission judge to the stored task set and returns
-// the tasks a rebuild may use, in store order — order is what keeps a
-// seeded Build byte-identical to a clean-only baseline when the admitted
-// sets match. Undecided tasks are judged against the currently served
-// prior; new verdicts are persisted (persist=false for the synchronous
-// cold-start path, which must not race the worker's verdict writes).
-// When the population is still too small to judge, undecided tasks are
-// provisionally admitted and re-judged on a later round. A candidate
-// the judge flagged but could not quarantine within the trim budget is
-// the opposite of provisional: it gets no verdict, is held out of this
-// rebuild, and is re-judged when the population (and so the budget)
-// grows. New verdicts are recorded as events on sp (nil = untraced).
-func (s *CloudServer) admit(tasks []dpprior.TaskPosterior, seqs []uint64, persist bool, sp *trace.Span) []dpprior.TaskPosterior {
+// admit applies the admission pass (dpprior.Admit) to the stored task
+// set, judging undecided tasks against the served prior, and returns the
+// tasks a rebuild may use, in store order. New verdicts are persisted
+// and recorded as events on sp (nil = untraced).
+func (s *CloudServer) admit(tasks []dpprior.TaskPosterior, seqs []uint64, sp *trace.Span) []dpprior.TaskPosterior {
 	s.admMu.Lock()
 	cfg := s.adm
 	s.admMu.Unlock()
@@ -542,99 +489,75 @@ func (s *CloudServer) admit(tasks []dpprior.TaskPosterior, seqs []uint64, persis
 		s.quarantinedN.Store(0)
 		return tasks
 	}
-	verdicts := s.st.Verdicts()
-	var acceptedRef, undecided []dpprior.TaskPosterior
-	var undecidedSeqs []uint64
-	for i, seq := range seqs {
-		q, decided := verdicts[seq]
-		switch {
-		case !decided:
-			undecided = append(undecided, tasks[i])
-			undecidedSeqs = append(undecidedSeqs, seq)
-		case !q:
-			acceptedRef = append(acceptedRef, tasks[i])
-		}
+	stored := s.st.Verdicts()
+	s.priorMu.Lock()
+	served := s.prior
+	s.priorMu.Unlock()
+	admitted, verdicts, deferred := dpprior.Admit(tasks, func(i int) (bool, bool) {
+		q, ok := stored[seqs[i]]
+		return q, ok
+	}, served, dpprior.AdmissionOptions{TrimFrac: cfg.TrimFrac, MinScored: cfg.MinScored})
+	for _, i := range deferred {
+		telemetry.ServerAdmitDeferred.Inc()
+		sp.Event("verdict", trace.Int("seq", int64(seqs[i])), trace.Str("verdict", "deferred"))
 	}
-	deferredSeq := make(map[uint64]bool)
-	if len(undecided) > 0 {
-		var served *dpprior.Compiled
-		s.priorMu.Lock()
-		p := s.prior
-		s.priorMu.Unlock()
-		if p != nil {
-			if c, err := dpprior.Compile(p); err == nil {
-				served = c
+	if len(verdicts) > 0 {
+		bySeq := make(map[uint64]bool, len(verdicts))
+		for i, quarantined := range verdicts {
+			bySeq[seqs[i]] = quarantined
+			if quarantined {
+				telemetry.ServerAdmitQuarantined.Inc()
+				sp.Event("verdict", trace.Int("seq", int64(seqs[i])), trace.Str("verdict", "quarantined"))
+			} else {
+				telemetry.ServerAdmitAccepted.Inc()
 			}
 		}
-		opts := dpprior.AdmissionOptions{TrimFrac: cfg.TrimFrac, MinScored: cfg.MinScored}
-		if q, def, ok := dpprior.Judge(served, acceptedRef, undecided, opts); ok {
-			newVerdicts := make(map[uint64]bool, len(undecided))
-			for i, quarantined := range q {
-				if def[i] {
-					deferredSeq[undecidedSeqs[i]] = true
-					telemetry.ServerAdmitDeferred.Inc()
-					sp.Event("verdict", trace.Int("seq", int64(undecidedSeqs[i])), trace.Str("verdict", "deferred"))
-					continue
-				}
-				newVerdicts[undecidedSeqs[i]] = quarantined
-				if quarantined {
-					telemetry.ServerAdmitQuarantined.Inc()
-					sp.Event("verdict", trace.Int("seq", int64(undecidedSeqs[i])), trace.Str("verdict", "quarantined"))
-				} else {
-					telemetry.ServerAdmitAccepted.Inc()
-				}
-			}
-			if persist {
-				if err := s.st.SetVerdicts(newVerdicts); err != nil {
-					// The verdicts still hold for this rebuild; only their
-					// durability is degraded.
-					s.logger.Warn("edge: persisting admission verdicts failed", "err", err)
-				}
-			}
-			for seq, quarantined := range newVerdicts {
-				verdicts[seq] = quarantined
-			}
+		if err := s.st.SetVerdicts(bySeq); err != nil {
+			// The verdicts still hold for this rebuild; only their
+			// durability is degraded.
+			s.logger.Warn("edge: persisting admission verdicts failed", "err", err)
 		}
-	}
-	admitted := make([]dpprior.TaskPosterior, 0, len(tasks))
-	for i, seq := range seqs {
-		if verdicts[seq] || deferredSeq[seq] {
-			continue
-		}
-		admitted = append(admitted, tasks[i])
 	}
 	s.acceptedN.Store(int64(len(admitted)))
 	s.quarantinedN.Store(int64(len(tasks) - len(admitted)))
 	return admitted
 }
 
-// advanceBuilt marks a store version covered without publishing a new
-// prior (used when admission leaves nothing to build from).
-func (s *CloudServer) advanceBuilt(v uint64) {
+// setBuilt ends the worker's build of store version v. A successful
+// build publishes p and retains it for delta sync; p is nil when
+// admission left nothing to build from, and v is then only marked
+// covered. A failed build (err) is counted and kept for cold reads while
+// the previous prior keeps serving. Either way a stall verdict clears
+// and builtCond waiters wake.
+func (s *CloudServer) setBuilt(p *dpprior.Prior, v uint64, err error) {
 	s.priorMu.Lock()
-	if v > s.built {
+	s.buildEpoch++
+	recovered := s.stalled.Swap(false)
+	switch {
+	case err != nil:
+		s.buildsFailed++
+		s.buildErr = err
+	case v > s.built:
 		s.built = v
-		s.builtCond.Broadcast()
-	}
-	s.priorMu.Unlock()
-}
-
-// setBuilt publishes a newly built prior and retains it for delta sync.
-func (s *CloudServer) setBuilt(p *dpprior.Prior, v uint64) {
-	s.priorMu.Lock()
-	if v > s.built || s.prior == nil {
-		s.prior = p
-		s.built = v
-		s.history[v] = p
-		s.histOrder = append(s.histOrder, v)
-		for len(s.histOrder) > deltaHistory {
-			delete(s.history, s.histOrder[0])
-			s.histOrder = s.histOrder[1:]
+		if p != nil {
+			s.prior = p
+			s.history[v] = p
+			s.histOrder = append(s.histOrder, v)
+			for len(s.histOrder) > deltaHistory {
+				delete(s.history, s.histOrder[0])
+				s.histOrder = s.histOrder[1:]
+			}
 		}
-		s.builtCond.Broadcast()
 	}
+	s.builtCond.Broadcast()
 	s.priorMu.Unlock()
-	telemetry.ServerRebuilds.Inc()
+	if recovered {
+		telemetry.ServerRebuildStalled.Set(0)
+		s.logger.Info("edge: prior rebuild worker recovered")
+	}
+	if p != nil {
+		telemetry.ServerRebuilds.Inc()
+	}
 }
 
 // errNoTasks marks the cold-start condition; dispatch maps it to
@@ -642,58 +565,30 @@ func (s *CloudServer) setBuilt(p *dpprior.Prior, v uint64) {
 var errNoTasks = errors.New("edge: no tasks reported yet")
 
 // Prior returns the served prior and its (built) version without waiting
-// for in-flight rebuilds. The only time it builds synchronously is cold
-// start: tasks exist but no prior has ever been built. It fails when no
-// tasks have been reported yet.
+// for in-flight rebuilds — except at cold start: when tasks are stored
+// but no prior has been published yet, it waits for the worker's first
+// build (awaitBuilt). It fails when no tasks have been reported yet, when
+// admission left nothing to build from, and when that first build failed;
+// a stalled or closing server with no prior answers as a cold one.
 func (s *CloudServer) Prior() (*dpprior.Prior, uint64, error) {
-	return s.servedPriorAt(nil)
-}
-
-// servedPriorAt is Prior with the requesting span: a cold-start build
-// triggered by the request shows up as a "cold-build" child instead of
-// unexplained latency.
-func (s *CloudServer) servedPriorAt(sp *trace.Span) (*dpprior.Prior, uint64, error) {
 	s.priorMu.Lock()
 	p, built := s.prior, s.built
 	s.priorMu.Unlock()
 	if p != nil {
 		return p, built, nil
 	}
-	return s.buildCold(sp)
-}
-
-// buildCold performs the one synchronous build: the first request after
-// tasks exist but before the worker has produced a prior. Serialized so
-// a thundering herd of first fetches runs one build, not N.
-func (s *CloudServer) buildCold(sp *trace.Span) (*dpprior.Prior, uint64, error) {
-	s.buildMu.Lock()
-	defer s.buildMu.Unlock()
-	s.priorMu.Lock()
-	if s.prior != nil {
-		p, built := s.prior, s.built
-		s.priorMu.Unlock()
-		return p, built, nil
-	}
-	s.priorMu.Unlock()
-	tasks, seqs, v := s.st.ViewRecords()
-	if v == 0 {
+	_, stored := s.st.View()
+	if stored == 0 {
 		return nil, 0, errNoTasks
 	}
-	cb := sp.Child("cold-build", trace.Int("version", int64(v)))
-	admitted := s.admit(tasks, seqs, false, cb)
-	if len(admitted) == 0 {
-		cb.EndErr(errNoTasks)
+	p, built, err := s.awaitBuilt(stored)
+	switch {
+	case err != nil:
+		return nil, 0, fmt.Errorf("edge: rebuild prior: %w", err)
+	case p == nil:
 		return nil, 0, errNoTasks
 	}
-	p, err := dpprior.Build(admitted, s.opts)
-	if err != nil {
-		err = fmt.Errorf("edge: rebuild prior: %w", err)
-		cb.EndErr(err)
-		return nil, 0, err
-	}
-	cb.End()
-	s.setBuilt(p, v)
-	return p, v, nil
+	return p, built, nil
 }
 
 // WaitCaughtUp blocks until the served prior covers every task appended
@@ -718,25 +613,29 @@ func (s *CloudServer) WaitCaughtUp() {
 	}
 }
 
-// awaitFloor is the leader half of read-your-writes: it waits for the
-// rebuild that covers store version floor and returns the prior then
-// served. A failed rebuild, a stalled one (watchdog) or a closing server
-// ends the wait early with the prior still served, so a read waits at
-// most for the builds already due.
-func (s *CloudServer) awaitFloor(floor uint64) (*dpprior.Prior, uint64) {
-	s.kickRebuild()
+// awaitBuilt kicks the worker and waits for the build that covers store
+// version floor, then returns the prior served. It serves both cold
+// reads and the leader half of read-your-writes. A build that fails
+// meanwhile (its error is returned), a stalled one (flagStall's
+// verdict) or a closing server ends the wait early with whatever prior
+// is then served, so a read waits at most for the builds already due.
+func (s *CloudServer) awaitBuilt(floor uint64) (*dpprior.Prior, uint64, error) {
 	s.priorMu.Lock()
 	defer s.priorMu.Unlock()
 	failed := s.buildsFailed
-	for s.built < floor && s.buildsFailed == failed && !s.stalled.Load() {
+	s.kickRebuild()
+	for s.built < floor && !s.stalled.Load() {
+		if s.buildsFailed != failed {
+			return s.prior, s.built, s.buildErr
+		}
 		select {
 		case <-s.stopCh:
-			return s.prior, s.built
+			return s.prior, s.built, nil
 		default:
 		}
 		s.builtCond.Wait()
 	}
-	return s.prior, s.built
+	return s.prior, s.built, nil
 }
 
 // priorAt returns the retained prior for an exact version, if the
@@ -750,13 +649,13 @@ func (s *CloudServer) priorAt(version uint64) *dpprior.Prior {
 // Stats returns current counters.
 func (s *CloudServer) Stats() Stats {
 	st := Stats{
-		Tasks:        s.st.Len(),
-		PriorVersion: s.st.Version(),
-		Accepted:     int(s.acceptedN.Load()),
-		Quarantined:  int(s.quarantinedN.Load()),
-		Rejected:     int(s.rejected.Load()),
+		Tasks:       s.st.Len(),
+		Accepted:    int(s.acceptedN.Load()),
+		Quarantined: int(s.quarantinedN.Load()),
+		Rejected:    int(s.rejected.Load()),
 	}
-	if p, _, err := s.Prior(); err == nil {
+	if p, v, err := s.Prior(); err == nil {
+		st.PriorVersion = v
 		st.Components = len(p.Components)
 		st.WireBytes = p.WireSize()
 	}
@@ -1041,7 +940,7 @@ func (s *CloudServer) serveRequest(req *Request, sp *trace.Span) *Response {
 // servedPrior resolves the current prior for a fetch-style request,
 // mapping errors to protocol responses (nil means success).
 func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*dpprior.Prior, uint64, *Response) {
-	p, version, err := s.servedPriorAt(sp)
+	p, version, err := s.Prior()
 	if err != nil {
 		code := CodeInternal
 		if errors.Is(err, errNoTasks) {
@@ -1061,7 +960,7 @@ func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*dpprior.Prior,
 		// than refuse. A floor past the store (acked by an earlier leader)
 		// still refuses at once.
 		if _, stored := s.st.View(); stored >= req.MinVersion {
-			p, version = s.awaitFloor(req.MinVersion)
+			p, version, _ = s.awaitBuilt(req.MinVersion)
 		}
 	}
 	if req.MinVersion != 0 && version < req.MinVersion {
@@ -1091,7 +990,7 @@ func (s *CloudServer) dispatch(req *Request, sp *trace.Span) *Response {
 		time.Sleep(time.Duration(d))
 	}
 	switch req.Kind {
-	case GetPrior:
+	case GetPrior, GetPriorDelta:
 		p, version, errResp := s.servedPrior(req, sp)
 		if errResp != nil {
 			return errResp
@@ -1101,20 +1000,11 @@ func (s *CloudServer) dispatch(req *Request, sp *trace.Span) *Response {
 			sp.Event("prior", trace.Str("payload", "not-modified"), trace.Int("version", int64(version)))
 			return &Response{Version: version, NotModified: true}
 		}
-		telemetry.ServerPriorFull.Inc()
-		sp.Event("prior", trace.Str("payload", "full"), trace.Int("version", int64(version)))
-		return &Response{Prior: p, Version: version}
-	case GetPriorDelta:
-		p, version, errResp := s.servedPrior(req, sp)
-		if errResp != nil {
-			return errResp
+		var old *dpprior.Prior
+		if req.Kind == GetPriorDelta {
+			old = s.priorAt(req.KnownVersion)
 		}
-		if req.KnownVersion != 0 && req.KnownVersion == version {
-			telemetry.ServerPriorNotModified.Inc()
-			sp.Event("prior", trace.Str("payload", "not-modified"), trace.Int("version", int64(version)))
-			return &Response{Version: version, NotModified: true}
-		}
-		if old := s.priorAt(req.KnownVersion); old != nil {
+		if old != nil {
 			delta := dpprior.Diff(old, p, req.KnownVersion, version)
 			// A delta only ships when it actually beats the full prior —
 			// a rebuild that changed every component degenerates to Adds
@@ -1126,7 +1016,8 @@ func (s *CloudServer) dispatch(req *Request, sp *trace.Span) *Response {
 				return &Response{Delta: delta, Version: version}
 			}
 		}
-		// Version gap too old, diverged, or delta not worth it: full prior.
+		// A plain fetch, or a version gap too old, diverged, or a delta not
+		// worth it: full prior.
 		telemetry.ServerPriorFull.Inc()
 		sp.Event("prior", trace.Str("payload", "full"), trace.Int("version", int64(version)))
 		return &Response{Prior: p, Version: version}
@@ -1139,7 +1030,7 @@ func (s *CloudServer) dispatch(req *Request, sp *trace.Span) *Response {
 			sp.Event("not-leader")
 			return &Response{Err: errNotLeader.Error(), Code: CodeNotLeader}
 		}
-		version, err := s.addTask(*req.Task, sp)
+		version, _, err := s.addTasks([]dpprior.TaskPosterior{*req.Task}, sp)
 		if err != nil {
 			return &Response{Err: err.Error(), Code: CodeBadRequest}
 		}
@@ -1155,7 +1046,7 @@ func (s *CloudServer) dispatch(req *Request, sp *trace.Span) *Response {
 		}
 		version, done, err := s.addTasks(req.Tasks, sp)
 		if err != nil {
-			return &Response{Err: err.Error(), Code: CodeBadRequest, Version: version, BatchDone: done}
+			return &Response{Err: fmt.Sprintf("batch task %d: %v", done, err), Code: CodeBadRequest, Version: version, BatchDone: done}
 		}
 		return &Response{Version: version, BatchDone: done}
 	case PullLog:

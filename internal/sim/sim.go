@@ -230,7 +230,7 @@ type cloudState struct {
 	dim          int          // pinned by the first admitted task
 	rejected     int          // uploads refused by validation
 	decided      map[int]bool // task index → quarantined
-	deferred     map[int]bool // flagged but over budget last round: no verdict yet
+	deferred     []int        // flagged but over budget last round: no verdict yet
 	history      map[uint64]*dpprior.Prior
 	histOrder    []uint64
 }
@@ -282,12 +282,9 @@ func (c *cloudState) rebuild() {
 	}
 }
 
-// admit mirrors CloudServer.admit: undecided tasks are judged against
-// the served prior, verdicts stick, and the admitted set is assembled in
-// report order (which keeps a seeded Build byte-identical to a clean
-// baseline when the admitted sets match). Candidates the judge flagged
-// but could not quarantine within the trim budget get no verdict: they
-// are held out of this rebuild and re-judged next round.
+// admit runs the same admission pass as the live server (dpprior.Admit):
+// verdicts stick across rebuilds, and deferred tasks are held out of
+// this rebuild and re-judged next round.
 func (c *cloudState) admit() []dpprior.TaskPosterior {
 	if !c.admission {
 		return c.tasks
@@ -295,47 +292,14 @@ func (c *cloudState) admit() []dpprior.TaskPosterior {
 	if c.decided == nil {
 		c.decided = make(map[int]bool)
 	}
-	var acceptedRef, undecided []dpprior.TaskPosterior
-	var undecidedIdx []int
-	for i, t := range c.tasks {
+	admitted, verdicts, deferred := dpprior.Admit(c.tasks, func(i int) (bool, bool) {
 		q, ok := c.decided[i]
-		switch {
-		case !ok:
-			undecided = append(undecided, t)
-			undecidedIdx = append(undecidedIdx, i)
-		case !q:
-			acceptedRef = append(acceptedRef, t)
-		}
-	}
-	deferred := make(map[int]bool)
-	if len(undecided) > 0 {
-		var served *dpprior.Compiled
-		if c.served != nil {
-			if comp, err := dpprior.Compile(c.served); err == nil {
-				served = comp
-			}
-		}
-		opts := dpprior.AdmissionOptions{TrimFrac: c.trimFrac}
-		if q, def, ok := dpprior.Judge(served, acceptedRef, undecided, opts); ok {
-			for i, quarantined := range q {
-				if def[i] {
-					// Flagged but over the trim budget: no sticky verdict,
-					// held out of this rebuild, re-judged next round.
-					deferred[undecidedIdx[i]] = true
-					continue
-				}
-				c.decided[undecidedIdx[i]] = quarantined
-			}
-		}
+		return q, ok
+	}, c.served, dpprior.AdmissionOptions{TrimFrac: c.trimFrac})
+	for i, q := range verdicts {
+		c.decided[i] = q
 	}
 	c.deferred = deferred
-	admitted := make([]dpprior.TaskPosterior, 0, len(c.tasks))
-	for i, t := range c.tasks {
-		if c.decided[i] || deferred[i] {
-			continue
-		}
-		admitted = append(admitted, t)
-	}
 	return admitted
 }
 
@@ -594,11 +558,9 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 	}
 	// A task still deferred when the run ends never got a verdict, but it
 	// was held out of rebuilds by the judge all the same — report it.
-	for idx, def := range cloud.deferred {
-		if def {
-			devices[cloud.taskDev[idx]].result.Quarantined = true
-			out.QuarantinedUploads++
-		}
+	for _, idx := range cloud.deferred {
+		devices[cloud.taskDev[idx]].result.Quarantined = true
+		out.QuarantinedUploads++
 	}
 	for _, d := range devices {
 		d.result.FinalVersion = d.version
