@@ -184,7 +184,7 @@ func TestHedgedReadsCoverSlowReplica(t *testing.T) {
 	won := telemetry.ClusterHedgeWon.Value()
 	hedged := dialTest(cl.CoordinatorAddr())
 	defer hedged.Close()
-	hedged.SetHedge(HedgeConfig{Delay: 20 * time.Millisecond})
+	hedged.SetHedge(20 * time.Millisecond)
 	start := time.Now()
 	gotPrior, err := hedged.FetchMergedPrior(dim)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestHedgeFiresOnIndecisivePrimary(t *testing.T) {
 		Logger: telemetry.Discard(),
 	})
 	defer hedged.Close()
-	hedged.SetHedge(HedgeConfig{Delay: 2 * time.Second})
+	hedged.SetHedge(2 * time.Second)
 	start := time.Now()
 	gotPrior, err := hedged.FetchMergedPrior(dim)
 	if err != nil {

@@ -36,9 +36,7 @@ type ShardedClient struct {
 	applied []uint64         // per shard: highest built version applied
 	priors  []*dpprior.Prior // per shard: cached prior at applied[i]
 
-	hedge  *HedgeConfig    // hedged shard reads (nil = sequential only)
-	lat    []time.Duration // ring of recent read latencies (adaptive hedge delay)
-	latIdx int
+	hedgeDelay time.Duration // hedged shard reads fire after this (0 = sequential only)
 
 	parent *trace.Span // round span set by the caller (nil = untraced)
 	op     *trace.Span // current operation span, nested under parent
@@ -287,7 +285,7 @@ func (c *ShardedClient) shardPrior(shard, dim int) (*dpprior.Prior, uint64, erro
 	order := append(append([]string(nil), sr.Followers...), sr.Leader)
 	floor := c.applied[shard]
 	var lastErr error
-	if c.hedge != nil && len(order) >= 2 {
+	if c.hedgeDelay > 0 && len(order) >= 2 {
 		// Race the first two replicas; a decisive answer settles the read.
 		// Both legs indecisive (lagging, unreachable) falls through to a
 		// sequential scan of the remaining replicas.
@@ -310,7 +308,6 @@ func (c *ShardedClient) shardPrior(shard, dim int) (*dpprior.Prior, uint64, erro
 		}
 	}
 	for _, addr := range order {
-		start := time.Now()
 		p, v, err := c.conn(addr).FetchPriorDeltaMin(dim, floor, floor, c.priors[shard])
 		if err != nil {
 			lastErr = err
@@ -332,7 +329,6 @@ func (c *ShardedClient) shardPrior(shard, dim int) (*dpprior.Prior, uint64, erro
 				continue // transport failure: next replica
 			}
 		}
-		c.recordLatency(time.Since(start))
 		if p == nil { // not modified: cache is current
 			return c.priors[shard], floor, nil
 		}

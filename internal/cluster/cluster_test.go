@@ -419,3 +419,33 @@ func TestCoordinatorClosesNonHelloPeer(t *testing.T) {
 		t.Fatalf("shard map after the refused peer: %+v, %v", m, err)
 	}
 }
+
+// TestClusterCloseWithOpenClient: closing a cluster while an edge still
+// holds a coordinator connection returns promptly. The coordinator's
+// Close sweeps live connections, so no handler stays blocked reading a
+// connection nobody closes, and the nodes close after it.
+func TestClusterCloseWithOpenClient(t *testing.T) {
+	cl, err := Start(fastConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := dialTest(cl.CoordinatorAddr())
+	if _, err := sc.Map(); err != nil {
+		sc.Close()
+		cl.Close()
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- cl.Close() }()
+	select {
+	case <-closed:
+		sc.Close()
+		return
+	case <-time.After(5 * time.Second):
+	}
+	t.Error("Cluster.Close hung with a client connection open")
+	// Once the client hangs up the hung Close can finish, and the
+	// goroutine-leak check stays clean.
+	sc.Close()
+	<-closed
+}

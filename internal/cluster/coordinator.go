@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -13,7 +11,6 @@ import (
 	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 const (
@@ -33,11 +30,11 @@ const (
 )
 
 // Coordinator owns the shard map: it serves GetShardMap to edges
-// (conditionally, like the prior), probes every shard leader, and on
-// leader loss promotes the follower with the longest acked log —
-// highest durable store version, ties broken by the lowest replica
-// index, so every coordinator decision is deterministic given the same
-// observations. Each promotion bumps the map version; edges discover it
+// (conditionally, like the prior) through the same edge.Endpoint as
+// every cloud server, probes every shard leader, and on leader loss
+// promotes the follower with the longest acked log — highest durable
+// store version, ties broken by the lowest replica index, so every
+// coordinator decision is deterministic given the same observations. Each promotion bumps the map version; edges discover it
 // through their next conditional fetch or a CodeNotLeader redirect.
 type Coordinator struct {
 	probeInterval time.Duration
@@ -64,9 +61,9 @@ type Coordinator struct {
 	grayCount    []int                // consecutive over-threshold probes per shard
 	demotedAt    map[string]time.Time // addr → when it was demoted for slowness
 
+	ep     *edge.Endpoint // the shard-map endpoint; answer is its dispatch
 	stopCh chan struct{}
-	wg     sync.WaitGroup
-	ln     net.Listener
+	wg     sync.WaitGroup // the endpoint's Serve and the probe loop
 	closed bool
 }
 
@@ -114,10 +111,16 @@ func NewCoordinator(nodes [][]*Node, probeInterval time.Duration, failThreshold 
 	if err != nil {
 		return nil, fmt.Errorf("cluster: coordinator listen: %w", err)
 	}
-	co.ln = ln
 	co.addr = ln.Addr().String()
+	co.ep = edge.NewEndpoint(co.answer, co.logger)
+	co.ep.SetNodeName("coordinator")
 	co.wg.Add(2)
-	go co.serve(ln)
+	go func() {
+		defer co.wg.Done()
+		if err := co.ep.Serve(ln); err != nil {
+			co.logger.Error("cluster: coordinator stopped serving", "err", err)
+		}
+	}()
 	go co.probeLoop()
 	return co, nil
 }
@@ -134,67 +137,18 @@ func (co *Coordinator) Map() edge.ShardMap {
 	return m
 }
 
-// serve answers GetShardMap over the edge protocol, opening every
-// connection with the same handshake as a cloud server: a peer that
-// does not send a valid hello is closed without an answer. The endpoint
-// is deliberately tiny: one request kind, conditional on KnownVersion,
-// everything else rejected.
-func (co *Coordinator) serve(ln net.Listener) {
-	defer co.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		co.wg.Add(1)
-		go func() {
-			defer co.wg.Done()
-			defer conn.Close()
-			br := bufio.NewReader(conn)
-			if err := wire.ServerHandshake(br, conn); err != nil {
-				if !errors.Is(err, io.EOF) {
-					telemetry.ServerDecodeErrors.Inc()
-				}
-				return
-			}
-			dec := wire.NewDecoder(br, edge.DefaultMaxFrameBytes)
-			enc := wire.NewEncoder(conn)
-			defer dec.Release()
-			defer enc.Release()
-			for {
-				var req edge.Request
-				if err := dec.DecodeRequest(&req); err != nil {
-					return
-				}
-				telemetry.ServerReqCounter(req.Kind.String()).Inc()
-				var sp *trace.Span
-				if req.TraceID != 0 {
-					sp = trace.Default.Join(req.TraceID, req.ParentSpan,
-						"serve "+req.Kind.String(), trace.Str("node", "coordinator"))
-				}
-				var resp edge.Response
-				if req.Kind != edge.GetShardMap {
-					resp = edge.Response{Err: "coordinator serves get-shard-map only", Code: edge.CodeBadRequest}
-				} else {
-					m := co.Map()
-					if req.KnownVersion != 0 && req.KnownVersion == m.Version {
-						resp = edge.Response{Version: m.Version, NotModified: true}
-					} else {
-						sp.Event("map", trace.Int("version", int64(m.Version)))
-						resp = edge.Response{Map: &m, Version: m.Version}
-					}
-				}
-				if resp.Err != "" {
-					sp.EndErr(errors.New(resp.Err))
-				} else {
-					sp.End()
-				}
-				if err := enc.EncodeResponse(&resp); err != nil {
-					return
-				}
-			}
-		}()
+// answer is the shard-map endpoint's dispatch: one request kind,
+// conditional on KnownVersion, everything else rejected.
+func (co *Coordinator) answer(req *edge.Request, sp *trace.Span) *edge.Response {
+	if req.Kind != edge.GetShardMap {
+		return &edge.Response{Err: "coordinator serves get-shard-map only", Code: edge.CodeBadRequest}
 	}
+	m := co.Map()
+	if req.KnownVersion != 0 && req.KnownVersion == m.Version {
+		return &edge.Response{Version: m.Version, NotModified: true}
+	}
+	sp.Event("map", trace.Int("version", int64(m.Version)))
+	return &edge.Response{Map: &m, Version: m.Version}
 }
 
 // probeLoop watches every shard leader and triggers failover after
@@ -437,36 +391,14 @@ func (co *Coordinator) failover(shard int) {
 		co.failures[shard] = 0
 		return
 	}
-	promoted := reps[best]
 	// Drop the dead leader from the tracked set.
 	for i, n := range reps {
 		if n != nil && n.Addr() == deadAddr {
 			reps[i] = nil
 		}
 	}
-	surviving := 0
-	for _, n := range reps {
-		if n != nil && n != promoted {
-			surviving++
-		}
-	}
-	promoted.Promote(surviving)
-	sp.Event("promoted", trace.Str("node", promoted.Name()),
-		trace.Int("log-version", int64(bestVer)), trace.Int("followers", int64(surviving)))
-	sr := edge.ShardReplicas{Leader: promoted.Addr()}
-	for _, n := range reps {
-		if n != nil && n != promoted {
-			sr.Followers = append(sr.Followers, n.Addr())
-			n.Follow(promoted.Addr())
-			sp.Event("repoint", trace.Str("node", n.Name()))
-		}
-	}
-	co.m.Shards[shard] = sr
-	co.m.Version++
-	sp.SetAttr(trace.Int("map-version", int64(co.m.Version)))
-	co.failures[shard] = 0
-	co.grayCount[shard] = 0
-	co.ewma[shard] = 0 // the new leader starts with a fresh latency history
+	promoted := reps[best]
+	co.promoteLocked(shard, promoted, bestVer, sp)
 	telemetry.ClusterPromotions.Inc()
 	co.logger.Warn("cluster: leader failover",
 		"shard", shard, "dead", deadAddr, "promoted", promoted.Name(),
@@ -511,6 +443,24 @@ func (co *Coordinator) demote(shard int) {
 	// re-resolve through the bumped map.
 	old.Server().SetFollower(true)
 	promoted := reps[best]
+	co.promoteLocked(shard, promoted, bestVer, sp)
+	co.demotedAt[old.Addr()] = time.Now()
+	telemetry.ClusterDemotions.Inc()
+	telemetry.Events.RecordKV("cluster", "demoted", "node", old.Name())
+	co.logger.Warn("cluster: gray leader demoted",
+		"shard", shard, "slow", old.Name(), "promoted", promoted.Name(),
+		"log-version", bestVer, "map-version", co.m.Version)
+}
+
+// promoteLocked makes promoted the leader of shard, the step failover
+// and demote share: it promotes the node with every other tracked
+// replica as its follower quorum, repoints those replicas at it, swaps
+// the map entry in and bumps the map version, and resets the shard's
+// probe state — the new leader starts with a fresh latency history.
+// logVersion is the promoted log's length, for the span. Caller holds
+// co.mu.
+func (co *Coordinator) promoteLocked(shard int, promoted *Node, logVersion uint64, sp *trace.Span) {
+	reps := co.nodes[shard]
 	surviving := 0
 	for _, n := range reps {
 		if n != nil && n != promoted {
@@ -519,7 +469,7 @@ func (co *Coordinator) demote(shard int) {
 	}
 	promoted.Promote(surviving)
 	sp.Event("promoted", trace.Str("node", promoted.Name()),
-		trace.Int("log-version", int64(bestVer)), trace.Int("followers", int64(surviving)))
+		trace.Int("log-version", int64(logVersion)), trace.Int("followers", int64(surviving)))
 	sr := edge.ShardReplicas{Leader: promoted.Addr()}
 	for _, n := range reps {
 		if n != nil && n != promoted {
@@ -533,17 +483,12 @@ func (co *Coordinator) demote(shard int) {
 	sp.SetAttr(trace.Int("map-version", int64(co.m.Version)))
 	co.failures[shard] = 0
 	co.grayCount[shard] = 0
-	co.ewma[shard] = 0 // the new leader starts with a fresh latency history
-	co.demotedAt[old.Addr()] = time.Now()
-	telemetry.ClusterDemotions.Inc()
-	telemetry.Events.RecordKV("cluster", "demoted", "node", old.Name())
-	co.logger.Warn("cluster: gray leader demoted",
-		"shard", shard, "slow", old.Name(), "promoted", promoted.Name(),
-		"log-version", bestVer, "map-version", co.m.Version)
+	co.ewma[shard] = 0
 }
 
-// Close stops probing and the map endpoint. The nodes are not closed —
-// the cluster harness owns them.
+// Close closes the map endpoint, live edge connections included, then
+// stops probing. The nodes are not closed — the cluster harness owns
+// them.
 func (co *Coordinator) Close() error {
 	co.mu.Lock()
 	if co.closed {
@@ -552,8 +497,8 @@ func (co *Coordinator) Close() error {
 	}
 	co.closed = true
 	co.mu.Unlock()
+	err := co.ep.Close()
 	close(co.stopCh)
-	err := co.ln.Close()
 	co.wg.Wait()
 	return err
 }

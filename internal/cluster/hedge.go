@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
@@ -14,82 +13,21 @@ import (
 // Hedged reads: a gray replica — alive but slow — stalls every read
 // routed to it for a full round-trip timeout, long before the
 // coordinator's EWMA demotes it. The client covers that window itself:
-// if the first replica has not answered within a delay derived from its
-// own recent read latencies — or settles indecisively before the delay
-// elapses — the same fetch is fired at a second replica and the first
-// valid answer wins. Validity is version-gated by
-// the same read-your-writes floor as sequential reads (MinVersion), so
-// a hedge can never win with a prior the client has already moved past
-// — CodeLagging answers are indecisive and the hedge keeps waiting.
+// if the first replica has not answered within a fixed delay — or
+// settles indecisively before the delay elapses — the same fetch is
+// fired at a second replica and the first valid answer wins. Validity
+// is version-gated by the same read-your-writes floor as sequential
+// reads (MinVersion), so a hedge can never win with a prior the client
+// has already moved past — CodeLagging answers are indecisive and the
+// hedge keeps waiting.
 
-const (
-	// DefaultHedgeMinDelay floors the adaptive hedge delay so jittery
-	// sub-millisecond latencies cannot hedge every read.
-	DefaultHedgeMinDelay = time.Millisecond
-	// DefaultHedgeMaxDelay caps the adaptive delay (and is the delay
-	// before any latency history exists): past this, waiting longer to
-	// hedge costs more than the second request.
-	DefaultHedgeMaxDelay = 250 * time.Millisecond
-	// hedgeWindow is how many recent read latencies feed the adaptive
-	// delay.
-	hedgeWindow = 64
-)
-
-// HedgeConfig tunes hedged shard reads (see SetHedge).
-type HedgeConfig struct {
-	// Delay before the second request fires. 0 = adaptive: the p99 of
-	// the client's recent shard-read latencies, clamped to
-	// [MinDelay, MaxDelay].
-	Delay time.Duration
-	// MinDelay/MaxDelay clamp the adaptive delay
-	// (0 = DefaultHedgeMinDelay / DefaultHedgeMaxDelay).
-	MinDelay time.Duration
-	MaxDelay time.Duration
-}
-
-// SetHedge enables hedged shard-prior reads. Requires at least two
-// replicas per shard to do anything; with fewer the read path is the
-// ordinary sequential scan. Call before issuing reads (the client is
-// single-goroutine by contract).
-func (c *ShardedClient) SetHedge(cfg HedgeConfig) { c.hedge = &cfg }
-
-// recordLatency folds one successful shard-read duration into the ring
-// behind the adaptive hedge delay.
-func (c *ShardedClient) recordLatency(d time.Duration) {
-	if len(c.lat) < hedgeWindow {
-		c.lat = append(c.lat, d)
-		return
-	}
-	c.lat[c.latIdx%hedgeWindow] = d
-	c.latIdx++
-}
-
-// hedgeDelay resolves the current delay before a second request fires.
-func (c *ShardedClient) hedgeDelay() time.Duration {
-	lo, hi := c.hedge.MinDelay, c.hedge.MaxDelay
-	if lo <= 0 {
-		lo = DefaultHedgeMinDelay
-	}
-	if hi <= 0 {
-		hi = DefaultHedgeMaxDelay
-	}
-	if c.hedge.Delay > 0 {
-		return c.hedge.Delay
-	}
-	if len(c.lat) == 0 {
-		return hi // no history yet: hedge conservatively
-	}
-	s := append([]time.Duration(nil), c.lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	p99 := s[(len(s)*99+99)/100-1]
-	if p99 < lo {
-		return lo
-	}
-	if p99 > hi {
-		return hi
-	}
-	return p99
-}
+// SetHedge enables hedged shard-prior reads: the second request fires
+// once the first has not answered within delay (a non-positive delay
+// leaves hedging off). Requires at least two replicas per shard to do
+// anything; with fewer the read path is the ordinary sequential scan.
+// Call before issuing reads (the client is single-goroutine by
+// contract).
+func (c *ShardedClient) SetHedge(delay time.Duration) { c.hedgeDelay = delay }
 
 // takeConn removes addr's connection from the pool (dialing if absent)
 // and hands ownership to the caller. A ResilientClient is not safe for
@@ -114,7 +52,6 @@ type hedgeResult struct {
 	p         *dpprior.Prior
 	v         uint64
 	err       error
-	dur       time.Duration
 	secondary bool
 }
 
@@ -136,7 +73,7 @@ func (r *hedgeResult) decisive() bool {
 // was decisive (the caller falls through to the remaining replicas);
 // lastErr then carries the newest leg error.
 func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64) (*hedgeResult, error) {
-	delay := c.hedgeDelay()
+	delay := c.hedgeDelay
 	// Both connections leave the pool up front: the loser may still be
 	// mid-round-trip when the winner returns, and nothing else may touch
 	// it until it surfaces.
@@ -145,9 +82,8 @@ func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64
 	cached := c.priors[shard] // read-only under Delta.Apply; safe to share across legs
 	results := make(chan hedgeResult, 2)
 	fetch := func(addr string, rc *edge.ResilientClient, sec bool) {
-		start := time.Now()
 		p, v, err := rc.FetchPriorDeltaMin(dim, floor, floor, cached)
-		results <- hedgeResult{addr: addr, rc: rc, p: p, v: v, err: err, dur: time.Since(start), secondary: sec}
+		results <- hedgeResult{addr: addr, rc: rc, p: p, v: v, err: err, secondary: sec}
 	}
 	go fetch(addrs[0], primary, false)
 	timer := time.NewTimer(delay)
@@ -208,7 +144,6 @@ func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64
 		return nil, lastErr
 	}
 	c.conns[winner.addr] = winner.rc
-	c.recordLatency(winner.dur)
 	if winner.secondary {
 		telemetry.ClusterHedgeWon.Inc()
 		if c.op != nil {

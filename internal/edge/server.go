@@ -1,12 +1,9 @@
 package edge
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,27 +12,15 @@ import (
 	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
-	"github.com/drdp/drdp/internal/wire"
 )
 
-// Server-hardening defaults.
 const (
-	// DefaultMaxFrameBytes bounds one decoded request frame; a hostile
-	// or corrupt length prefix cannot balloon server memory past it.
-	DefaultMaxFrameBytes = 16 << 20
-	// DefaultIdleTimeout is how long a connection may sit idle between
-	// requests before the server reclaims its handler goroutine.
-	DefaultIdleTimeout = 2 * time.Minute
 	// deltaHistory is how many built priors the server retains for delta
 	// synchronization; clients further behind fall back to a full fetch.
 	deltaHistory = 8
 	// DefaultRebuildTimeout is how long one background prior rebuild may
 	// run before its stall timer flags the worker as stalled.
 	DefaultRebuildTimeout = 2 * time.Minute
-	// shedDeadline bounds a shed connection: long enough to read one
-	// request and write the CodeOverloaded answer, short enough that a
-	// flood cannot pin goroutines.
-	shedDeadline = 2 * time.Second
 	// DefaultAckTimeout bounds a semi-synchronous AddTask's wait for
 	// follower acknowledgements before it acks anyway (availability over
 	// strict durability — the timeout is counted and logged).
@@ -59,27 +44,15 @@ const (
 // component-level difference against the version a client already
 // holds instead of the full prior.
 type CloudServer struct {
-	opts   dpprior.BuildOptions
-	logger *slog.Logger
-	st     *store.Store
-	ownSt  bool // close the store with the server
+	// Endpoint is the connection layer: its exported fields tune the
+	// hardening (frame limit, idle deadline, connection cap, handler
+	// deadline) and are set before Serve.
+	*Endpoint
 
-	// MaxFrameBytes caps the size of one request frame (default
-	// DefaultMaxFrameBytes; set before Serve, negative = unlimited).
-	MaxFrameBytes int64
-	// IdleTimeout bounds the gap between requests on a connection
-	// (default DefaultIdleTimeout; set before Serve, negative = none).
-	IdleTimeout time.Duration
-	// MaxConns caps concurrently served connections (set before Serve;
-	// 0 = unlimited). A connection over the cap is answered with one
-	// CodeOverloaded response and closed — clients back off and retry
-	// instead of queueing behind a saturated server.
-	MaxConns int
-	// HandlerTimeout bounds one request dispatch (set before Serve;
-	// 0 = none). A dispatch that exceeds it is abandoned to finish in the
-	// background (an accepted task is never dropped) and the client gets
-	// CodeOverloaded.
-	HandlerTimeout time.Duration
+	opts  dpprior.BuildOptions
+	st    *store.Store
+	ownSt bool // close the store with the server
+
 	// syncReplicas > 0 makes AddTask semi-synchronous: the append is
 	// acknowledged only once that many followers have durably applied it
 	// (their PullLog AfterSeq covers the new version), or ackTimeout
@@ -146,23 +119,8 @@ type CloudServer struct {
 	rebuildCh chan struct{} // capacity 1: pending-rebuild signal
 	stopCh    chan struct{}
 	workerWg  sync.WaitGroup
+	closeOnce sync.Once
 
-	lnMu   sync.Mutex
-	ln     net.Listener
-	closed bool // set by Close; Serve must not register conns after this
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-
-	// nodeName labels this server's spans so an in-process cluster's
-	// shared flight recorder can tell replicas apart (e.g. "s0r1").
-	nodeName atomic.Pointer[string]
-	// tracer receives this server's span fragments; nil uses
-	// trace.Default. Only requests carrying a TraceID allocate spans.
-	tracer *trace.Tracer
-
-	// panicHook, when set, runs before dispatch — test seam for the
-	// per-connection panic recovery.
-	panicHook func(*Request)
 	// buildHook, when set, runs at the start of every background rebuild
 	// — test seam for asserting non-blocking serving during a rebuild.
 	// Guarded by priorMu so tests can install it on a live server.
@@ -195,20 +153,17 @@ func NewCloudServerWithStore(st *store.Store, seed []dpprior.TaskPosterior, opts
 	if st == nil {
 		return nil, errors.New("edge: NewCloudServerWithStore: nil store")
 	}
-	logger = telemetry.OrDefault(logger)
 	s := &CloudServer{
-		opts:          opts,
-		logger:        logger,
-		st:            st,
-		ownSt:         true,
-		MaxFrameBytes: DefaultMaxFrameBytes,
-		IdleTimeout:   DefaultIdleTimeout,
-		history:       make(map[uint64]*dpprior.Prior, deltaHistory),
-		rebuildCh:     make(chan struct{}, 1),
-		stopCh:        make(chan struct{}),
-		acks:          make(map[int]uint64),
-		ackCh:         make(chan struct{}),
+		opts:      opts,
+		st:        st,
+		ownSt:     true,
+		history:   make(map[uint64]*dpprior.Prior, deltaHistory),
+		rebuildCh: make(chan struct{}, 1),
+		stopCh:    make(chan struct{}),
+		acks:      make(map[int]uint64),
+		ackCh:     make(chan struct{}),
 	}
+	s.Endpoint = NewEndpoint(s.dispatch, logger)
 	s.builtCond = sync.NewCond(&s.priorMu)
 	s.rebuildTimeoutNs.Store(int64(DefaultRebuildTimeout))
 	if st.Version() == 0 {
@@ -270,30 +225,6 @@ func (s *CloudServer) SetRebuildTimeout(d time.Duration) {
 // Store exposes the underlying task store (read-mostly: recovery info,
 // forced snapshots).
 func (s *CloudServer) Store() *store.Store { return s.st }
-
-// SetNodeName labels this server's trace spans (safe on a live server).
-// Cluster nodes use it so a shared in-process flight recorder can tell
-// replicas apart.
-func (s *CloudServer) SetNodeName(name string) { s.nodeName.Store(&name) }
-
-// NodeName returns the span label set by SetNodeName ("" by default).
-func (s *CloudServer) NodeName() string {
-	if p := s.nodeName.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-// SetTracer points the server at a specific trace recorder (tests); nil
-// (the default) records into trace.Default.
-func (s *CloudServer) SetTracer(t *trace.Tracer) { s.tracer = t }
-
-func (s *CloudServer) traceRecorder() *trace.Tracer {
-	if s.tracer != nil {
-		return s.tracer
-	}
-	return trace.Default
-}
 
 // appendTask validates and appends one task under mu. Validation is the
 // admission gate of the whole system: nothing non-finite, mis-shaped,
@@ -662,131 +593,13 @@ func (s *CloudServer) Stats() Stats {
 	return st
 }
 
-// Serve accepts connections on ln until Close is called. It blocks; run
-// it in a goroutine. Each connection is handled concurrently.
-func (s *CloudServer) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	if s.ln != nil {
-		s.lnMu.Unlock()
-		return errors.New("edge: Serve: already serving")
-	}
-	if s.closed {
-		s.lnMu.Unlock()
-		ln.Close()
-		return errors.New("edge: Serve: server already closed")
-	}
-	s.ln = ln
-	s.lnMu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			// Closed listener means orderly shutdown.
-			if errors.Is(err, net.ErrClosed) {
-				s.wg.Wait()
-				return nil
-			}
-			return fmt.Errorf("edge: accept: %w", err)
-		}
-		s.lnMu.Lock()
-		if s.closed {
-			// Close already swept s.conns; a connection registered now
-			// would never be closed. Drop it instead.
-			s.lnMu.Unlock()
-			conn.Close()
-			continue
-		}
-		if s.conns == nil {
-			s.conns = make(map[net.Conn]struct{})
-		}
-		s.conns[conn] = struct{}{}
-		// Over the cap the connection is still registered (Close must be
-		// able to sweep it) but it gets the shedding handler: one
-		// CodeOverloaded answer, then close.
-		over := s.MaxConns > 0 && len(s.conns) > s.MaxConns
-		s.lnMu.Unlock()
-		telemetry.ServerConnsTotal.Inc()
-		telemetry.ServerConnsActive.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer telemetry.ServerConnsActive.Add(-1)
-			defer func() {
-				s.lnMu.Lock()
-				delete(s.conns, conn)
-				s.lnMu.Unlock()
-			}()
-			if over {
-				s.shed(conn)
-			} else {
-				s.handle(conn)
-			}
-		}()
-	}
-}
-
-// shed answers one request on an over-the-cap connection with
-// CodeOverloaded and closes it. Reading the request before answering
-// (instead of slamming the connection shut at accept) gives the client a
-// classifiable, retryable rejection rather than a bare reset.
-func (s *CloudServer) shed(conn net.Conn) {
-	defer conn.Close()
-	telemetry.ServerShedMaxConns.Inc()
-	s.logger.Warn("edge: connection limit reached; shedding",
-		"remote", conn.RemoteAddr().String(), "max-conns", s.MaxConns)
-	if err := conn.SetDeadline(time.Now().Add(shedDeadline)); err != nil {
-		return
-	}
-	dec, enc, err := s.accept(conn)
-	if err != nil {
-		return
-	}
-	defer dec.Release()
-	defer enc.Release()
-	var req Request
-	if err := dec.DecodeRequest(&req); err != nil {
-		return
-	}
-	_ = enc.EncodeResponse(&Response{
-		Err:  "server overloaded: connection limit reached",
-		Code: CodeOverloaded,
-	})
-}
-
-// ListenAndServe listens on addr (e.g. "127.0.0.1:0") and serves.
-// The chosen address is reported through addrCh before serving begins,
-// when addrCh is non-nil.
-func (s *CloudServer) ListenAndServe(addr string, addrCh chan<- string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("edge: listen %s: %w", addr, err)
-	}
-	if addrCh != nil {
-		addrCh <- ln.Addr().String()
-	}
-	return s.Serve(ln)
-}
-
 // Close stops accepting, closes active connections (clients see a clean
 // connection error on their next round trip), stops the rebuild worker,
 // and syncs and closes the task store so every acknowledged task is on
 // disk. It waits for in-flight handlers.
 func (s *CloudServer) Close() error {
-	s.lnMu.Lock()
-	alreadyClosed := s.closed
-	s.closed = true
-	ln := s.ln
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.lnMu.Unlock()
-
-	var err error
-	if ln != nil {
-		err = ln.Close()
-		s.wg.Wait()
-	}
-	if !alreadyClosed {
+	err := s.Endpoint.Close()
+	s.closeOnce.Do(func() {
 		close(s.stopCh)
 		s.workerWg.Wait()
 		if s.healthStop != nil {
@@ -800,141 +613,8 @@ func (s *CloudServer) Close() error {
 				err = serr
 			}
 		}
-	}
+	})
 	return err
-}
-
-// accept runs the server half of the wire handshake on a fresh
-// connection and returns its framed decoder and encoder, both counting
-// bytes into the server's traffic counters. A peer that does not open
-// with a valid hello gets no answer and an error; the caller closes the
-// connection. The frame limit is enforced by the decoder before it
-// allocates.
-func (s *CloudServer) accept(conn net.Conn) (*wire.Decoder, *wire.Encoder, error) {
-	cc := countConn{Conn: conn, sent: telemetry.ServerSent, recv: telemetry.ServerReceived}
-	br := bufio.NewReader(cc)
-	if err := wire.ServerHandshake(br, cc); err != nil {
-		return nil, nil, err
-	}
-	return wire.NewDecoder(br, s.MaxFrameBytes), wire.NewEncoder(cc), nil
-}
-
-func (s *CloudServer) handle(conn net.Conn) {
-	defer conn.Close()
-	// A panicking handler must cost one connection, not the fleet's cloud.
-	defer func() {
-		if r := recover(); r != nil {
-			telemetry.ServerPanics.Inc()
-			s.logger.Error("edge: panic in connection handler",
-				"remote", conn.RemoteAddr().String(), "panic", r)
-		}
-	}()
-	// The hello is this connection's first read; arm the idle deadline
-	// first so a silent peer cannot pin the goroutine in it.
-	if s.IdleTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-			return
-		}
-	}
-	dec, enc, err := s.accept(conn)
-	if err != nil {
-		// Not a drdp peer (or a garbled one): close without answering.
-		if !errors.Is(err, io.EOF) {
-			telemetry.ServerDecodeErrors.Inc()
-			s.logger.Warn("edge: handshake failed",
-				"remote", conn.RemoteAddr().String(), "err", err)
-		}
-		return
-	}
-	defer dec.Release()
-	defer enc.Release()
-	for {
-		if s.IdleTimeout > 0 {
-			// A peer that goes silent must not pin this goroutine forever.
-			if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-				return
-			}
-		}
-		var req Request
-		if err := dec.DecodeRequest(&req); err != nil {
-			if !errors.Is(err, io.EOF) {
-				telemetry.ServerDecodeErrors.Inc()
-				s.logger.Warn("edge: decode request failed",
-					"remote", conn.RemoteAddr().String(), "err", err)
-			}
-			return
-		}
-		start := time.Now()
-		// Join the caller's trace only when the request carries one: the
-		// untraced path (TraceID 0) allocates no spans.
-		var sp *trace.Span
-		if req.TraceID != 0 {
-			sp = s.traceRecorder().Join(req.TraceID, req.ParentSpan,
-				"serve "+req.Kind.String(), trace.Str("node", s.NodeName()))
-		}
-		resp := s.serveRequest(&req, sp)
-		sp.EndErr(errOf(resp))
-		telemetry.ServerReqCounter(req.Kind.String()).Inc()
-		served := time.Since(start).Seconds()
-		telemetry.ServerRequestSeconds.Observe(served)
-		if sp != nil {
-			telemetry.RecordExemplar("drdp_edge_server_request_seconds", sp.TraceID().String(), served)
-		}
-		if err := enc.EncodeResponse(resp); err != nil {
-			s.logger.Warn("edge: encode response failed",
-				"remote", conn.RemoteAddr().String(), "err", err)
-			return
-		}
-	}
-}
-
-// serveRequest runs one dispatch under the handler deadline. Without a
-// deadline it dispatches inline (a panic propagates to handle's
-// per-connection recovery, costing the connection). With one, the
-// dispatch runs in its own goroutine: on timeout the client gets
-// CodeOverloaded immediately while the dispatch finishes in the
-// background — an AddTask that was going to commit still commits, so
-// shedding never drops an already-accepted task.
-func (s *CloudServer) serveRequest(req *Request, sp *trace.Span) *Response {
-	if s.HandlerTimeout <= 0 {
-		if s.panicHook != nil {
-			s.panicHook(req)
-		}
-		telemetry.ServerInflight.Add(1)
-		defer telemetry.ServerInflight.Add(-1)
-		return s.dispatch(req, sp)
-	}
-	done := make(chan *Response, 1)
-	go func() {
-		telemetry.ServerInflight.Add(1)
-		defer telemetry.ServerInflight.Add(-1)
-		defer func() {
-			if r := recover(); r != nil {
-				telemetry.ServerPanics.Inc()
-				s.logger.Error("edge: panic in request dispatch", "panic", r)
-				done <- &Response{Err: "internal error", Code: CodeInternal}
-			}
-		}()
-		if s.panicHook != nil {
-			s.panicHook(req)
-		}
-		done <- s.dispatch(req, sp)
-	}()
-	timer := time.NewTimer(s.HandlerTimeout)
-	defer timer.Stop()
-	select {
-	case resp := <-done:
-		return resp
-	case <-timer.C:
-		telemetry.ServerShedTimeout.Inc()
-		sp.Event("shed", trace.Str("reason", "handler-timeout"))
-		s.logger.Warn("edge: request exceeded handler deadline; shedding",
-			"kind", req.Kind.String(), "deadline", s.HandlerTimeout)
-		return &Response{
-			Err:  "server overloaded: handler deadline exceeded",
-			Code: CodeOverloaded,
-		}
-	}
 }
 
 // servedPrior resolves the current prior for a fetch-style request,

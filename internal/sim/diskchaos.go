@@ -235,7 +235,7 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosResult, error) {
 	// Hedging is armed in BOTH runs — the control run shows it stays
 	// quiet on a healthy cluster (HedgeFired ≈ 0), the chaos run shows
 	// it covering the slow demoted replica.
-	sc.SetHedge(cluster.HedgeConfig{Delay: cfg.HedgeDelay})
+	sc.SetHedge(cfg.HedgeDelay)
 
 	out := &DiskChaosResult{Replicas: cfg.Replicas, Rounds: cfg.Rounds}
 	reads := make([]time.Duration, 0, cfg.Rounds)
