@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-wire bench-ledger bench-compare chaos chaos-region chaos-disk fuzz-wire trace-smoke
+.PHONY: all build vet test race check determinism bench bench-json bench-wire bench-ledger bench-compare chaos chaos-region chaos-disk fuzz-wire trace-smoke
 
 all: check
 
@@ -22,6 +22,15 @@ check: build vet race
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Fit determinism under scheduling: the golden fit bits, the
+# serial-vs-pooled and GOMAXPROCS bit-identity tests, concurrent fits on
+# one Learner and the fused-vs-generic sweep test, at GOMAXPROCS 1, 2
+# and 4, twice each. The pool runs one worker's share on the calling
+# goroutine, so who computes a chunk varies with the schedule; the bits
+# must not.
+determinism:
+	$(GO) test -run 'TestFitGolden|BitIdentical|ConcurrentFit|FusedSweepMatchesGeneric' -cpu 1,2,4 -count=2 ./internal/core/
 
 # Failover/partition chaos: the replicated-tier tests (leader kill
 # mid-round, torn-tail restart, semi-sync acks, verdict replication,

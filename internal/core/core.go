@@ -276,14 +276,7 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 		tau = 1 / float64(n)
 	}
 
-	prob := &drdpProblem{
-		learner: l,
-		x:       x,
-		y:       y,
-		tau:     tau,
-		losses:  make([]float64, n),
-		weights: make([]float64, n),
-	}
+	prob := newProblem(l, x, y, tau)
 
 	fitStart := time.Now()
 	telemetry.ParallelWorkers.Set(float64(l.pool.Workers()))
@@ -443,6 +436,12 @@ type drdpProblem struct {
 	x       *mat.Dense
 	y       []float64
 	tau     float64
+	batch   *model.Batch // x, y on the chunk grid; holds the sweep memo
+
+	// Per-iteration scratch: the τ-scaled responsibilities and the prior
+	// surrogate's work space (nil without a prior).
+	scaled    []float64
+	priorWork mat.Vec
 
 	// Memo of the last point score evaluated: the point, its per-sample
 	// losses, and the worst-case value and weights under set. worstAt is
@@ -463,18 +462,28 @@ type drdpProblem struct {
 
 var _ em.Problem[[]float64] = (*drdpProblem)(nil)
 
+func newProblem(l *Learner, x *mat.Dense, y []float64, tau float64) *drdpProblem {
+	p := &drdpProblem{
+		learner: l,
+		x:       x,
+		y:       y,
+		tau:     tau,
+		batch:   model.NewBatch(l.model, x, y),
+		losses:  make([]float64, x.Rows),
+		weights: make([]float64, x.Rows),
+	}
+	if l.prior != nil {
+		p.scaled = make([]float64, l.prior.NumComponents()+1)
+		p.priorWork = make(mat.Vec, l.prior.SurrogateScratch())
+	}
+	return p
+}
+
 // clone returns a problem sharing the learner and data but with private
 // scratch and memo, so parallel multi-start runs never race on the loss
 // and weight buffers or the inner-solver stats.
 func (p *drdpProblem) clone() *drdpProblem {
-	return &drdpProblem{
-		learner: p.learner,
-		x:       p.x,
-		y:       p.y,
-		tau:     p.tau,
-		losses:  make([]float64, len(p.losses)),
-		weights: make([]float64, len(p.weights)),
-	}
+	return newProblem(p.learner, p.x, p.y, p.tau)
 }
 
 // EStep computes prior responsibilities at the current iterate.
@@ -497,7 +506,7 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 	// prior weight τ into them keeps value and gradient consistent.
 	var scaled []float64
 	if gamma != nil {
-		scaled = make([]float64, len(gamma))
+		scaled = p.scaled
 		for i, g := range gamma {
 			scaled[i] = p.tau * g
 		}
@@ -525,18 +534,19 @@ func (p *drdpProblem) surrogate(set dro.Set, scaled []float64) opt.Func {
 	return func(th mat.Vec, grad mat.Vec) float64 {
 		value, weights := p.score(th, set)
 		if scaled != nil {
-			value += l.prior.SurrogateValue(th, scaled)
+			value += l.prior.SurrogateValue(th, scaled, p.priorWork)
 		}
 		if grad != nil {
 			mat.Fill(grad, 0)
 			// Danskin: gradient through the worst-case weights; normalize
-			// by n is built into weights (they sum to 1).
-			model.ParWeightedGrad(l.pool, l.model, th, p.x, p.y, weights, grad)
+			// by n is built into weights (they sum to 1). score just swept
+			// th, so the batch's memo is th's.
+			p.batch.WeightedGrad(l.pool, th, weights, grad)
 			if rho := set.ThetaPenalty(); rho > 0 {
 				l.lipschitzGrad(th, rho, grad)
 			}
 			if scaled != nil {
-				l.prior.SurrogateGrad(th, scaled, grad)
+				l.prior.SurrogateGrad(th, scaled, grad, p.priorWork)
 			}
 		}
 		return value
@@ -569,7 +579,7 @@ func (p *drdpProblem) objective(theta mat.Vec) float64 {
 func (p *drdpProblem) score(theta mat.Vec, set dro.Set) (float64, []float64) {
 	l := p.learner
 	if !sameBits(p.theta, theta) {
-		model.ParLosses(l.pool, l.model, theta, p.x, p.y, p.losses)
+		p.batch.Losses(l.pool, theta, p.losses)
 		p.theta = append(p.theta[:0], theta...)
 		p.worstAt = false
 	}

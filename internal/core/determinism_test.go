@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"github.com/drdp/drdp/internal/dro"
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/model"
+	"github.com/drdp/drdp/internal/opt"
 )
 
 // determinismTask builds a fit large enough to span many parallel chunks
@@ -168,6 +170,57 @@ func TestLearnerConcurrentFit(t *testing.T) {
 		assertBitIdentical(t, "concurrent fit", results[0], results[g])
 		if math.Float64bits(certs[g]) != math.Float64bits(certs[0]) {
 			t.Fatalf("concurrent certificates differ: %g vs %g", certs[g], certs[0])
+		}
+	}
+}
+
+// genericLogistic is model.Logistic behind a wrapper that exposes only
+// Model and BlockNormer, hiding model.Sweeper: fits through it take the
+// generic path, where the gradient sweep recomputes every margin.
+type genericLogistic struct {
+	model.Model
+	model.BlockNormer
+}
+
+// TestFusedSweepMatchesGeneric fits the same data through the fused
+// loss/gradient sweep (model.Logistic) and through the generic path,
+// across every batch solver, uncertainty set, parallelism {1, 2} and
+// n ∈ {40, 1000} (one chunk and four), and compares every float by bits.
+func TestFusedSweepMatchesGeneric(t *testing.T) {
+	fused := model.Logistic{Dim: 4}
+	generic := genericLogistic{Model: fused, BlockNormer: fused}
+	if _, ok := model.Model(fused).(model.Sweeper); !ok {
+		t.Fatal("model.Logistic does not implement model.Sweeper")
+	}
+	if _, ok := model.Model(generic).(model.Sweeper); ok {
+		t.Fatal("the wrapper leaks model.Sweeper")
+	}
+	for _, s := range batchSolvers {
+		for _, set := range robustSets {
+			for _, par := range []int{1, 2} {
+				for _, n := range []int{40, 1000} {
+					x, y, prior := goldenTask(n)
+					fit := func(m model.Model) *Result {
+						l, err := New(m, append([]Option{
+							WithPrior(prior),
+							WithUncertaintySet(set),
+							WithEMIters(4, 1e-9),
+							WithMStepOptions(opt.Options{MaxIter: 30, Tol: 1e-6}),
+							WithParallelism(par),
+						}, s.opts...)...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := l.Fit(x, y)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					label := fmt.Sprintf("%s/%s/p%d/n%d", s.name, set.Kind, par, n)
+					assertBitIdentical(t, label, fit(fused), fit(generic))
+				}
+			}
 		}
 	}
 }

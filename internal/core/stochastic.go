@@ -89,7 +89,7 @@ func (p *drdpProblem) stochasticMStep(theta mat.Vec, scaled []float64) mat.Vec {
 				l.lipschitzGrad(out, rho, grad)
 			}
 			if scaled != nil {
-				l.prior.SurrogateGrad(out, scaled, grad)
+				l.prior.SurrogateGrad(out, scaled, grad, p.priorWork)
 			}
 			adam.Step(out, grad)
 			steps++

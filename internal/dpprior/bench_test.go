@@ -58,10 +58,11 @@ func BenchmarkSurrogateGradD50(b *testing.B) {
 	theta := make(mat.Vec, 50)
 	gamma := c.Responsibilities(theta)
 	grad := make(mat.Vec, 50)
+	scratch := make(mat.Vec, c.SurrogateScratch())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		mat.Fill(grad, 0)
-		c.SurrogateGrad(theta, gamma, grad)
+		c.SurrogateGrad(theta, gamma, grad, scratch)
 	}
 }
 

@@ -198,15 +198,19 @@ func (c *Compiled) componentLogJointPool(p *parallel.Pool, theta mat.Vec) []floa
 // entropy and normalizers is dropped — it does not affect the M-step):
 //
 //	S(θ; γ) = Σ_k γ_k ½(θ−μ_k)ᵀ Σ_k⁻¹ (θ−μ_k) + γ_0 ½ θᵀθ / σ0²
-func (c *Compiled) SurrogateValue(theta mat.Vec, gamma []float64) float64 {
+//
+// scratch is the caller's work space of SurrogateScratch() floats, so
+// the M-step allocates nothing per evaluation; nil allocates one.
+func (c *Compiled) SurrogateValue(theta mat.Vec, gamma []float64, scratch mat.Vec) float64 {
 	c.checkGamma(gamma)
+	diff, prod := c.scratchVecs(scratch)
 	var s float64
 	for i, prec := range c.precisions {
 		if gamma[i] == 0 {
 			continue
 		}
-		diff := mat.SubVec(theta, c.Prior.Components[i].Mu)
-		s += gamma[i] * 0.5 * prec.QuadForm(diff)
+		mat.SubVecTo(diff, theta, c.Prior.Components[i].Mu)
+		s += gamma[i] * 0.5 * mat.Dot(diff, prec.MulVecTo(prod, diff))
 	}
 	if g0 := gamma[len(c.precisions)]; g0 > 0 {
 		s += g0 * 0.5 * c.basePrec * mat.Dot(theta, theta)
@@ -215,25 +219,45 @@ func (c *Compiled) SurrogateValue(theta mat.Vec, gamma []float64) float64 {
 }
 
 // SurrogateGrad accumulates ∇_θ S(θ; γ) into dst (which must have length
-// Dim) and returns dst:
+// Dim; nil allocates) and returns dst:
 //
 //	∇S = Σ_k γ_k Σ_k⁻¹ (θ−μ_k) + γ_0 θ/σ0²
-func (c *Compiled) SurrogateGrad(theta mat.Vec, gamma []float64, dst mat.Vec) mat.Vec {
+//
+// scratch is as for SurrogateValue.
+func (c *Compiled) SurrogateGrad(theta mat.Vec, gamma []float64, dst, scratch mat.Vec) mat.Vec {
 	c.checkGamma(gamma)
 	if dst == nil {
 		dst = make(mat.Vec, len(theta))
 	}
+	diff, prod := c.scratchVecs(scratch)
 	for i, prec := range c.precisions {
 		if gamma[i] == 0 {
 			continue
 		}
-		diff := mat.SubVec(theta, c.Prior.Components[i].Mu)
-		mat.Axpy(gamma[i], prec.MulVec(diff), dst)
+		mat.SubVecTo(diff, theta, c.Prior.Components[i].Mu)
+		mat.Axpy(gamma[i], prec.MulVecTo(prod, diff), dst)
 	}
 	if g0 := gamma[len(c.precisions)]; g0 > 0 {
 		mat.Axpy(g0*c.basePrec, theta, dst)
 	}
 	return dst
+}
+
+// SurrogateScratch returns the work-space length SurrogateValue and
+// SurrogateGrad take: two parameter vectors.
+func (c *Compiled) SurrogateScratch() int { return 2 * c.Prior.Dim }
+
+// scratchVecs cuts scratch (allocated when nil) into the surrogate's
+// two work vectors.
+func (c *Compiled) scratchVecs(scratch mat.Vec) (diff, prod mat.Vec) {
+	d := c.Prior.Dim
+	if scratch == nil {
+		scratch = make(mat.Vec, 2*d)
+	}
+	if len(scratch) != 2*d {
+		panic(fmt.Sprintf("dpprior: surrogate scratch length %d, want %d", len(scratch), 2*d))
+	}
+	return scratch[:d], scratch[d:]
 }
 
 // Sample draws θ from the prior: pick a component (or base) by weight,

@@ -172,14 +172,14 @@ func TestSurrogateValueAndGradConsistency(t *testing.T) {
 	gamma := c.Responsibilities(theta)
 
 	// Finite-difference check of SurrogateGrad against SurrogateValue.
-	grad := c.SurrogateGrad(theta, gamma, nil)
+	grad := c.SurrogateGrad(theta, gamma, nil, nil)
 	const h = 1e-6
 	for i := range theta {
 		tp := mat.CloneVec(theta)
 		tm := mat.CloneVec(theta)
 		tp[i] += h
 		tm[i] -= h
-		fd := (c.SurrogateValue(tp, gamma) - c.SurrogateValue(tm, gamma)) / (2 * h)
+		fd := (c.SurrogateValue(tp, gamma, nil) - c.SurrogateValue(tm, gamma, nil)) / (2 * h)
 		if math.Abs(fd-grad[i]) > 1e-5*(1+math.Abs(fd)) {
 			t.Errorf("grad[%d] = %v, finite diff %v", i, grad[i], fd)
 		}
@@ -198,9 +198,9 @@ func TestSurrogateMajorizesNegLogDensity(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		theta0 := mat.Vec{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 		gamma := c.Responsibilities(theta0)
-		base := c.SurrogateValue(theta0, gamma) - (-c.LogDensity(theta0))
+		base := c.SurrogateValue(theta0, gamma, nil) - (-c.LogDensity(theta0))
 		theta := mat.Vec{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
-		lhs := c.SurrogateValue(theta, gamma) - (-c.LogDensity(theta))
+		lhs := c.SurrogateValue(theta, gamma, nil) - (-c.LogDensity(theta))
 		if lhs < base-1e-8 {
 			t.Fatalf("majorization violated at θ0=%v θ=%v: gap %v < %v",
 				theta0, theta, lhs, base)

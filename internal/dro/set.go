@@ -167,7 +167,7 @@ func (s Set) ThetaPenalty() float64 {
 }
 
 func meanPool(p *parallel.Pool, x []float64) float64 {
-	return p.SumChunked(len(x), func(i int) float64 { return x[i] }) / float64(len(x))
+	return p.Sum(x) / float64(len(x))
 }
 
 // fillUniform writes the empirical distribution's weights 1/n into w.
@@ -182,36 +182,48 @@ func fillUniform(w []float64) {
 // inline scans agree exactly.
 func scanLosses(p *parallel.Pool, losses []float64) (minL, maxL float64, hasNaN bool) {
 	chunks := parallel.Chunks(len(losses))
-	mins := make([]float64, chunks)
-	maxs := make([]float64, chunks)
-	nans := make([]bool, chunks)
+	if chunks == 1 {
+		e := scanChunk(losses)
+		return e.min, e.max, e.nan
+	}
+	parts := make([]extrema, chunks)
 	p.ForEachChunk(len(losses), func(c, lo, hi int) {
-		mn, mx, nan := losses[lo], losses[lo], math.IsNaN(losses[lo])
-		for _, v := range losses[lo+1 : hi] {
-			if math.IsNaN(v) {
-				nan = true
-				continue
-			}
-			if v > mx || math.IsNaN(mx) {
-				mx = v
-			}
-			if v < mn || math.IsNaN(mn) {
-				mn = v
-			}
-		}
-		mins[c], maxs[c], nans[c] = mn, mx, nan
+		parts[c] = scanChunk(losses[lo:hi])
 	})
-	minL, maxL, hasNaN = mins[0], maxs[0], nans[0]
-	for c := 1; c < chunks; c++ {
-		hasNaN = hasNaN || nans[c]
-		if maxs[c] > maxL || math.IsNaN(maxL) {
-			maxL = maxs[c]
+	minL, maxL, hasNaN = parts[0].min, parts[0].max, parts[0].nan
+	for _, e := range parts[1:] {
+		hasNaN = hasNaN || e.nan
+		if e.max > maxL || math.IsNaN(maxL) {
+			maxL = e.max
 		}
-		if mins[c] < minL || math.IsNaN(minL) {
-			minL = mins[c]
+		if e.min < minL || math.IsNaN(minL) {
+			minL = e.min
 		}
 	}
 	return minL, maxL, hasNaN
+}
+
+// extrema is one chunk's scanLosses result.
+type extrema struct {
+	min, max float64
+	nan      bool
+}
+
+func scanChunk(v []float64) extrema {
+	e := extrema{min: v[0], max: v[0], nan: math.IsNaN(v[0])}
+	for _, x := range v[1:] {
+		if math.IsNaN(x) {
+			e.nan = true
+			continue
+		}
+		if x > e.max || math.IsNaN(e.max) {
+			e.max = x
+		}
+		if x < e.min || math.IsNaN(e.min) {
+			e.min = x
+		}
+	}
+	return e
 }
 
 // KLWorstCase solves  sup_{Q: KL(Q||P̂)≤ρ} E_Q[ℓ]  by its dual
@@ -274,12 +286,17 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []floa
 		return maxL, math.Inf(1)
 	}
 
+	// Stable λ log mean exp(ℓ/λ): factor out the max. The summand
+	// exponent is ≤ 0, so the sum is in [1, n] and never overflows. The
+	// term reads λ from tiltLam, so the ~85 dual evaluations of one solve
+	// share one Summer.
+	var tiltLam float64
+	tilt := p.NewSummer(n, func(i int) float64 {
+		return math.Exp((losses[i] - maxL) / tiltLam)
+	})
 	dual := func(lam float64) float64 {
-		// Stable λ log mean exp(ℓ/λ): factor out the max. The summand
-		// exponent is ≤ 0, so the sum is in [1, n] and never overflows.
-		s := p.SumChunked(n, func(i int) float64 {
-			return math.Exp((losses[i] - maxL) / lam)
-		})
+		tiltLam = lam
+		s := tilt.Sum()
 		return lam*rho + maxL + lam*math.Log(s/float64(n))
 	}
 
@@ -310,7 +327,7 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []floa
 			weights[i] = math.Exp((losses[i] - maxL) / lambda)
 		}
 	})
-	z := p.SumChunked(n, func(i int) float64 { return weights[i] })
+	z := p.Sum(weights)
 	p.ForEachChunk(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			weights[i] /= z
@@ -349,63 +366,91 @@ func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64, weights []fl
 		fillUniform(weights)
 		return maxL
 	}
-	active := make([]bool, n) // true = clamped to zero
+	// A coordinate clamped to zero is marked by a negative weight: the
+	// pass that drives weights[i] below zero leaves it there, every later
+	// pass skips it (free means !(weights[i] < 0)), and the final
+	// projection zeroes it. Within a pass
+	// the free set is fixed, so the closures below read the marks of the
+	// previous pass. They are built once; the pass state they read lives
+	// in mean, maxDev, scale and m.
+	for i := range weights {
+		weights[i] = 0
+	}
+	var (
+		mean, maxDev, scale float64
+		m                   int
+	)
+	freeLoss := p.NewSummer(n, func(i int) float64 {
+		if weights[i] < 0 {
+			return 0
+		}
+		return losses[i]
+	})
+	// Largest centered deviation, for an overflow-safe sum of squares:
+	// Σ d² computed directly overflows once |d| exceeds ~1e154 and would
+	// zero the tilt for exactly the losses that most deserve one.
+	devs := make([]float64, parallel.Chunks(n))
+	chunkDev := func(c, lo, hi int) {
+		var mx float64
+		for i := lo; i < hi; i++ {
+			if !(weights[i] < 0) {
+				if d := math.Abs(losses[i] - mean); d > mx {
+					mx = d
+				}
+			}
+		}
+		devs[c] = mx
+	}
+	scaledSq := p.NewSummer(n, func(i int) float64 {
+		if weights[i] < 0 {
+			return 0
+		}
+		d := (losses[i] - mean) / maxDev
+		return d * d
+	})
+	negatives := make([]bool, parallel.Chunks(n))
+	chunkWeights := func(c, lo, hi int) {
+		neg := false
+		for i := lo; i < hi; i++ {
+			if weights[i] < 0 {
+				continue
+			}
+			weights[i] = 1/float64(m) + scale*(losses[i]-mean)
+			if weights[i] < 0 {
+				neg = true
+			}
+		}
+		negatives[c] = neg
+	}
 
 	for pass := 0; pass < n; pass++ {
 		// Solve on the free set.
-		var m int
-		for _, a := range active {
-			if !a {
+		m = 0
+		for _, w := range weights {
+			if !(w < 0) {
 				m++
 			}
 		}
 		if m == 0 {
 			break
 		}
-		mean := p.SumChunked(n, func(i int) float64 {
-			if active[i] {
-				return 0
-			}
-			return losses[i]
-		}) / float64(m)
+		mean = freeLoss.Sum() / float64(m)
 		if math.IsInf(mean, 0) || math.IsNaN(mean) {
 			// The free-set sum overflowed (losses near ±MaxFloat64):
 			// centered deviations would be NaN. Give up on tilting.
 			fillUniform(weights)
 			return maxL
 		}
-		// Largest centered deviation, for an overflow-safe sum of
-		// squares: Σ d² computed directly overflows once |d| exceeds
-		// ~1e154 and would zero the tilt for exactly the losses that
-		// most deserve one.
-		devs := make([]float64, parallel.Chunks(n))
-		p.ForEachChunk(n, func(c, lo, hi int) {
-			var mx float64
-			for i := lo; i < hi; i++ {
-				if !active[i] {
-					if d := math.Abs(losses[i] - mean); d > mx {
-						mx = d
-					}
-				}
-			}
-			devs[c] = mx
-		})
-		var maxDev float64
+		p.ForEachChunk(n, chunkDev)
+		maxDev = 0
 		for _, d := range devs {
 			if d > maxDev {
 				maxDev = d
 			}
 		}
-		scale := 0.0
+		scale = 0
 		if maxDev > 0 {
-			ssScaled := p.SumChunked(n, func(i int) float64 {
-				if active[i] {
-					return 0
-				}
-				d := (losses[i] - mean) / maxDev
-				return d * d
-			})
-			norm := maxDev * math.Sqrt(ssScaled)
+			norm := maxDev * math.Sqrt(scaledSq.Sum())
 			// KKT solution on the free set: q_i = 1/m + β(ℓ_i − mean)
 			// with β set by the active ball constraint. Each clamped
 			// coordinate contributes a fixed (n·0 − 1)² = 1 to the χ²
@@ -420,32 +465,13 @@ func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64, weights []fl
 				scale = math.Sqrt(budget) / (nf * norm)
 			}
 		}
-		negatives := make([]bool, parallel.Chunks(n))
-		p.ForEachChunk(n, func(c, lo, hi int) {
-			neg := false
-			for i := lo; i < hi; i++ {
-				if active[i] {
-					weights[i] = 0
-					continue
-				}
-				weights[i] = 1/float64(m) + scale*(losses[i]-mean)
-				if weights[i] < 0 {
-					neg = true
-				}
-			}
-			negatives[c] = neg
-		})
+		p.ForEachChunk(n, chunkWeights)
 		negative := false
 		for _, neg := range negatives {
 			negative = negative || neg
 		}
 		if !negative {
 			break
-		}
-		for i, w := range weights {
-			if !active[i] && w < 0 {
-				active[i] = true
-			}
 		}
 	}
 	// Project residual numerical error back to the simplex.

@@ -117,10 +117,14 @@ func (m *Dense) T() *Dense {
 
 // MulVec returns m*x as a new vector (gemv).
 func (m *Dense) MulVec(x Vec) Vec {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec: vector length %d, want %d", len(x), m.Cols))
+	return m.MulVecTo(make(Vec, m.Rows), x)
+}
+
+// MulVecTo writes m*x into y, which must not alias x, and returns it.
+func (m *Dense) MulVecTo(y, x Vec) Vec {
+	if len(x) != m.Cols || len(y) != m.Rows {
+		panic(fmt.Sprintf("mat: MulVec: %dx%d matrix times length %d into length %d", m.Rows, m.Cols, len(x), len(y)))
 	}
-	y := make(Vec, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64

@@ -65,12 +65,17 @@ func AddVec(x, y Vec) Vec {
 
 // SubVec returns x - y as a new vector.
 func SubVec(x, y Vec) Vec {
+	return SubVecTo(make(Vec, len(x)), x, y)
+}
+
+// SubVecTo writes x - y into dst and returns it.
+func SubVecTo(dst, x, y Vec) Vec {
 	checkLen("SubVec", len(x), len(y))
-	z := make(Vec, len(x))
+	checkLen("SubVec", len(dst), len(x))
 	for i, v := range x {
-		z[i] = v - y[i]
+		dst[i] = v - y[i]
 	}
-	return z
+	return dst
 }
 
 // Norm2 returns the Euclidean norm of x, guarding against overflow.

@@ -35,22 +35,41 @@ func (l Logistic) Margin(params mat.Vec, x mat.Vec, y float64) float64 {
 
 // Losses implements Model.
 func (l Logistic) Losses(params mat.Vec, x *mat.Dense, y []float64, out []float64) []float64 {
+	return l.LossesSweep(params, x, y, out, nil)
+}
+
+// LossesSweep implements Sweeper. A row's memo is its margin m and the
+// e = exp(−m) marginLoss returned for it.
+func (l Logistic) LossesSweep(params mat.Vec, x *mat.Dense, y []float64, out, memo []float64) []float64 {
 	checkParams(l, params)
 	checkData(l, x, y)
+	checkMemo(memo, x.Rows)
 	out = ensureOut(out, x.Rows)
 	w := params[:l.Dim]
 	b := params[l.Dim]
 	for i := 0; i < x.Rows; i++ {
 		m := y[i] * (mat.Dot(w, x.Row(i)) + b)
-		out[i] = logistic1p(-m)
+		var e float64
+		out[i], e = marginLoss(m)
+		if memo != nil {
+			memo[SweepMemo*i], memo[SweepMemo*i+1] = m, e
+		}
 	}
 	return out
 }
 
 // WeightedGrad implements Model: ∇ℓ_i = −y_i σ(−m_i) [x_i; 1].
 func (l Logistic) WeightedGrad(params mat.Vec, x *mat.Dense, y []float64, w []float64, grad mat.Vec) mat.Vec {
+	return l.WeightedGradSweep(params, x, y, w, nil, grad)
+}
+
+// WeightedGradSweep implements Sweeper: σ(−m_i) reuses the memo's margin
+// and, for m_i > 0, its exp(−m_i) — the same math.Exp call sigmoid would
+// make, so the bits match WeightedGrad's.
+func (l Logistic) WeightedGradSweep(params mat.Vec, x *mat.Dense, y []float64, w, memo []float64, grad mat.Vec) mat.Vec {
 	checkParams(l, params)
 	checkData(l, x, y)
+	checkMemo(memo, x.Rows)
 	if len(w) != x.Rows {
 		panic("model: logistic: weights length mismatch")
 	}
@@ -62,8 +81,13 @@ func (l Logistic) WeightedGrad(params mat.Vec, x *mat.Dense, y []float64, w []fl
 			continue
 		}
 		xi := x.Row(i)
-		m := y[i] * (mat.Dot(wv, xi) + b)
-		coeff := -w[i] * y[i] * sigmoid(-m)
+		var s float64
+		if memo == nil {
+			s = sigmoid(-y[i] * (mat.Dot(wv, xi) + b))
+		} else {
+			s = marginSlope(memo[SweepMemo*i], memo[SweepMemo*i+1])
+		}
+		coeff := -w[i] * y[i] * s
 		mat.Axpy(coeff, xi, grad[:l.Dim])
 		grad[l.Dim] += coeff
 	}
@@ -113,13 +137,27 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// logistic1p returns log(1 + exp(z)) without overflow.
-func logistic1p(z float64) float64 {
+// marginLoss returns the logloss log(1 + exp(−m)) at margin m without
+// overflow, and the e = math.Exp(−m) it evaluated on the way, which it
+// does for every m ≥ −35 or NaN (e is 0 below). That covers every
+// margin at which sigmoid(−m) takes its exp(−m) branch: m > 0 or NaN.
+func marginLoss(m float64) (loss, e float64) {
+	z := -m
 	if z > 35 {
-		return z
+		return z, 0
 	}
+	e = math.Exp(z)
 	if z < -35 {
-		return math.Exp(z)
+		return e, e
 	}
-	return math.Log1p(math.Exp(z))
+	return math.Log1p(e), e
+}
+
+// marginSlope returns sigmoid(−m) bit for bit, reusing marginLoss's e
+// for the same m where sigmoid would compute it.
+func marginSlope(m, e float64) float64 {
+	if -m >= 0 {
+		return sigmoid(-m)
+	}
+	return e / (1 + e)
 }

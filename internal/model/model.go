@@ -47,6 +47,24 @@ type Model interface {
 	Name() string
 }
 
+// SweepMemo is the number of floats per row a Sweeper's memo holds.
+const SweepMemo = 2
+
+// Sweeper is implemented by models whose loss and gradient at a sample
+// share work (logistic: the margin and its exponential). The batch
+// M-step asks for the gradient at the point whose losses it just swept;
+// a Sweeper lets that gradient read the shared values back instead of
+// recomputing them. Models without it keep two independent sweeps.
+type Sweeper interface {
+	// LossesSweep is Losses that also records SweepMemo floats per row
+	// into memo (nil records nothing).
+	LossesSweep(params mat.Vec, x *mat.Dense, y []float64, out, memo []float64) []float64
+	// WeightedGradSweep is WeightedGrad at the params memo was recorded
+	// at, reading memo instead of recomputing it (nil recomputes). It
+	// returns exactly WeightedGrad's bits.
+	WeightedGradSweep(params mat.Vec, x *mat.Dense, y []float64, w, memo []float64, grad mat.Vec) mat.Vec
+}
+
 // checkData panics on structurally invalid training data, which is a
 // programmer error at this layer (public APIs validate earlier).
 func checkData(m Model, x *mat.Dense, y []float64) {
@@ -55,6 +73,12 @@ func checkData(m Model, x *mat.Dense, y []float64) {
 	}
 	if x.Cols != m.InputDim() {
 		panic(fmt.Sprintf("model: %s: %d feature columns, want %d", m.Name(), x.Cols, m.InputDim()))
+	}
+}
+
+func checkMemo(memo []float64, rows int) {
+	if memo != nil && len(memo) != SweepMemo*rows {
+		panic(fmt.Sprintf("model: sweep memo length %d, want %d", len(memo), SweepMemo*rows))
 	}
 }
 

@@ -290,7 +290,13 @@ func TestSigmoidStability(t *testing.T) {
 	}
 }
 
+// TestLogistic1pStability checks log(1 + exp(z)) — marginLoss at margin
+// −z — at both overflow cut-offs and at 0.
 func TestLogistic1pStability(t *testing.T) {
+	logistic1p := func(z float64) float64 {
+		loss, _ := marginLoss(-z)
+		return loss
+	}
 	if got := logistic1p(100); got != 100 {
 		t.Errorf("logistic1p(100) = %v", got)
 	}

@@ -125,65 +125,133 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	p.scatter(w, n, fn)
 }
 
-// scatter runs tasks 0..tasks-1 on w goroutines pulling indices from a
-// shared atomic counter, records utilization telemetry, and re-raises
-// the first chunk panic on the calling goroutine.
+// scatter runs tasks 0..tasks-1 on w workers pulling indices from a
+// shared atomic counter: w−1 spawned goroutines plus the calling
+// goroutine, which works its share instead of idling in Wait. It records
+// utilization telemetry and re-raises the first task panic on the
+// calling goroutine once every worker has stopped.
 func (p *Pool) scatter(w, tasks int, fn func(i int)) {
 	telemetry.ParallelBatches.Inc()
 	telemetry.ParallelTasks.Add(float64(tasks))
-	var (
-		next    atomic.Int64
-		panicMu sync.Mutex
-		panicV  any
-		wg      sync.WaitGroup
-	)
 	start := time.Now()
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			busy := time.Duration(0)
-			defer func() {
-				telemetry.ParallelBusySeconds.Add(busy.Seconds())
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= tasks {
-					return
-				}
-				t0 := time.Now()
-				fn(i)
-				busy += time.Since(t0)
-			}
-		}()
+	b := &scatterBatch{tasks: tasks, fn: fn}
+	b.wg.Add(w - 1)
+	for g := 1; g < w; g++ {
+		go b.spawned()
 	}
-	wg.Wait()
+	b.work()
+	b.wg.Wait()
 	telemetry.ParallelSectionSeconds.Add(time.Since(start).Seconds())
-	if panicV != nil {
-		panic(panicV)
+	if b.panicV != nil {
+		panic(b.panicV)
+	}
+}
+
+// scatterBatch is one scatter call's shared state, in one allocation.
+type scatterBatch struct {
+	next    atomic.Int64
+	tasks   int
+	fn      func(i int)
+	wg      sync.WaitGroup
+	panicMu sync.Mutex
+	panicV  any
+}
+
+func (b *scatterBatch) spawned() {
+	defer b.wg.Done()
+	b.work()
+}
+
+// work runs tasks until none are left, recording its busy time and
+// capturing the first panic.
+func (b *scatterBatch) work() {
+	busy := time.Duration(0)
+	defer func() {
+		telemetry.ParallelBusySeconds.Add(busy.Seconds())
+		if r := recover(); r != nil {
+			b.panicMu.Lock()
+			if b.panicV == nil {
+				b.panicV = r
+			}
+			b.panicMu.Unlock()
+		}
+	}()
+	for {
+		i := int(b.next.Add(1)) - 1
+		if i >= b.tasks {
+			return
+		}
+		t0 := time.Now()
+		b.fn(i)
+		busy += time.Since(t0)
 	}
 }
 
 // SumChunked computes Σ_{i<n} term(i) with per-chunk left-to-right
 // partial sums combined by the fixed-order tree — the deterministic
-// replacement for a serial accumulation loop.
+// replacement for a serial accumulation loop. A single chunk is summed
+// inline: its tree is the chunk's own partial, so the bits are the same.
 func (p *Pool) SumChunked(n int, term func(i int) float64) float64 {
-	parts := make([]float64, Chunks(n))
-	p.ForEachChunk(n, func(c, lo, hi int) {
+	if Chunks(n) == 1 {
+		telemetry.ParallelInline.Inc()
+		return sumRange(term, 0, n)
+	}
+	return p.NewSummer(n, term).Sum()
+}
+
+// Sum is SumChunked over the entries of x.
+func (p *Pool) Sum(x []float64) float64 {
+	if Chunks(len(x)) == 1 {
+		telemetry.ParallelInline.Inc()
 		var s float64
-		for i := lo; i < hi; i++ {
-			s += term(i)
+		for _, v := range x {
+			s += v
 		}
-		parts[c] = s
-	})
-	return TreeReduce(parts)
+		return s
+	}
+	return p.SumChunked(len(x), func(i int) float64 { return x[i] })
+}
+
+// Summer is a SumChunked evaluated many times: its partials and chunk
+// function are built once, so an iterative solver whose term reads its
+// changing parameters from captured variables allocates nothing per
+// evaluation beyond what the pool spends on dispatch.
+type Summer struct {
+	p     *Pool
+	n     int
+	term  func(i int) float64
+	parts []float64
+	chunk func(c, lo, hi int)
+}
+
+// NewSummer returns a Summer of term over [0, n).
+func (p *Pool) NewSummer(n int, term func(i int) float64) *Summer {
+	s := &Summer{p: p, n: n, term: term}
+	if Chunks(n) > 1 {
+		s.parts = make([]float64, Chunks(n))
+		s.chunk = func(c, lo, hi int) { s.parts[c] = sumRange(term, lo, hi) }
+	}
+	return s
+}
+
+// Sum returns SumChunked(n, term) at the term's current parameters.
+func (s *Summer) Sum() float64 {
+	if s.parts == nil {
+		if s.n > 0 {
+			telemetry.ParallelInline.Inc()
+		}
+		return sumRange(s.term, 0, s.n)
+	}
+	s.p.ForEachChunk(s.n, s.chunk)
+	return TreeReduce(s.parts)
+}
+
+func sumRange(term func(i int) float64, lo, hi int) float64 {
+	var s float64
+	for i := lo; i < hi; i++ {
+		s += term(i)
+	}
+	return s
 }
 
 // TreeReduce sums scalar partials by fixed-order pairwise folding:

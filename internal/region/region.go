@@ -102,6 +102,7 @@ type Region struct {
 	mu         sync.Mutex
 	up         *edge.MuxClient
 	syncedSeq  uint64              // store version covered by the last successful flush
+	undecided  map[uint64]struct{} // seqs ≤ syncedSeq the admission judge had not decided then
 	injected   map[uint64]struct{} // fingerprints of down-sync/gossip pseudo-tasks
 	cloudPrior *dpprior.Prior
 	cloudVer   uint64
@@ -168,24 +169,40 @@ func (r *Region) Pending() int {
 	verdicts := r.srv.Store().Verdicts()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for i, seq := range seqs {
-		if r.flushable(tasks[i], seq, verdicts) {
-			n++
-		}
-	}
-	return n
+	window, _ := r.window(tasks, seqs, verdicts)
+	return len(window)
 }
 
-// flushable reports whether a stored record belongs in the next upward
-// window: newer than the last synced version, not quarantined, and not
-// a pseudo-task injected from the cloud or a peer. Callers hold r.mu.
-func (r *Region) flushable(t dpprior.TaskPosterior, seq uint64, verdicts map[uint64]bool) bool {
-	if seq <= r.syncedSeq || verdicts[seq] {
-		return false
+// window returns the stored records the next upward flush ships, in
+// store order: not yet shipped, not a pseudo-task injected from the
+// cloud or a peer, and admitted. With the admission judge on, admitted
+// means judged and accepted — a record the judge quarantined, deferred
+// or has not reached yet stays out, and those not yet decided are
+// returned in undecided so a later window can ship them once accepted.
+// Without the judge every record is admitted. Callers hold r.mu.
+func (r *Region) window(tasks []dpprior.TaskPosterior, seqs []uint64, verdicts map[uint64]bool) (window []dpprior.TaskPosterior, undecided map[uint64]struct{}) {
+	judging := r.cfg.Admission != nil && r.cfg.Admission.Quarantine
+	for i, seq := range seqs {
+		if _, waiting := r.undecided[seq]; seq <= r.syncedSeq && !waiting {
+			continue
+		}
+		if _, fromOutside := r.injected[tasks[i].Fingerprint()]; fromOutside {
+			continue
+		}
+		quarantined, decided := verdicts[seq]
+		if quarantined {
+			continue
+		}
+		if judging && !decided {
+			if undecided == nil {
+				undecided = make(map[uint64]struct{})
+			}
+			undecided[seq] = struct{}{}
+			continue
+		}
+		window = append(window, tasks[i])
 	}
-	_, fromOutside := r.injected[t.Fingerprint()]
-	return !fromOutside
+	return window, undecided
 }
 
 // uplink returns the live mux connection to the cloud, dialing one if
@@ -242,17 +259,14 @@ func (r *Region) FlushUp() (int, error) {
 	if r.closed {
 		return 0, errors.New("region: closed")
 	}
-	var window []dpprior.TaskPosterior
-	var rawBytes int64
-	for i, seq := range seqs {
-		if r.flushable(tasks[i], seq, verdicts) {
-			window = append(window, tasks[i])
-			rawBytes += int64(tasks[i].WireSize())
-		}
-	}
+	window, undecided := r.window(tasks, seqs, verdicts)
 	if len(window) == 0 {
-		r.syncedSeq = version
+		r.syncedSeq, r.undecided = version, undecided
 		return 0, nil
+	}
+	var rawBytes int64
+	for _, t := range window {
+		rawBytes += int64(t.WireSize())
 	}
 
 	sp := trace.Default.StartTrace("region-flush",
@@ -289,7 +303,7 @@ func (r *Region) FlushUp() (int, error) {
 		sp.EndErr(err)
 		return 0, fmt.Errorf("region %s: flush deferred: %w", r.cfg.Name, err)
 	}
-	r.syncedSeq = version
+	r.syncedSeq, r.undecided = version, undecided
 	r.stats.Flushes++
 	r.stats.RawTasks += len(window)
 	r.stats.Summaries += len(sums)

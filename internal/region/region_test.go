@@ -100,6 +100,77 @@ func TestFlushSummarizesWindow(t *testing.T) {
 	}
 }
 
+// TestFlushShipsOnlyAdmitted: with the admission judge on, an upward
+// window holds only records the judge has accepted. Ten far-off
+// suspects arrive after forty honest tasks; the judge quarantines some
+// and defers the rest past its trim budget. Neither kind may be
+// summarized upward, and Pending counts exactly the window.
+func TestFlushShipsOnlyAdmitted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	addr, _ := startCloud(t, nil)
+	r := startRegion(t, Config{
+		Name:      "r0",
+		CloudAddr: addr,
+		Build:     dpprior.BuildOptions{Alpha: 1, MaxComponents: 3, Seed: 11},
+		Admission: &edge.AdmissionConfig{Quarantine: true, TrimFrac: 0.05},
+		Seed:      42,
+		Logger:    telemetry.Discard(),
+	})
+	add := func(tasks []dpprior.TaskPosterior) {
+		for _, task := range tasks {
+			if _, err := r.Server().AddTask(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Server().WaitCaughtUp()
+	}
+	add(synthTasks(rng, 40, 4))
+	suspects := synthTasks(rng, 10, 4)
+	for _, task := range suspects {
+		for j := range task.Mu {
+			task.Mu[j] += 50
+		}
+	}
+	add(suspects)
+	verdicts := r.Server().Store().Verdicts()
+	quarantined := 0
+	for _, q := range verdicts {
+		if q {
+			quarantined++
+		}
+	}
+	if st := r.Server().Stats(); st.Accepted != 40 || st.Quarantined != 10 || quarantined == 0 || len(verdicts) == 50 {
+		t.Fatalf("scenario did not mix verdicts and deferrals: stats %+v, %d verdicts (%d quarantine)",
+			st, len(verdicts), quarantined)
+	}
+	pending := r.Pending()
+	if _, err := r.FlushUp(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().RawTasks; got != 40 {
+		t.Fatalf("flush summarized %d raw tasks, want the 40 accepted", got)
+	}
+	if pending != 40 {
+		t.Fatalf("Pending before the flush = %d, want the window's 40", pending)
+	}
+	if got := r.Pending(); got != 0 {
+		t.Fatalf("Pending after flush = %d, want 0", got)
+	}
+
+	// Later honest tasks ship in the next window; the suspects still
+	// do not.
+	add(synthTasks(rng, 20, 4))
+	if got := r.Pending(); got != 20 {
+		t.Fatalf("Pending = %d, want the 20 new tasks", got)
+	}
+	if _, err := r.FlushUp(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().RawTasks; got != 60 {
+		t.Fatalf("two flushes summarized %d raw tasks, want 60", got)
+	}
+}
+
 // TestFlushDeferredThenRetried: with the cloud unreachable the flush
 // defers (nothing advances); once the link heals the same window ships
 // and lands byte-identical to a region that never deferred.
