@@ -61,7 +61,7 @@ func run() error {
 
 		retries   = flag.Int("retries", edge.DefaultRetryPolicy.MaxAttempts, "round-trip attempts before giving up")
 		backoff   = flag.Duration("backoff", edge.DefaultRetryPolicy.Base, "base retry backoff (grows exponentially, jittered)")
-		rtTimeout = flag.Duration("rt-timeout", 10*time.Second, "per-round-trip deadline")
+		rtTimeout = flag.Duration("rt-timeout", edge.DefaultRoundTripTimeout, "per-round-trip deadline")
 		breakerN  = flag.Int("breaker-threshold", edge.DefaultBreakerConfig.Threshold, "consecutive failures that trip the circuit breaker (0 disables)")
 		cachePath = flag.String("cache", "", "prior cache file: fall back to the last good prior when the cloud is unreachable")
 		fallback  = flag.Bool("fallback-local", false, "train prior-free when the cloud is unreachable and the cache is cold")

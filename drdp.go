@@ -280,7 +280,8 @@ type (
 // and graceful degradation for lossy edge links.
 type (
 	// ResilientClient is a self-healing cloud connection: redial, retries
-	// with seeded jittered backoff, and a circuit breaker.
+	// with seeded jittered backoff, and a circuit breaker. Safe for
+	// concurrent use.
 	ResilientClient = edge.ResilientClient
 	// ResilientOptions configures a ResilientClient.
 	ResilientOptions = edge.ResilientOptions

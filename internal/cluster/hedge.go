@@ -29,26 +29,9 @@ import (
 // contract).
 func (c *ShardedClient) SetHedge(delay time.Duration) { c.hedgeDelay = delay }
 
-// takeConn removes addr's connection from the pool (dialing if absent)
-// and hands ownership to the caller. A ResilientClient is not safe for
-// concurrent use, so a connection lent to a hedge leg must not be
-// reachable through the pool until the leg is done with it.
-func (c *ShardedClient) takeConn(addr string) *edge.ResilientClient {
-	rc, ok := c.conns[addr]
-	if ok {
-		delete(c.conns, addr)
-	} else {
-		rc = edge.DialResilient(addr, c.ropts)
-	}
-	rc.SetTraceParent(c.op)
-	return rc
-}
-
-// hedgeResult is one leg's answer, carrying the borrowed connection
-// back to whoever receives it.
+// hedgeResult is one leg's answer.
 type hedgeResult struct {
 	addr      string
-	rc        *edge.ResilientClient
 	p         *dpprior.Prior
 	v         uint64
 	err       error
@@ -74,18 +57,13 @@ func (r *hedgeResult) decisive() bool {
 // lastErr then carries the newest leg error.
 func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64) (*hedgeResult, error) {
 	delay := c.hedgeDelay
-	// Both connections leave the pool up front: the loser may still be
-	// mid-round-trip when the winner returns, and nothing else may touch
-	// it until it surfaces.
-	primary := c.takeConn(addrs[0])
-	secondary := c.takeConn(addrs[1])
 	cached := c.priors[shard] // read-only under Delta.Apply; safe to share across legs
 	results := make(chan hedgeResult, 2)
 	fetch := func(addr string, rc *edge.ResilientClient, sec bool) {
 		p, v, err := rc.FetchPriorDeltaMin(dim, floor, floor, cached)
-		results <- hedgeResult{addr: addr, rc: rc, p: p, v: v, err: err, secondary: sec}
+		results <- hedgeResult{addr: addr, p: p, v: v, err: err, secondary: sec}
 	}
-	go fetch(addrs[0], primary, false)
+	go fetch(addrs[0], c.conn(addrs[0]), false)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	fired := false
@@ -101,9 +79,6 @@ func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64
 		if r.err != nil {
 			lastErr = r.err
 		}
-		// An indecisive (or post-win) leg that already finished its round
-		// trip goes straight back into the pool.
-		c.conns[r.addr] = r.rc
 	}
 	fire := func(reason string) {
 		fired = true
@@ -114,7 +89,7 @@ func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64
 				trace.Str("reason", reason),
 				trace.Int("delay-us", int64(delay/time.Microsecond)))
 		}
-		go fetch(addrs[1], secondary, true)
+		go fetch(addrs[1], c.conn(addrs[1]), true)
 	}
 	for outstanding > 0 && winner == nil {
 		if fired {
@@ -136,14 +111,9 @@ func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64
 			fire("delay")
 		}
 	}
-	if !fired {
-		// The secondary connection was borrowed but never used.
-		c.conns[addrs[1]] = secondary
-	}
 	if winner == nil {
 		return nil, lastErr
 	}
-	c.conns[winner.addr] = winner.rc
 	if winner.secondary {
 		telemetry.ClusterHedgeWon.Inc()
 		if c.op != nil {
@@ -151,14 +121,20 @@ func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64
 		}
 	}
 	if outstanding > 0 {
-		// The losing leg is still in flight. Ownership of its connection
-		// passes to a reaper: when the straggler finally surfaces, the
-		// connection is closed rather than pooled — its next caller would
-		// otherwise block behind the stale round trip.
+		// The losing leg is still in flight. Its connection leaves the
+		// pool and passes to a reaper, which closes it when the straggler
+		// surfaces: the next read of that replica dials a fresh session
+		// instead of queueing behind the stale round trip.
 		telemetry.ClusterHedgeCancelled.Inc()
+		loser := addrs[0]
+		if !winner.secondary {
+			loser = addrs[1]
+		}
+		rc := c.conns[loser]
+		delete(c.conns, loser)
 		go func() {
-			r := <-results
-			r.rc.Close()
+			<-results
+			rc.Close()
 		}()
 	}
 	return winner, nil

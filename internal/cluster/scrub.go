@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/store"
+	"github.com/drdp/drdp/internal/telemetry"
 )
 
 // DefaultScrubTimeout bounds one repair pull round trip.
@@ -17,62 +17,32 @@ const DefaultScrubTimeout = time.Second
 // ranges from whichever peer is reachable. Pulls are anonymous
 // (FollowerID 0): they carry no acknowledgement and any replica —
 // leader or follower — answers them, because frames are verbatim leader
-// bytes wherever they are held. The connection is dialed lazily on
-// first use and released by Close; the scrubber closes the source after
+// bytes wherever they are held. The session is dialed lazily on first
+// use and released by Close; the scrubber closes the source after
 // every pass, so a long-lived node re-resolves its peer each time.
 type PullRepairSource struct {
-	addr    string
-	timeout time.Duration
-
-	mu sync.Mutex
-	c  *edge.MuxClient
+	rc *edge.ResilientClient
 }
 
 // NewPullRepairSource builds a repair source over addr. timeout bounds
-// the dial and each pull round trip (0 = DefaultScrubTimeout).
+// the dial and each pull round trip (0 = DefaultScrubTimeout). Each pull
+// is a single attempt: a failed pull fails the scrub pass, which reports
+// it, and the next pass retries.
 func NewPullRepairSource(addr string, timeout time.Duration) *PullRepairSource {
 	if timeout <= 0 {
 		timeout = DefaultScrubTimeout
 	}
-	return &PullRepairSource{addr: addr, timeout: timeout}
-}
-
-// conn returns the lazily dialed client.
-func (p *PullRepairSource) conn() (*edge.MuxClient, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.c != nil {
-		return p.c, nil
-	}
-	c, err := edge.Dial(p.addr, p.timeout)
-	if err != nil {
-		return nil, err
-	}
-	c.SetRoundTripTimeout(p.timeout)
-	p.c = c
-	return c, nil
-}
-
-// drop discards the cached connection after a transport error, so the
-// next call redials instead of reusing a dead stream.
-func (p *PullRepairSource) drop() {
-	p.mu.Lock()
-	if p.c != nil {
-		p.c.Close()
-		p.c = nil
-	}
-	p.mu.Unlock()
+	return &PullRepairSource{rc: edge.DialResilient(addr, edge.ResilientOptions{
+		DialTimeout:      timeout,
+		RoundTripTimeout: timeout,
+		Logger:           telemetry.Discard(),
+	})}
 }
 
 // FramesSince pulls verbatim log frames after `after` from the peer.
 func (p *PullRepairSource) FramesSince(after uint64, maxFrames int) ([]store.Frame, uint64, error) {
-	c, err := p.conn()
+	b, err := p.rc.PullLog(0, after, maxFrames)
 	if err != nil {
-		return nil, 0, err
-	}
-	b, err := c.PullLog(0, after, maxFrames)
-	if err != nil {
-		p.drop()
 		return nil, 0, err
 	}
 	return b.Frames, b.UpTo, nil
@@ -81,26 +51,12 @@ func (p *PullRepairSource) FramesSince(after uint64, maxFrames int) ([]store.Fra
 // Verdicts pulls the peer's verdict sidecar. The AfterSeq is pinned to
 // the maximum so the answer ships verdicts without any frames.
 func (p *PullRepairSource) Verdicts() (map[uint64]bool, error) {
-	c, err := p.conn()
+	b, err := p.rc.PullLog(0, math.MaxUint64, 1)
 	if err != nil {
-		return nil, err
-	}
-	b, err := c.PullLog(0, math.MaxUint64, 1)
-	if err != nil {
-		p.drop()
 		return nil, err
 	}
 	return b.Verdicts, nil
 }
 
-// Close releases the dialed connection (safe when none was dialed).
-func (p *PullRepairSource) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.c == nil {
-		return nil
-	}
-	err := p.c.Close()
-	p.c = nil
-	return err
-}
+// Close releases the session (safe when none was dialed).
+func (p *PullRepairSource) Close() error { return p.rc.Close() }

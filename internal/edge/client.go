@@ -8,6 +8,7 @@ import (
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // Dial connects to the cloud server at addr and runs the wire handshake,
@@ -16,7 +17,15 @@ import (
 // valid ack fails the dial. The returned connection is safe for
 // concurrent use.
 func Dial(addr string, timeout time.Duration) (*MuxClient, error) {
-	return DialMuxFunc(func() (net.Conn, error) { return dialTCP(addr, timeout) }, timeout)
+	conn, err := dialTCP(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if err := wire.ClientHandshake(conn, timeout); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("edge: dial %s: %w", addr, err)
+	}
+	return NewMuxClient(conn), nil
 }
 
 func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +13,7 @@ import (
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // clusterTask builds a task posterior tightly centered at center, so a
@@ -144,16 +144,15 @@ func TestDeltaSyncSavesWireBytes(t *testing.T) {
 	// already has the response.)
 	reg := telemetry.NewRegistry()
 	recv := reg.Counter("delta_test_client_received_bytes")
-	c, err := DialMuxFunc(func() (net.Conn, error) {
-		conn, err := dialTCP(addr, time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return countConn{Conn: conn, sent: reg.Counter("delta_test_client_sent_bytes"), recv: recv}, nil
-	}, time.Second)
+	conn, err := dialTCP(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := wire.ClientHandshake(conn, time.Second); err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	c := NewMuxClient(countConn{Conn: conn, sent: reg.Counter("delta_test_client_sent_bytes"), recv: recv})
 	defer c.Close()
 
 	before := recv.Value()

@@ -107,17 +107,20 @@ func TestStrictBinaryRefusesLegacyGobServer(t *testing.T) {
 	}
 }
 
-// TestStrictBinaryMuxRefusesLegacyGobServer: a dial over a
-// caller-supplied dial function enforces the same contract.
+// TestStrictBinaryMuxRefusesLegacyGobServer: a session over a
+// caller-supplied dial function (the region's uplink) enforces the same
+// contract.
 func TestStrictBinaryMuxRefusesLegacyGobServer(t *testing.T) {
 	addr := startLegacyGobServer(t)
-	m, err := DialMuxFunc(func() (net.Conn, error) { return net.Dial("tcp", addr) }, time.Second)
+	rc := NewResilientClient(func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		ResilientOptions{DialTimeout: time.Second, Logger: telemetry.Discard()})
+	defer rc.Close()
+	_, _, err := rc.FetchPrior(0)
 	if err == nil {
-		m.Close()
-		t.Fatal("mux dial succeeded against a gob-only server")
+		t.Fatal("session over a custom dial succeeded against a gob-only server")
 	}
 	if !strings.Contains(err.Error(), "read ack") {
-		t.Errorf("mux dial error %q does not name the missing ack", err)
+		t.Errorf("session error %q does not name the missing ack", err)
 	}
 }
 

@@ -27,9 +27,9 @@ const muxMaxInflight = 1024
 //
 // A transport fault — including an expired round-trip timeout — poisons
 // the whole connection (request/response pairing is per-connection):
-// every in-flight and later call fails with the first error, and the
-// owner redials. There is no internal retry; use ResilientClient where
-// per-call retry matters.
+// every in-flight and later call fails with the first error. There is
+// no internal redial or retry: ResilientClient is the owner that
+// redials a session and retries its calls.
 //
 // The response reader reads only while a request is on the wire: a
 // caller's waiter is queued after its request is written, and the reader
@@ -75,21 +75,6 @@ func deadlineAt(ns int64) time.Time {
 type muxResult struct {
 	resp *Response
 	err  error
-}
-
-// DialMuxFunc is Dial over a caller-supplied dial function, for uplinks
-// that are not plain TCP dials: fault-injected links in chaos tests, or
-// a regional aggregator's gated cloud connection.
-func DialMuxFunc(dial func() (net.Conn, error), timeout time.Duration) (*MuxClient, error) {
-	conn, err := dial()
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.ClientHandshake(conn, timeout); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("edge: dial %s: %w", conn.RemoteAddr(), err)
-	}
-	return NewMuxClient(conn), nil
 }
 
 // NewMuxClient wraps a connection whose handshake is already done

@@ -6,12 +6,19 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
 	"github.com/drdp/drdp/internal/wire"
 )
+
+// DefaultRoundTripTimeout is the round-trip bound for a long-lived
+// session to a cloud: generous next to the cloud's semi-sync ack bound
+// (DefaultAckTimeout), yet a silent peer cannot park a caller forever.
+const DefaultRoundTripTimeout = 10 * time.Second
 
 // ResilientOptions configures a ResilientClient.
 type ResilientOptions struct {
@@ -62,14 +69,17 @@ type TransportStats struct {
 // resending the identical request cannot help. Only transport faults
 // (dial errors, timeouts, resets, corrupt streams) are retried.
 //
-// A ResilientClient is not safe for concurrent use; give each goroutine
-// its own.
+// A ResilientClient is safe for concurrent use, like the MuxClient it
+// wraps: concurrent calls pipeline over one session. A fault fails
+// every call in flight on that session, each of which then retries on
+// its own; the first to retry redials and the rest share the new
+// session. Close may race calls: it ends the session they are using,
+// and a later call redials.
 type ResilientClient struct {
 	calls
 
 	dial   func() (net.Conn, error)
 	opts   ResilientOptions
-	rng    *rand.Rand
 	br     *breaker
 	logger *slog.Logger
 
@@ -77,29 +87,33 @@ type ResilientClient struct {
 	// fake clock.
 	sleep func(time.Duration)
 
-	c      *MuxClient // current session; nil when disconnected
-	stats  TransportStats
-	parent *trace.Span // trace parent for subsequent calls
+	parent atomic.Pointer[trace.Span] // trace parent for subsequent calls
+
+	// mu guards the session. It is held across a dial, so callers that
+	// find the session gone share one redial and Close waits out a dial
+	// in progress, but never across a round trip. The dial function must
+	// not call back into the client.
+	mu sync.Mutex
+	c  *MuxClient // current session; nil when disconnected
+
+	// statsMu guards the counters and the jitter source.
+	statsMu sync.Mutex
+	stats   TransportStats
+	rng     *rand.Rand
 }
 
 // SetTraceParent sets the span under which subsequent calls record their
 // retry/redial/breaker activity: each do() becomes a "call <kind>" child
 // span with "dial" and "rpc" grandchildren and retry/shed/fault events.
 // nil (the default) keeps the client untraced at zero cost.
-func (r *ResilientClient) SetTraceParent(s *trace.Span) { r.parent = s }
+func (r *ResilientClient) SetTraceParent(s *trace.Span) { r.parent.Store(s) }
 
 // DialResilient returns a resilient client for the cloud at addr.
 // Dialing is lazy: no connection is made until the first round trip, so
 // a cloud that is down at construction time only degrades, never blocks,
 // the device.
 func DialResilient(addr string, opts ResilientOptions) *ResilientClient {
-	return NewResilientClient(func() (net.Conn, error) {
-		conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("edge: dial %s: %w", addr, err)
-		}
-		return conn, nil
-	}, opts)
+	return NewResilientClient(func() (net.Conn, error) { return dialTCP(addr, opts.DialTimeout) }, opts)
 }
 
 // NewResilientClient wraps an arbitrary dial function — compose with
@@ -144,59 +158,96 @@ func NewResilientClient(dial func() (net.Conn, error), opts ResilientOptions) *R
 	return r
 }
 
-// Close tears down the current connection, if any. The client remains
+// Close tears down the current session, if any, failing the calls in
+// flight on it. A dial in progress is waited out and its session closed
+// too, so a call that was dialing fails as well. The client remains
 // usable: the next round trip redials.
 func (r *ResilientClient) Close() error {
-	if r.c == nil {
+	r.mu.Lock()
+	c := r.c
+	r.c = nil
+	r.mu.Unlock()
+	if c == nil {
 		return nil
 	}
-	err := r.c.Close()
-	r.c = nil
-	return err
+	return c.Close()
 }
 
 // TransportStats reports transport-level counters accumulated so far.
 func (r *ResilientClient) TransportStats() TransportStats {
+	r.statsMu.Lock()
 	st := r.stats
+	r.statsMu.Unlock()
 	st.Breaker = r.br.State()
 	return st
 }
 
-// connect ensures a live session, dialing and running the wire
-// handshake if necessary. A failed handshake is a failed attempt like
-// any other: the connection is dropped and the retry loop dials afresh.
-func (r *ResilientClient) connect(call *trace.Span) error {
+// session returns the live session, dialing and running the wire
+// handshake if there is none. A failed handshake is a failed attempt
+// like any other: the connection is dropped and the retry loop dials
+// afresh.
+func (r *ResilientClient) session(call *trace.Span) (*MuxClient, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.c != nil {
-		return nil
+		return r.c, nil
 	}
+	r.statsMu.Lock()
 	r.stats.Dials++
+	r.statsMu.Unlock()
 	telemetry.EdgeClientDials.Inc()
 	sp := call.Child("dial")
 	conn, err := r.dial()
 	if err != nil {
 		sp.EndErr(err)
-		return err
+		return nil, err
 	}
 	if err := wire.ClientHandshake(conn, r.opts.DialTimeout); err != nil {
 		conn.Close()
 		err = fmt.Errorf("edge: %w", err)
 		sp.EndErr(err)
-		return err
+		return nil, err
 	}
 	sp.SetAttr(trace.Str("peer", conn.RemoteAddr().String()))
 	sp.End()
 	r.c = NewMuxClient(countConn{Conn: conn, sent: telemetry.EdgeClientSent, recv: telemetry.EdgeClientReceived})
 	r.c.SetRoundTripTimeout(r.opts.RoundTripTimeout)
-	return nil
+	return r.c, nil
+}
+
+// drop discards session c after it failed or was shed. Only the caller
+// that unhooks c closes it: when Close or another caller already did, c
+// is left alone, so a session is closed once however many calls fail
+// on it.
+func (r *ResilientClient) drop(c *MuxClient) {
+	r.mu.Lock()
+	mine := r.c == c
+	if mine {
+		r.c = nil
+	}
+	r.mu.Unlock()
+	if mine {
+		c.Close()
+	}
+}
+
+// failed counts one transport failure (dial or round trip).
+func (r *ResilientClient) failed() {
+	r.statsMu.Lock()
+	r.stats.Failures++
+	r.statsMu.Unlock()
+	telemetry.EdgeClientFailures.Inc()
+	r.br.onFailure()
 }
 
 // do runs one request through the retry/redial/breaker machinery,
 // wrapped in a "call <kind>" span when a trace parent is set.
 func (r *ResilientClient) do(req *Request) (*Response, error) {
-	if r.parent == nil {
+	parent := r.parent.Load()
+	if parent == nil {
 		return r.doAttempts(req, nil)
 	}
-	call := r.parent.Child("call " + req.Kind.String())
+	call := parent.Child("call " + req.Kind.String())
 	resp, err := r.doAttempts(req, call)
 	call.EndErr(err)
 	return resp, err
@@ -208,9 +259,11 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 	lastCause := "transport"
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
+			r.statsMu.Lock()
 			r.stats.Retries++
-			telemetry.EdgeClientRetries.Inc()
 			delay := r.opts.Retry.Delay(attempt-1, r.rng)
+			r.statsMu.Unlock()
+			telemetry.EdgeClientRetries.Inc()
 			telemetry.EdgeClientBackoff.Add(delay.Seconds())
 			if call != nil {
 				call.Event("retry", trace.Int("attempt", int64(attempt+1)), trace.Dur("backoff", delay))
@@ -227,17 +280,16 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 			}
 			return nil, err
 		}
-		if err := r.connect(call); err != nil {
-			r.stats.Failures++
-			telemetry.EdgeClientFailures.Inc()
-			r.br.onFailure()
+		c, err := r.session(call)
+		if err != nil {
+			r.failed()
 			lastErr, lastCause = err, "dial"
 			r.logger.Warn("edge: resilient dial failed",
 				"attempt", attempt+1, "attempts", attempts, "err", err)
 			continue
 		}
 		rtStart := time.Now()
-		resp, err := r.c.roundTrip(req, call)
+		resp, err := c.roundTrip(req, call)
 		if err == nil {
 			rt := time.Since(rtStart).Seconds()
 			telemetry.EdgeClientRoundtrip.Observe(rt)
@@ -260,8 +312,7 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 				// backoff.
 				telemetry.EdgeClientOverloaded.Inc()
 				call.Event("overloaded")
-				r.c.Close()
-				r.c = nil
+				r.drop(c)
 				lastErr, lastCause = err, "overloaded"
 				r.logger.Warn("edge: server overloaded; backing off",
 					"kind", req.Kind.String(), "attempt", attempt+1, "attempts", attempts)
@@ -274,11 +325,8 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 		// Transport fault: the frame stream is now in an unknown state, so
 		// the session is unusable — drop it and redial on the next try.
 		call.Event("transport-fault", trace.Err(err))
-		r.c.Close()
-		r.c = nil
-		r.stats.Failures++
-		telemetry.EdgeClientFailures.Inc()
-		r.br.onFailure()
+		r.drop(c)
+		r.failed()
 		lastErr, lastCause = err, "transport"
 		r.logger.Warn("edge: resilient round trip failed",
 			"kind", req.Kind.String(), "attempt", attempt+1, "attempts", attempts, "err", err)

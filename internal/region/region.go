@@ -70,8 +70,8 @@ type Config struct {
 	//
 	// Deprecated: every connection is binary; nothing reads it.
 	WireCodec wire.Preference
-	// DialTimeout bounds uplink/gossip dials and handshakes
-	// (0 = DefaultDialTimeout).
+	// DialTimeout bounds uplink/gossip dials and handshakes, and each
+	// gossip exchange (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
 	// Seed derives deterministic summarization seeds per flush window.
 	Seed int64
@@ -99,8 +99,9 @@ type Region struct {
 	cfg Config
 	srv *edge.CloudServer
 
+	up *edge.ResilientClient // session to the cloud
+
 	mu         sync.Mutex
-	up         *edge.MuxClient
 	syncedSeq  uint64              // store version covered by the last successful flush
 	undecided  map[uint64]struct{} // seqs ≤ syncedSeq the admission judge had not decided then
 	injected   map[uint64]struct{} // fingerprints of down-sync/gossip pseudo-tasks
@@ -113,8 +114,10 @@ type Region struct {
 
 // Start opens the region's store, builds its local cloud-server stack,
 // and returns the region ready to Serve devices and sync. Nothing is
-// dialed yet: the uplink is established lazily on the first flush, so
-// a cloud that is down at region start only defers sync.
+// dialed yet: the uplink is established lazily on the first sync, so
+// a cloud that is down at region start only defers sync. Each uplink
+// round trip is bounded by edge.DefaultRoundTripTimeout, so a cloud
+// that stops answering defers a sync instead of wedging the region.
 func Start(cfg Config, seed []dpprior.TaskPosterior) (*Region, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
@@ -139,9 +142,23 @@ func Start(cfg Config, seed []dpprior.TaskPosterior) (*Region, error) {
 	if cfg.Admission != nil {
 		srv.SetAdmission(*cfg.Admission)
 	}
+	dial := cfg.Dial
+	if dial == nil {
+		dial = func() (net.Conn, error) {
+			if cfg.CloudAddr == "" {
+				return nil, errors.New("region: no cloud configured")
+			}
+			return net.DialTimeout("tcp", cfg.CloudAddr, cfg.DialTimeout)
+		}
+	}
 	return &Region{
-		cfg:        cfg,
-		srv:        srv,
+		cfg: cfg,
+		srv: srv,
+		up: edge.NewResilientClient(dial, edge.ResilientOptions{
+			DialTimeout:      cfg.DialTimeout,
+			RoundTripTimeout: edge.DefaultRoundTripTimeout,
+			Logger:           cfg.Logger,
+		}),
 		injected:   make(map[uint64]struct{}),
 		peerPriors: make(map[string]*dpprior.Prior),
 	}, nil
@@ -205,43 +222,6 @@ func (r *Region) window(tasks []dpprior.TaskPosterior, seqs []uint64, verdicts m
 	return window, undecided
 }
 
-// uplink returns the live mux connection to the cloud, dialing one if
-// needed. Callers hold r.mu.
-func (r *Region) uplink() (*edge.MuxClient, error) {
-	if r.up != nil {
-		return r.up, nil
-	}
-	if r.cfg.CloudAddr == "" && r.cfg.Dial == nil {
-		return nil, errors.New("region: no cloud configured")
-	}
-	dial := r.cfg.Dial
-	if dial == nil {
-		dial = func() (net.Conn, error) {
-			return net.DialTimeout("tcp", r.cfg.CloudAddr, r.cfg.DialTimeout)
-		}
-	}
-	up, err := edge.DialMuxFunc(dial, r.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	r.up = up
-	return up, nil
-}
-
-// dropUplink closes a (possibly poisoned) uplink so the next sync
-// redials. Close surfaces the transport error that killed the
-// connection — that is the one worth logging, not the close itself.
-// Callers hold r.mu.
-func (r *Region) dropUplink() {
-	if r.up == nil {
-		return
-	}
-	if derr := r.up.Close(); derr != nil {
-		r.cfg.Logger.Warn("region: cloud uplink died", "region", r.cfg.Name, "err", derr)
-	}
-	r.up = nil
-}
-
 // FlushUp summarizes every raw task admitted since the last successful
 // flush and ships the summaries to the cloud in one batched upload. It
 // returns the number of summaries shipped (0 with a nil error means
@@ -292,12 +272,7 @@ func (r *Region) FlushUp() (int, error) {
 		upBytes += int64(s.WireSize())
 	}
 
-	up, err := r.uplink()
-	if err == nil {
-		_, _, err = up.BatchReportTasks(sums)
-	}
-	if err != nil {
-		r.dropUplink()
+	if _, _, err := r.up.BatchReportTasks(sums); err != nil {
 		telemetry.RegionSyncDeferred.Inc()
 		r.stats.Deferred++
 		sp.EndErr(err)
@@ -331,17 +306,11 @@ func (r *Region) SyncDown() error {
 	if r.closed {
 		return errors.New("region: closed")
 	}
-	up, err := r.uplink()
-	if err != nil {
-		telemetry.RegionDownErrors.Inc()
-		return fmt.Errorf("region %s: sync down: %w", r.cfg.Name, err)
-	}
-	p, v, err := up.FetchPriorDelta(r.dim(), r.cloudVer, r.cloudPrior)
+	p, v, err := r.up.FetchPriorDelta(r.dim(), r.cloudVer, r.cloudPrior)
 	if err != nil {
 		if errors.Is(err, edge.ErrNoPrior) {
 			return nil
 		}
-		r.dropUplink()
 		telemetry.RegionDownErrors.Inc()
 		return fmt.Errorf("region %s: sync down: %w", r.cfg.Name, err)
 	}
@@ -411,6 +380,9 @@ func (r *Region) GossipOnce() (int, error) {
 	for _, addr := range peers {
 		c, err := edge.Dial(addr, timeout)
 		if err == nil {
+			// One exchange, bounded like the dial: a peer that handshakes
+			// and then goes silent must not stall the gossip round.
+			c.SetRoundTripTimeout(timeout)
 			var p *dpprior.Prior
 			p, _, err = c.FetchPrior(0)
 			c.Close()
@@ -492,15 +464,20 @@ func (r *Region) SyncedSeq() uint64 {
 }
 
 // Close shuts the uplink and the local server stack (which syncs and
-// closes the store).
+// closes the store). A sync in flight fails at once and is deferred.
 func (r *Region) Close() error {
+	// Close the uplink before taking r.mu: a sync holds r.mu across its
+	// round trip, and ending the session is what ends that round trip.
+	r.up.Close()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return nil
 	}
 	r.closed = true
-	r.dropUplink()
+	// Again under r.mu: a sync that redialed in between has finished by
+	// now, and its session must not outlive the region.
+	r.up.Close()
 	r.mu.Unlock()
 	return r.srv.Close()
 }

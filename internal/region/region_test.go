@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 func synthTasks(rng *rand.Rand, k, dim int) []dpprior.TaskPosterior {
@@ -331,6 +334,148 @@ func TestGossipAbsorbsPeerComponents(t *testing.T) {
 	// Re-gossip is idempotent: same components, nothing new absorbed.
 	if n2, err := r.GossipOnce(); err != nil || n2 != 0 {
 		t.Errorf("second gossip absorbed %d (err %v), want 0", n2, err)
+	}
+}
+
+// startSilentPeer listens for edge connections that complete the wire
+// handshake and are then never answered: every request is read and
+// dropped. requested receives (without blocking) when a connection's
+// first request bytes arrive.
+func startSilentPeer(t *testing.T) (addr string, requested <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := make(chan struct{}, 1)
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		conns  []net.Conn
+		closed bool
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			if closed {
+				mu.Unlock()
+				conn.Close()
+				return
+			}
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if wire.ServerHandshake(conn, conn) != nil {
+					return
+				}
+				if _, err := conn.Read(make([]byte, 1)); err != nil {
+					return
+				}
+				select {
+				case req <- struct{}{}:
+				default:
+				}
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		mu.Lock()
+		closed = true
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		ln.Close()
+		wg.Wait()
+	})
+	return ln.Addr().String(), req
+}
+
+// TestGossipSilentPeerBounded: a peer that completes the handshake and
+// then never answers costs one gossip round its dial timeout, not
+// forever.
+func TestGossipSilentPeerBounded(t *testing.T) {
+	peerAddr, _ := startSilentPeer(t)
+	r := startRegion(t, Config{
+		Name:        "r0",
+		Peers:       []string{peerAddr},
+		Build:       dpprior.BuildOptions{Alpha: 1, MaxComponents: 3, Seed: 11},
+		DialTimeout: 200 * time.Millisecond,
+		Logger:      telemetry.Discard(),
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.GossipOnce()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("gossip with a silent peer reported no error")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("gossip with a silent peer still blocked after 2s")
+	}
+}
+
+// TestFlushUpSilentCloudCloseUnblocks: a flush parked on a cloud that
+// handshakes and then never answers does not wedge the region: Close
+// returns promptly, the flush fails, and its window is deferred, not
+// lost.
+func TestFlushUpSilentCloudCloseUnblocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	cloudAddr, requested := startSilentPeer(t)
+	r := startRegion(t, Config{
+		Name:      "r0",
+		CloudAddr: cloudAddr,
+		Build:     dpprior.BuildOptions{Alpha: 1, MaxComponents: 3, Seed: 11},
+		Seed:      42,
+		Logger:    telemetry.Discard(),
+	})
+	for _, task := range synthTasks(rng, 6, 4) {
+		if _, err := r.Server().AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := make(chan error, 1)
+	go func() {
+		_, err := r.FlushUp()
+		flushed <- err
+	}()
+	// The upload is on the wire and unanswered.
+	select {
+	case <-requested:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the flush never reached the cloud")
+	}
+	time.Sleep(200 * time.Millisecond)
+
+	closed := make(chan error, 1)
+	go func() { closed <- r.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close still blocked after 3s behind a flush to a silent cloud")
+	}
+	select {
+	case err := <-flushed:
+		if err == nil {
+			t.Fatal("a flush to a silent cloud succeeded")
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("the flush did not return after Close")
+	}
+	if got := r.Stats().Deferred; got != 1 {
+		t.Errorf("Deferred = %d, want 1", got)
 	}
 }
 
