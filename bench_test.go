@@ -120,8 +120,8 @@ func BenchmarkFigure6MultiDevice(b *testing.B) {
 	benchFigure(b, "fig6", experiment.Figure6MultiDevice)
 }
 
-// BenchmarkTable5PriorFitAblation regenerates the Gibbs/variational/
-// DP-means prior-construction comparison.
+// BenchmarkTable5PriorFitAblation regenerates the collapsed-Gibbs
+// prior-construction row: components, build time, edge accuracy.
 func BenchmarkTable5PriorFitAblation(b *testing.B) {
 	benchTable(b, "table5", experiment.Table5PriorFitAblation)
 }
@@ -163,12 +163,6 @@ func BenchmarkTable8SolverAblation(b *testing.B) {
 // deployment simulation (links × rebuild policies).
 func BenchmarkTable9Deployment(b *testing.B) {
 	benchTable(b, "table9", experiment.Table9Deployment)
-}
-
-// BenchmarkFigure10Compression regenerates the prior-compression
-// wire-size/accuracy tradeoff.
-func BenchmarkFigure10Compression(b *testing.B) {
-	benchFigure(b, "fig10", experiment.Figure10Compression)
 }
 
 // BenchmarkFigure11DriftTracking regenerates the concept-drift streaming

@@ -51,7 +51,6 @@ var jobs = []job{
 	{id: "table7", table: experiment.Table7Calibration},
 	{id: "table8", table: experiment.Table8SolverAblation},
 	{id: "table9", table: experiment.Table9Deployment},
-	{id: "fig10", fig: experiment.Figure10Compression},
 	{id: "fig11", fig: experiment.Figure11DriftTracking},
 	{id: "fig12", fig: experiment.Figure12GroundMetric},
 	{id: "table10", table: experiment.Table10Imbalance},

@@ -175,31 +175,15 @@ type (
 	TaskPosterior = dpprior.TaskPosterior
 	// PriorBuildOptions configures BuildPrior.
 	PriorBuildOptions = dpprior.BuildOptions
-	// CompressionLevel selects covariance compression for the wire prior.
-	CompressionLevel = dpprior.CompressionLevel
 	// PriorDelta is a component-level patch between two prior versions,
 	// the unit of incremental cloud→edge synchronization.
 	PriorDelta = dpprior.PriorDelta
-)
-
-// Prior compression levels for constrained uplinks.
-const (
-	// FullCovariance keeps dense covariances (no compression).
-	FullCovariance = dpprior.FullCovariance
-	// DiagonalCovariance keeps variances only (d floats/component).
-	DiagonalCovariance = dpprior.DiagonalCovariance
-	// SphericalCovariance keeps one variance per component.
-	SphericalCovariance = dpprior.SphericalCovariance
 )
 
 var (
 	// BuildPrior fits the DP mixture over cloud task posteriors with
 	// collapsed Gibbs clustering.
 	BuildPrior = dpprior.Build
-	// BuildPriorVariational is the deterministic variational alternative.
-	BuildPriorVariational = dpprior.BuildVariational
-	// BuildPriorDPMeans is the fast DP-means alternative.
-	BuildPriorDPMeans = dpprior.BuildDPMeans
 	// CompilePrior validates and factorizes a prior for training.
 	CompilePrior = dpprior.Compile
 	// DiffPriors computes the component-level delta that rewrites an old

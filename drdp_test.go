@@ -78,23 +78,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Error("certificate below empirical loss")
 	}
 
-	// Alternative prior builders through the facade.
-	if _, err := drdp.BuildPriorVariational(posteriors, 0, drdp.PriorBuildOptions{Alpha: 1}); err != nil {
-		t.Errorf("variational builder: %v", err)
-	}
-	if _, err := drdp.BuildPriorDPMeans(posteriors, 3, drdp.PriorBuildOptions{Alpha: 1}); err != nil {
-		t.Errorf("dp-means builder: %v", err)
-	}
-
 	// Serve the prior over TCP through the facade.
 	srv, err := drdp.NewCloudServer(posteriors, drdp.PriorBuildOptions{Alpha: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrCh := make(chan string, 1)
-	go srv.ListenAndServe("127.0.0.1:0", addrCh)
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe("127.0.0.1:0", addrCh) }()
 	addr := <-addrCh
-	defer srv.Close()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
 	client, err := drdp.DialCloud(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)

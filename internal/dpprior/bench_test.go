@@ -137,15 +137,3 @@ func TestBuildAllocBudget(t *testing.T) {
 		t.Fatalf("Build allocated %.0f objects, budget %d", allocs, budget)
 	}
 }
-
-func BenchmarkVariationalBuildK16(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	tasks, _ := makeTaskFamily(rng, 16, 20, 4, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildVariational(tasks, 0, BuildOptions{Alpha: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -359,72 +359,3 @@ func assemble(tasks []TaskPosterior, assign []int, o BuildOptions) (*Prior, erro
 	}
 	return p, nil
 }
-
-// BuildDPMeans is a deterministic, fast alternative to Build: it clusters
-// task means with the DP-means algorithm (k-means with a new-cluster
-// penalty λ) and then assembles components exactly as Build does. Useful
-// when the cloud must rebuild priors at high rate; used by the systems
-// ablation in Table 4.
-func BuildDPMeans(tasks []TaskPosterior, lambda float64, opts BuildOptions) (*Prior, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("dpprior: BuildDPMeans: no tasks")
-	}
-	if opts.Alpha <= 0 {
-		return nil, fmt.Errorf("dpprior: BuildDPMeans: alpha %g must be positive", opts.Alpha)
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("dpprior: BuildDPMeans: lambda %g must be positive", lambda)
-	}
-	o := opts.defaults(tasks)
-	dim := len(tasks[0].Mu)
-
-	centers := []mat.Vec{mat.CloneVec(tasks[0].Mu)}
-	assign := make([]int, len(tasks))
-	for iter := 0; iter < 100; iter++ {
-		changed := false
-		for i, t := range tasks {
-			best, bestD := -1, lambda
-			for c, center := range centers {
-				if d := mat.Dist2(t.Mu, center); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if best == -1 {
-				centers = append(centers, mat.CloneVec(t.Mu))
-				best = len(centers) - 1
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		// Recompute centers.
-		counts := make([]float64, len(centers))
-		for c := range centers {
-			centers[c] = make(mat.Vec, dim)
-		}
-		for i, t := range tasks {
-			mat.Axpy(1, t.Mu, centers[assign[i]])
-			counts[assign[i]]++
-		}
-		for c := range centers {
-			if counts[c] > 0 {
-				mat.Scale(1/counts[c], centers[c])
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
-	}
-	// Renumber densely (empty clusters possible after recompute).
-	remap := map[int]int{}
-	for i, a := range assign {
-		id, ok := remap[a]
-		if !ok {
-			id = len(remap)
-			remap[a] = id
-		}
-		assign[i] = id
-	}
-	return assemble(tasks, assign, o)
-}

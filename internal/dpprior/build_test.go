@@ -38,39 +38,52 @@ func makeTaskFamily(rng *rand.Rand, k, dim, nClusters int, sep float64) ([]TaskP
 }
 
 func TestBuildRecoversClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	tasks, labels := makeTaskFamily(rng, 12, 4, 3, 10)
-	p, err := Build(tasks, BuildOptions{Alpha: 1, Seed: 99, GibbsIters: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("built prior invalid: %v", err)
-	}
-	if len(p.Components) < 2 || len(p.Components) > 5 {
-		t.Errorf("found %d components for 3 well-separated clusters", len(p.Components))
-	}
-	// Every true cluster center should be near some component mean.
-	for c := 0; c < 3; c++ {
-		// Center = mean of members' means.
-		center := make(mat.Vec, 4)
-		var n float64
-		for i, l := range labels {
-			if l == c {
-				mat.Axpy(1, tasks[i].Mu, center)
-				n++
+	// Each case is 12 tasks around 3 well-separated centers at dim 4.
+	for _, tc := range []struct {
+		name      string
+		source    int64
+		sep       float64
+		buildSeed int64
+	}{
+		{"sep10", 20, 10, 99},
+		{"sep12", 152, 12, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.source))
+			tasks, labels := makeTaskFamily(rng, 12, 4, 3, tc.sep)
+			p, err := Build(tasks, BuildOptions{Alpha: 1, Seed: tc.buildSeed, GibbsIters: 80})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		mat.Scale(1/n, center)
-		best := math.Inf(1)
-		for _, comp := range p.Components {
-			if d := mat.Dist2(comp.Mu, center); d < best {
-				best = d
+			if err := p.Validate(); err != nil {
+				t.Fatalf("built prior invalid: %v", err)
 			}
-		}
-		if best > 1.0 {
-			t.Errorf("true cluster %d center is %.2f from nearest component", c, best)
-		}
+			if len(p.Components) < 2 || len(p.Components) > 5 {
+				t.Errorf("found %d components for 3 well-separated clusters", len(p.Components))
+			}
+			// Every true cluster center should be near some component mean.
+			for c := 0; c < 3; c++ {
+				// Center = mean of members' means.
+				center := make(mat.Vec, 4)
+				var n float64
+				for i, l := range labels {
+					if l == c {
+						mat.Axpy(1, tasks[i].Mu, center)
+						n++
+					}
+				}
+				mat.Scale(1/n, center)
+				best := math.Inf(1)
+				for _, comp := range p.Components {
+					if d := mat.Dist2(comp.Mu, center); d < best {
+						best = d
+					}
+				}
+				if best > 1.0 {
+					t.Errorf("true cluster %d center is %.2f from nearest component", c, best)
+				}
+			}
+		})
 	}
 }
 
@@ -166,31 +179,6 @@ func TestBuildComponentCovarianceIncludesScatter(t *testing.T) {
 	gotVar := p.Components[0].Sigma.At(0, 0)
 	if math.Abs(gotVar-1.01) > 0.05 {
 		t.Errorf("merged covariance %v, want ≈ 1.01 (within + scatter)", gotVar)
-	}
-}
-
-func TestBuildDPMeans(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	tasks, _ := makeTaskFamily(rng, 12, 4, 3, 10)
-	p, err := BuildDPMeans(tasks, 5, BuildOptions{Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("DP-means prior invalid: %v", err)
-	}
-	if len(p.Components) < 2 {
-		t.Errorf("DP-means found %d components for 3 separated clusters", len(p.Components))
-	}
-	// Errors.
-	if _, err := BuildDPMeans(nil, 5, BuildOptions{Alpha: 1}); err == nil {
-		t.Error("no tasks should fail")
-	}
-	if _, err := BuildDPMeans(tasks, 0, BuildOptions{Alpha: 1}); err == nil {
-		t.Error("lambda=0 should fail")
-	}
-	if _, err := BuildDPMeans(tasks, 5, BuildOptions{Alpha: 0}); err == nil {
-		t.Error("alpha=0 should fail")
 	}
 }
 

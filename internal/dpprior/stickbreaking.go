@@ -1,8 +1,8 @@
 // Package dpprior implements the Dirichlet-process machinery that carries
 // cloud knowledge to edge devices in drdp: stick-breaking weight
 // construction, Chinese-restaurant-process partitions, a truncated DP
-// Gaussian-mixture fit over cloud task posteriors (collapsed Gibbs with a
-// DP-means fast path), and the serializable Prior object that edges
+// Gaussian-mixture fit over cloud task posteriors (collapsed Gibbs, the
+// only prior builder), and the serializable Prior object that edges
 // receive over the wire.
 //
 // The prior over edge parameters θ has the truncated stick-breaking form
@@ -57,64 +57,6 @@ func ExpectedStickWeights(alpha float64, t int) (weights []float64, remainder fl
 		stick *= 1 - frac
 	}
 	return weights, stick
-}
-
-// StickBreakingPY draws truncated Pitman–Yor stick-breaking weights:
-// v_k ~ Beta(1−discount, alpha + (k+1)·discount). discount = 0 recovers
-// the Dirichlet process; discount ∈ (0,1) produces power-law cluster
-// sizes, matching task populations with a long tail of rare task types.
-func StickBreakingPY(rng *rand.Rand, discount, alpha float64, t int) (weights []float64, remainder float64) {
-	if discount < 0 || discount >= 1 {
-		panic(fmt.Sprintf("dpprior: StickBreakingPY: discount %g must be in [0,1)", discount))
-	}
-	if alpha <= -discount {
-		panic(fmt.Sprintf("dpprior: StickBreakingPY: alpha %g must exceed -discount", alpha))
-	}
-	if t <= 0 {
-		panic(fmt.Sprintf("dpprior: StickBreakingPY: truncation must be positive, got %d", t))
-	}
-	weights = make([]float64, t)
-	stick := 1.0
-	for k := 0; k < t; k++ {
-		v := betaSample(rng, 1-discount, alpha+float64(k+1)*discount)
-		weights[k] = v * stick
-		stick *= 1 - v
-	}
-	return weights, stick
-}
-
-// CRPPY samples a Pitman–Yor generalized CRP partition: a customer joins
-// table t with probability ∝ (count_t − discount) and starts a new table
-// with probability ∝ (alpha + tables·discount).
-func CRPPY(rng *rand.Rand, n int, discount, alpha float64) []int {
-	if discount < 0 || discount >= 1 {
-		panic(fmt.Sprintf("dpprior: CRPPY: discount %g must be in [0,1)", discount))
-	}
-	if alpha <= -discount {
-		panic(fmt.Sprintf("dpprior: CRPPY: alpha %g must exceed -discount", alpha))
-	}
-	assign := make([]int, n)
-	var counts []float64
-	for i := 0; i < n; i++ {
-		newMass := alpha + float64(len(counts))*discount
-		total := float64(i) - float64(len(counts))*discount + newMass
-		u := rng.Float64() * total
-		var acc float64
-		table := len(counts)
-		for t, c := range counts {
-			acc += c - discount
-			if u < acc {
-				table = t
-				break
-			}
-		}
-		if table == len(counts) {
-			counts = append(counts, 0)
-		}
-		counts[table]++
-		assign[i] = table
-	}
-	return assign
 }
 
 // CRP samples a Chinese-restaurant-process partition of n items with

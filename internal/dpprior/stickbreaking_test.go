@@ -165,80 +165,6 @@ func TestCRPTableGrowth(t *testing.T) {
 	}
 }
 
-func TestStickBreakingPYSimplexAndDPLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	// Simplex property across parameters.
-	for _, d := range []float64{0, 0.3, 0.7} {
-		for trial := 0; trial < 50; trial++ {
-			w, rem := StickBreakingPY(rng, d, 1, 12)
-			total := rem
-			for _, v := range w {
-				if v < 0 || v > 1 {
-					t.Fatalf("weight %v out of range", v)
-				}
-				total += v
-			}
-			if math.Abs(total-1) > 1e-9 {
-				t.Fatalf("total %v", total)
-			}
-		}
-	}
-	// discount=0 matches the DP expectation E[w_0] = 1/(1+α).
-	var first float64
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		w, _ := StickBreakingPY(rng, 0, 2, 5)
-		first += w[0]
-	}
-	if math.Abs(first/trials-1.0/3) > 0.01 {
-		t.Errorf("PY(0, 2) E[w_0] = %v, want 1/3", first/trials)
-	}
-}
-
-func TestStickBreakingPYPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, tc := range []struct{ d, a float64 }{{-0.1, 1}, {1, 1}, {0.5, -0.6}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("StickBreakingPY(%v, %v) did not panic", tc.d, tc.a)
-				}
-			}()
-			StickBreakingPY(rng, tc.d, tc.a, 5)
-		}()
-	}
-}
-
-func TestCRPPYPowerLawTables(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	tables := func(d float64) float64 {
-		const trials = 200
-		var total float64
-		for i := 0; i < trials; i++ {
-			assign := CRPPY(rng, 500, d, 1)
-			max := 0
-			for _, a := range assign {
-				if a > max {
-					max = a
-				}
-			}
-			total += float64(max + 1)
-		}
-		return total / trials
-	}
-	dp := tables(0)
-	py := tables(0.5)
-	// PY with positive discount produces many more tables (n^d growth
-	// vs log n).
-	if py < 2*dp {
-		t.Errorf("PY tables %v not ≫ DP tables %v", py, dp)
-	}
-	// discount=0 matches the DP analytic expectation.
-	if want := ExpectedTables(1, 500); math.Abs(dp-want) > 0.15*want {
-		t.Errorf("CRPPY(d=0) tables %v vs DP analytic %v", dp, want)
-	}
-}
-
 func TestExpectedTables(t *testing.T) {
 	// n=1: exactly 1 table regardless of alpha.
 	if got := ExpectedTables(3, 1); math.Abs(got-1) > 1e-12 {

@@ -33,7 +33,7 @@ func adversarialTask(dim int) dpprior.TaskPosterior {
 // exactly as it was.
 func TestNaNUploadRejectedAndPriorUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
-	addr, srv := startServer(t, seedTasks(rng, 5, 4))
+	addr, srv := startServerCfg(t, seedTasks(rng, 5, 4), nil)
 	srv.WaitCaughtUp()
 	before, v0, err := srv.Prior()
 	if err != nil {

@@ -49,7 +49,7 @@ func TestChaosDeviceLoop(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(500))
-			addr, srv := startServer(t, seedTasks(rng, 4, 3))
+			addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 
 			task := data.LinearTask{W: []float64{2, -1}, Flip: 0.05}
 			cache, err := NewPriorCache("")
@@ -148,7 +148,7 @@ func TestChaosDeviceLoop(t *testing.T) {
 // checks the loop still completes.
 func TestChaosThrottledAndFaulty(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
-	addr, _ := startServer(t, seedTasks(rng, 3, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 3, 3), nil)
 	profile := LinkProfile{Name: "flaky", Latency: 5 * time.Millisecond, Bandwidth: 1e6}
 	faults := &FaultConfig{Seed: 9, DropWrite: 0.2, Reset: 0.1}
 
@@ -212,7 +212,7 @@ func TestFaultScheduleReproducible(t *testing.T) {
 	}
 	run := func() outcome {
 		rng := rand.New(rand.NewSource(502))
-		addr, srv := startServer(t, seedTasks(rng, 4, 3))
+		addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 		uploads := seedTasks(rng, 6, 3)
 		srv.WaitCaughtUp()
 
@@ -293,7 +293,7 @@ func TestFaultScheduleReproducible(t *testing.T) {
 	// effect on a fault schedule: a sequential caller's connection is
 	// read only while a written request still awaits its response.
 	rng := rand.New(rand.NewSource(503))
-	addr, _ := startServer(t, seedTasks(rng, 4, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	conn, err := dialTCP(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func fastResilient(addr string) *ResilientClient {
 // flagged as a cold start, with no fetch error.
 func TestDeviceColdStartStatus(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
-	addr, _ := startServer(t, nil)
+	addr, _ := startServerCfg(t, nil, nil)
 	dev, train := testDevice(t, rng)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestDeviceFallbackLocal(t *testing.T) {
 // DegradedCached with the cached version.
 func TestDeviceCacheFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
-	addr, srv := startServer(t, seedTasks(rng, 4, 3)) // dim 3: logistic w + bias
+	addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil) // dim 3: logistic w + bias
 	dev, train := testDevice(t, rng)
 	cache, err := NewPriorCache("")
 	if err != nil {
@@ -161,7 +161,7 @@ func TestDeviceCacheFallback(t *testing.T) {
 // FallbackLocal, the model is still returned with ReportErr set.
 func TestDeviceReportFailureDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
-	addr, srv := startServer(t, seedTasks(rng, 4, 3))
+	addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	dev, train := testDevice(t, rng)
 	dev.FallbackLocal = true
 

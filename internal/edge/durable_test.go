@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,15 +62,12 @@ func startDurableServer(t *testing.T, dir string, seed []dpprior.TaskPosterior) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrCh := make(chan string, 1)
-	go func() {
-		if err := srv.ListenAndServe("127.0.0.1:0", addrCh); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	addr := <-addrCh
-	t.Cleanup(func() { srv.Close() })
-	return addr, srv
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(t, srv, ln)
+	return ln.Addr().String(), srv
 }
 
 // TestRestartRecoversPriorExactly is the durability acceptance test: a
@@ -134,7 +132,7 @@ func TestRestartRecoversPriorExactly(t *testing.T) {
 func TestDeltaSyncSavesWireBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	dim := 8
-	addr, srv := startServer(t, clusterTasks(rng, dim, []float64{-30, 0, 30}, 3))
+	addr, srv := startServerCfg(t, clusterTasks(rng, dim, []float64{-30, 0, 30}, 3), nil)
 	srv.WaitCaughtUp()
 
 	// Count the bytes this connection receives: a round trip only returns
@@ -217,7 +215,7 @@ func TestDeltaSyncSavesWireBytes(t *testing.T) {
 // prior instead of waiting for the build.
 func TestPriorServedDuringRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	_, srv := startServer(t, clusterTasks(rng, 4, []float64{-20, 20}, 2))
+	_, srv := startServerCfg(t, clusterTasks(rng, 4, []float64{-20, 20}, 2), nil)
 	srv.WaitCaughtUp()
 	_, v1, err := srv.Prior()
 	if err != nil {
@@ -342,7 +340,7 @@ func TestColdStartRunsOneBuild(t *testing.T) {
 // it describes, not the store version a rebuild in flight will reach.
 func TestStatsPriorVersionIsBuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	_, srv := startServer(t, clusterTasks(rng, 4, []float64{-20, 20}, 2))
+	_, srv := startServerCfg(t, clusterTasks(rng, 4, []float64{-20, 20}, 2), nil)
 	srv.WaitCaughtUp()
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -380,7 +378,7 @@ func TestStatsPriorVersionIsBuilt(t *testing.T) {
 func TestConcurrentReportAndDeltaFetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	dim := 4
-	addr, srv := startServer(t, clusterTasks(rng, dim, []float64{-20, 20}, 2))
+	addr, srv := startServerCfg(t, clusterTasks(rng, dim, []float64{-20, 20}, 2), nil)
 	srv.WaitCaughtUp()
 
 	centers := []float64{-60, -20, 20, 60, 100, 140}

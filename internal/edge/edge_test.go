@@ -16,23 +16,40 @@ import (
 	"github.com/drdp/drdp/internal/wire"
 )
 
-// startServer spins up a cloud server on a random port and returns its
-// address plus a shutdown func.
-func startServer(t *testing.T, seed []dpprior.TaskPosterior) (string, *CloudServer) {
+// startServerCfg runs a cloud server on a random loopback port until the
+// test ends and returns its address. configure, when non-nil, runs
+// before the accept loop starts: overload knobs (MaxConns,
+// HandlerTimeout, hooks) must not be mutated on a serving server.
+func startServerCfg(t *testing.T, seed []dpprior.TaskPosterior, configure func(*CloudServer)) (string, *CloudServer) {
 	t.Helper()
-	srv, err := NewCloudServer(seed, dpprior.BuildOptions{Alpha: 1, Seed: 7}, nil)
+	srv, err := NewCloudServer(seed, buildOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrCh := make(chan string, 1)
-	go func() {
-		if err := srv.ListenAndServe("127.0.0.1:0", addrCh); err != nil {
+	if configure != nil {
+		configure(srv)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(t, srv, ln)
+	return ln.Addr().String(), srv
+}
+
+// serve runs srv on ln in a goroutine. The test's cleanup closes srv and
+// waits for Serve to return, so the goroutine never outlives the test; an
+// error other than the server's own shutdown fails the test from there.
+func serve(t *testing.T, srv *CloudServer, ln net.Listener) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Close()
+		if err := <-done; err != nil && !isClosedErr(err) && !strings.Contains(err.Error(), "server already closed") {
 			t.Errorf("serve: %v", err)
 		}
-	}()
-	addr := <-addrCh
-	t.Cleanup(func() { srv.Close() })
-	return addr, srv
+	})
 }
 
 func seedTasks(rng *rand.Rand, k, dim int) []dpprior.TaskPosterior {
@@ -51,7 +68,7 @@ func seedTasks(rng *rand.Rand, k, dim int) []dpprior.TaskPosterior {
 
 func TestFetchPriorOverTCP(t *testing.T) {
 	rng := rand.New(rand.NewSource(110))
-	addr, _ := startServer(t, seedTasks(rng, 6, 4))
+	addr, _ := startServerCfg(t, seedTasks(rng, 6, 4), nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +99,7 @@ func TestFetchPriorOverTCP(t *testing.T) {
 }
 
 func TestEmptyCloudRejectsGetPrior(t *testing.T) {
-	addr, _ := startServer(t, nil)
+	addr, _ := startServerCfg(t, nil, nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +112,7 @@ func TestEmptyCloudRejectsGetPrior(t *testing.T) {
 
 func TestReportTaskUpdatesPrior(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
-	addr, srv := startServer(t, nil)
+	addr, srv := startServerCfg(t, nil, nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +150,7 @@ func TestReportTaskUpdatesPrior(t *testing.T) {
 
 func TestConditionalFetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(116))
-	addr, _ := startServer(t, seedTasks(rng, 3, 4))
+	addr, _ := startServerCfg(t, seedTasks(rng, 3, 4), nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +205,7 @@ func TestConditionalFetch(t *testing.T) {
 
 func TestReportTaskValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(112))
-	addr, _ := startServer(t, seedTasks(rng, 2, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 2, 3), nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +224,7 @@ func TestReportTaskValidation(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
-	addr, _ := startServer(t, seedTasks(rng, 4, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	const clients = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -283,7 +300,7 @@ func TestThrottledConnZeroBandwidthPanics(t *testing.T) {
 func TestThrottledConnDelays(t *testing.T) {
 	// A profile with tiny bandwidth must make the write measurably slow.
 	rng := rand.New(rand.NewSource(114))
-	addr, _ := startServer(t, seedTasks(rng, 2, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 2, 3), nil)
 	raw, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +330,7 @@ func TestDeviceRunLoop(t *testing.T) {
 	// Full loop: cold cloud; device 0 trains locally and reports; device 1
 	// then receives a prior built from device 0's task and trains with it.
 	rng := rand.New(rand.NewSource(115))
-	addr, srv := startServer(t, nil)
+	addr, srv := startServerCfg(t, nil, nil)
 	task := data.LinearTask{W: mat.Vec{2, -1}, Flip: 0.05}
 	m := model.Logistic{Dim: 2}
 

@@ -16,7 +16,7 @@ import (
 // must drop the connection without dying, and keep serving real clients.
 func TestServerSurvivesGarbageBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(170))
-	addr, _ := startServer(t, seedTasks(rng, 3, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 3, 3), nil)
 
 	for trial := 0; trial < 5; trial++ {
 		conn, err := net.Dial("tcp", addr)
@@ -46,7 +46,7 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 // mid-protocol.
 func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
-	addr, _ := startServer(t, seedTasks(rng, 3, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 3, 3), nil)
 	for trial := 0; trial < 5; trial++ {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -70,7 +70,7 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 // when the server goes away.
 func TestClientErrorsAfterServerClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(172))
-	addr, srv := startServer(t, seedTasks(rng, 2, 3))
+	addr, srv := startServerCfg(t, seedTasks(rng, 2, 3), nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 		t.Errorf("close before serve: %v", err)
 	}
 	rng := rand.New(rand.NewSource(173))
-	addr, srv2 := startServer(t, seedTasks(rng, 2, 3))
+	addr, srv2 := startServerCfg(t, seedTasks(rng, 2, 3), nil)
 	_ = addr
 	if err := srv2.Close(); err != nil {
 		t.Errorf("first close: %v", err)
@@ -121,8 +121,17 @@ func TestServerCloseIdempotent(t *testing.T) {
 // TestServeTwiceRejected verifies the second Serve call errors.
 func TestServeTwiceRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(174))
-	addr, srv := startServer(t, seedTasks(rng, 2, 3))
-	_ = addr
+	addr, srv := startServerCfg(t, seedTasks(rng, 2, 3), nil)
+	// A round trip proves the first Serve owns the accept loop; otherwise
+	// the second call below could register first and serve forever.
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

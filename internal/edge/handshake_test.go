@@ -55,7 +55,7 @@ func startLegacyGobServer(t *testing.T) string {
 // serves the full RPC surface.
 func TestNegotiatedBinaryAgainstServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(210))
-	addr, _ := startServer(t, seedTasks(rng, 5, 4))
+	addr, _ := startServerCfg(t, seedTasks(rng, 5, 4), nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestNegotiatedBinaryAgainstServer(t *testing.T) {
 // completes the handshake too and reports the binary codec.
 func TestStrictBinaryAgainstNegotiatingServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(230))
-	addr, _ := startServer(t, seedTasks(rng, 4, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	m, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestStrictBinaryResilientRefusesLegacyGobServer(t *testing.T) {
 // refusal is counted as a decode error.
 func TestGobClientAgainstNegotiatingServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
-	addr, _ := startServer(t, seedTasks(rng, 5, 4))
+	addr, _ := startServerCfg(t, seedTasks(rng, 5, 4), nil)
 	before := telemetry.ServerDecodeErrors.Value()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -203,7 +203,7 @@ func (r *recordingConn) Write(p []byte) (int, error) {
 // second connection with gob bytes instead.)
 func TestResilientClientRedialsBinaryAfterHelloFault(t *testing.T) {
 	rng := rand.New(rand.NewSource(213))
-	addr, _ := startServer(t, seedTasks(rng, 4, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	faults := FaultConfig{Seed: 1, Reset: 1}
 	var conns []*recordingConn
 	dial := func() (net.Conn, error) {

@@ -15,19 +15,13 @@ import (
 // connection is contained — the connection dies, the server lives.
 func TestServerRecoversFromHandlerPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
-	srv, err := NewCloudServer(seedTasks(rng, 3, 3), buildOpts(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.panicHook = func(req *Request) {
-		if req.Kind == GetStats {
-			panic("injected handler panic")
+	addr, _ := startServerCfg(t, seedTasks(rng, 3, 3), func(s *CloudServer) {
+		s.panicHook = func(req *Request) {
+			if req.Kind == GetStats {
+				panic("injected handler panic")
+			}
 		}
-	}
-	addrCh := make(chan string, 1)
-	go srv.ListenAndServe("127.0.0.1:0", addrCh)
-	addr := <-addrCh
-	t.Cleanup(func() { srv.Close() })
+	})
 
 	// The poisoned request kills its connection...
 	c1, err := Dial(addr, time.Second)
@@ -55,15 +49,9 @@ func TestServerRecoversFromHandlerPanic(t *testing.T) {
 // cut off instead of ballooning memory; the server stays healthy.
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
-	srv, err := NewCloudServer(seedTasks(rng, 3, 4), buildOpts(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.MaxFrameBytes = 4 << 10 // 4 KiB: a big task posterior won't fit
-	addrCh := make(chan string, 1)
-	go srv.ListenAndServe("127.0.0.1:0", addrCh)
-	addr := <-addrCh
-	t.Cleanup(func() { srv.Close() })
+	addr, srv := startServerCfg(t, seedTasks(rng, 3, 4), func(s *CloudServer) {
+		s.MaxFrameBytes = 4 << 10 // 4 KiB: a big task posterior won't fit
+	})
 
 	c, err := Dial(addr, time.Second)
 	if err != nil {
@@ -95,15 +83,9 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 // once the idle deadline passes, instead of pinning a handler goroutine.
 func TestServerIdleTimeoutReclaimsConnection(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
-	srv, err := NewCloudServer(seedTasks(rng, 2, 3), buildOpts(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.IdleTimeout = 80 * time.Millisecond
-	addrCh := make(chan string, 1)
-	go srv.ListenAndServe("127.0.0.1:0", addrCh)
-	addr := <-addrCh
-	t.Cleanup(func() { srv.Close() })
+	addr, _ := startServerCfg(t, seedTasks(rng, 2, 3), func(s *CloudServer) {
+		s.IdleTimeout = 80 * time.Millisecond
+	})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 func TestMuxClientConcurrent(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(216))
-		addr, srv := startServer(t, seedTasks(rng, 4, 3))
+		addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 		m, err := Dial(addr, time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +62,7 @@ func TestMuxClientConcurrent(t *testing.T) {
 // close error instead of hanging.
 func TestMuxClientPoisonsOnClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(217))
-	addr, _ := startServer(t, seedTasks(rng, 2, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 2, 3), nil)
 	m, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestMuxCloseHealthyIsNil(t *testing.T) {
 // in order, rebuilds once, and acknowledges the final version.
 func TestBatchAddTask(t *testing.T) {
 	rng := rand.New(rand.NewSource(218))
-	addr, srv := startServer(t, nil)
+	addr, srv := startServerCfg(t, nil, nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestBatchAddTask(t *testing.T) {
 // ones are never attempted, and the error is a CodeBadRequest.
 func TestBatchAddTaskPartialFailure(t *testing.T) {
 	rng := rand.New(rand.NewSource(219))
-	addr, srv := startServer(t, nil)
+	addr, srv := startServerCfg(t, nil, nil)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)

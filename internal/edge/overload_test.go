@@ -7,30 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/telemetry"
 )
-
-// startServerCfg is startServer with a configuration hook that runs
-// before the accept loop starts — overload knobs (MaxConns,
-// HandlerTimeout, hooks) must not be mutated on a serving server.
-func startServerCfg(t *testing.T, seed []dpprior.TaskPosterior, configure func(*CloudServer)) (string, *CloudServer) {
-	t.Helper()
-	srv, err := NewCloudServer(seed, dpprior.BuildOptions{Alpha: 1, Seed: 7}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	configure(srv)
-	addrCh := make(chan string, 1)
-	go func() {
-		if err := srv.ListenAndServe("127.0.0.1:0", addrCh); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	addr := <-addrCh
-	t.Cleanup(func() { srv.Close() })
-	return addr, srv
-}
 
 // TestMaxConnsShedsWithOverloadedCode: connections over the cap get one
 // retryable CodeOverloaded answer instead of queueing or a bare reset,
@@ -211,7 +189,7 @@ func TestHandlerTimeoutShedsButNeverDropsAcceptedTask(t *testing.T) {
 // failing — and cleared once the worker moves again.
 func TestRebuildWatchdogFlagsStall(t *testing.T) {
 	rng := rand.New(rand.NewSource(803))
-	_, srv := startServer(t, seedTasks(rng, 3, 3))
+	_, srv := startServerCfg(t, seedTasks(rng, 3, 3), nil)
 	srv.WaitCaughtUp()
 	srv.SetRebuildTimeout(40 * time.Millisecond)
 

@@ -23,7 +23,7 @@ func gobBytesT(t *testing.T, v interface{}) []byte {
 func TestPullLogAndFollowerApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	tasks := seedTasks(rng, 5, 4)
-	addr, leader := startServer(t, tasks)
+	addr, leader := startServerCfg(t, tasks, nil)
 
 	c, err := Dial(addr, time.Second)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestPullLogAndFollowerApply(t *testing.T) {
 
 func TestFollowerRefusesWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
-	addr, srv := startServer(t, seedTasks(rng, 4, 3))
+	addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	srv.SetFollower(true)
 	c, err := Dial(addr, time.Second)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestFollowerRefusesWrites(t *testing.T) {
 
 func TestMinVersionGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
-	addr, srv := startServer(t, seedTasks(rng, 4, 3))
+	addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	srv.WaitCaughtUp()
 	_, built, err := srv.Prior()
 	if err != nil {
@@ -149,7 +149,7 @@ func TestMinVersionGate(t *testing.T) {
 
 func TestDedupeUploads(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
-	addr, srv := startServer(t, nil)
+	addr, srv := startServerCfg(t, nil, nil)
 	srv.EnableDedupe()
 	c, err := Dial(addr, time.Second)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestDedupeUploads(t *testing.T) {
 
 func TestSemiSyncAckTimeout(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
-	_, srv := startServer(t, nil)
+	_, srv := startServerCfg(t, nil, nil)
 	srv.SetSemiSync(1, 50*time.Millisecond)
 	start := time.Now()
 	if _, err := srv.AddTask(seedTasks(rng, 1, 3)[0]); err != nil {

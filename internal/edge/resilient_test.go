@@ -146,7 +146,7 @@ func TestBreakerDisabled(t *testing.T) {
 // mid-session; the next round trip must transparently redial.
 func TestResilientRedialAfterBrokenStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
-	addr, _ := startServer(t, seedTasks(rng, 3, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 3, 3), nil)
 
 	var conns []net.Conn
 	dial := func() (net.Conn, error) {
@@ -182,7 +182,7 @@ func TestResilientRedialAfterBrokenStream(t *testing.T) {
 // straight through without burning retries or tripping the breaker.
 func TestResilientServerErrorNotRetried(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
-	addr, _ := startServer(t, seedTasks(rng, 3, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 3, 3), nil)
 	rc := DialResilient(addr, ResilientOptions{
 		Retry:            RetryPolicy{MaxAttempts: 5, Base: time.Millisecond},
 		Breaker:          BreakerConfig{Threshold: 2, Cooldown: time.Minute},
@@ -214,7 +214,7 @@ func TestResilientServerErrorNotRetried(t *testing.T) {
 // TestResilientColdStartSurfacesErrNoPrior: an empty cloud is reported
 // as ErrNoPrior immediately (no retries — it's not a fault).
 func TestResilientColdStartSurfacesErrNoPrior(t *testing.T) {
-	addr, _ := startServer(t, nil)
+	addr, _ := startServerCfg(t, nil, nil)
 	rc := DialResilient(addr, ResilientOptions{
 		Retry:            RetryPolicy{MaxAttempts: 4, Base: time.Millisecond},
 		RoundTripTimeout: time.Second,
@@ -336,8 +336,7 @@ func TestResilientRecoversWhenServerReturns(t *testing.T) {
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	go srv.Serve(ln2)
-	t.Cleanup(func() { srv.Close() })
+	serve(t, srv, ln2)
 
 	time.Sleep(20 * time.Millisecond) // let the cooldown elapse
 	if _, _, err := rc.FetchPrior(3); err != nil {
@@ -355,7 +354,7 @@ func TestResilientRecoversWhenServerReturns(t *testing.T) {
 // are in flight returns and leaves the client usable.
 func TestResilientConcurrentCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
-	addr, _ := startServer(t, seedTasks(rng, 4, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	const callers, calls = 8, 50
 	uploads := seedTasks(rng, callers*calls, 3)
 

@@ -131,7 +131,7 @@ func TestTelemetryBreakerTransitions(t *testing.T) {
 // outage served from cache — and checks each rung's counters.
 func TestTelemetryCacheAndDegradationMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	addr, srv := startServer(t, seedTasks(rng, 4, 3))
+	addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 
 	cache, err := NewPriorCache("")
 	if err != nil {
@@ -212,7 +212,7 @@ type Values = telemetry.Values
 // both be nonzero.
 func TestTelemetryChaosMatchesInjectedFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	addr, _ := startServer(t, seedTasks(rng, 4, 3))
+	addr, _ := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 
 	faults := FaultConfig{Seed: 3, FailAfterOps: 12}
 	dial := faults.Dialer(func() (net.Conn, error) {

@@ -2,10 +2,7 @@ package em
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"github.com/drdp/drdp/internal/mat"
 )
 
 // halvingProblem is a toy MM problem: objective (x-5)², M-step moves
@@ -67,113 +64,5 @@ func TestCheckMonotone(t *testing.T) {
 	}
 	if err := CheckMonotone(nil, 0); err != nil {
 		t.Errorf("empty trace: %v", err)
-	}
-}
-
-func sampleBlobs(rng *rand.Rand, centers []mat.Vec, perCluster int, noise float64) []mat.Vec {
-	var out []mat.Vec
-	for _, c := range centers {
-		for i := 0; i < perCluster; i++ {
-			x := mat.CloneVec(c)
-			for j := range x {
-				x[j] += noise * rng.NormFloat64()
-			}
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func TestFitGMMRecoversBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	centers := []mat.Vec{{-5, 0}, {5, 0}, {0, 8}}
-	x := sampleBlobs(rng, centers, 60, 0.5)
-	g, trace, err := FitGMM(x, 3, 80, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Log likelihood must be (near) monotone non-decreasing.
-	for i := 1; i < len(trace); i++ {
-		if trace[i] < trace[i-1]-1e-6 {
-			t.Fatalf("log-likelihood decreased at iter %d: %v -> %v", i, trace[i-1], trace[i])
-		}
-	}
-	// Every true center should be near some fitted mean.
-	for _, c := range centers {
-		best := math.Inf(1)
-		for _, m := range g.Means {
-			if d := mat.Dist2(c, m); d < best {
-				best = d
-			}
-		}
-		if best > 0.5 {
-			t.Errorf("center %v is %.2f from nearest fitted mean", c, best)
-		}
-	}
-	// Weights near 1/3 each.
-	for _, w := range g.Weights {
-		if w < 0.2 || w > 0.5 {
-			t.Errorf("weight %v far from 1/3", w)
-		}
-	}
-}
-
-func TestFitGMMAssign(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	centers := []mat.Vec{{-10}, {10}}
-	x := sampleBlobs(rng, centers, 30, 0.3)
-	g, _, err := FitGMM(x, 2, 50, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := g.Assign(x)
-	// First 30 points share one label, last 30 the other.
-	for i := 1; i < 30; i++ {
-		if assign[i] != assign[0] {
-			t.Fatalf("cluster 0 split: %v", assign[:30])
-		}
-	}
-	for i := 31; i < 60; i++ {
-		if assign[i] != assign[30] {
-			t.Fatalf("cluster 1 split")
-		}
-	}
-	if assign[0] == assign[30] {
-		t.Error("both blobs mapped to the same component")
-	}
-}
-
-func TestFitGMMErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	if _, _, err := FitGMM(nil, 2, 10, rng); err == nil {
-		t.Error("empty data accepted")
-	}
-	x := []mat.Vec{{1}, {2}}
-	if _, _, err := FitGMM(x, 0, 10, rng); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := FitGMM(x, 3, 10, rng); err == nil {
-		t.Error("k>n accepted")
-	}
-	bad := []mat.Vec{{1}, {2, 3}}
-	if _, _, err := FitGMM(bad, 1, 10, rng); err == nil {
-		t.Error("ragged data accepted")
-	}
-}
-
-func TestGMMLogLikelihoodImprovesOverUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	centers := []mat.Vec{{-5}, {5}}
-	x := sampleBlobs(rng, centers, 40, 0.5)
-	g2, _, err := FitGMM(x, 2, 60, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, _, err := FitGMM(x, 1, 60, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.LogLikelihood(x) <= g1.LogLikelihood(x) {
-		t.Error("2-component fit should beat 1-component on bimodal data")
 	}
 }

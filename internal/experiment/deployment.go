@@ -6,7 +6,6 @@ import (
 
 	"github.com/drdp/drdp/internal/core"
 	"github.com/drdp/drdp/internal/data"
-	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/dro"
 	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/model"
@@ -170,53 +169,6 @@ func Table12LossyLinks(cfg RunConfig) (*Table, error) {
 	return tab, nil
 }
 
-// Figure10Compression sweeps the prior compression level: effective wire
-// size per level against the edge accuracy achieved with the compressed
-// prior — the systems tradeoff for constrained uplinks.
-func Figure10Compression(cfg RunConfig) (*Series, error) {
-	cfg = cfg.withDefaults()
-	levels := []struct {
-		name  string
-		level int
-	}{
-		{"full", 0}, {"diagonal", 1}, {"spherical", 2},
-	}
-	ser := &Series{
-		Title:  "Figure 10: prior compression — wire size vs edge accuracy (n=20)",
-		XLabel: "level(0=full,1=diag,2=sph)",
-		X:      []float64{0, 1, 2},
-	}
-	sizes := make([]float64, len(levels))
-	accs := make([]float64, len(levels))
-	for li, lv := range levels {
-		var ss, as []float64
-		for _, seed := range Seeds(cfg.Seed, cfg.Reps) {
-			b, err := cfg.scenario(seed).Build()
-			if err != nil {
-				return nil, err
-			}
-			compressed, compiled, err := compressAndCompile(b, lv.level)
-			if err != nil {
-				return nil, err
-			}
-			ss = append(ss, float64(compressed.EffectiveWireSize(levelOf(lv.level)))/1024)
-			train, test := b.EdgeData(20, testSamples)
-			tr := DRDPTrainer{Model: b.Model,
-				Set: dro.Set{Kind: dro.Wasserstein, Rho: 0.05}, Prior: compiled}
-			params, err := tr.Train(train.X, train.Y)
-			if err != nil {
-				return nil, err
-			}
-			as = append(as, model.Accuracy(b.Model, params, test.X, test.Y))
-		}
-		sizes[li] = Aggregate(ss).Mean
-		accs[li] = Aggregate(as).Mean
-	}
-	ser.Add("wire-KB", sizes)
-	ser.Add("accuracy", accs)
-	return ser, nil
-}
-
 // Figure11DriftTracking streams batches from a rotating (concept-drift)
 // task and compares three streaming policies on accuracy against the
 // CURRENT distribution: accumulate-everything online learning, sliding-
@@ -297,20 +249,4 @@ func Figure11DriftTracking(cfg RunConfig) (*Series, error) {
 	ser.Add("online-window", accWin)
 	ser.Add("static-after-2", accStatic)
 	return ser, nil
-}
-
-func levelOf(i int) dpprior.CompressionLevel {
-	return dpprior.CompressionLevel(i)
-}
-
-func compressAndCompile(b *Built, level int) (*dpprior.Prior, *dpprior.Compiled, error) {
-	compressed, err := b.Prior.Compress(levelOf(level))
-	if err != nil {
-		return nil, nil, err
-	}
-	compiled, err := dpprior.Compile(compressed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return compressed, compiled, nil
 }

@@ -126,8 +126,8 @@ func TestTable5And6Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(t5.Rows) != 3 {
-		t.Errorf("table5 rows %d, want 3 (gibbs/variational/dp-means)", len(t5.Rows))
+	if len(t5.Rows) != 1 {
+		t.Errorf("table5 rows %d, want 1 (gibbs)", len(t5.Rows))
 	}
 	t6, err := Table6StochasticMStep(cfg)
 	if err != nil {
@@ -157,13 +157,6 @@ func TestTable5And6Smoke(t *testing.T) {
 	if len(t9.Rows) != 4 { // 2 links (fast) × 2 policies
 		t.Errorf("table9 rows %d, want 4", len(t9.Rows))
 	}
-	f10, err := Figure10Compression(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f10.X) != 3 {
-		t.Errorf("figure10 levels %d, want 3", len(f10.X))
-	}
 	t10, err := Table10Imbalance(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +177,6 @@ func TestTable5And6Smoke(t *testing.T) {
 	}
 	if len(t12.Rows) != 3 { // fast mode: 3 loss rates
 		t.Errorf("table12 rows %d, want 3", len(t12.Rows))
-	}
-	// Compression must strictly shrink the wire size.
-	if !(f10.Y[0][2] < f10.Y[0][1] && f10.Y[0][1] < f10.Y[0][0]) {
-		t.Errorf("wire sizes not decreasing: %v", f10.Y[0])
 	}
 }
 

@@ -14,63 +14,45 @@ import (
 	"github.com/drdp/drdp/internal/stat"
 )
 
-// Table5PriorFitAblation compares the three cloud-side prior-construction
-// algorithms (collapsed Gibbs, variational inference, DP-means) on the
-// same task set: components recovered, build wall-clock, and downstream
-// edge accuracy with the resulting prior.
+// Table5PriorFitAblation reports what the cloud's collapsed-Gibbs prior
+// builder makes of the Table-1 task set: components recovered, build
+// wall-clock, and downstream edge accuracy with the resulting prior.
 func Table5PriorFitAblation(cfg RunConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 	tab := &Table{
-		Title:   "Table 5: prior-construction ablation (mean over seeds)",
+		Title:   "Table 5: collapsed-Gibbs prior construction (mean over seeds)",
 		Columns: []string{"fit", "components", "build ms", "edge acc (n=20)"},
 	}
-	type fitSpec struct {
-		name string
-		run  func(tasks []dpprior.TaskPosterior, seed int64) (*dpprior.Prior, error)
-	}
-	specs := []fitSpec{
-		{"gibbs", func(tasks []dpprior.TaskPosterior, seed int64) (*dpprior.Prior, error) {
-			return dpprior.Build(tasks, dpprior.BuildOptions{Alpha: 1, Seed: seed})
-		}},
-		{"variational", func(tasks []dpprior.TaskPosterior, seed int64) (*dpprior.Prior, error) {
-			return dpprior.BuildVariational(tasks, 0, dpprior.BuildOptions{Alpha: 1})
-		}},
-		{"dp-means", func(tasks []dpprior.TaskPosterior, seed int64) (*dpprior.Prior, error) {
-			return dpprior.BuildDPMeans(tasks, 2.5, dpprior.BuildOptions{Alpha: 1})
-		}},
-	}
-	for _, spec := range specs {
-		var comps, ms, accs []float64
-		for _, seed := range Seeds(cfg.Seed, cfg.Reps) {
-			b, err := cfg.scenario(seed).Build()
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			prior, err := spec.run(b.Posteriors, seed)
-			if err != nil {
-				return nil, fmt.Errorf("table5: %s: %w", spec.name, err)
-			}
-			ms = append(ms, float64(time.Since(start).Microseconds())/1000)
-			comps = append(comps, float64(len(prior.Components)))
-			compiled, err := dpprior.Compile(prior)
-			if err != nil {
-				return nil, err
-			}
-			train, test := b.EdgeData(20, testSamples)
-			tr := DRDPTrainer{Model: b.Model,
-				Set: dro.Set{Kind: dro.Wasserstein, Rho: 0.05}, Prior: compiled}
-			params, err := tr.Train(train.X, train.Y)
-			if err != nil {
-				return nil, err
-			}
-			accs = append(accs, model.Accuracy(b.Model, params, test.X, test.Y))
+	var comps, ms, accs []float64
+	for _, seed := range Seeds(cfg.Seed, cfg.Reps) {
+		b, err := cfg.scenario(seed).Build()
+		if err != nil {
+			return nil, err
 		}
-		tab.AddRow(spec.name,
-			fmt.Sprintf("%.1f", Aggregate(comps).Mean),
-			fmt.Sprintf("%.2f", Aggregate(ms).Mean),
-			Aggregate(accs).String())
+		start := time.Now()
+		prior, err := dpprior.Build(b.Posteriors, dpprior.BuildOptions{Alpha: 1, Seed: seed})
+		if err != nil {
+			return nil, fmt.Errorf("table5: gibbs: %w", err)
+		}
+		ms = append(ms, float64(time.Since(start).Microseconds())/1000)
+		comps = append(comps, float64(len(prior.Components)))
+		compiled, err := dpprior.Compile(prior)
+		if err != nil {
+			return nil, err
+		}
+		train, test := b.EdgeData(20, testSamples)
+		tr := DRDPTrainer{Model: b.Model,
+			Set: dro.Set{Kind: dro.Wasserstein, Rho: 0.05}, Prior: compiled}
+		params, err := tr.Train(train.X, train.Y)
+		if err != nil {
+			return nil, err
+		}
+		accs = append(accs, model.Accuracy(b.Model, params, test.X, test.Y))
 	}
+	tab.AddRow("gibbs",
+		fmt.Sprintf("%.1f", Aggregate(comps).Mean),
+		fmt.Sprintf("%.2f", Aggregate(ms).Mean),
+		Aggregate(accs).String())
 	return tab, nil
 }
 

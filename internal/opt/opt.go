@@ -234,51 +234,3 @@ func (a *Adam) Step(theta, grad mat.Vec) {
 		theta[i] -= a.LR * (a.m[i] / bc1) / (math.Sqrt(a.v[i]/bc2) + a.Eps)
 	}
 }
-
-// GoldenSection minimizes a unimodal f on [a, b].
-func GoldenSection(f func(float64) float64, a, b float64, iters int) float64 {
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < iters && b-a > 1e-12*(1+math.Abs(a)); i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
-}
-
-// Bisect finds a root of monotone f on [lo, hi]; f(lo) and f(hi) must
-// bracket zero. It returns the midpoint after iters halvings.
-func Bisect(f func(float64) float64, lo, hi float64, iters int) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, fmt.Errorf("opt: Bisect: no sign change on [%g, %g]", lo, hi)
-	}
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if (fm > 0) == (fhi > 0) {
-			hi, fhi = mid, fm
-		} else {
-			lo, flo = mid, fm
-		}
-	}
-	return (lo + hi) / 2, nil
-}

@@ -192,30 +192,6 @@ func TestSteppersPanicWithoutLR(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	min := GoldenSection(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 200)
-	if math.Abs(min-3) > 1e-9 {
-		t.Errorf("GoldenSection = %v, want 3", min)
-	}
-}
-
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x*x - 8 }, 0, 10, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-2) > 1e-9 {
-		t.Errorf("Bisect = %v, want 2", root)
-	}
-	if _, err := Bisect(func(x float64) float64 { return 1 }, 0, 1, 10); err == nil {
-		t.Error("Bisect without bracket should error")
-	}
-	// Exact endpoint roots.
-	if r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 10); err != nil || r != 0 {
-		t.Errorf("Bisect endpoint root: %v, %v", r, err)
-	}
-}
-
 func TestGDMatchesProxGDWithoutPenalty(t *testing.T) {
 	// With a zero penalty the two algorithms should find the same optimum.
 	rng := rand.New(rand.NewSource(50))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,10 +41,31 @@ func startCloud(t *testing.T, seed []dpprior.TaskPosterior) (string, *edge.Cloud
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	addrCh := make(chan string, 1)
-	go srv.ListenAndServe("127.0.0.1:0", addrCh)
-	return <-addrCh, srv
+	return serve(t, srv), srv
+}
+
+// serve runs srv on a random loopback port and returns its address. The
+// test's cleanup closes srv and waits for Serve to return, so the serve
+// goroutine never outlives the test; an error other than the server's
+// own shutdown fails the test from there.
+func serve(t *testing.T, srv interface {
+	Serve(net.Listener) error
+	Close() error
+}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Close()
+		if err := <-done; err != nil && !errors.Is(err, net.ErrClosed) && !strings.Contains(err.Error(), "server already closed") {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return ln.Addr().String()
 }
 
 func startRegion(t *testing.T, cfg Config) *Region {
@@ -296,9 +318,7 @@ func TestGossipAbsorbsPeerComponents(t *testing.T) {
 		}
 	}
 	peer.Server().WaitCaughtUp()
-	addrCh := make(chan string, 1)
-	go peer.ListenAndServe("127.0.0.1:0", addrCh)
-	peerAddr := <-addrCh
+	peerAddr := serve(t, peer)
 
 	r := startRegion(t, Config{
 		Name:      "r1",
@@ -490,9 +510,7 @@ func TestRegionServesDevicesOverWire(t *testing.T) {
 		Seed:   42,
 		Logger: telemetry.Discard(),
 	})
-	addrCh := make(chan string, 1)
-	go r.ListenAndServe("127.0.0.1:0", addrCh)
-	addr := <-addrCh
+	addr := serve(t, r)
 
 	c, err := edge.Dial(addr, time.Second)
 	if err != nil {

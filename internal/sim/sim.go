@@ -9,7 +9,7 @@
 // The simulator answers the deployment questions the evaluation's
 // systems analysis raises: how prior staleness (cloud rebuild policy),
 // link quality and arrival order interact to shape fleet-wide
-// time-to-model and accuracy (EXPERIMENTS.md Figure 10).
+// time-to-model and accuracy (EXPERIMENTS.md Table 9).
 package sim
 
 import (

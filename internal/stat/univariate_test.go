@@ -237,3 +237,24 @@ func TestSplitIndependence(t *testing.T) {
 		t.Error("Split produced identical child streams")
 	}
 }
+
+func TestBetaLogPDFBoundaries(t *testing.T) {
+	b := Beta{2, 3}
+	if !math.IsInf(b.LogPDF(0), -1) || !math.IsInf(b.LogPDF(1), -1) {
+		t.Error("boundary density should be -Inf")
+	}
+}
+
+func TestDirichletDegenerateShapes(t *testing.T) {
+	rng := NewRNG(300)
+	// Extremely tiny shapes can underflow all gammas to zero; the
+	// fallback must still return a simplex point.
+	p := Dirichlet(rng, []float64{1e-300, 1e-300})
+	var s float64
+	for _, v := range p {
+		s += v
+	}
+	if math.Abs(s-1) > 1e-9 {
+		t.Errorf("degenerate Dirichlet sums to %v", s)
+	}
+}

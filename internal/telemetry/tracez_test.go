@@ -147,6 +147,11 @@ func TestTracezHandler(t *testing.T) {
 // TestRecordExemplarKeepsSlowest pins the replacement policy: within the
 // TTL the slowest observation wins.
 func TestRecordExemplarKeepsSlowest(t *testing.T) {
+	// The exemplar map is process-global: start from no test_hist entry,
+	// so a slower one left by an earlier run (-count) cannot win.
+	exemplarMu.Lock()
+	delete(exemplars, "test_hist")
+	exemplarMu.Unlock()
 	RecordExemplar("test_hist", "aaa", 0.5)
 	RecordExemplar("test_hist", "bbb", 0.1) // faster: must not displace
 	RecordExemplar("test_hist", "", 9)      // untraced: ignored entirely
