@@ -60,14 +60,11 @@ chaos-region:
 # ENOSPC, bit flips), store poisoning, scrub repair over the wire,
 # verdict-sidecar recovery, gray-leader demotion, hedged reads, and the
 # full RunDiskChaos scenario (bit rot + slow leader, byte-identical
-# repair, bounded p99) — plus the Table 19 record as a
-# BENCH_table19.json artifact.
+# repair, bounded p99).
 chaos-disk:
 	$(GO) test -race -count=2 \
 		-run 'Fault|Scrub|Poison|Sidecar|Verdict|Snapshot|DiskChaos|Gray|Hedge|Demot' \
 		./internal/store/ ./internal/cluster/ ./internal/sim/ ./internal/edge/
-	mkdir -p $(BENCH_OUT)
-	$(GO) run ./cmd/drdp-bench -fast -only table19 -json $(BENCH_OUT)
 
 # Wire codec gates: the microbenchmarks with allocation reporting and
 # the decode allocs/op budget (binary decode into reused buffers must

@@ -1,11 +1,14 @@
 // Command drdp-bench regenerates the evaluation suite: every table and
-// figure documented in EXPERIMENTS.md, at full workload size (use -fast
-// for the reduced smoke workload the Go benchmarks run).
+// figure in its jobs list, at full workload size (use -fast for the
+// reduced smoke workload the Go benchmarks run). Systems invariants
+// (bit-identical parallel fits, byte-identical priors after failover,
+// partition heal and scrub repair) are tests in internal/core and
+// internal/sim, not experiments.
 //
 // Usage:
 //
 //	drdp-bench                     # run everything, print to stdout
-//	drdp-bench -only table1,fig3   # a subset
+//	drdp-bench -only table1,fig3   # a subset; -h lists every id
 //	drdp-bench -csv out/           # also write CSV files per experiment
 //	drdp-bench -json out/          # also write BENCH_<id>.json per experiment
 //	drdp-bench -reps 5 -seed 7     # more repetitions
@@ -55,12 +58,7 @@ var jobs = []job{
 	{id: "fig12", fig: experiment.Figure12GroundMetric},
 	{id: "table10", table: experiment.Table10Imbalance},
 	{id: "table11", table: experiment.Table11AlphaSelection},
-	{id: "table12", table: experiment.Table12LossyLinks},
-	{id: "table13", table: experiment.Table13Parallel},
 	{id: "table14", table: experiment.Table14PoisonedEdges},
-	{id: "table15", table: experiment.Table15ShardedCluster},
-	{id: "table18", table: experiment.Table18Regions},
-	{id: "table19", table: experiment.Table19DiskChaos},
 }
 
 func main() {
@@ -72,17 +70,16 @@ func main() {
 
 func run() error {
 	var (
-		only     = flag.String("only", "", "comma-separated experiment ids (table1..table19, fig1..fig12); empty = all")
-		csvDir   = flag.String("csv", "", "directory for CSV output (created if missing)")
-		jsonDir  = flag.String("json", "", "directory for machine-readable BENCH_<id>.json output (created if missing)")
-		reps     = flag.Int("reps", 3, "repetitions (seeds) per configuration")
-		seed     = flag.Int64("seed", 1, "base seed")
-		fast     = flag.Bool("fast", false, "reduced workload (what `go test -bench` uses)")
-		parallel = flag.Int("parallel", 0, "worker count for DRDP fits (0 = serial; results are bit-identical either way)")
+		only    = flag.String("only", "", "comma-separated experiment ids ("+jobIDs()+"); empty = all")
+		csvDir  = flag.String("csv", "", "directory for CSV output (created if missing)")
+		jsonDir = flag.String("json", "", "directory for machine-readable BENCH_<id>.json output (created if missing)")
+		reps    = flag.Int("reps", 3, "repetitions (seeds) per configuration")
+		seed    = flag.Int64("seed", 1, "base seed")
+		fast    = flag.Bool("fast", false, "reduced workload (what `go test -bench` uses)")
 	)
 	flag.Parse()
 
-	cfg := experiment.RunConfig{Reps: *reps, Seed: *seed, Fast: *fast, Parallelism: *parallel}
+	cfg := experiment.RunConfig{Reps: *reps, Seed: *seed, Fast: *fast}
 
 	selected := map[string]bool{}
 	if *only != "" {
@@ -162,8 +159,8 @@ func benchRecord(id string, tab *experiment.Table, cfg experiment.RunConfig,
 	hb, _ := after.Histogram("drdp_core_fit_seconds")
 	ha, _ := before.Histogram("drdp_core_fit_seconds")
 	fit := hb.Delta(ha)
-	// JSON cannot carry NaN; an experiment that never fit a model (pure
-	// transport benchmarks) reports zero quantiles.
+	// JSON cannot carry NaN; an experiment that never fit a model
+	// reports zero quantiles.
 	q := func(p float64) float64 {
 		v := fit.Quantile(p)
 		if math.IsNaN(v) {
@@ -226,6 +223,15 @@ func writeCSV(tab *experiment.Table, path string) error {
 		return fmt.Errorf("close csv: %w", cerr)
 	}
 	return nil
+}
+
+// jobIDs lists every experiment id in run order, for the -only usage.
+func jobIDs() string {
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.id
+	}
+	return strings.Join(ids, ", ")
 }
 
 func knownID(id string) bool {

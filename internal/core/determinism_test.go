@@ -15,14 +15,14 @@ import (
 	"github.com/drdp/drdp/internal/opt"
 )
 
-// determinismTask builds a fit large enough to span many parallel chunks
-// (n > 2·ChunkRows) with a 2-component prior, so multi-start EM, the
+// determinismTask builds an n-sample fit with a 2-component prior; at
+// n > 2·ChunkRows it spans many parallel chunks, so multi-start EM, the
 // E-step fan-out and the chunked loss/gradient paths all engage.
-func determinismTask(t *testing.T) (*mat.Dense, []float64, *dpprior.Compiled) {
+func determinismTask(t *testing.T, n int) (*mat.Dense, []float64, *dpprior.Compiled) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	wstar := mat.Vec{1.5, -2, 0.5, 1}
-	x, y := linearTask(rng, 600, 4, wstar, 0.05)
+	x, y := linearTask(rng, n, 4, wstar, 0.05)
 	sigma := mat.Eye(5)
 	p := &dpprior.Prior{
 		Alpha: 1,
@@ -97,28 +97,38 @@ func assertBitIdentical(t *testing.T, label string, a, b *Result) {
 }
 
 func TestFitBitIdenticalAcrossParallelism(t *testing.T) {
-	x, y, prior := determinismTask(t)
-	sets := []dro.Set{
-		{Kind: dro.Wasserstein, Rho: 0.05},
-		{Kind: dro.KL, Rho: 0.1},
-		{Kind: dro.Chi2, Rho: 0.1},
+	cases := []struct {
+		n    int
+		sets []dro.Set
+	}{
+		{600, []dro.Set{
+			{Kind: dro.Wasserstein, Rho: 0.05},
+			{Kind: dro.KL, Rho: 0.1},
+			{Kind: dro.Chi2, Rho: 0.1},
+		}},
+		// A gradient-dominated fit: tens of chunks per loss sweep.
+		{4000, []dro.Set{{Kind: dro.Wasserstein, Rho: 0.05}}},
 	}
-	for _, set := range sets {
-		serial := fitWith(t, x, y, prior, set, WithParallelism(1))
+	for _, c := range cases {
+		x, y, prior := determinismTask(t, c.n)
+		for _, set := range c.sets {
+			label := fmt.Sprintf("%s n=%d", set.Kind, c.n)
+			serial := fitWith(t, x, y, prior, set, WithParallelism(1))
 
-		// Default (no option) must be the same inline reference path.
-		def := fitWith(t, x, y, prior, set)
-		assertBitIdentical(t, set.Kind.String()+" default-vs-1", def, serial)
+			// Default (no option) must be the same inline reference path.
+			def := fitWith(t, x, y, prior, set)
+			assertBitIdentical(t, label+" default-vs-1", def, serial)
 
-		for _, par := range []int{2, 8} {
-			got := fitWith(t, x, y, prior, set, WithParallelism(par))
-			assertBitIdentical(t, set.Kind.String()+" parallel", got, serial)
+			for _, par := range []int{2, 4, 8} {
+				got := fitWith(t, x, y, prior, set, WithParallelism(par))
+				assertBitIdentical(t, fmt.Sprintf("%s parallel=%d", label, par), got, serial)
+			}
 		}
 	}
 }
 
 func TestFitBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	x, y, prior := determinismTask(t)
+	x, y, prior := determinismTask(t, 600)
 	set := dro.Set{Kind: dro.KL, Rho: 0.1}
 
 	prev := runtime.GOMAXPROCS(1)
@@ -134,7 +144,7 @@ func TestFitBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 // Learner may serve concurrent Fit/Certificate calls (run under -race in
 // CI): all concurrent fits of the same data must agree bit-for-bit.
 func TestLearnerConcurrentFit(t *testing.T) {
-	x, y, prior := determinismTask(t)
+	x, y, prior := determinismTask(t, 600)
 	l, err := New(model.Logistic{Dim: 4},
 		WithUncertaintySet(dro.Set{Kind: dro.KL, Rho: 0.1}),
 		WithPrior(prior),

@@ -53,9 +53,8 @@ func benchTask(n, d int) (*mat.Dense, []float64, *dpprior.Compiled, mat.Vec) {
 }
 
 // BenchmarkFitParallelism measures the full training loop at several
-// worker counts; `make bench-json` records the serial-vs-parallel
-// comparison from these timings. The fitted parameters are bit-identical
-// across all cases by the determinism invariant (see determinism_test.go).
+// worker counts. The fitted parameters are bit-identical across all
+// cases by the determinism invariant (see determinism_test.go).
 func BenchmarkFitParallelism(b *testing.B) {
 	x, y, prior, _ := benchTask(8192, 16)
 	for _, workers := range []int{1, 2, 4, 8} {

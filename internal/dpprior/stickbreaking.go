@@ -41,24 +41,6 @@ func StickBreaking(rng *rand.Rand, alpha float64, t int) (weights []float64, rem
 	return weights, stick
 }
 
-// ExpectedStickWeights returns the mean of the truncated stick-breaking
-// weights, E[w_k] = (1/(1+α)) (α/(1+α))^k, plus the expected remainder.
-// These are the deterministic weights used when the prior is built without
-// Monte-Carlo stick draws.
-func ExpectedStickWeights(alpha float64, t int) (weights []float64, remainder float64) {
-	if alpha <= 0 || t <= 0 {
-		panic(fmt.Sprintf("dpprior: ExpectedStickWeights: invalid alpha=%g t=%d", alpha, t))
-	}
-	weights = make([]float64, t)
-	stick := 1.0
-	frac := 1 / (1 + alpha)
-	for k := 0; k < t; k++ {
-		weights[k] = frac * stick
-		stick *= 1 - frac
-	}
-	return weights, stick
-}
-
 // CRP samples a Chinese-restaurant-process partition of n items with
 // concentration alpha, returning per-item table assignments (0-based,
 // tables numbered in order of first occupancy).
@@ -87,16 +69,6 @@ func CRP(rng *rand.Rand, n int, alpha float64) []int {
 		assign[i] = table
 	}
 	return assign
-}
-
-// ExpectedTables returns the expected number of occupied CRP tables for n
-// customers at concentration alpha: Σ_{i=0}^{n-1} α/(α+i) ≈ α log(1+n/α).
-func ExpectedTables(alpha float64, n int) float64 {
-	var s float64
-	for i := 0; i < n; i++ {
-		s += alpha / (alpha + float64(i))
-	}
-	return s
 }
 
 // betaSample draws Beta(a, b) via the Gamma ratio, inlined here to keep

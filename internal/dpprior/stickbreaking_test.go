@@ -7,6 +7,31 @@ import (
 	"testing/quick"
 )
 
+// expectedStickWeights returns the mean of the truncated stick-breaking
+// weights, E[w_k] = (1/(1+α)) (α/(1+α))^k, plus the expected remainder:
+// the closed form StickBreaking's draws are checked against.
+func expectedStickWeights(alpha float64, t int) (weights []float64, remainder float64) {
+	weights = make([]float64, t)
+	stick := 1.0
+	frac := 1 / (1 + alpha)
+	for k := 0; k < t; k++ {
+		weights[k] = frac * stick
+		stick *= 1 - frac
+	}
+	return weights, stick
+}
+
+// expectedTables returns the expected number of occupied CRP tables for n
+// customers at concentration alpha: Σ_{i=0}^{n-1} α/(α+i) ≈ α log(1+n/α),
+// the closed form CRP's draws are checked against.
+func expectedTables(alpha float64, n int) float64 {
+	var s float64
+	for i := 0; i < n; i++ {
+		s += alpha / (alpha + float64(i))
+	}
+	return s
+}
+
 func TestStickBreakingSimplexProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(rawAlpha float64, rawT uint8) bool {
@@ -79,7 +104,7 @@ func TestStickBreakingPanics(t *testing.T) {
 }
 
 func TestExpectedStickWeights(t *testing.T) {
-	w, rem := ExpectedStickWeights(1, 3)
+	w, rem := expectedStickWeights(1, 3)
 	// E[w_k] = (1/2)^(k+1): 1/2, 1/4, 1/8, remainder 1/8.
 	want := []float64{0.5, 0.25, 0.125}
 	for i, v := range want {
@@ -95,7 +120,7 @@ func TestExpectedStickWeights(t *testing.T) {
 func TestExpectedStickMatchesMonteCarlo(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	alpha, tr := 2.0, 5
-	want, _ := ExpectedStickWeights(alpha, tr)
+	want, _ := expectedStickWeights(alpha, tr)
 	got := make([]float64, tr)
 	const trials = 20000
 	for i := 0; i < trials; i++ {
@@ -159,7 +184,7 @@ func TestCRPTableGrowth(t *testing.T) {
 		t.Errorf("tables(alpha=0.5)=%v should be < tables(alpha=10)=%v", small, large)
 	}
 	// Compare against the exact expectation.
-	want := ExpectedTables(10, 200)
+	want := expectedTables(10, 200)
 	if math.Abs(large-want) > 0.15*want {
 		t.Errorf("tables at alpha=10: MC %v vs analytic %v", large, want)
 	}
@@ -167,11 +192,11 @@ func TestCRPTableGrowth(t *testing.T) {
 
 func TestExpectedTables(t *testing.T) {
 	// n=1: exactly 1 table regardless of alpha.
-	if got := ExpectedTables(3, 1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("ExpectedTables(3,1) = %v, want 1", got)
+	if got := expectedTables(3, 1); math.Abs(got-1) > 1e-12 {
+		t.Errorf("expectedTables(3,1) = %v, want 1", got)
 	}
 	// n=2, alpha=1: 1 + 1/2.
-	if got := ExpectedTables(1, 2); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("ExpectedTables(1,2) = %v, want 1.5", got)
+	if got := expectedTables(1, 2); math.Abs(got-1.5) > 1e-12 {
+		t.Errorf("expectedTables(1,2) = %v, want 1.5", got)
 	}
 }

@@ -18,7 +18,7 @@ func BenchmarkKLWorstCase200(b *testing.B) {
 	losses := benchLosses(200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		KLWorstCase(losses, 0.2)
+		klWorst(losses, 0.2)
 	}
 }
 
@@ -26,7 +26,7 @@ func BenchmarkKLWorstCase5000(b *testing.B) {
 	losses := benchLosses(5000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		KLWorstCase(losses, 0.2)
+		klWorst(losses, 0.2)
 	}
 }
 
@@ -34,7 +34,7 @@ func BenchmarkChi2WorstCase200(b *testing.B) {
 	losses := benchLosses(200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Chi2WorstCase(losses, 0.2)
+		chi2Worst(losses, 0.2)
 	}
 }
 
@@ -42,7 +42,7 @@ func BenchmarkChi2WorstCase5000(b *testing.B) {
 	losses := benchLosses(5000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Chi2WorstCase(losses, 0.2)
+		chi2Worst(losses, 0.2)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestKLWorstCasePropertyVsBruteForce(t *testing.T) {
 			losses[i] = scale * rng.NormFloat64()
 		}
 		rho := math.Pow(10, -3+4*rng.Float64())
-		v, w, lam := KLWorstCase(losses, rho)
+		v, w, lam := klWorst(losses, rho)
 
 		if lam <= 0 {
 			t.Fatalf("trial %d: lambda %g must be positive", trial, lam)
@@ -118,7 +118,7 @@ func TestKLWorstCaseNearDegenerateSpread(t *testing.T) {
 		losses[i] = 1.0
 	}
 	losses[3] = 1.0 + 2e-15 // spread 2e-15: above 1e-15, below noise
-	v, w, lam := KLWorstCase(losses, rho)
+	v, w, lam := klWorst(losses, rho)
 	if !math.IsInf(lam, 1) {
 		t.Fatalf("near-degenerate spread should resolve as degenerate, got lambda %g", lam)
 	}
@@ -143,7 +143,7 @@ func TestKLWorstCaseNearDegenerateSpread(t *testing.T) {
 // return finite, feasible output.
 func TestKLWorstCaseHugeLosses(t *testing.T) {
 	losses := []float64{1e308, -1e308, 5e307, 0}
-	v, w, lam := KLWorstCase(losses, 0.5)
+	v, w, lam := klWorst(losses, 0.5)
 	if math.IsNaN(v) || math.IsNaN(lam) {
 		t.Fatalf("huge losses produced NaN: value %g lambda %g", v, lam)
 	}
@@ -154,7 +154,7 @@ func TestKLWorstCaseHugeLosses(t *testing.T) {
 }
 
 func TestKLWorstCaseNonFiniteLosses(t *testing.T) {
-	v, w, lam := KLWorstCase([]float64{1, math.Inf(1), 2}, 0.5)
+	v, w, lam := klWorst([]float64{1, math.Inf(1), 2}, 0.5)
 	if !math.IsInf(v, 1) {
 		t.Fatalf("worst case with a +Inf loss is +Inf, got %g", v)
 	}
@@ -163,7 +163,7 @@ func TestKLWorstCaseNonFiniteLosses(t *testing.T) {
 	}
 	checkSimplex(t, w) // crucially: no NaN poison in the gradient weights
 
-	v, w, _ = KLWorstCase([]float64{1, math.NaN(), 2}, 0.5)
+	v, w, _ = klWorst([]float64{1, math.NaN(), 2}, 0.5)
 	if !math.IsNaN(v) {
 		t.Fatalf("worst case with a NaN loss is NaN, got %g", v)
 	}
@@ -171,7 +171,7 @@ func TestKLWorstCaseNonFiniteLosses(t *testing.T) {
 }
 
 func TestKLWorstCaseSingleSample(t *testing.T) {
-	v, w, _ := KLWorstCase([]float64{3.5}, 1.0)
+	v, w, _ := klWorst([]float64{3.5}, 1.0)
 	if v != 3.5 || len(w) != 1 || w[0] != 1 {
 		t.Fatalf("n=1: got value %g weights %v", v, w)
 	}
@@ -188,7 +188,7 @@ func TestChi2WorstCasePropertyVsRandomFeasible(t *testing.T) {
 			losses[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
 		}
 		rho := math.Pow(10, -2+3*rng.Float64())
-		v, w := Chi2WorstCase(losses, rho)
+		v, w := chi2Worst(losses, rho)
 		checkSimplex(t, w)
 		// Returned weights inside the ball.
 		if d := chi2Div(w); d > rho*(1+1e-6)+1e-9 {
@@ -275,7 +275,7 @@ func randomChi2Feasible(rng *rand.Rand, n int, rho float64) []float64 {
 func TestChi2WorstCaseHugeLosses(t *testing.T) {
 	// Deviations ~1e200: old code overflowed, new code must still tilt.
 	losses := []float64{1e200, -1e200, 0, 0}
-	v, w := Chi2WorstCase(losses, 0.5)
+	v, w := chi2Worst(losses, 0.5)
 	if math.IsNaN(v) {
 		t.Fatal("huge losses produced NaN value")
 	}
@@ -288,7 +288,7 @@ func TestChi2WorstCaseHugeLosses(t *testing.T) {
 	}
 
 	// Mean-overflow scale: defined fallback, no NaN.
-	v, w = Chi2WorstCase([]float64{1.5e308, 1.5e308, -1.5e308}, 0.5)
+	v, w = chi2Worst([]float64{1.5e308, 1.5e308, -1.5e308}, 0.5)
 	if math.IsNaN(v) {
 		t.Fatal("mean overflow produced NaN value")
 	}
@@ -296,13 +296,13 @@ func TestChi2WorstCaseHugeLosses(t *testing.T) {
 }
 
 func TestChi2WorstCaseNonFiniteLosses(t *testing.T) {
-	v, w := Chi2WorstCase([]float64{1, math.Inf(1), 2}, 0.5)
+	v, w := chi2Worst([]float64{1, math.Inf(1), 2}, 0.5)
 	if !math.IsInf(v, 1) {
 		t.Fatalf("worst case with a +Inf loss is +Inf, got %g", v)
 	}
 	checkSimplex(t, w)
 
-	v, w = Chi2WorstCase([]float64{1, math.NaN(), 2}, 0.5)
+	v, w = chi2Worst([]float64{1, math.NaN(), 2}, 0.5)
 	if !math.IsNaN(v) {
 		t.Fatalf("worst case with a NaN loss is NaN, got %g", v)
 	}

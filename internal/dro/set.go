@@ -226,26 +226,6 @@ func scanChunk(v []float64) extrema {
 	return e
 }
 
-// KLWorstCase solves  sup_{Q: KL(Q||P̂)≤ρ} E_Q[ℓ]  by its dual
-//
-//	min_{λ>0} λρ + λ log (1/n) Σ_i exp(ℓ_i/λ)
-//
-// returning the worst-case value, the tilted weights q_i ∝ e^{ℓ_i/λ*},
-// and the optimal dual variable λ*.
-//
-// Degenerate inputs resolve without tilting: when the loss spread is
-// below measurement precision (≤ klDegenerateRel relative to the loss
-// magnitude) every distribution in the ball has the same mean, and the
-// result is maxL with uniform weights and λ = +Inf. The same uniform
-// fallback applies when any loss is non-finite — the value is then ±Inf
-// or NaN as the data dictates, but the weights stay a safe mean-gradient
-// direction instead of NaN poison.
-func KLWorstCase(losses []float64, rho float64) (value float64, weights []float64, lambda float64) {
-	weights = make([]float64, len(losses))
-	value, lambda = klWorstCase(nil, losses, rho, weights)
-	return value, weights, lambda
-}
-
 // klDegenerateRel is the relative spread below which KL tilting is
 // numerically meaningless. A spread at rounding-noise level (~1e-16 of
 // the loss magnitude) cannot pin down λ*: the dual differences vanish
@@ -257,11 +237,24 @@ func KLWorstCase(losses []float64, rho float64) (value float64, weights []float6
 // the true tilt at such spreads differs from uniform by O(spread/ρ).
 const klDegenerateRel = 1e-12
 
-// klWorstCase is KLWorstCase on the pool, writing the weights into the
+// klWorstCase solves  sup_{Q: KL(Q||P̂)≤ρ} E_Q[ℓ]  by its dual
+//
+//	min_{λ>0} λρ + λ log (1/n) Σ_i exp(ℓ_i/λ)
+//
+// on the pool, returning the worst-case value and the optimal dual
+// variable λ*, and writing the tilted weights q_i ∝ e^{ℓ_i/λ*} into the
 // caller's buffer.
+//
+// Degenerate inputs resolve without tilting: when the loss spread is
+// below measurement precision (≤ klDegenerateRel relative to the loss
+// magnitude) every distribution in the ball has the same mean, and the
+// result is maxL with uniform weights and λ = +Inf. The same uniform
+// fallback applies when any loss is non-finite — the value is then ±Inf
+// or NaN as the data dictates, but the weights stay a safe mean-gradient
+// direction instead of NaN poison.
 func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []float64) (value float64, lambda float64) {
 	if rho <= 0 {
-		panic(fmt.Sprintf("dro: KLWorstCase: rho %g must be positive", rho))
+		panic(fmt.Sprintf("dro: KL worst case: rho %g must be positive", rho))
 	}
 	n := len(losses)
 	minL, maxL, hasNaN := scanLosses(p, losses)
@@ -336,25 +329,19 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []floa
 	return value, lambda
 }
 
-// Chi2WorstCase solves  sup_Q E_Q[ℓ]  over the χ² ball
+// chi2WorstCase solves  sup_Q E_Q[ℓ]  over the χ² ball
 //
 //	{ q ∈ Δ_n : (1/2n) Σ_i (n q_i − 1)² ≤ ρ }
 //
-// exactly via an active-set pass: unconstrained the optimum is
+// on the pool, writing the weights into the caller's buffer. It is
+// exact, via an active-set pass: unconstrained the optimum is
 // q = 1/n + δ with δ ∝ centered losses scaled to the ball boundary; any
 // weights driven negative are clamped to zero and the remainder re-solved.
 //
-// Non-finite losses take the same uniform-weight fallback as KLWorstCase.
-func Chi2WorstCase(losses []float64, rho float64) (value float64, weights []float64) {
-	weights = make([]float64, len(losses))
-	return chi2WorstCase(nil, losses, rho, weights), weights
-}
-
-// chi2WorstCase is Chi2WorstCase on the pool, writing the weights into
-// the caller's buffer.
+// Non-finite losses take the same uniform-weight fallback as klWorstCase.
 func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64, weights []float64) float64 {
 	if rho <= 0 {
-		panic(fmt.Sprintf("dro: Chi2WorstCase: rho %g must be positive", rho))
+		panic(fmt.Sprintf("dro: χ² worst case: rho %g must be positive", rho))
 	}
 	n := len(losses)
 	_, maxL, hasNaN := scanLosses(p, losses)

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// klWorst and chi2Worst run the KL and χ² worst cases serially into a
+// fresh weight vector.
+func klWorst(losses []float64, rho float64) (value float64, weights []float64, lambda float64) {
+	weights = make([]float64, len(losses))
+	value, lambda = klWorstCase(nil, losses, rho, weights)
+	return value, weights, lambda
+}
+
+func chi2Worst(losses []float64, rho float64) (value float64, weights []float64) {
+	weights = make([]float64, len(losses))
+	return chi2WorstCase(nil, losses, rho, weights), weights
+}
+
 func TestKindStringParse(t *testing.T) {
 	for _, k := range []Kind{None, Wasserstein, KL, Chi2} {
 		got, err := ParseKind(k.String())
@@ -79,7 +92,7 @@ func TestWorstCaseEmptyPanics(t *testing.T) {
 }
 
 func TestKLWorstCaseDegenerate(t *testing.T) {
-	v, w, lam := KLWorstCase([]float64{2, 2, 2}, 0.5)
+	v, w, lam := klWorst([]float64{2, 2, 2}, 0.5)
 	if v != 2 {
 		t.Errorf("degenerate KL worst case = %v, want 2", v)
 	}
@@ -98,7 +111,7 @@ func TestKLWorstCaseBounds(t *testing.T) {
 	mean, max := 2.0, 5.0
 	prev := mean
 	for _, rho := range []float64{0.001, 0.01, 0.1, 0.5, 2, 10} {
-		v, w, lam := KLWorstCase(losses, rho)
+		v, w, lam := klWorst(losses, rho)
 		if v < mean-1e-9 || v > max+1e-9 {
 			t.Errorf("rho=%v: value %v outside [mean, max]", rho, v)
 		}
@@ -121,11 +134,11 @@ func TestKLWorstCaseBounds(t *testing.T) {
 		}
 	}
 	// Small rho: close to mean. Large rho: close to max.
-	v, _, _ := KLWorstCase(losses, 1e-6)
+	v, _, _ := klWorst(losses, 1e-6)
 	if math.Abs(v-mean) > 0.02 {
 		t.Errorf("tiny rho: %v, want ≈ mean %v", v, mean)
 	}
-	v, _, _ = KLWorstCase(losses, 50)
+	v, _, _ = klWorst(losses, 50)
 	if max-v > 0.2 {
 		t.Errorf("huge rho: %v, want ≈ max %v", v, max)
 	}
@@ -133,7 +146,7 @@ func TestKLWorstCaseBounds(t *testing.T) {
 
 func TestKLWeightsMonotoneInLoss(t *testing.T) {
 	losses := []float64{0, 1, 2, 3}
-	_, w, _ := KLWorstCase(losses, 0.3)
+	_, w, _ := klWorst(losses, 0.3)
 	for i := 1; i < len(w); i++ {
 		if w[i] <= w[i-1] {
 			t.Errorf("tilted weights not increasing with loss: %v", w)
@@ -149,7 +162,7 @@ func TestKLDualDominatesFeasibleProperty(t *testing.T) {
 		losses[i] = rng.NormFloat64() * 2
 	}
 	rho := 0.25
-	value, _, _ := KLWorstCase(losses, rho)
+	value, _, _ := klWorst(losses, rho)
 	n := float64(len(losses))
 	for trial := 0; trial < 500; trial++ {
 		// Random distribution near uniform.
@@ -178,7 +191,7 @@ func TestChi2WorstCaseNoClamping(t *testing.T) {
 	mean := 2.5
 	variance := 1.25 // population variance of {1,2,3,4}
 	want := mean + math.Sqrt(2*rho*variance)
-	got, w := Chi2WorstCase(losses, rho)
+	got, w := chi2Worst(losses, rho)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("chi2 value = %v, want %v", got, want)
 	}
@@ -196,7 +209,7 @@ func TestChi2WorstCaseNoClamping(t *testing.T) {
 
 func TestChi2WorstCaseLargeRhoConcentrates(t *testing.T) {
 	losses := []float64{0, 1, 2, 10}
-	v, w := Chi2WorstCase(losses, 1e6)
+	v, w := chi2Worst(losses, 1e6)
 	if math.Abs(v-10) > 1e-6 {
 		t.Errorf("huge rho chi2 value = %v, want 10", v)
 	}
@@ -213,7 +226,7 @@ func TestChi2MonotoneInRho(t *testing.T) {
 	}
 	prev := -math.Inf(1)
 	for _, rho := range []float64{0.001, 0.01, 0.1, 1, 10, 100} {
-		v, _ := Chi2WorstCase(losses, rho)
+		v, _ := chi2Worst(losses, rho)
 		if v < prev-1e-9 {
 			t.Errorf("chi2 value decreased at rho=%v: %v < %v", rho, v, prev)
 		}
@@ -228,7 +241,7 @@ func TestChi2DualDominatesFeasibleProperty(t *testing.T) {
 		losses[i] = rng.NormFloat64()
 	}
 	rho := 0.3
-	value, _ := Chi2WorstCase(losses, rho)
+	value, _ := chi2Worst(losses, rho)
 	n := float64(len(losses))
 	for trial := 0; trial < 500; trial++ {
 		q := make([]float64, len(losses))
@@ -273,8 +286,8 @@ func TestWorstCaseDispatchKLChi2(t *testing.T) {
 
 func TestKLChi2PanicOnNonPositiveRho(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"kl":   func() { KLWorstCase([]float64{1, 2}, 0) },
-		"chi2": func() { Chi2WorstCase([]float64{1, 2}, -1) },
+		"kl":   func() { klWorst([]float64{1, 2}, 0) },
+		"chi2": func() { chi2Worst([]float64{1, 2}, -1) },
 	} {
 		func() {
 			defer func() {

@@ -46,7 +46,7 @@ func FuzzHandleRequest(f *testing.F) {
 		{Kind: PullLog, FollowerID: 1, MaxFrames: 4},
 		{Kind: GetShardMap, KnownVersion: 1},
 		{Kind: BatchAddTask, Tasks: []dpprior.TaskPosterior{task}},
-		{Kind: RequestKind(99)},
+		{Kind: wire.RequestKind(99)},
 		// Trace context on the wire: joined, hostile, and parent-only.
 		{Kind: GetPrior, Dim: 3, TraceID: 0xdeadbeef, ParentSpan: 0xfeedface},
 		{Kind: ReportTask, Task: &task, TraceID: ^uint64(0), ParentSpan: ^uint64(0)},

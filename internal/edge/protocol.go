@@ -65,8 +65,6 @@ import (
 // internal/wire so the codec layer and every tier share one definition;
 // the aliases keep the package's historical API unchanged.
 type (
-	// RequestKind enumerates protocol operations.
-	RequestKind = wire.RequestKind
 	// Request is the client→server message.
 	Request = wire.Request
 	// RespCode classifies server-side failures.
@@ -94,7 +92,6 @@ const (
 
 // Response codes.
 const (
-	CodeOK         = wire.CodeOK
 	CodeNoTasks    = wire.CodeNoTasks
 	CodeBadRequest = wire.CodeBadRequest
 	CodeInternal   = wire.CodeInternal

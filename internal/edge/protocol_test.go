@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 func TestRequestKindString(t *testing.T) {
-	tests := map[RequestKind]string{
-		GetPrior:        "get-prior",
-		ReportTask:      "report-task",
-		GetStats:        "get-stats",
-		RequestKind(99): "RequestKind(99)",
+	tests := map[wire.RequestKind]string{
+		GetPrior:             "get-prior",
+		ReportTask:           "report-task",
+		GetStats:             "get-stats",
+		wire.RequestKind(99): "RequestKind(99)",
 	}
 	for k, want := range tests {
 		if got := k.String(); got != want {
@@ -56,7 +57,7 @@ func TestUnknownRequestKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	resp := srv.dispatch(&Request{Kind: RequestKind(42)}, nil)
+	resp := srv.dispatch(&Request{Kind: wire.RequestKind(42)}, nil)
 	if resp.Err == "" {
 		t.Error("unknown request kind accepted")
 	}

@@ -88,87 +88,6 @@ func Table9Deployment(cfg RunConfig) (*Table, error) {
 	return tab, nil
 }
 
-// Table12LossyLinks sweeps link loss on the fleet simulator: the same
-// pioneer/late-device deployment as Table 9 over a 3G uplink whose
-// transfers fail with probability p, with the resilient transport's
-// retry schedule. Reported per loss rate: mean late-device accuracy,
-// mean late-device time-to-model, devices that degraded to prior-free
-// training, reports that never reached the cloud, and total retries —
-// how much accuracy the DP prior buys, and how gracefully it erodes,
-// as the network gets worse.
-func Table12LossyLinks(cfg RunConfig) (*Table, error) {
-	cfg = cfg.withDefaults()
-	tab := &Table{
-		Title: "Table 12: lossy uplinks — accuracy and degradation vs link loss (3G, retry=4)",
-		Columns: []string{"loss", "late acc", "late ttm",
-			"degraded", "reports lost", "retries"},
-	}
-	losses := []float64{0, 0.1, 0.3, 0.5, 0.8}
-	if cfg.Fast {
-		losses = []float64{0, 0.3, 0.8}
-	}
-	for _, loss := range losses {
-		var accs, ttms, degraded, lost, retries []float64
-		for _, seed := range Seeds(cfg.Seed, cfg.Reps) {
-			rng := stat.NewRNG(seed)
-			family, err := data.NewTaskFamily(rng, 8, 2, 5, 0.2)
-			if err != nil {
-				return nil, err
-			}
-			simCfg := sim.Config{
-				Family:       family,
-				Model:        model.Logistic{Dim: 8},
-				Set:          dro.Set{Kind: dro.Wasserstein, Rho: 0.05},
-				Alpha:        1,
-				RebuildEvery: 1,
-				Flip:         0.05,
-				Retry:        edge.RetryPolicy{MaxAttempts: 4, Base: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.2},
-				Seed:         seed,
-			}
-			var specs []sim.DeviceSpec
-			for i := 0; i < 4; i++ {
-				specs = append(specs, sim.DeviceSpec{
-					ID: i, ArriveAt: time.Duration(i) * 10 * time.Second,
-					Link: edge.Link3G, Samples: 200, Report: true, Cluster: i % 2,
-					LossRate: loss,
-				})
-			}
-			for i := 0; i < 8; i++ {
-				specs = append(specs, sim.DeviceSpec{
-					ID: 4 + i, ArriveAt: time.Duration(60+i*5) * time.Second,
-					Link: edge.Link3G, Samples: 12, Cluster: i % 2,
-					LossRate: loss,
-				})
-			}
-			res, err := sim.Run(simCfg, specs)
-			if err != nil {
-				return nil, fmt.Errorf("table12: loss=%.1f: %w", loss, err)
-			}
-			var acc, ttm float64
-			var fleetRetries int
-			for _, d := range res.Devices {
-				fleetRetries += d.Retries
-				if d.ID >= 4 {
-					acc += d.Accuracy / 8
-					ttm += d.TimeToModel.Seconds() / 8
-				}
-			}
-			accs = append(accs, acc)
-			ttms = append(ttms, ttm)
-			degraded = append(degraded, float64(res.Degraded))
-			lost = append(lost, float64(res.ReportsLost))
-			retries = append(retries, float64(fleetRetries))
-		}
-		tab.AddRow(fmt.Sprintf("%.0f%%", loss*100),
-			Aggregate(accs).String(),
-			fmt.Sprintf("%.2fs", Aggregate(ttms).Mean),
-			fmt.Sprintf("%.1f", Aggregate(degraded).Mean),
-			fmt.Sprintf("%.1f", Aggregate(lost).Mean),
-			fmt.Sprintf("%.0f", Aggregate(retries).Mean))
-	}
-	return tab, nil
-}
-
 // Figure11DriftTracking streams batches from a rotating (concept-drift)
 // task and compares three streaming policies on accuracy against the
 // CURRENT distribution: accumulate-everything online learning, sliding-

@@ -101,28 +101,7 @@ func TestRepeatAndSeeds(t *testing.T) {
 	if len(seeds) != 4 || seeds[0] != 10 || seeds[1] == seeds[0] {
 		t.Errorf("seeds %v", seeds)
 	}
-	ms, err := Repeat(seeds, func(seed int64) (float64, error) {
-		return float64(seed % 2), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.N != 4 {
-		t.Errorf("repeat n %d", ms.N)
-	}
-	_, err = Repeat(seeds, func(seed int64) (float64, error) {
-		return 0, errTest
-	})
-	if err == nil {
-		t.Error("error not propagated")
-	}
 }
-
-var errTest = errBase{}
-
-type errBase struct{}
-
-func (errBase) Error() string { return "test error" }
 
 func TestScenarioBuildAndMethods(t *testing.T) {
 	if testing.Short() {

@@ -25,9 +25,6 @@ type RunConfig struct {
 	Reps int
 	Seed int64
 	Fast bool
-	// Parallelism > 0 runs every DRDP fit through that many workers
-	// (bit-identical results; wall-clock only). 0 keeps the serial path.
-	Parallelism int
 }
 
 func (c RunConfig) withDefaults() RunConfig {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,13 +170,6 @@ func TestTable5And6Smoke(t *testing.T) {
 	if len(t11.Rows) != 2 { // fast mode: 2 regimes
 		t.Errorf("table11 rows %d, want 2", len(t11.Rows))
 	}
-	t12, err := Table12LossyLinks(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t12.Rows) != 3 { // fast mode: 3 loss rates
-		t.Errorf("table12 rows %d, want 3", len(t12.Rows))
-	}
 }
 
 func TestFigure3ConvergenceMonotone(t *testing.T) {
@@ -252,108 +244,6 @@ func TestTable14Smoke(t *testing.T) {
 		if off[0] != "0%" && acc(on) <= acc(off) {
 			t.Errorf("poisoned %s: admission on %.3f not above off %.3f",
 				on[0], acc(on), acc(off))
-		}
-	}
-}
-
-// TestTable15Smoke runs the sharded-cluster experiment in fast mode and
-// checks its acceptance criterion: every kill run recovers a prior
-// byte-identical to its same-seed control.
-func TestTable15Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner; skip in -short")
-	}
-	tab, err := Table15ShardedCluster(RunConfig{Reps: 1, Seed: 5, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 { // 2 shard counts × failover off/on
-		t.Fatalf("table15 rows %d, want 4", len(tab.Rows))
-	}
-	for i := 0; i+1 < len(tab.Rows); i += 2 {
-		off, on := tab.Rows[i], tab.Rows[i+1]
-		if off[0] != on[0] || off[1] != "off" || on[1] != "on" {
-			t.Fatalf("unexpected row layout: %v / %v", off, on)
-		}
-		if v := off[len(off)-1]; v != "baseline" {
-			t.Errorf("control row at %s shards: prior verdict %q, want baseline", off[0], v)
-		}
-		if v := on[len(on)-1]; v != "byte-identical" {
-			t.Errorf("kill run at %s shards: prior verdict %q, want byte-identical", on[0], v)
-		}
-		if on[3] == "-" || on[4] == "-" {
-			t.Errorf("kill run at %s shards: missing failover/recovery timings: %v", on[0], on)
-		}
-	}
-}
-
-// TestTable18Smoke runs the regional-aggregation experiment in fast
-// mode and checks its acceptance criteria: the partition run recovers a
-// cloud prior byte-identical to its same-seed control, and regional
-// summarization cuts upload bytes at least 2x in both rows.
-func TestTable18Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner; skip in -short")
-	}
-	tab, err := Table18Regions(RunConfig{Reps: 1, Seed: 5, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 { // partition off/on
-		t.Fatalf("table18 rows %d, want 2", len(tab.Rows))
-	}
-	off, on := tab.Rows[0], tab.Rows[1]
-	if off[0] != "off" || on[0] != "on" {
-		t.Fatalf("unexpected row layout: %v / %v", off, on)
-	}
-	if v := off[len(off)-1]; v != "baseline" {
-		t.Errorf("control row: prior verdict %q, want baseline", v)
-	}
-	if v := on[len(on)-1]; v != "byte-identical" {
-		t.Errorf("partition row: prior verdict %q, want byte-identical", v)
-	}
-	for _, row := range tab.Rows {
-		var red float64
-		if _, err := fmt.Sscanf(row[1], "%fx", &red); err != nil || red < 2 {
-			t.Errorf("partition=%s reduction %q, want >= 2x", row[0], row[1])
-		}
-	}
-	if on[6] != "yes" {
-		t.Errorf("partition row not recovered: %v", on)
-	}
-}
-
-// TestTable19Smoke runs the disk-fault chaos experiment in fast mode
-// and checks its acceptance criterion: the chaos run repairs the rotted
-// log and converges to a prior byte-identical to its same-seed control,
-// with demotion/scrub/hedge columns populated.
-func TestTable19Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner; skip in -short")
-	}
-	tab, err := Table19DiskChaos(RunConfig{Reps: 1, Seed: 5, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 { // chaos off/on
-		t.Fatalf("table19 rows %d, want 2", len(tab.Rows))
-	}
-	off, on := tab.Rows[0], tab.Rows[1]
-	if off[0] != "off" || on[0] != "on" {
-		t.Fatalf("unexpected row layout: %v / %v", off, on)
-	}
-	if v := off[len(off)-1]; v != "baseline" {
-		t.Errorf("control row: prior verdict %q, want baseline", v)
-	}
-	if v := on[len(on)-1]; v != "byte-identical" {
-		t.Errorf("chaos row: prior verdict %q, want byte-identical", v)
-	}
-	for i, col := range []string{"demote ms", "rot flips", "scrubbed", "hedges"} {
-		if on[3+i] == "-" {
-			t.Errorf("chaos row missing %s: %v", col, on)
-		}
-		if off[3+i] != "-" {
-			t.Errorf("control row has %s: %v", col, off)
 		}
 	}
 }

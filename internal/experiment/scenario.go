@@ -175,10 +175,6 @@ type DRDPTrainer struct {
 	Prior   *dpprior.Compiled
 	Tau     float64
 	EMIters int
-	// Parallelism > 0 fans the training hot paths over that many
-	// workers (core.WithParallelism); 0 keeps the inline serial path.
-	// Results are bit-identical either way.
-	Parallelism int
 }
 
 var _ baseline.Trainer = DRDPTrainer{}
@@ -197,9 +193,6 @@ func (d DRDPTrainer) Train(x *mat.Dense, y []float64) (mat.Vec, error) {
 	}
 	if d.EMIters > 0 {
 		opts = append(opts, core.WithEMIters(d.EMIters, 0))
-	}
-	if d.Parallelism > 0 {
-		opts = append(opts, core.WithParallelism(d.Parallelism))
 	}
 	l, err := core.New(d.Model, opts...)
 	if err != nil {

@@ -171,20 +171,6 @@ func Aggregate(xs []float64) MeanStd {
 	return MeanStd{Mean: mean, Std: std, N: n}
 }
 
-// Repeat runs fn once per seed and aggregates the returned measurements.
-// fn failures abort with the offending seed attached.
-func Repeat(seeds []int64, fn func(seed int64) (float64, error)) (MeanStd, error) {
-	vals := make([]float64, 0, len(seeds))
-	for _, seed := range seeds {
-		v, err := fn(seed)
-		if err != nil {
-			return MeanStd{}, fmt.Errorf("experiment: seed %d: %w", seed, err)
-		}
-		vals = append(vals, v)
-	}
-	return Aggregate(vals), nil
-}
-
 // Seeds returns n deterministic seeds derived from base.
 func Seeds(base int64, n int) []int64 {
 	out := make([]int64, n)

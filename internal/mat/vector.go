@@ -18,9 +18,6 @@ import (
 // slice toolbox; the functions below treat it as a mathematical vector.
 type Vec = []float64
 
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // CloneVec returns a copy of x.
 func CloneVec(x Vec) Vec {
 	y := make(Vec, len(x))
@@ -51,16 +48,6 @@ func Scale(a float64, x Vec) {
 	for i := range x {
 		x[i] *= a
 	}
-}
-
-// AddVec returns x + y as a new vector.
-func AddVec(x, y Vec) Vec {
-	checkLen("AddVec", len(x), len(y))
-	z := make(Vec, len(x))
-	for i, v := range x {
-		z[i] = v + y[i]
-	}
-	return z
 }
 
 // SubVec returns x - y as a new vector.
@@ -100,26 +87,6 @@ func Norm2(x Vec) float64 {
 		return 0
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Norm1 returns the l1 norm of x.
-func Norm1(x Vec) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the l-infinity norm of x.
-func NormInf(x Vec) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Dist2 returns the Euclidean distance between x and y.

@@ -130,7 +130,7 @@ type RegionsResult struct {
 
 	// RawBytes is what shipping every raw task posterior to the cloud
 	// would have cost; UpBytes is what the summarized flushes actually
-	// cost; Reduction is their ratio (the Table 18 headline).
+	// cost; Reduction is their ratio.
 	RawBytes  int64
 	UpBytes   int64
 	Reduction float64
@@ -209,14 +209,14 @@ func (g gatedConn) Write(p []byte) (int, error) {
 	return g.Conn.Write(p)
 }
 
-// RunRegions executes one hierarchical scenario: a cloud, Regions
+// runRegions executes one hierarchical scenario: a cloud, Regions
 // regional aggregators serving DevicesPerRegion devices each, a
 // deterministic per-round upload stream each region summarizes upward
 // at fixed flush barriers, and (when Partition is set) a mid-run cloud
 // partition of region 1 that deepens into a full regional outage
 // before healing. Two runs with the same config — one Partition, one
 // control — must return byte-identical PriorBytes.
-func RunRegions(cfg RegionsConfig) (*RegionsResult, error) {
+func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Regions < 2 {
 		return nil, errors.New("sim: regions scenario needs at least 2 regions")

@@ -21,13 +21,13 @@ import (
 func TestRunRegionsPartitionChaos(t *testing.T) {
 	cfg := RegionsConfig{Seed: 31, Logger: telemetry.Discard()}
 
-	control, err := RunRegions(cfg)
+	control, err := runRegions(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Partition = true
 	cfg.Gossip = true
-	faulted, err := RunRegions(cfg)
+	faulted, err := runRegions(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestRunRegionsPartitionChaos(t *testing.T) {
 // acceptance checks read.
 func TestRunRegionsDeterministic(t *testing.T) {
 	cfg := RegionsConfig{Seed: 33, Partition: true, Logger: telemetry.Discard()}
-	a, err := RunRegions(cfg)
+	a, err := runRegions(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRegions(cfg)
+	b, err := runRegions(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRunRegionsDeterministic(t *testing.T) {
 // inside the run.
 func TestRunRegionsRejectsBadSchedule(t *testing.T) {
 	cfg := RegionsConfig{Seed: 1, Rounds: 4, PartitionStart: 3, RegionCutStart: 2, PartitionEnd: 5}
-	if _, err := RunRegions(cfg); err == nil {
+	if _, err := runRegions(cfg); err == nil {
 		t.Error("out-of-order phase schedule accepted")
 	}
 }

@@ -34,18 +34,6 @@ type RepairSource interface {
 	Verdicts() (map[uint64]bool, error)
 }
 
-// peerSource adapts a local *Store into a RepairSource (tests and
-// in-process repair).
-type peerSource struct{ peer *Store }
-
-func (p peerSource) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error) {
-	return p.peer.FramesSince(after, maxFrames)
-}
-func (p peerSource) Verdicts() (map[uint64]bool, error) { return p.peer.Verdicts(), nil }
-
-// PeerSource wraps a local peer store as a RepairSource.
-func PeerSource(peer *Store) RepairSource { return peerSource{peer: peer} }
-
 // ScrubReport summarizes one integrity pass.
 type ScrubReport struct {
 	FramesChecked int // intact log frames CRC-verified

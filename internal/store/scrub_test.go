@@ -13,6 +13,14 @@ import (
 	"github.com/drdp/drdp/internal/telemetry"
 )
 
+// peerSource adapts a local *Store into a RepairSource.
+type peerSource struct{ peer *Store }
+
+func (p peerSource) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error) {
+	return p.peer.FramesSince(after, maxFrames)
+}
+func (p peerSource) Verdicts() (map[uint64]bool, error) { return p.peer.Verdicts(), nil }
+
 // openPlain opens a store on the real filesystem with compaction off
 // (the whole history stays in the log, which is what the byte-identity
 // assertions compare).
@@ -135,7 +143,7 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 	}
 
 	// Replica-assisted pass: the log ends byte-identical to the leader's.
-	rep, err = follower.Scrub(PeerSource(leader))
+	rep, err = follower.Scrub(peerSource{leader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +193,7 @@ func TestScrubRepairsFaultFSBitRot(t *testing.T) {
 		t.Fatal("no bit flips injected; raise the rate or appends")
 	}
 	ffs.Disarm() // scrub must not be sabotaged by fresh rot
-	rep, err := follower.Scrub(PeerSource(leader))
+	rep, err := follower.Scrub(peerSource{leader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +250,7 @@ func TestScrubVerdictSidecarRepair(t *testing.T) {
 	}
 
 	// The scrub restores them from the replica — not silently dropped.
-	rep, err := follower.Scrub(PeerSource(leader))
+	rep, err := follower.Scrub(peerSource{leader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +421,7 @@ func TestScrubSkipsPartialRepair(t *testing.T) {
 	flipByte(t, logPath, off-2)
 	corrupted := readFile(t, logPath)
 
-	rep, err := follower.Scrub(PeerSource(laggard))
+	rep, err := follower.Scrub(peerSource{laggard})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +436,7 @@ func TestScrubSkipsPartialRepair(t *testing.T) {
 	}
 
 	// A caught-up peer still repairs the same quarantine byte-identical.
-	rep, err = follower.Scrub(PeerSource(leader))
+	rep, err = follower.Scrub(peerSource{leader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +466,7 @@ func TestStartScrubber(t *testing.T) {
 
 	reports := make(chan ScrubReport, 16)
 	sc := follower.StartScrubber(5*time.Millisecond,
-		func() RepairSource { return PeerSource(leader) },
+		func() RepairSource { return peerSource{leader} },
 		func(rep ScrubReport, err error) {
 			if err == nil {
 				reports <- rep

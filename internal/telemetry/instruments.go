@@ -190,7 +190,7 @@ var (
 	// Upward sync: each flush summarizes the window of locally admitted
 	// device posteriors into a component set and ships that instead, so
 	// raw_bytes - up_bytes is what regional pre-aggregation saved the
-	// cloud uplink (the Table 18 headline).
+	// cloud uplink.
 	RegionSyncFlushes   = Default.Counter("drdp_region_sync_flushes_total")
 	RegionSyncDeferred  = Default.Counter("drdp_region_sync_deferred_total")
 	RegionSyncRawTasks  = Default.Counter("drdp_region_sync_raw_tasks_total")

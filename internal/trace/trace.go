@@ -47,19 +47,16 @@ type AttrKind uint8
 const (
 	KindString AttrKind = iota
 	KindInt
-	KindFloat
-	KindBool
 	KindDuration
 )
 
 // Attr is one typed span attribute. Use the constructors (Str, Int,
-// Float, Bool, Dur); the zero value is a "" string attr.
+// Dur); the zero value is a "" string attr.
 type Attr struct {
 	Key  string
 	Kind AttrKind
 	Str  string
 	Int  int64
-	Flt  float64
 }
 
 // Str builds a string attribute.
@@ -67,18 +64,6 @@ func Str(key, v string) Attr { return Attr{Key: key, Kind: KindString, Str: v} }
 
 // Int builds an integer attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, Kind: KindInt, Int: v} }
-
-// Float builds a float attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, Kind: KindFloat, Flt: v} }
-
-// Bool builds a boolean attribute.
-func Bool(key string, v bool) Attr {
-	a := Attr{Key: key, Kind: KindBool}
-	if v {
-		a.Int = 1
-	}
-	return a
-}
 
 // Dur builds a duration attribute.
 func Dur(key string, v time.Duration) Attr { return Attr{Key: key, Kind: KindDuration, Int: int64(v)} }
@@ -91,13 +76,6 @@ func (a Attr) Value() string {
 	switch a.Kind {
 	case KindInt:
 		return fmt.Sprintf("%d", a.Int)
-	case KindFloat:
-		return fmt.Sprintf("%g", a.Flt)
-	case KindBool:
-		if a.Int != 0 {
-			return "true"
-		}
-		return "false"
 	case KindDuration:
 		return time.Duration(a.Int).String()
 	default:

@@ -319,7 +319,7 @@ func TestConcurrentSpansAndSnapshots(t *testing.T) {
 func TestDumpJSONRoundTrip(t *testing.T) {
 	tr := on()
 	root := tr.StartTrace("round")
-	root.Child("call", Dur("backoff", 5*time.Millisecond), Bool("ok", true), Float("rho", 0.05)).End()
+	root.Child("call", Dur("backoff", 5*time.Millisecond), Int("attempt", 2), Str("set", "kl")).End()
 	root.End()
 	snap := tr.Snapshot()
 	blob, err := json.Marshal(snap)
@@ -334,7 +334,7 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost the trace: %+v", back.Recent)
 	}
 	call := back.Recent[0].SpansNamed("call")[0]
-	if call.Attr("backoff") != "5ms" || call.Attr("ok") != "true" || call.Attr("rho") != "0.05" {
+	if call.Attr("backoff") != "5ms" || call.Attr("attempt") != "2" || call.Attr("set") != "kl" {
 		t.Fatalf("attrs lost in round trip: %+v", call.Attrs)
 	}
 }

@@ -120,8 +120,8 @@ type RespCode int
 
 // Response codes.
 const (
-	// CodeOK is the zero value: no error.
-	CodeOK RespCode = iota
+	// The zero value means no error.
+	_ RespCode = iota
 	// CodeNoTasks means the cloud has no prior yet — a normal cold start,
 	// not a fault; devices should train locally and try again later.
 	CodeNoTasks
