@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check determinism bench bench-json bench-wire bench-ledger bench-compare chaos chaos-region chaos-disk fuzz-wire trace-smoke
+.PHONY: all build vet test race check determinism bench bench-json bench-wire bench-ledger bench-compare bench-ab chaos chaos-region chaos-disk fuzz-wire trace-smoke
 
 all: check
 
@@ -109,3 +109,13 @@ bench-ledger:
 
 bench-compare:
 	bash bench/run.sh -compare bench/baseline/seed.json $(LEDGER)
+
+# Paired A/B runs of the benchmark (scripts/benchab): revision BASE
+# against the working tree, or against revision NEW when set, for PAIRS
+# alternating pairs per workload of WORKLOADS (comma-separated; empty
+# runs all). Prints medians, IQRs, pair wins and a verdict per metric;
+# exits 1 on a verdict of worse. Example:
+#   make bench-ab BASE=HEAD~1 PAIRS=10 WORKLOADS=fit_heavy
+PAIRS ?= 10
+bench-ab:
+	$(GO) run ./scripts/benchab -base '$(BASE)' -head '$(NEW)' -pairs $(PAIRS) -workloads '$(WORKLOADS)'

@@ -9,7 +9,7 @@ import (
 )
 
 // bruteKLDual minimizes the KL dual objective on a dense log grid of λ —
-// a slow reference the closed bracket search must match.
+// a slow reference the Newton solve on the tilt must match.
 func bruteKLDual(losses []float64, rho float64) float64 {
 	maxL := losses[0]
 	for _, v := range losses {
@@ -104,6 +104,76 @@ func TestKLWorstCasePropertyVsBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: attained %g exceeds dual value %g", trial, attained, v)
 		}
 	}
+}
+
+// klCorpus is the random corpus of TestKLWorstCasePropertyVsBruteForce
+// followed by one draw at each n that straddles the 256-row chunk grid.
+func klCorpus(visit func(trial int, losses []float64, rho float64)) {
+	rng := rand.New(rand.NewSource(42))
+	draw := func(n int) ([]float64, float64) {
+		losses := make([]float64, n)
+		scale := math.Pow(10, float64(rng.Intn(7)-3))
+		for i := range losses {
+			losses[i] = scale * rng.NormFloat64()
+		}
+		return losses, math.Pow(10, -3+4*rng.Float64())
+	}
+	trial := 0
+	for ; trial < 50; trial++ {
+		losses, rho := draw(2 + rng.Intn(40))
+		visit(trial, losses, rho)
+	}
+	for _, n := range []int{255, 256, 257, 511, 512, 513, 1000, 1000, 1000} {
+		losses, rho := draw(n)
+		visit(trial, losses, rho)
+		trial++
+	}
+}
+
+// TestKLWorstCaseKKT pins the solve to the dual's optimality conditions
+// rather than to a grid: inside the ball's reach the tilted weights sit on
+// its edge, KL(q‖P̂) = ρ, and attain the dual value; beyond it (ρ ≥
+// log(n/#argmax), where only the point mass on the argmax rows reaches
+// the edge) the value is the max loss and the weight is on the argmax.
+// Every solve takes at most klMaxPasses exp passes, as counted by the
+// solver itself.
+func TestKLWorstCaseKKT(t *testing.T) {
+	klCorpus(func(trial int, losses []float64, rho float64) {
+		n := len(losses)
+		w := make([]float64, n)
+		v, lam, passes := klWorstCase(nil, losses, rho, w)
+		if passes > 12 {
+			t.Errorf("trial %d (n=%d rho=%g): %d exp passes, want at most 12", trial, n, rho, passes)
+		}
+		minL, maxL, ties := losses[0], losses[0], 0
+		for _, l := range losses {
+			minL, maxL = math.Min(minL, l), math.Max(maxL, l)
+		}
+		var attained, onMax float64
+		for i, l := range losses {
+			attained += w[i] * l
+			if l == maxL {
+				ties++
+				onMax += w[i]
+			}
+		}
+		if gap := v - attained; gap > 1e-10*(1+math.Abs(v)) {
+			t.Errorf("trial %d (n=%d rho=%g): duality gap %g at value %g", trial, n, rho, gap, v)
+		}
+		if rho >= math.Log(float64(n)/float64(ties)) {
+			if v != maxL || onMax < 1-1e-12 {
+				t.Errorf("trial %d (n=%d rho=%g): point-mass regime gave value %g (max %g), argmax weight %g",
+					trial, n, rho, v, maxL, onMax)
+			}
+			return
+		}
+		if lam <= (maxL-minL)*1e-6*(1+1e-9) {
+			return // the root lies beyond the λ floor; the floor's tilt is returned
+		}
+		if d := klDivFromUniform(w); math.Abs(d-rho) > 1e-9*rho {
+			t.Errorf("trial %d (n=%d rho=%g): KL(q||uniform) = %.17g, want rho", trial, n, rho, d)
+		}
+	})
 }
 
 // TestKLWorstCaseNearDegenerateSpread locks the fix for the weight cliff

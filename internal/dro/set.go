@@ -10,7 +10,8 @@
 //     regularizer on the parameters (Mohajerin Esfahani & Kuhn 2018;
 //     Shafieezadeh-Abadeh et al. 2015 for logistic regression).
 //   - KL: exponential-tilting dual  min_{λ>0} λρ + λ log (1/n) Σ e^{ℓ_i/λ},
-//     yielding tilted worst-case sample weights q_i ∝ e^{ℓ_i/λ*}.
+//     solved by safeguarded Newton on the tilt 1/λ in a few passes over the
+//     losses, yielding tilted worst-case sample weights q_i ∝ e^{ℓ_i/λ*}.
 //   - Chi-square: variance-penalized worst case with water-filling weights,
 //     solved exactly by an active-set pass.
 //
@@ -143,7 +144,7 @@ func (s Set) WorstCaseInto(p *parallel.Pool, losses []float64, lipschitz float64
 			fillUniform(weights)
 			return meanPool(p, losses)
 		}
-		v, _ := klWorstCase(p, losses, s.Rho, weights)
+		v, _, _ := klWorstCase(p, losses, s.Rho, weights)
 		return v
 	case Chi2:
 		if s.Rho == 0 {
@@ -227,32 +228,34 @@ func scanChunk(v []float64) extrema {
 }
 
 // klDegenerateRel is the relative spread below which KL tilting is
-// numerically meaningless. A spread at rounding-noise level (~1e-16 of
-// the loss magnitude) cannot pin down λ*: the dual differences vanish
-// under the maxL term and the bracket search would return an arbitrary
-// tiny λ whose "tilted" weights are a point mass — violating the KL ball
-// whenever ρ < log n, and jumping discontinuously from the uniform
-// weights returned just below the cutoff. Declaring the spread
-// degenerate three decades above noise keeps the weight map continuous:
-// the true tilt at such spreads differs from uniform by O(spread/ρ).
+// meaningless: a spread at rounding-noise level cannot pin down λ* and
+// would tilt to an arbitrary point mass, outside the ball if ρ < log n.
+// Three decades above noise the true tilt is O(spread/ρ) from uniform.
 const klDegenerateRel = 1e-12
+
+const (
+	klMaxTilt   = 1e6 // cap on the scaled tilt spread/λ: the floor λ ≥ spread·1e-6
+	klMaxPasses = 12  // cap on the exp passes of one solve; Newton needs about six
+)
 
 // klWorstCase solves  sup_{Q: KL(Q||P̂)≤ρ} E_Q[ℓ]  by its dual
 //
 //	min_{λ>0} λρ + λ log (1/n) Σ_i exp(ℓ_i/λ)
 //
-// on the pool, returning the worst-case value and the optimal dual
-// variable λ*, and writing the tilted weights q_i ∝ e^{ℓ_i/λ*} into the
-// caller's buffer.
+// on the pool. It returns min(dual(λ*), maxL), λ* and the number of exp
+// passes taken, and writes the tilted weights q_i ∝ e^{ℓ_i/λ*} into the
+// caller's buffer. The dual is stationary where KL(q‖P̂) = ρ, which rises
+// in the tilt s = spread/λ with slope s·Var_q(u) towards the point mass's
+// L = log(n/#argmax). So ρ ≥ L takes the largest tilt; otherwise Newton
+// on log(L − KL) — quadratic near s = 0, linear where KL saturates —
+// starts at the small-ρ closed form s₀ = √(2ρ/Var(u)) inside the bracket
+// [√(8ρ), klMaxTilt]. Each step is one pass over u_i = (ℓ_i − maxL)/spread
+// that writes e^{s·u_i} into weights and returns Σ e, Σ e·u and Σ e·u².
 //
-// Degenerate inputs resolve without tilting: when the loss spread is
-// below measurement precision (≤ klDegenerateRel relative to the loss
-// magnitude) every distribution in the ball has the same mean, and the
-// result is maxL with uniform weights and λ = +Inf. The same uniform
-// fallback applies when any loss is non-finite — the value is then ±Inf
-// or NaN as the data dictates, but the weights stay a safe mean-gradient
-// direction instead of NaN poison.
-func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []float64) (value float64, lambda float64) {
+// A spread below klDegenerateRel of the loss magnitude gives maxL with
+// uniform weights and λ = +Inf; so does a non-finite loss, with the value
+// ±Inf or NaN as the data dictates but no NaN in the weights.
+func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []float64) (value, lambda float64, passes int) {
 	if rho <= 0 {
 		panic(fmt.Sprintf("dro: KL worst case: rho %g must be positive", rho))
 	}
@@ -260,73 +263,89 @@ func klWorstCase(p *parallel.Pool, losses []float64, rho float64, weights []floa
 	minL, maxL, hasNaN := scanLosses(p, losses)
 	if hasNaN {
 		fillUniform(weights)
-		return math.NaN(), math.Inf(1)
-	}
-	if math.IsInf(maxL, 0) || math.IsInf(minL, 0) {
-		fillUniform(weights)
-		return maxL, math.Inf(1)
+		return math.NaN(), math.Inf(1), 0
 	}
 	spread := maxL - minL
-	if math.IsInf(spread, 1) {
-		// Finite extrema whose difference overflows: clamp so the
-		// bracket stays representable; the search below degrades to
-		// "concentrate on the max", which is the right limit.
-		spread = math.MaxFloat64
-	}
-	if spread <= klDegenerateRel*(1+math.Abs(maxL)) {
-		// Degenerate: every distribution in the ball has the same mean.
+	if math.IsInf(maxL, 0) || math.IsInf(minL, 0) || spread <= klDegenerateRel*(1+math.Abs(maxL)) {
 		fillUniform(weights)
-		return maxL, math.Inf(1)
+		return maxL, math.Inf(1), 0
+	}
+	half := 1.0 // halves finite losses whose spread overflows
+	if math.IsInf(spread, 1) {
+		half, spread = 0.5, maxL*0.5-minL*0.5
+	}
+	top, inv := maxL*half, 1/spread
+
+	// Argmax rows (u = 0, weight 1) stay out of the Σ e partial, so the
+	// remainder L − KL below is computed without cancellation.
+	nc := parallel.Chunks(n)
+	sums, lins, sqs := make([]float64, nc), make([]float64, nc), make([]float64, nc)
+	var s float64
+	kernel := func(c, lo, hi int) {
+		var s0, s1, s2 float64
+		a, h, t, v := s, half, top, inv
+		x, w := losses[lo:hi], weights[lo:hi]
+		for i := range x {
+			u := (x[i]*h - t) * v
+			e := math.Exp(a * u)
+			w[i] = e
+			if u < 0 {
+				s0 += e
+			}
+			s1 += e * u
+			s2 += e * u * u
+		}
+		sums[c], lins[c], sqs[c] = s0, s1, s2
+	}
+	pass := func() (rest, lin, sq float64) {
+		passes++
+		p.ForEachChunk(n, kernel)
+		return parallel.TreeReduce(sums), parallel.TreeReduce(lins), parallel.TreeReduce(sqs)
 	}
 
-	// Stable λ log mean exp(ℓ/λ): factor out the max. The summand
-	// exponent is ≤ 0, so the sum is in [1, n] and never overflows. The
-	// term reads λ from tiltLam, so the ~85 dual evaluations of one solve
-	// share one Summer.
-	var tiltLam float64
-	tilt := p.NewSummer(n, func(i int) float64 {
-		return math.Exp((losses[i] - maxL) / tiltLam)
-	})
-	dual := func(lam float64) float64 {
-		tiltLam = lam
-		s := tilt.Sum()
-		return lam*rho + maxL + lam*math.Log(s/float64(n))
-	}
-
-	// The dual is convex in λ; bracket the minimizer on a log grid then
-	// refine by golden-section search. Cap the grid so lam *= 4 can
-	// never overflow to +Inf (which would loop forever: Inf <= Inf).
-	lo, hi := spread*1e-6, spread*1e6/math.Max(rho, 1e-12)
-	const hiCap = math.MaxFloat64 / 8
-	if !(hi < hiCap) {
-		hi = hiCap
-	}
-	bestLam, bestVal := lo, dual(lo)
-	for lam := lo * 4; lam <= hi; lam *= 4 {
-		if v := dual(lam); v < bestVal {
-			bestVal, bestLam = v, lam
+	nf := float64(n)
+	rest, lin, sq := pass() // s = 0: every weight is 1
+	ties := nf - rest
+	supKL := math.Log(nf / ties)
+	if rho >= supKL {
+		s = klMaxTilt // only the point mass reaches the ball's edge
+		rest, _, _ = pass()
+	} else {
+		s = math.Min(math.Sqrt(2*rho/(sq/nf-lin*lin/(nf*nf))), klMaxTilt)
+		target := math.Log(supKL - rho)
+		lo, hi := math.Sqrt(8*rho), klMaxTilt // KL(s) ≤ s²/8 as Var_q(u) ≤ 1/4
+		for {
+			rest, lin, sq = pass()
+			z := ties + rest
+			m := lin / z
+			d := math.Log1p(rest/ties) - s*m // L − KL(q_s‖P̂) ≥ 0
+			if d > supKL-rho {
+				lo = s
+			} else {
+				hi = s
+			}
+			// Newton on log d(s) = target, with d'(s) = −s·Var_q(u).
+			next := s + (math.Log(d)-target)*d/(s*(sq/z-m*m))
+			if !(next > lo && next < hi) && math.Abs(next-s) > 1e-12*s {
+				next = math.Sqrt(lo * hi)
+			}
+			if passes == klMaxPasses || math.Abs(next-s) <= 1e-12*s {
+				break
+			}
+			s = next
 		}
 	}
-	a, b := bestLam/4, bestLam*4
-	lambda = goldenSection(dual, a, b, 200)
-	// The sup over reweightings of the sample can never exceed the max
-	// loss; clamp away the residual λρ overshoot from bracketing λ > 0.
-	value = math.Min(dual(lambda), maxL)
 
-	// Tilted weights at λ*. The argmax entries contribute exp(0) = 1, so
-	// the normalizer is ≥ 1 and the division is always safe.
-	p.ForEachChunk(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			weights[i] = math.Exp((losses[i] - maxL) / lambda)
-		}
-	})
-	z := p.Sum(weights)
+	// The sup over reweightings of the sample never exceeds the max loss;
+	// clamp away the residual λρ overshoot of a λ not exactly optimal.
+	z := ties + rest
+	value = math.Min((top+spread*(rho+math.Log(z/nf))/s)/half, maxL)
 	p.ForEachChunk(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			weights[i] /= z
 		}
 	})
-	return value, lambda
+	return value, spread / s / half, passes
 }
 
 // chi2WorstCase solves  sup_Q E_Q[ℓ]  over the χ² ball
@@ -481,24 +500,4 @@ func chi2WorstCase(p *parallel.Pool, losses []float64, rho float64, weights []fl
 		}
 	})
 	return p.SumChunked(n, func(i int) float64 { return weights[i] * losses[i] })
-}
-
-// goldenSection minimizes convex f on [a, b] to high precision.
-func goldenSection(f func(float64) float64, a, b float64, iters int) float64 {
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < iters && b-a > 1e-12*(1+math.Abs(a)); i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
 }

@@ -4,13 +4,15 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/drdp/drdp/internal/parallel"
 )
 
 // klWorst and chi2Worst run the KL and χ² worst cases serially into a
 // fresh weight vector.
 func klWorst(losses []float64, rho float64) (value float64, weights []float64, lambda float64) {
 	weights = make([]float64, len(losses))
-	value, lambda = klWorstCase(nil, losses, rho, weights)
+	value, lambda, _ = klWorstCase(nil, losses, rho, weights)
 	return value, weights, lambda
 }
 
@@ -297,5 +299,35 @@ func TestKLChi2PanicOnNonPositiveRho(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestKLWorstCaseAllocBudget pins the KL solve's own allocations to a
+// constant per call: its chunk partials and closures are built once, so a
+// Newton pass allocates nothing beyond what the pool spends dispatching
+// it (nothing inline). The radii take from two to eight passes on the
+// same losses.
+func TestKLWorstCaseAllocBudget(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(3))
+	losses := make([]float64, n)
+	for i := range losses {
+		losses[i] = rng.NormFloat64()
+	}
+	weights := make([]float64, n)
+	for _, p := range []*parallel.Pool{nil, parallel.New(2)} {
+		dispatch := testing.AllocsPerRun(20, func() { p.ForEachChunk(n, func(_, _, _ int) {}) })
+		counts := map[float64]bool{}
+		for _, rho := range []float64{0.01, 0.1, 1, 5, 6.5, 10} {
+			s := Set{Kind: KL, Rho: rho}
+			allocs := testing.AllocsPerRun(20, func() { s.WorstCaseInto(p, losses, 0, weights) })
+			_, _, passes := klWorstCase(p, losses, rho, weights)
+			own := allocs - float64(passes)*dispatch
+			t.Logf("workers=%d rho=%g: %d exp passes, %g allocations, %g per dispatch", p.Workers(), rho, passes, allocs, dispatch)
+			counts[own] = true
+		}
+		if len(counts) != 1 {
+			t.Errorf("workers=%d: the solve's own allocations vary with the pass count: %v", p.Workers(), counts)
+		}
 	}
 }

@@ -110,12 +110,6 @@ func ECE(proba func(x mat.Vec) float64, ds *data.Dataset, bins int) (float64, er
 	return ece, nil
 }
 
-// ParamError returns ‖params − truth‖₂ — parameter recovery error against
-// a known ground-truth task.
-func ParamError(params, truth mat.Vec) float64 {
-	return mat.Dist2(params, truth)
-}
-
 // RMSE returns the root-mean-square prediction error of a regression
 // model on ds.
 func RMSE(m model.Model, params mat.Vec, ds *data.Dataset) float64 {

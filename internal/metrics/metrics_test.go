@@ -249,9 +249,3 @@ func TestRMSE(t *testing.T) {
 		t.Errorf("empty RMSE = %v", got)
 	}
 }
-
-func TestParamError(t *testing.T) {
-	if got := ParamError(mat.Vec{1, 1}, mat.Vec{1, 2}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("ParamError = %v", got)
-	}
-}

@@ -124,12 +124,6 @@ func (l Logistic) WeightBlock() (from, to int) { return 0, l.Dim }
 // WeightBlock implements BlockNormer.
 func (l LeastSquares) WeightBlock() (from, to int) { return 0, l.Dim }
 
-// MeanLoss is a convenience over Losses: the unweighted average loss.
-func MeanLoss(m Model, params mat.Vec, x *mat.Dense, y []float64) float64 {
-	losses := m.Losses(params, x, y, nil)
-	return mat.Mean(losses)
-}
-
 // Accuracy returns the fraction of samples whose Predict output matches
 // the label (after rounding, so it works for ±1 and index labels alike).
 func Accuracy(m Model, params mat.Vec, x *mat.Dense, y []float64) float64 {

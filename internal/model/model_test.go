@@ -247,16 +247,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestMeanLoss(t *testing.T) {
-	l := LeastSquares{Dim: 1}
-	params := mat.Vec{0, 0}
-	x := mat.FromRows([][]float64{{0}, {0}})
-	y := []float64{2, 4} // losses 2 and 8
-	if got := MeanLoss(l, params, x, y); got != 5 {
-		t.Errorf("MeanLoss = %v, want 5", got)
-	}
-}
-
 func TestShapePanics(t *testing.T) {
 	l := Logistic{Dim: 2}
 	x := mat.FromRows([][]float64{{1, 2}})

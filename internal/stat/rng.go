@@ -1,7 +1,6 @@
 // Package stat provides the probability substrate for drdp: seeded RNG
 // plumbing, univariate and multivariate distributions (Gaussian, Gamma,
-// Beta, Dirichlet, Categorical), and statistical distances between
-// empirical distributions (1-D Wasserstein, KL on histograms, MMD).
+// Beta, Dirichlet) and the KL divergence between Gaussians.
 //
 // All sampling flows through an explicit *rand.Rand so every experiment in
 // the repository is reproducible from a seed.
@@ -13,10 +12,4 @@ import "math/rand"
 // library takes one of these rather than touching global state.
 func NewRNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
-}
-
-// Split derives an independent child RNG from rng, for handing distinct
-// streams to concurrent workers without sharing a lock.
-func Split(rng *rand.Rand) *rand.Rand {
-	return rand.New(rand.NewSource(rng.Int63()))
 }

@@ -108,30 +108,6 @@ func (b Beta) LogPDF(x float64) float64 {
 	return lab - la - lb + (b.A-1)*math.Log(x) + (b.B-1)*math.Log1p(-x)
 }
 
-// Categorical samples an index in [0, len(w)) with probability
-// proportional to non-negative weights w.
-func Categorical(rng *rand.Rand, w []float64) int {
-	var total float64
-	for _, v := range w {
-		if v < 0 || math.IsNaN(v) {
-			panic(fmt.Sprintf("stat: Categorical: invalid weight %g", v))
-		}
-		total += v
-	}
-	if total <= 0 {
-		panic("stat: Categorical: weights sum to zero")
-	}
-	u := rng.Float64() * total
-	var acc float64
-	for i, v := range w {
-		acc += v
-		if u < acc {
-			return i
-		}
-	}
-	return len(w) - 1 // round-off fallthrough
-}
-
 // Dirichlet draws a probability vector from Dirichlet(alpha) via
 // normalized Gamma variates.
 func Dirichlet(rng *rand.Rand, alpha []float64) []float64 {

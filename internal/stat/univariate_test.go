@@ -130,36 +130,6 @@ func TestBetaLogPDFIntegratesToOne(t *testing.T) {
 	}
 }
 
-func TestCategoricalFrequencies(t *testing.T) {
-	rng := NewRNG(45)
-	w := []float64{1, 2, 7}
-	counts := make([]float64, 3)
-	const trials = 30000
-	for i := 0; i < trials; i++ {
-		counts[Categorical(rng, w)]++
-	}
-	for i, want := range []float64{0.1, 0.2, 0.7} {
-		got := counts[i] / trials
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("category %d frequency %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	rng := NewRNG(1)
-	for _, w := range [][]float64{{0, 0}, {-1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Categorical(%v) did not panic", w)
-				}
-			}()
-			Categorical(rng, w)
-		}()
-	}
-}
-
 // Property: Dirichlet draws always lie on the probability simplex.
 func TestDirichletSimplexProperty(t *testing.T) {
 	rng := NewRNG(46)
@@ -218,23 +188,6 @@ func TestDirichletSym(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("DirichletSym sums to %v", sum)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(7)
-	a := Split(parent)
-	b := Split(parent)
-	// Distinct children should produce different streams.
-	same := true
-	for i := 0; i < 10; i++ {
-		if a.Int63() != b.Int63() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("Split produced identical child streams")
 	}
 }
 
