@@ -29,8 +29,6 @@
 package drdp
 
 import (
-	"time"
-
 	"github.com/drdp/drdp/internal/baseline"
 	"github.com/drdp/drdp/internal/cluster"
 	"github.com/drdp/drdp/internal/core"
@@ -38,16 +36,12 @@ import (
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/dro"
 	"github.com/drdp/drdp/internal/edge"
-	"github.com/drdp/drdp/internal/fed"
 	"github.com/drdp/drdp/internal/mat"
-	"github.com/drdp/drdp/internal/metrics"
 	"github.com/drdp/drdp/internal/model"
-	"github.com/drdp/drdp/internal/opt"
 	"github.com/drdp/drdp/internal/region"
 	"github.com/drdp/drdp/internal/stat"
 	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 // Core learner.
@@ -70,25 +64,8 @@ var (
 	WithUncertaintySet = core.WithUncertaintySet
 	// WithPrior installs a compiled cloud DP prior.
 	WithPrior = core.WithPrior
-	// WithPriorWeight overrides the prior weight τ (default 1/n).
-	WithPriorWeight = core.WithPriorWeight
 	// WithEMIters bounds the EM loop and sets its tolerance.
 	WithEMIters = core.WithEMIters
-	// WithMStepOptions tunes the inner convex solver.
-	WithMStepOptions = core.WithMStepOptions
-	// WithInit sets the starting parameters.
-	WithInit = core.WithInit
-	// WithSingleStart disables the default multi-start EM.
-	WithSingleStart = core.WithSingleStart
-	// WithStochasticMStep switches the inner solver to minibatch Adam.
-	WithStochasticMStep = core.WithStochasticMStep
-	// WithProximalMStep switches to proximal gradient descent (exact
-	// prox of the Wasserstein penalty; logistic/least-squares only).
-	WithProximalMStep = core.WithProximalMStep
-	// WithLBFGSMStep switches to the limited-memory BFGS inner solver.
-	WithLBFGSMStep = core.WithLBFGSMStep
-	// WithGroundMetric selects the Wasserstein transport cost.
-	WithGroundMetric = core.WithGroundMetric
 	// WithParallelism fans the training hot paths over n workers with
 	// bit-identical results (n <= 0 picks GOMAXPROCS).
 	WithParallelism = core.WithParallelism
@@ -113,8 +90,6 @@ type (
 	Logistic = model.Logistic
 	// Softmax is multiclass softmax regression (labels are class indices).
 	Softmax = model.Softmax
-	// Hinge is a linear soft-margin (SVM-style) classifier (labels ±1).
-	Hinge = model.Hinge
 	// MLP is a one-hidden-layer perceptron with a softmax head.
 	MLP = model.MLP
 	// LeastSquares is linear regression with squared loss.
@@ -123,9 +98,6 @@ type (
 
 // Accuracy returns the fraction of correct predictions.
 var Accuracy = model.Accuracy
-
-// GradCheck validates a custom Model's analytic gradient.
-var GradCheck = model.GradCheck
 
 // LaplacePosterior summarizes a trained model as a Gaussian posterior —
 // the cloud-side step that feeds BuildPrior.
@@ -137,18 +109,6 @@ type (
 	UncertaintySet = dro.Set
 	// SetKind selects the ball geometry.
 	SetKind = dro.Kind
-	// GroundNorm selects the Wasserstein ball's transport cost.
-	GroundNorm = dro.GroundNorm
-)
-
-// Wasserstein ground metrics.
-const (
-	// GroundL2 is the Euclidean transport cost (default).
-	GroundL2 = dro.GroundL2
-	// GroundL1 is the Manhattan transport cost (dual penalty ‖w‖∞).
-	GroundL1 = dro.GroundL1
-	// GroundLInf is the max-coordinate transport cost (dual penalty ‖w‖₁).
-	GroundLInf = dro.GroundLInf
 )
 
 // Ball geometries.
@@ -186,17 +146,6 @@ var (
 	BuildPrior = dpprior.Build
 	// CompilePrior validates and factorizes a prior for training.
 	CompilePrior = dpprior.Compile
-	// DiffPriors computes the component-level delta that rewrites an old
-	// prior into a new one (never fails; degenerates to a full payload).
-	DiffPriors = dpprior.Diff
-	// DecodePrior reads a prior from a stream.
-	DecodePrior = dpprior.Decode
-	// SelectAlpha chooses the DP concentration by empirical Bayes.
-	SelectAlpha = dpprior.SelectAlpha
-	// StickBreaking draws truncated stick-breaking weights.
-	StickBreaking = dpprior.StickBreaking
-	// CRP samples a Chinese-restaurant-process partition.
-	CRP = dpprior.CRP
 )
 
 // Data engine.
@@ -205,12 +154,8 @@ type (
 	Dataset = data.Dataset
 	// LinearTask generates binary linear tasks.
 	LinearTask = data.LinearTask
-	// RegressionTask generates linear regression tasks.
-	RegressionTask = data.RegressionTask
 	// TaskFamily generates clusters of related tasks.
 	TaskFamily = data.TaskFamily
-	// BlobTask generates multiclass Gaussian blobs.
-	BlobTask = data.BlobTask
 	// DigitTask generates synthetic stroke-digit images.
 	DigitTask = data.DigitTask
 	// DriftingTask generates a task whose weights rotate over time.
@@ -223,8 +168,6 @@ var NewDriftingTask = data.NewDriftingTask
 var (
 	// NewTaskFamily draws a family of related tasks.
 	NewTaskFamily = data.NewTaskFamily
-	// DirichletPartition makes non-IID device shards.
-	DirichletPartition = data.DirichletPartition
 	// UniformShift applies a covariate mean shift of given magnitude.
 	UniformShift = data.UniformShift
 )
@@ -306,18 +249,6 @@ const (
 	DegradedLocal = edge.DegradedLocal
 )
 
-// WirePreferBinary is the only wire codec preference.
-//
-// Deprecated: every connection speaks the binary codec (see DESIGN.md
-// S22); nothing reads a preference.
-const WirePreferBinary = wire.PreferBinary
-
-// DialMux connects a multiplexed pipelining client. The preference
-// argument is ignored: every connection is binary.
-func DialMux(addr string, timeout time.Duration, _ wire.Preference) (*MuxClient, error) {
-	return edge.Dial(addr, timeout)
-}
-
 // Durable task store: crash-safe persistence for the cloud server's
 // reported tasks (append-only log + snapshot compaction).
 type (
@@ -348,8 +279,6 @@ type (
 	ClusterConfig = cluster.Config
 	// Cluster is a running shard tier: nodes plus coordinator.
 	Cluster = cluster.Cluster
-	// ClusterNodeConfig configures one replica (StartClusterNode).
-	ClusterNodeConfig = cluster.NodeConfig
 	// ClusterNode is one running replica.
 	ClusterNode = cluster.Node
 	// ClusterCoordinator owns the shard map and failover.
@@ -358,25 +287,14 @@ type (
 	ShardedClient = cluster.ShardedClient
 	// ShardMap is the coordinator's versioned shard→replicas routing table.
 	ShardMap = edge.ShardMap
-	// ReplicateOptions tunes a standalone Replicate loop.
-	ReplicateOptions = cluster.ReplicateOptions
 )
 
 var (
 	// StartCluster launches Shards×Replicas nodes plus a coordinator in
 	// this process (the sim/test harness).
 	StartCluster = cluster.Start
-	// StartClusterNode starts one replica (leader, or follower of
-	// NodeConfig.LeaderAddr).
-	StartClusterNode = cluster.StartNode
 	// DialSharded connects a sharded client to a coordinator.
 	DialSharded = cluster.DialSharded
-	// Replicate streams a leader's log into a follower CloudServer until
-	// stop closes — the loop behind drdp-cloud's -role follower.
-	Replicate = cluster.Replicate
-	// MergePriors merges per-shard DP priors into one global prior
-	// (deterministic in shard order).
-	MergePriors = dpprior.MergePriors
 )
 
 // Regional aggregator tier: the middle hop of the hierarchical
@@ -394,14 +312,9 @@ type (
 	RegionSyncStats = region.SyncStats
 )
 
-var (
-	// StartRegion opens a region's store and local server stack; the
-	// cloud uplink dials lazily on the first flush.
-	StartRegion = region.Start
-	// SummarizeTasks compresses a flush window of task posteriors into
-	// at most MaxComponents pseudo-tasks (what a region ships upward).
-	SummarizeTasks = dpprior.SummarizeTasks
-)
+// StartRegion opens a region's store and local server stack; the cloud
+// uplink dials lazily on the first flush.
+var StartRegion = region.Start
 
 var (
 	// NewCloudServer creates a prior server.
@@ -419,8 +332,6 @@ var (
 	NewPriorCache = edge.NewPriorCache
 	// DefaultRetryPolicy is the recommended edge retry schedule.
 	DefaultRetryPolicy = edge.DefaultRetryPolicy
-	// DefaultBreakerConfig is the recommended breaker tuning.
-	DefaultBreakerConfig = edge.DefaultBreakerConfig
 	// ErrCircuitOpen reports a tripped client circuit breaker.
 	ErrCircuitOpen = edge.ErrCircuitOpen
 	// ErrNoPrior reports a legitimately cold cloud (no tasks yet).
@@ -445,55 +356,17 @@ var (
 	Link3G = edge.Link3G
 )
 
-// Federated averaging, the system-level comparison baseline.
-type (
-	// FedClient is one FedAvg participant's local data.
-	FedClient = fed.ClientData
-	// FedConfig tunes a FedAvg run.
-	FedConfig = fed.Config
-	// FedResult reports a FedAvg run.
-	FedResult = fed.Result
-)
-
-// FedAvg runs federated averaging over the clients.
-var FedAvg = fed.Run
-
-// Evaluation metrics.
-type (
-	// Report aggregates accuracy/NLL/robust-loss measurements.
-	Report = metrics.Report
-)
-
-var (
-	// Evaluate computes a Report for params on a dataset.
-	Evaluate = metrics.Evaluate
-	// ConfusionMatrix tabulates predictions by true class.
-	ConfusionMatrix = metrics.ConfusionMatrix
-	// ECE is the expected calibration error of a binary classifier.
-	ECE = metrics.ECE
-	// AUC is the ROC area under the curve for binary classifiers.
-	AUC = metrics.AUC
-	// MinorityRecall is the recall of the rarer binary class.
-	MinorityRecall = metrics.MinorityRecall
-	// RMSE is the root-mean-square regression error.
-	RMSE = metrics.RMSE
-)
-
 // Numeric utilities.
 type (
 	// Vec is a dense vector ([]float64).
 	Vec = mat.Vec
 	// Dense is a row-major dense matrix.
 	Dense = mat.Dense
-	// SolverOptions configures the first-order solvers.
-	SolverOptions = opt.Options
 )
 
 var (
 	// NewDense allocates a zeroed matrix.
 	NewDense = mat.NewDense
-	// FromRows builds a matrix from row slices.
-	FromRows = mat.FromRows
 	// NewRNG returns a seeded random stream.
 	NewRNG = stat.NewRNG
 )
@@ -503,9 +376,6 @@ var (
 // drdp_<layer>_<name>_<unit>) that can be served over HTTP in the
 // Prometheus text format or snapshotted in-process for assertions.
 type (
-	// FitProgress reports one EM iteration of a running fit; subscribe
-	// with WithProgress.
-	FitProgress = core.Progress
 	// TelemetryValues is a point-in-time copy of the metric registry.
 	TelemetryValues = telemetry.Values
 	// MetricLabel is one name/value label on a metric series.
@@ -516,16 +386,8 @@ type (
 )
 
 var (
-	// WithProgress subscribes a per-EM-iteration callback on a learner.
-	WithProgress = core.WithProgress
 	// TelemetrySnapshot copies the current state of every metric.
 	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetryHandler serves the registry as Prometheus text (0.0.4).
-	TelemetryHandler = telemetry.Handler
-	// ServeTelemetry starts the full observability endpoint (/metrics,
-	// /debug/vars, /debug/pprof) on addr; pass nil for the default
-	// registry.
-	ServeTelemetry = telemetry.Serve
 	// DiscardLogger returns a logger that drops everything — pass it as
 	// a component's Logger to opt out of the default stderr warnings.
 	DiscardLogger = telemetry.Discard

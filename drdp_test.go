@@ -1,7 +1,6 @@
 package drdp_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 
 // TestFacadeEndToEnd drives the whole public API surface the way a
 // downstream user would: generate data, build a prior from cloud tasks,
-// train robustly with it, serve it over TCP, and run FedAvg — all through
+// train robustly with it, serve it over TCP and stream — all through
 // package drdp only.
 func TestFacadeEndToEnd(t *testing.T) {
 	rng := drdp.NewRNG(500)
@@ -40,16 +39,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gob round trip through the facade.
-	var buf bytes.Buffer
-	if err := prior.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := drdp.DecodePrior(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled, err := drdp.CompilePrior(decoded)
+	compiled, err := drdp.CompilePrior(prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +92,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if fetched.Dim != m.NumParams() {
 		t.Errorf("fetched prior dim %d", fetched.Dim)
-	}
-
-	// FedAvg through the facade.
-	clients := []drdp.FedClient{
-		{X: train.X, Y: train.Y},
-		{X: test.X, Y: test.Y},
-	}
-	fedRes, err := drdp.FedAvg(m, clients, drdp.FedConfig{Rounds: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fedRes.Global) != m.NumParams() {
-		t.Errorf("fedavg global has %d params", len(fedRes.Global))
 	}
 
 	// Streaming through the facade.

@@ -336,7 +336,7 @@ func run() error {
 
 	// Observability: everything above also reported into the process-wide
 	// metric registry — the same numbers a deployed fleet would scrape
-	// from /metrics (drdp.ServeTelemetry) are available in-process.
+	// from /metrics (drdp-cloud -telemetry-addr) are available in-process.
 	snap := drdp.TelemetrySnapshot()
 	fmt.Println("\ntelemetry snapshot (what /metrics would show):")
 	fmt.Printf("  client: %.0f dials, %.0f retries, %.0f failures; %.0f B sent, %.0f B received\n",

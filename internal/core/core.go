@@ -40,8 +40,8 @@ import (
 // Predict and Certificate may be called from any number of goroutines at
 // once. Each Fit call allocates its own scratch state (per-start when
 // multi-start runs in parallel), so concurrent fits never share buffers;
-// the only shared mutable state is the progress/telemetry sink, which is
-// serialized internally.
+// the only shared mutable state is the drdp_core_* telemetry, whose
+// instruments are atomic.
 type Learner struct {
 	model       model.Model
 	set         dro.Set
@@ -51,17 +51,11 @@ type Learner struct {
 	emTol       float64
 	mstep       opt.Options
 	init        mat.Vec
-	singleStart bool
 	sgd         *sgdConfig
 	proximal    bool
 	lbfgsMem    int            // > 0 selects the L-BFGS inner solver
 	ground      dro.GroundNorm // transport cost of the Wasserstein ball
-	progress    func(Progress) // per-EM-iteration callback; nil = none
 	pool        *parallel.Pool // nil = inline serial reference path
-	// progressMu serializes recordIteration across parallel starts and
-	// concurrent fits. A pointer so the online warm-start shallow copy
-	// shares the sink lock instead of copying a locked mutex.
-	progressMu *sync.Mutex
 }
 
 // Option configures a Learner.
@@ -87,9 +81,7 @@ func WithUncertaintySet(s dro.Set) Option {
 // Parallelism never changes the result: work is split on the fixed chunk
 // grid of package parallel and partials combine by its fixed-order tree
 // reduction, so a fit with any parallelism is bit-for-bit identical to
-// the inline path. The only observable difference is the arrival order
-// of WithProgress callbacks across multi-start runs (callbacks are still
-// serialized, never concurrent).
+// the inline path.
 func WithParallelism(n int) Option {
 	return func(l *Learner) error {
 		l.pool = parallel.New(n)
@@ -111,8 +103,8 @@ func WithPrior(p *dpprior.Compiled) Option {
 // WithPriorWeight overrides the prior weight τ (default 1/n).
 func WithPriorWeight(tau float64) Option {
 	return func(l *Learner) error {
-		if tau < 0 {
-			return fmt.Errorf("core: prior weight %g must be non-negative", tau)
+		if !(tau >= 0) || math.IsInf(tau, 1) {
+			return fmt.Errorf("core: prior weight %g must be finite and non-negative", tau)
 		}
 		l.priorWeight = tau
 		return nil
@@ -149,17 +141,6 @@ func WithMStepOptions(o opt.Options) Option {
 func WithInit(theta mat.Vec) Option {
 	return func(l *Learner) error {
 		l.init = mat.CloneVec(theta)
-		return nil
-	}
-}
-
-// WithSingleStart disables multi-start: a single EM run from the prior's
-// heaviest component mean (the cloud's best guess). Cheaper, but a
-// misleading cloud component can then trap the non-convex EM in a bad
-// basin; the default multi-start lets the local data veto it.
-func WithSingleStart() Option {
-	return func(l *Learner) error {
-		l.singleStart = true
 		return nil
 	}
 }
@@ -209,11 +190,10 @@ func New(m model.Model, options ...Option) (*Learner, error) {
 		return nil, errors.New("core: New: nil model")
 	}
 	l := &Learner{
-		model:      m,
-		emIters:    25,
-		emTol:      1e-6,
-		mstep:      opt.Options{MaxIter: 200, Tol: 1e-6},
-		progressMu: &sync.Mutex{},
+		model:   m,
+		emIters: 25,
+		emTol:   1e-6,
+		mstep:   opt.Options{MaxIter: 200, Tol: 1e-6},
 	}
 	for _, o := range options {
 		if err := o(l); err != nil {
@@ -287,8 +267,7 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 		obj := prob.objective(theta)
 		res = em.Result{Theta: theta, Objective: obj, Trace: []float64{obj},
 			Iterations: 1, Converged: true}
-		l.recordIteration(Progress{Start: 0, Iter: 1, Objective: obj,
-			GradNorm: prob.lastGradNorm, MStepIters: prob.lastMStepIters, Theta: theta})
+		prob.recordIteration(obj, 0)
 	} else {
 		// The mixture prior makes the objective multi-basin; run EM from
 		// each candidate start and keep the best final objective, so the
@@ -333,8 +312,10 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 // bit-identical to the sequential path.
 func (l *Learner) runStarts(prob *drdpProblem) em.Result {
 	starts := l.startingPoints()
-	opts := func(i int, p *drdpProblem) em.Options {
-		return em.Options{MaxIters: l.emIters, Tol: l.emTol, OnIter: l.iterHook(i, p)}
+	opts := func(p *drdpProblem) em.Options {
+		return em.Options{MaxIters: l.emIters, Tol: l.emTol, OnIter: func(it em.Iteration) {
+			p.recordIteration(it.Objective, it.Objective-it.Prev)
+		}}
 	}
 	runs := make([]em.Result, len(starts))
 	if l.pool.Workers() > 1 && len(starts) > 1 {
@@ -358,7 +339,7 @@ func (l *Learner) runStarts(prob *drdpProblem) em.Result {
 					}
 				}()
 				p := prob.clone()
-				runs[i] = em.Run[[]float64](p, start, opts(i, p))
+				runs[i] = em.Run[[]float64](p, start, opts(p))
 			}(i, start)
 		}
 		wg.Wait()
@@ -367,7 +348,7 @@ func (l *Learner) runStarts(prob *drdpProblem) em.Result {
 		}
 	} else {
 		for i, start := range starts {
-			runs[i] = em.Run[[]float64](prob, start, opts(i, prob))
+			runs[i] = em.Run[[]float64](prob, start, opts(prob))
 		}
 	}
 	best := runs[0]
@@ -400,10 +381,9 @@ func (l *Learner) Model() model.Model { return l.model }
 // Set returns the learner's uncertainty set.
 func (l *Learner) Set() dro.Set { return l.set }
 
-// startingPoints returns the EM starts: the explicit init when given; the
-// heaviest component mean under WithSingleStart; otherwise every prior
-// component mean plus a zero (base-basin) start. Without a prior it is a
-// single zero start.
+// startingPoints returns the EM starts: the explicit init when given;
+// otherwise every prior component mean plus a zero (base-basin) start.
+// Without a prior it is a single zero start.
 func (l *Learner) startingPoints() []mat.Vec {
 	if l.init != nil {
 		return []mat.Vec{mat.CloneVec(l.init)}
@@ -411,15 +391,6 @@ func (l *Learner) startingPoints() []mat.Vec {
 	p := l.model.NumParams()
 	if l.prior == nil || l.prior.NumComponents() == 0 {
 		return []mat.Vec{make(mat.Vec, p)}
-	}
-	if l.singleStart {
-		best, bestW := 0, 0.0
-		for i, c := range l.prior.Prior.Components {
-			if c.Weight > bestW {
-				best, bestW = i, c.Weight
-			}
-		}
-		return []mat.Vec{mat.CloneVec(l.prior.Prior.Components[best].Mu)}
 	}
 	starts := make([]mat.Vec, 0, l.prior.NumComponents()+1)
 	for _, c := range l.prior.Prior.Components {
@@ -453,8 +424,8 @@ type drdpProblem struct {
 	set     dro.Set
 	worstAt bool
 
-	// Inner-solver stats from the most recent mStep call, read by the
-	// progress hook right after each EM iteration (the EM loop is
+	// Inner-solver stats from the most recent mStep call, read by
+	// recordIteration right after each EM iteration (the EM loop is
 	// sequential, so no synchronization is needed).
 	lastMStepIters int
 	lastGradNorm   float64
@@ -484,6 +455,18 @@ func newProblem(l *Learner, x *mat.Dense, y []float64, tau float64) *drdpProblem
 // and weight buffers or the inner-solver stats.
 func (p *drdpProblem) clone() *drdpProblem {
 	return newProblem(p.learner, p.x, p.y, p.tau)
+}
+
+// recordIteration publishes one EM iteration, with the stats of the
+// M-step that produced it, to the drdp_core_* telemetry. Every
+// instrument is atomic, so parallel starts and concurrent fits publish
+// without a lock.
+func (p *drdpProblem) recordIteration(objective, delta float64) {
+	telemetry.CoreEMIterations.Inc()
+	telemetry.CoreMStepIters.Add(float64(p.lastMStepIters))
+	telemetry.CoreObjective.Set(objective)
+	telemetry.CoreObjectiveDelta.Set(delta)
+	telemetry.CoreGradNorm.Set(p.lastGradNorm)
 }
 
 // EStep computes prior responsibilities at the current iterate.

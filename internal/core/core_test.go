@@ -67,8 +67,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(m, WithPrior(nil)); err == nil {
 		t.Error("nil prior accepted")
 	}
-	if _, err := New(m, WithPriorWeight(-1)); err == nil {
-		t.Error("negative prior weight accepted")
+	for _, tau := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := New(m, WithPriorWeight(tau)); err == nil {
+			t.Errorf("prior weight %v accepted", tau)
+		}
+	}
+	for _, rho := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := New(m, WithUncertaintySet(dro.Set{Kind: dro.Wasserstein, Rho: rho})); err == nil {
+			t.Errorf("radius %v accepted", rho)
+		}
 	}
 	if _, err := New(m, WithEMIters(0, 0)); err == nil {
 		t.Error("zero EM iters accepted")
@@ -350,7 +357,7 @@ func TestMStepGradientConsistency(t *testing.T) {
 }
 
 func TestMultiStartVetoesMisleadingComponent(t *testing.T) {
-	// A prior whose heavy component is adversarial: single-start EM from
+	// A prior whose heavy component is adversarial: a single EM run from
 	// the heaviest mean gets trapped; the default multi-start must escape
 	// via the base start and classify well.
 	rng := rand.New(rand.NewSource(178))
@@ -385,7 +392,7 @@ func TestMultiStartVetoesMisleadingComponent(t *testing.T) {
 	}
 
 	single, err := New(model.Logistic{Dim: 2}, WithPrior(prior), WithEMIters(15, 1e-8),
-		WithSingleStart())
+		WithInit(p.Components[0].Mu))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,6 @@ func TestLearnerConcurrentFit(t *testing.T) {
 		WithPrior(prior),
 		WithEMIters(3, 1e-9),
 		WithParallelism(4),
-		WithProgress(func(Progress) {}), // exercise the serialized sink
 	)
 	if err != nil {
 		t.Fatal(err)

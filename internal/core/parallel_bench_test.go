@@ -62,7 +62,7 @@ func BenchmarkFitParallelism(b *testing.B) {
 			l, err := New(model.Logistic{Dim: 16},
 				WithUncertaintySet(dro.Set{Kind: dro.Wasserstein, Rho: 0.05}),
 				WithPrior(prior),
-				WithSingleStart(),
+				WithInit(prior.Prior.Components[0].Mu), // one EM run
 				WithEMIters(2, 1e-9),
 				WithParallelism(workers),
 			)

@@ -253,30 +253,6 @@ func TestTaskFamily(t *testing.T) {
 	}
 }
 
-func TestRegressionTask(t *testing.T) {
-	rng := rand.New(rand.NewSource(87))
-	task := RegressionTask{W: mat.Vec{2, -1}, Bias: 0.5, Noise: 0.1}
-	ds := task.Sample(rng, 500)
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if ds.NumClasses != 0 {
-		t.Errorf("regression dataset has NumClasses %d", ds.NumClasses)
-	}
-	// Residuals under the true params have std ≈ Noise.
-	var ss float64
-	for i := 0; i < ds.Len(); i++ {
-		r := mat.Dot(task.W, ds.X.Row(i)) + task.Bias - ds.Y[i]
-		ss += r * r
-	}
-	if std := math.Sqrt(ss / float64(ds.Len())); math.Abs(std-0.1) > 0.02 {
-		t.Errorf("residual std %v, want ≈ 0.1", std)
-	}
-	if p := task.Params(); len(p) != 3 || p[2] != 0.5 {
-		t.Errorf("Params = %v", p)
-	}
-}
-
 func TestBlobTask(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	b, err := NewBlobTask(rng, 4, 3, 5, 0.5)
@@ -321,20 +297,5 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("1,notanumber\n"), 0); err == nil {
 		t.Error("bad float accepted")
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	d := binaryDS()
-	var buf bytes.Buffer
-	if err := d.EncodeGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.X.Equal(d.X, 0) || got.NumClasses != 2 {
-		t.Error("gob round trip changed dataset")
 	}
 }

@@ -2,7 +2,6 @@ package data
 
 import (
 	"encoding/csv"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"strconv"
@@ -74,25 +73,4 @@ func ReadCSV(r io.Reader, numClasses int) (*Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// EncodeGob writes the dataset in gob format (compact binary transport
-// between drdp processes).
-func (d *Dataset) EncodeGob(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(d); err != nil {
-		return fmt.Errorf("data: encode dataset: %w", err)
-	}
-	return nil
-}
-
-// DecodeGob reads a dataset written by EncodeGob and validates it.
-func DecodeGob(r io.Reader) (*Dataset, error) {
-	var d Dataset
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("data: decode dataset: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

@@ -160,37 +160,6 @@ func (f *TaskFamily) CloudTasks(rng *rand.Rand, k int) []LinearTask {
 	return out
 }
 
-// RegressionTask is a linear regression task y = Wᵀx + Bias + ε with
-// standard-Gaussian features and N(0, Noise²) output noise — the
-// regression counterpart of LinearTask for the least-squares model.
-type RegressionTask struct {
-	W     mat.Vec
-	Bias  float64
-	Noise float64 // output noise std, ≥ 0
-}
-
-// Dim returns the feature dimensionality.
-func (t RegressionTask) Dim() int { return len(t.W) }
-
-// Params returns the true parameters [W; Bias].
-func (t RegressionTask) Params() mat.Vec {
-	return append(mat.CloneVec(t.W), t.Bias)
-}
-
-// Sample draws n labeled samples.
-func (t RegressionTask) Sample(rng *rand.Rand, n int) *Dataset {
-	x := mat.NewDense(n, t.Dim())
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		y[i] = mat.Dot(t.W, row) + t.Bias + t.Noise*rng.NormFloat64()
-	}
-	return &Dataset{X: x, Y: y, NumClasses: 0}
-}
-
 // BlobTask is a multiclass task: class c draws features from
 // N(Centers[c], Noise² I). Labels are class indices.
 type BlobTask struct {

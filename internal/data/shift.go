@@ -37,39 +37,6 @@ func UniformShift(ds *Dataset, eps float64) *Dataset {
 	return out
 }
 
-// ScaleShift multiplies all features by factor (sensor gain drift).
-func ScaleShift(ds *Dataset, factor float64) *Dataset {
-	out := ds.Clone()
-	mat.Scale(factor, out.X.Data)
-	return out
-}
-
-// FeatureNoise adds N(0, sigma²) noise to every feature.
-func FeatureNoise(ds *Dataset, sigma float64, rng *rand.Rand) *Dataset {
-	out := ds.Clone()
-	for i := range out.X.Data {
-		out.X.Data[i] += sigma * rng.NormFloat64()
-	}
-	return out
-}
-
-// LabelFlip flips each binary (±1) label with probability p.
-func LabelFlip(ds *Dataset, p float64, rng *rand.Rand) (*Dataset, error) {
-	if ds.NumClasses != 2 {
-		return nil, fmt.Errorf("data: LabelFlip: dataset is not binary (classes=%d)", ds.NumClasses)
-	}
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("data: LabelFlip: p=%g out of [0,1]", p)
-	}
-	out := ds.Clone()
-	for i := range out.Y {
-		if rng.Float64() < p {
-			out.Y[i] = -out.Y[i]
-		}
-	}
-	return out, nil
-}
-
 // AdversarialShift moves each sample by budget in the direction that
 // increases its loss under a linear scorer w — the worst-case-in-the-ball
 // perturbation realized, used to validate the Wasserstein certificate

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,55 +32,6 @@ func TestUniformShiftMagnitude(t *testing.T) {
 	moved := mat.SubVec(shifted.X.Row(0), d.X.Row(0))
 	if math.Abs(mat.Norm2(moved)-3) > 1e-9 {
 		t.Errorf("shift magnitude %v, want 3", mat.Norm2(moved))
-	}
-}
-
-func TestScaleShift(t *testing.T) {
-	d := binaryDS()
-	s := ScaleShift(d, 2)
-	if s.X.At(1, 0) != 6 {
-		t.Errorf("scale wrong: %v", s.X.Row(1))
-	}
-}
-
-func TestFeatureNoiseChangesData(t *testing.T) {
-	rng := rand.New(rand.NewSource(90))
-	d := binaryDS()
-	noisy := FeatureNoise(d, 1, rng)
-	if noisy.X.Equal(d.X, 1e-12) {
-		t.Error("noise did nothing")
-	}
-	// Zero noise is identity.
-	clean := FeatureNoise(d, 0, rng)
-	if !clean.X.Equal(d.X, 0) {
-		t.Error("zero noise changed data")
-	}
-}
-
-func TestLabelFlip(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	task := LinearTask{W: mat.Vec{1, 1}}
-	d := task.Sample(rng, 5000)
-	flipped, err := LabelFlip(d, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	for i := range d.Y {
-		if d.Y[i] != flipped.Y[i] {
-			n++
-		}
-	}
-	rate := float64(n) / float64(d.Len())
-	if math.Abs(rate-0.3) > 0.03 {
-		t.Errorf("flip rate %v, want 0.3", rate)
-	}
-	if _, err := LabelFlip(d, 1.5, rng); err == nil {
-		t.Error("p>1 accepted")
-	}
-	mc := &Dataset{X: mat.NewDense(1, 1), Y: []float64{0}, NumClasses: 3}
-	if _, err := LabelFlip(mc, 0.1, rng); err == nil {
-		t.Error("multiclass accepted")
 	}
 }
 
@@ -326,11 +276,5 @@ func TestRenderASCII(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestGobDecodeInvalid(t *testing.T) {
-	if _, err := DecodeGob(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("garbage gob accepted")
 	}
 }

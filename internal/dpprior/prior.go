@@ -1,3 +1,16 @@
+// Package dpprior implements the Dirichlet-process machinery that carries
+// cloud knowledge to edge devices in drdp: a truncated DP Gaussian-mixture
+// fit over cloud task posteriors (collapsed Gibbs, the only prior
+// builder), and the serializable Prior object that edges receive over
+// the wire.
+//
+// The prior over edge parameters θ has the truncated stick-breaking form
+//
+//	p(θ) = Σ_k w_k N(θ; μ_k, Σ_k) + w_0 N(θ; 0, σ0² I)
+//
+// where the components summarize clusters of cloud tasks and the base
+// term is the DP's "new cluster" escape hatch with mass governed by the
+// concentration α.
 package dpprior
 
 import (
@@ -84,18 +97,6 @@ func (p *Prior) Encode(w io.Writer) error {
 		return fmt.Errorf("dpprior: encode prior: %w", err)
 	}
 	return nil
-}
-
-// Decode reads a prior from r and validates it.
-func Decode(r io.Reader) (*Prior, error) {
-	var p Prior
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("dpprior: decode prior: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // Compiled is a Prior with per-component Cholesky factors and precision

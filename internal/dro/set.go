@@ -90,8 +90,8 @@ type Set struct {
 
 // Validate reports a structurally invalid set.
 func (s Set) Validate() error {
-	if s.Rho < 0 {
-		return fmt.Errorf("dro: radius %g must be non-negative", s.Rho)
+	if !(s.Rho >= 0) || math.IsInf(s.Rho, 1) {
+		return fmt.Errorf("dro: radius %g must be finite and non-negative", s.Rho)
 	}
 	switch s.Kind {
 	case None, Wasserstein, KL, Chi2:

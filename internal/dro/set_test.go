@@ -40,8 +40,12 @@ func TestSetValidate(t *testing.T) {
 	if err := (Set{Kind: KL, Rho: 0.1}).Validate(); err != nil {
 		t.Errorf("valid set rejected: %v", err)
 	}
-	if err := (Set{Kind: KL, Rho: -1}).Validate(); err == nil {
-		t.Error("negative radius accepted")
+	for _, rho := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, kind := range []Kind{Wasserstein, KL, Chi2} {
+			if err := (Set{Kind: kind, Rho: rho}).Validate(); err == nil {
+				t.Errorf("%v radius %v accepted", kind, rho)
+			}
+		}
 	}
 	if err := (Set{Kind: Kind(42)}).Validate(); err == nil {
 		t.Error("unknown kind accepted")

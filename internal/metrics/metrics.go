@@ -1,6 +1,6 @@
 // Package metrics implements the evaluation measurements reported by the
-// experiment suite: accuracy/error, negative log-likelihood, confusion
-// matrices, expected calibration error, and robust-loss certificates.
+// experiment suite: accuracy/error, negative log-likelihood, expected
+// calibration error, AUC, minority recall, and robust-loss certificates.
 package metrics
 
 import (
@@ -34,38 +34,6 @@ func Evaluate(m model.Model, params mat.Vec, ds *data.Dataset, set dro.Set) Repo
 		NLL:        mat.Mean(losses),
 		RobustLoss: robust,
 	}
-}
-
-// ConfusionMatrix returns counts[i][j] = samples of true class i predicted
-// as class j, for classification datasets. Binary ±1 labels map to rows
-// {0: −1, 1: +1}.
-func ConfusionMatrix(m model.Model, params mat.Vec, ds *data.Dataset) ([][]int, error) {
-	classes := ds.NumClasses
-	if classes < 2 {
-		return nil, fmt.Errorf("metrics: ConfusionMatrix needs a classification dataset")
-	}
-	idx := func(y float64) int {
-		if classes == 2 {
-			if y > 0 {
-				return 1
-			}
-			return 0
-		}
-		return int(y)
-	}
-	out := make([][]int, classes)
-	for i := range out {
-		out[i] = make([]int, classes)
-	}
-	for i := 0; i < ds.Len(); i++ {
-		truth := idx(ds.Y[i])
-		pred := idx(m.Predict(params, ds.X.Row(i)))
-		if truth < 0 || truth >= classes || pred < 0 || pred >= classes {
-			return nil, fmt.Errorf("metrics: label/prediction out of range at row %d", i)
-		}
-		out[truth][pred]++
-	}
-	return out, nil
 }
 
 // ECE computes the expected calibration error of a binary probabilistic
@@ -108,20 +76,6 @@ func ECE(proba func(x mat.Vec) float64, ds *data.Dataset, bins int) (float64, er
 		ece += (b.n / total) * math.Abs(b.correct/b.n-b.conf/b.n)
 	}
 	return ece, nil
-}
-
-// RMSE returns the root-mean-square prediction error of a regression
-// model on ds.
-func RMSE(m model.Model, params mat.Vec, ds *data.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	var ss float64
-	for i := 0; i < ds.Len(); i++ {
-		r := m.Predict(params, ds.X.Row(i)) - ds.Y[i]
-		ss += r * r
-	}
-	return math.Sqrt(ss / float64(ds.Len()))
 }
 
 // AUC computes the ROC area under the curve for a binary (±1) dataset

@@ -33,67 +33,6 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrixBinary(t *testing.T) {
-	m := model.Logistic{Dim: 1}
-	params := mat.Vec{1, 0}
-	ds := &data.Dataset{
-		X:          mat.FromRows([][]float64{{1}, {-1}, {1}, {-1}}),
-		Y:          []float64{1, -1, -1, 1},
-		NumClasses: 2,
-	}
-	cm, err := ConfusionMatrix(m, params, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 0 = true −1: one predicted −1 (correct), one predicted +1.
-	if cm[0][0] != 1 || cm[0][1] != 1 || cm[1][1] != 1 || cm[1][0] != 1 {
-		t.Errorf("confusion %v", cm)
-	}
-}
-
-func TestConfusionMatrixMulticlass(t *testing.T) {
-	rng := rand.New(rand.NewSource(120))
-	b, err := data.NewBlobTask(rng, 2, 3, 6, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := b.Sample(rng, 90)
-	// A perfect nearest-center classifier via softmax trained offline is
-	// overkill; instead use an oracle predictor via a wrapped model. Use
-	// softmax with weights set to 2·center (Bayes for equal covariance).
-	sm := model.Softmax{Dim: 2, Classes: 3}
-	params := make(mat.Vec, sm.NumParams())
-	for c := 0; c < 3; c++ {
-		copy(params[c*2:(c+1)*2], b.Centers[c])
-		mat.Scale(2/(0.3*0.3)/2, params[c*2:(c+1)*2])
-		params[3*2+c] = -mat.Dot(b.Centers[c], b.Centers[c]) / (0.3 * 0.3) / 2
-	}
-	cm, err := ConfusionMatrix(sm, params, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diag, total int
-	for i := range cm {
-		for j := range cm[i] {
-			total += cm[i][j]
-			if i == j {
-				diag += cm[i][j]
-			}
-		}
-	}
-	if total != 90 {
-		t.Errorf("confusion total %d", total)
-	}
-	if float64(diag)/float64(total) < 0.95 {
-		t.Errorf("oracle accuracy %v", float64(diag)/float64(total))
-	}
-	// Regression dataset rejected.
-	reg := &data.Dataset{X: mat.NewDense(1, 2), Y: []float64{0.5}, NumClasses: 0}
-	if _, err := ConfusionMatrix(sm, params, reg); err == nil {
-		t.Error("regression dataset accepted")
-	}
-}
-
 func TestECEPerfectCalibration(t *testing.T) {
 	// A classifier that outputs its true accuracy as confidence has ECE 0.
 	rng := rand.New(rand.NewSource(121))
@@ -229,23 +168,5 @@ func TestMinorityRecall(t *testing.T) {
 	reg := &data.Dataset{X: mat.NewDense(1, 1), Y: []float64{0.5}, NumClasses: 0}
 	if _, err := MinorityRecall(m, params, reg); err == nil {
 		t.Error("regression accepted")
-	}
-}
-
-func TestRMSE(t *testing.T) {
-	m := model.LeastSquares{Dim: 1}
-	params := mat.Vec{1, 0} // predicts x
-	ds := &data.Dataset{
-		X:          mat.FromRows([][]float64{{1}, {2}}),
-		Y:          []float64{2, 4}, // errors 1 and 2
-		NumClasses: 0,
-	}
-	want := math.Sqrt((1 + 4) / 2.0)
-	if got := RMSE(m, params, ds); math.Abs(got-want) > 1e-12 {
-		t.Errorf("RMSE = %v, want %v", got, want)
-	}
-	empty := &data.Dataset{X: mat.NewDense(0, 1), NumClasses: 0}
-	if got := RMSE(m, params, empty); got != 0 {
-		t.Errorf("empty RMSE = %v", got)
 	}
 }

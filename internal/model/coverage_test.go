@@ -15,7 +15,6 @@ func TestNamesAndBlocks(t *testing.T) {
 		"softmax":      Softmax{Dim: 2, Classes: 3},
 		"leastsquares": LeastSquares{Dim: 2},
 		"mlp":          MLP{Dim: 2, Hidden: 3, Classes: 2},
-		"hinge":        Hinge{Dim: 2},
 	}
 	for want, m := range models {
 		if got := m.Name(); got != want {
@@ -25,7 +24,7 @@ func TestNamesAndBlocks(t *testing.T) {
 			t.Errorf("%s InputDim = %d", want, m.InputDim())
 		}
 	}
-	for _, bn := range []BlockNormer{Logistic{Dim: 4}, LeastSquares{Dim: 4}, Hinge{Dim: 4}} {
+	for _, bn := range []BlockNormer{Logistic{Dim: 4}, LeastSquares{Dim: 4}} {
 		from, to := bn.WeightBlock()
 		if from != 0 || to != 4 {
 			t.Errorf("WeightBlock = [%d,%d), want [0,4)", from, to)
@@ -40,7 +39,6 @@ func TestLipschitzGradFiniteDifference(t *testing.T) {
 	models := []Model{
 		Logistic{Dim: 4},
 		LeastSquares{Dim: 4},
-		Hinge{Dim: 4},
 		Softmax{Dim: 3, Classes: 3},
 		MLP{Dim: 3, Hidden: 4, Classes: 3},
 	}
@@ -68,7 +66,7 @@ func TestLipschitzGradFiniteDifference(t *testing.T) {
 // is zero (no direction is privileged) for every model.
 func TestLipschitzGradZeroParams(t *testing.T) {
 	models := []Model{
-		Logistic{Dim: 3}, LeastSquares{Dim: 3}, Hinge{Dim: 3},
+		Logistic{Dim: 3}, LeastSquares{Dim: 3},
 		Softmax{Dim: 2, Classes: 3}, MLP{Dim: 2, Hidden: 2, Classes: 2},
 	}
 	for _, m := range models {

@@ -6,11 +6,10 @@ import (
 	"github.com/drdp/drdp/internal/mat"
 )
 
-// GradCheck compares a model's analytic weighted gradient against central
+// gradCheck compares a model's analytic weighted gradient against central
 // finite differences of the weighted loss at params, returning the worst
-// relative error across coordinates. Tests assert this is tiny; it is also
-// exported so downstream users can validate custom Model implementations.
-func GradCheck(m Model, params mat.Vec, x *mat.Dense, y []float64, w []float64, h float64) float64 {
+// relative error across coordinates. Tests assert this is tiny.
+func gradCheck(m Model, params mat.Vec, x *mat.Dense, y []float64, w []float64, h float64) float64 {
 	if h <= 0 {
 		h = 1e-6
 	}

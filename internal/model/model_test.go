@@ -143,7 +143,7 @@ func TestGradChecks(t *testing.T) {
 			x, y := randData(rng, 12, 4, tt.kind, classes)
 			w := randWeights(rng, 12)
 			params := randParams(rng, tt.m.NumParams())
-			if err := GradCheck(tt.m, params, x, y, w, 1e-6); err > 1e-6 {
+			if err := gradCheck(tt.m, params, x, y, w, 1e-6); err > 1e-6 {
 				t.Errorf("gradient check relative error %g", err)
 			}
 		})

@@ -1,6 +1,6 @@
 // Package stat provides the probability substrate for drdp: seeded RNG
-// plumbing, univariate and multivariate distributions (Gaussian, Gamma,
-// Beta, Dirichlet) and the KL divergence between Gaussians.
+// plumbing, the multivariate Gaussian, Gamma and Dirichlet distributions
+// and the KL divergence between Gaussians.
 //
 // All sampling flows through an explicit *rand.Rand so every experiment in
 // the repository is reproducible from a seed.

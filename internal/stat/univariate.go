@@ -8,28 +8,6 @@ import (
 
 const log2Pi = 1.8378770664093453 // log(2π)
 
-// Normal is a univariate Gaussian distribution.
-type Normal struct {
-	Mu    float64
-	Sigma float64 // standard deviation, > 0
-}
-
-// LogPDF returns the log density at x.
-func (n Normal) LogPDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return -0.5*(z*z+log2Pi) - math.Log(n.Sigma)
-}
-
-// Sample draws one value.
-func (n Normal) Sample(rng *rand.Rand) float64 {
-	return n.Mu + n.Sigma*rng.NormFloat64()
-}
-
-// CDF returns P(X <= x).
-func (n Normal) CDF(x float64) float64 {
-	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
 // Gamma is a Gamma distribution with shape Alpha and rate Beta
 // (mean Alpha/Beta).
 type Gamma struct {
@@ -80,32 +58,6 @@ func (g Gamma) LogPDF(x float64) float64 {
 	}
 	lg, _ := math.Lgamma(g.Alpha)
 	return g.Alpha*math.Log(g.Beta) - lg + (g.Alpha-1)*math.Log(x) - g.Beta*x
-}
-
-// Beta is a Beta(A, B) distribution.
-type Beta struct {
-	A, B float64 // both > 0
-}
-
-// Sample draws one value via the Gamma ratio construction.
-func (b Beta) Sample(rng *rand.Rand) float64 {
-	x := Gamma{Alpha: b.A, Beta: 1}.Sample(rng)
-	y := Gamma{Alpha: b.B, Beta: 1}.Sample(rng)
-	return x / (x + y)
-}
-
-// Mean returns A/(A+B).
-func (b Beta) Mean() float64 { return b.A / (b.A + b.B) }
-
-// LogPDF returns the log density at x in (0,1).
-func (b Beta) LogPDF(x float64) float64 {
-	if x <= 0 || x >= 1 {
-		return math.Inf(-1)
-	}
-	la, _ := math.Lgamma(b.A)
-	lb, _ := math.Lgamma(b.B)
-	lab, _ := math.Lgamma(b.A + b.B)
-	return lab - la - lb + (b.A-1)*math.Log(x) + (b.B-1)*math.Log1p(-x)
 }
 
 // Dirichlet draws a probability vector from Dirichlet(alpha) via

@@ -6,56 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNormalLogPDF(t *testing.T) {
-	tests := []struct {
-		name string
-		n    Normal
-		x    float64
-		want float64
-	}{
-		{"std at 0", Normal{0, 1}, 0, -0.5 * log2Pi},
-		{"std at 1", Normal{0, 1}, 1, -0.5 - 0.5*log2Pi},
-		{"shifted", Normal{3, 2}, 3, -0.5*log2Pi - math.Log(2)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.n.LogPDF(tt.x); math.Abs(got-tt.want) > 1e-12 {
-				t.Errorf("LogPDF = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	n := Normal{0, 1}
-	if got := n.CDF(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("CDF(0) = %v, want 0.5", got)
-	}
-	if got := n.CDF(1.96); math.Abs(got-0.975) > 1e-3 {
-		t.Errorf("CDF(1.96) = %v, want ~0.975", got)
-	}
-}
-
-func TestNormalSampleMoments(t *testing.T) {
-	rng := NewRNG(42)
-	n := Normal{Mu: 2, Sigma: 3}
-	const trials = 50000
-	var sum, sumsq float64
-	for i := 0; i < trials; i++ {
-		x := n.Sample(rng)
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / trials
-	variance := sumsq/trials - mean*mean
-	if math.Abs(mean-2) > 0.05 {
-		t.Errorf("sample mean = %v, want 2", mean)
-	}
-	if math.Abs(variance-9) > 0.3 {
-		t.Errorf("sample variance = %v, want 9", variance)
-	}
-}
-
 func TestGammaSampleMoments(t *testing.T) {
 	rng := NewRNG(43)
 	for _, g := range []Gamma{{2, 1}, {0.5, 2}, {5, 0.5}} {
@@ -97,37 +47,6 @@ func TestGammaSamplePanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	Gamma{0, 1}.Sample(NewRNG(1))
-}
-
-func TestBetaMoments(t *testing.T) {
-	rng := NewRNG(44)
-	b := Beta{2, 5}
-	const trials = 50000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		x := b.Sample(rng)
-		if x < 0 || x > 1 {
-			t.Fatalf("Beta sample %v outside [0,1]", x)
-		}
-		sum += x
-	}
-	if mean := sum / trials; math.Abs(mean-b.Mean()) > 0.01 {
-		t.Errorf("Beta sample mean = %v, want %v", mean, b.Mean())
-	}
-}
-
-func TestBetaLogPDFIntegratesToOne(t *testing.T) {
-	// Riemann check on a grid.
-	b := Beta{2.5, 1.5}
-	const n = 20000
-	var integral float64
-	for i := 1; i < n; i++ {
-		x := float64(i) / n
-		integral += math.Exp(b.LogPDF(x)) / n
-	}
-	if math.Abs(integral-1) > 1e-3 {
-		t.Errorf("Beta pdf integrates to %v, want 1", integral)
-	}
 }
 
 // Property: Dirichlet draws always lie on the probability simplex.
@@ -188,13 +107,6 @@ func TestDirichletSym(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("DirichletSym sums to %v", sum)
-	}
-}
-
-func TestBetaLogPDFBoundaries(t *testing.T) {
-	b := Beta{2, 3}
-	if !math.IsInf(b.LogPDF(0), -1) || !math.IsInf(b.LogPDF(1), -1) {
-		t.Error("boundary density should be -Inf")
 	}
 }
 

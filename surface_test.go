@@ -62,6 +62,25 @@ func TestExportedSurface(t *testing.T) {
 	t.Logf("%d unused exported names", len(got))
 }
 
+// TestUnusedExportsRules runs the audit on a fixture module
+// (testdata/surface) that holds one exported name per rule, so a rule
+// that stops holding fails here by name.
+func TestUnusedExportsRules(t *testing.T) {
+	got, err := unusedExports("testdata/surface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"lib.Asserted", // used only by a blank assertion
+		"lib.Iface",    // used only by a blank assertion
+		"lib.Self",     // used only by its own methods
+		"lib.TestOnly", // used only by its own package's tests
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("unused exports of the fixture = %q, want %q", got, want)
+	}
+}
+
 func readAllowlist(path string) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -185,8 +204,8 @@ func (s *surface) load(root, modPath string) error {
 			return err
 		}
 		path := modPath
-		if dir != root {
-			path += "/" + filepath.ToSlash(dir)
+		if rel, _ := filepath.Rel(root, dir); rel != "." {
+			path += "/" + filepath.ToSlash(rel)
 		}
 		p := &surfacePkg{}
 		for _, set := range []struct {
@@ -226,8 +245,12 @@ func (s *surface) Import(path string) (*types.Package, error) {
 // under names the package whose tests these files are: references into
 // it do not count. It is empty for non-test files, whose every reference
 // counts, and whose package becomes the canonical variant.
+//
+// Two kinds of reference are not callers and never count: a method's
+// reference to its own receiver type (its fields, its sibling methods,
+// the type's name), and a blank assertion `var _ I = T{}`.
 func (s *surface) check(path string, files []*ast.File, under string) error {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
 	pkg, err := (&types.Config{Importer: s}).Check(path, s.fset, files, info)
 	if err != nil {
 		return err
@@ -236,15 +259,44 @@ func (s *surface) check(path string, files []*ast.File, under string) error {
 		s.checked[path] = pkg
 		s.recordFields(pkg)
 	}
-	for _, obj := range info.Uses {
-		if obj = s.ownerOf(obj); obj == nil || obj.Pkg() == nil || obj.Pkg().Path() == under {
-			continue
-		}
-		if obj.Parent() == obj.Pkg().Scope() {
-			s.used[obj.Pkg().Path()+"."+obj.Name()] = true
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			var self types.Object
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				self = s.ownerOf(info.Defs[fd.Name])
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ValueSpec:
+					return !isBlankAssertion(n)
+				case *ast.Ident:
+					obj := s.ownerOf(info.Uses[n])
+					if obj == nil || obj == self || obj.Pkg() == nil || obj.Pkg().Path() == under {
+						return false
+					}
+					if obj.Parent() == obj.Pkg().Scope() {
+						s.used[obj.Pkg().Path()+"."+obj.Name()] = true
+					}
+				}
+				return true
+			})
 		}
 	}
 	return nil
+}
+
+// isBlankAssertion reports a `var _ T = v` declaration: a compile-time
+// check that v satisfies T, which calls nothing.
+func isBlankAssertion(spec *ast.ValueSpec) bool {
+	if spec.Type == nil {
+		return false
+	}
+	for _, name := range spec.Names {
+		if name.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 // recordFields maps each field of pkg's package-level struct types to its
