@@ -90,10 +90,6 @@ type (
 	Logistic = model.Logistic
 	// Softmax is multiclass softmax regression (labels are class indices).
 	Softmax = model.Softmax
-	// MLP is a one-hidden-layer perceptron with a softmax head.
-	MLP = model.MLP
-	// LeastSquares is linear regression with squared loss.
-	LeastSquares = model.LeastSquares
 )
 
 // Accuracy returns the fraction of correct predictions.
@@ -135,15 +131,12 @@ type (
 	TaskPosterior = dpprior.TaskPosterior
 	// PriorBuildOptions configures BuildPrior.
 	PriorBuildOptions = dpprior.BuildOptions
-	// PriorDelta is a component-level patch between two prior versions,
-	// the unit of incremental cloud→edge synchronization.
-	PriorDelta = dpprior.PriorDelta
 )
 
 var (
 	// BuildPrior fits the DP mixture over cloud task posteriors with
 	// collapsed Gibbs clustering.
-	BuildPrior = dpprior.Build
+	BuildPrior = dpprior.Build[dpprior.TaskPosterior]
 	// CompilePrior validates and factorizes a prior for training.
 	CompilePrior = dpprior.Compile
 )
@@ -184,8 +177,6 @@ type (
 	GaussMAP = baseline.GaussMAP
 	// CloudOnly ships the cloud model unchanged.
 	CloudOnly = baseline.CloudOnly
-	// FineTune takes a few local steps from the cloud model.
-	FineTune = baseline.FineTune
 	// DRO is robust training without a prior.
 	DRO = baseline.DRO
 )

@@ -159,17 +159,10 @@ func (f FineTune) Train(x *mat.Dense, y []float64) (mat.Vec, error) {
 	if steps <= 0 {
 		steps = 10
 	}
-	l, err := core.New(f.Model,
-		core.WithInit(f.Init),
-		core.WithMStepOptions(opt.Options{MaxIter: steps, Tol: 1e-12}))
-	if err != nil {
-		return nil, fmt.Errorf("baseline: fine-tune: %w", err)
-	}
-	res, err := l.Fit(x, y)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: fine-tune: %w", err)
-	}
-	return res.Params, nil
+	// Gradient descent, not the learner's L-BFGS M-step: the step budget
+	// is the early stopping that keeps the result near the cloud model.
+	return fitPenalized(f.Model, x, y, opt.Options{MaxIter: steps, Tol: 1e-12},
+		func(mat.Vec, mat.Vec) float64 { return 0 }, f.Init)
 }
 
 // DRO trains with an uncertainty set but no prior: robustness without

@@ -13,7 +13,13 @@
 // prior's non-convex −log p is handled by the paper's EM-inspired convex
 // relaxation: the E-step computes component responsibilities at the
 // current iterate, the M-step minimizes the resulting convex quadratic
-// surrogate plus the single-layer robust loss.
+// surrogate plus the single-layer robust loss. For a convex loss that
+// objective is convex, and smooth away from the Wasserstein penalty's
+// kink at w = 0, so the default M-step solver is full-batch L-BFGS
+// (opt.LBFGS, memory 8) for every uncertainty set and ground metric;
+// WithProximalMStep selects proximal gradient descent, which takes the
+// kink exactly and reaches exact zeros at large ρ, and
+// WithStochasticMStep a minibatch solver.
 package core
 
 import (
@@ -53,7 +59,6 @@ type Learner struct {
 	init        mat.Vec
 	sgd         *sgdConfig
 	proximal    bool
-	lbfgsMem    int            // > 0 selects the L-BFGS inner solver
 	ground      dro.GroundNorm // transport cost of the Wasserstein ball
 	pool        *parallel.Pool // nil = inline serial reference path
 }
@@ -479,6 +484,8 @@ func (p *drdpProblem) EStep(theta []float64) []float64 {
 //	F(θ; γ) = worst-case loss (via duality) + τ·S(θ; γ)
 //
 // starting from the current iterate, so the MM descent property holds.
+// L-BFGS solves it unless the learner selected the proximal or the
+// stochastic M-step.
 func (p *drdpProblem) MStep(theta []float64, gamma []float64) []float64 {
 	return p.mStep(mat.Vec(theta), gamma)
 }
@@ -500,10 +507,8 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 		return p.stochasticMStep(theta, scaled)
 	case l.proximal:
 		res = p.proximalMStep(theta, scaled)
-	case l.lbfgsMem > 0:
-		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, opt.LBFGSOptions{Options: l.mstep, Memory: l.lbfgsMem})
 	default:
-		res = opt.GD(p.surrogate(l.set, scaled), theta, l.mstep)
+		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, opt.LBFGSOptions{Options: l.mstep})
 	}
 	p.lastMStepIters, p.lastGradNorm = res.Iterations, res.GradNorm
 	return res.Theta

@@ -46,14 +46,13 @@ func goldenTask(n int) (*mat.Dense, []float64, *dpprior.Compiled) {
 }
 
 // batchSolvers are the full-batch M-step solvers; nil opts is the
-// default subgradient GD.
+// default L-BFGS.
 var batchSolvers = []struct {
 	name string
 	opts []Option
 }{
-	{"gd", nil},
+	{"default", nil},
 	{"proximal", []Option{WithProximalMStep()}},
-	{"lbfgs", []Option{WithLBFGSMStep(0)}},
 }
 
 // robustSets are the three uncertainty-ball geometries.
@@ -71,7 +70,7 @@ type goldenCase struct {
 
 // goldenCases is the grid batchSolvers × robustSets × parallelism {1, 2}
 // × n {40, 150, 1000}, each with default multi-start. The M-step is
-// capped at 30 iterations so the 54 fits take seconds.
+// capped at 30 iterations so the 36 fits take seconds.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, s := range batchSolvers {
@@ -125,7 +124,7 @@ func fitGolden(t *testing.T, c goldenCase) string {
 	return goldenLine(c.name, res)
 }
 
-// TestFitGolden pins the bits of 54 fits spanning every batch M-step
+// TestFitGolden pins the bits of 36 fits spanning every batch M-step
 // solver, uncertainty set, parallelism and chunk regime. A change that
 // only removes redundant work must leave every line unchanged.
 func TestFitGolden(t *testing.T) {

@@ -10,7 +10,10 @@ import (
 	"github.com/drdp/drdp/internal/model"
 )
 
-func TestLBFGSMStepMatchesGD(t *testing.T) {
+// TestLBFGSMStepMatchesProximal: with a prior, the default L-BFGS
+// M-step and the proximal M-step solve the same convex surrogates, so
+// their fits agree and the default trace descends.
+func TestLBFGSMStepMatchesProximal(t *testing.T) {
 	rng := rand.New(rand.NewSource(220))
 	wstar := mat.Vec{2, -1, 1}
 	x, y := linearTask(rng, 100, 3, wstar, 0.08)
@@ -31,13 +34,13 @@ func TestLBFGSMStepMatchesGD(t *testing.T) {
 		}
 		return res
 	}
-	gd := fit()
-	lb := fit(WithLBFGSMStep(8))
-	if diff := lb.Objective - gd.Objective; diff > 1e-3 {
-		t.Errorf("lbfgs objective %v worse than gd %v", lb.Objective, gd.Objective)
+	lb := fit()
+	prox := fit(WithProximalMStep())
+	if diff := lb.Objective - prox.Objective; diff > 1e-3 {
+		t.Errorf("lbfgs objective %v worse than proximal %v", lb.Objective, prox.Objective)
 	}
-	if mat.Dist2(lb.Params, gd.Params) > 0.15 {
-		t.Errorf("solutions differ: %v vs %v", lb.Params, gd.Params)
+	if mat.Dist2(lb.Params, prox.Params) > 0.15 {
+		t.Errorf("solutions differ: %v vs %v", lb.Params, prox.Params)
 	}
 	if err := em.CheckMonotone(lb.Trace, 1e-6); err != nil {
 		t.Errorf("lbfgs trace not monotone: %v", err)
@@ -48,8 +51,7 @@ func TestLBFGSMStepKLSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(221))
 	x, y := linearTask(rng, 80, 2, mat.Vec{1, 2}, 0.1)
 	l, err := New(model.Logistic{Dim: 2},
-		WithUncertaintySet(dro.Set{Kind: dro.KL, Rho: 0.1}),
-		WithLBFGSMStep(0)) // 0 → default memory
+		WithUncertaintySet(dro.Set{Kind: dro.KL, Rho: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,28 +17,14 @@ import (
 // the prox is the identity and the solver reduces to plain proximal GD.
 //
 // The proximal form converges faster near sparse/shrunk optima and can
-// set the weight block exactly to zero at large ρ, which the subgradient
-// solver never does.
+// set the weight block exactly to zero at large ρ, which the default
+// L-BFGS M-step, differentiating through the penalty, never does.
 func WithProximalMStep() Option {
 	return func(l *Learner) error {
 		if _, ok := l.model.(model.BlockNormer); !ok {
 			return errors.New("core: WithProximalMStep requires a model with a single penalized weight block (model.BlockNormer)")
 		}
 		l.proximal = true
-		return nil
-	}
-}
-
-// WithLBFGSMStep switches the inner solver to limited-memory BFGS with
-// the given history length (≤ 0 picks 8). Quasi-Newton curvature makes
-// it markedly faster than gradient descent when prior components are
-// much stiffer in some directions than the data likelihood.
-func WithLBFGSMStep(memory int) Option {
-	return func(l *Learner) error {
-		if memory <= 0 {
-			memory = 8
-		}
-		l.lbfgsMem = memory
 		return nil
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"github.com/drdp/drdp/internal/model"
 )
 
-func TestProximalMStepMatchesSubgradient(t *testing.T) {
+// TestProximalMStepMatchesLBFGS: without a prior, the proximal M-step
+// and the default L-BFGS M-step reach the same Wasserstein fit.
+func TestProximalMStepMatchesLBFGS(t *testing.T) {
 	rng := rand.New(rand.NewSource(180))
 	wstar := mat.Vec{2, -1, 1}
 	x, y := linearTask(rng, 120, 3, wstar, 0.08)
@@ -28,20 +30,20 @@ func TestProximalMStepMatchesSubgradient(t *testing.T) {
 		}
 		return res
 	}
-	sub := fit()
+	lb := fit()
 	prox := fit(WithProximalMStep())
 	// Both solve the same convex problem; objectives must agree closely.
-	if diff := prox.Objective - sub.Objective; diff > 1e-3 {
-		t.Errorf("proximal objective %v worse than subgradient %v", prox.Objective, sub.Objective)
+	if diff := prox.Objective - lb.Objective; diff > 1e-3 {
+		t.Errorf("proximal objective %v worse than lbfgs %v", prox.Objective, lb.Objective)
 	}
-	if mat.Dist2(prox.Params, sub.Params) > 0.1 {
-		t.Errorf("solutions differ: %v vs %v", prox.Params, sub.Params)
+	if mat.Dist2(prox.Params, lb.Params) > 0.1 {
+		t.Errorf("solutions differ: %v vs %v", prox.Params, lb.Params)
 	}
 }
 
 func TestProximalMStepExactZeroAtLargeRho(t *testing.T) {
 	// At a radius exceeding the data signal the prox must zero the weight
-	// block exactly (the subgradient solver only shrinks toward zero).
+	// block exactly (the default L-BFGS M-step only shrinks toward zero).
 	rng := rand.New(rand.NewSource(181))
 	x, y := linearTask(rng, 60, 2, mat.Vec{1, 1}, 0.3)
 	l, err := New(model.Logistic{Dim: 2},

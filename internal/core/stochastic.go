@@ -12,7 +12,7 @@ import (
 // WithStochasticMStep replaces the full-batch M-step solver with
 // minibatch Adam: batch samples per step, the given number of epochs per
 // M-step, learning rate lr. Intended for edge datasets large enough that
-// full-batch gradient descent per EM iteration is wasteful (n in the
+// a full-batch solve per EM iteration is wasteful (n in the
 // thousands).
 //
 // For the KL and χ² uncertainty sets the worst-case weights are computed

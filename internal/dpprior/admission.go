@@ -116,10 +116,10 @@ const outlierK = 6.0
 // posterior mean under the currently served prior. Admitted tasks anchor
 // the score distribution; a poisoned upload scores catastrophically
 // below it.
-func ScoreTasks(c *Compiled, tasks []TaskPosterior) []float64 {
+func ScoreTasks[T Task](c *Compiled, tasks []T) []float64 {
 	scores := make([]float64, len(tasks))
 	for i, t := range tasks {
-		scores[i] = c.LogDensity(t.Mu)
+		scores[i] = c.LogDensity(t.mean())
 	}
 	return scores
 }
@@ -128,21 +128,21 @@ func ScoreTasks(c *Compiled, tasks []TaskPosterior) []float64 {
 // negative robust distance of each task mean from the coordinate-wise
 // median, in coordinate MAD units. Model-free, so a hostile task that
 // managed to get into an early build cannot vouch for itself.
-func FallbackScores(tasks []TaskPosterior) []float64 {
+func FallbackScores[T Task](tasks []T) []float64 {
 	if len(tasks) == 0 {
 		return nil
 	}
-	dim := len(tasks[0].Mu)
+	dim := len(tasks[0].mean())
 	med := make([]float64, dim)
 	madU := make([]float64, dim)
 	col := make([]float64, len(tasks))
 	for j := 0; j < dim; j++ {
 		for i, t := range tasks {
-			col[i] = t.Mu[j]
+			col[i] = t.mean()[j]
 		}
 		med[j] = median(col)
 		for i, t := range tasks {
-			col[i] = math.Abs(t.Mu[j] - med[j])
+			col[i] = math.Abs(t.mean()[j] - med[j])
 		}
 		m := median(col)
 		madU[j] = math.Max(m, 1e-9*(1+math.Abs(med[j])))
@@ -150,7 +150,7 @@ func FallbackScores(tasks []TaskPosterior) []float64 {
 	scores := make([]float64, len(tasks))
 	for i, t := range tasks {
 		var ss float64
-		for j, v := range t.Mu {
+		for j, v := range t.mean() {
 			z := (v - med[j]) / madU[j]
 			ss += z * z
 		}
@@ -176,18 +176,18 @@ var scaleLogFloor = math.Log(64)
 // the scaleLogFloor absolute floor; the harmless directions (tiny N,
 // inflated covariance) are not flagged, so honest data-poor devices are
 // never taxed.
-func scaleOutliers(all []TaskPosterior) []bool {
+func scaleOutliers[T Task](all []T) []bool {
 	n := len(all)
 	fN := make([]float64, n)
 	fS := make([]float64, n)
 	for i, t := range all {
-		nn := float64(t.N)
+		nn := float64(t.count())
 		if nn < 0 {
 			nn = 0
 		}
 		fN[i] = math.Log1p(nn)
-		if t.Sigma != nil && t.Sigma.Rows > 0 {
-			fS[i] = math.Log(t.Sigma.Trace()/float64(t.Sigma.Rows) + 1e-300)
+		if tr, rows := t.covTrace(); rows > 0 {
+			fS[i] = math.Log(tr/float64(rows) + 1e-300)
 		}
 	}
 	out := make([]bool, n)
@@ -232,13 +232,13 @@ func scaleOutliers(all []TaskPosterior) []bool {
 // The caller must keep a deferred task undecided — and out of this
 // round's build — so a later, larger round (with a larger budget) can
 // judge it properly.
-func Judge(served *Compiled, accepted, undecided []TaskPosterior, opts AdmissionOptions) (quarantine, deferred []bool, ok bool) {
+func Judge[T Task](served *Compiled, accepted, undecided []T, opts AdmissionOptions) (quarantine, deferred []bool, ok bool) {
 	o := opts.withDefaults()
 	pop := len(accepted) + len(undecided)
 	if len(undecided) == 0 || pop < o.MinScored {
 		return nil, nil, false
 	}
-	all := make([]TaskPosterior, 0, pop)
+	all := make([]T, 0, pop)
 	all = append(all, accepted...)
 	all = append(all, undecided...)
 	// Absolute floors under the MAD threshold gap: a reference made of
@@ -251,7 +251,7 @@ func Judge(served *Compiled, accepted, undecided []TaskPosterior, opts Admission
 	var gapFloor float64
 	if served != nil && len(accepted) > 0 {
 		scores = ScoreTasks(served, all)
-		gapFloor = 2 * float64(len(all[0].Mu))
+		gapFloor = 2 * float64(len(all[0].mean()))
 	} else {
 		scores = FallbackScores(all)
 		gapFloor = 4 // FallbackScores are per-coordinate-normalized
@@ -320,10 +320,11 @@ func Judge(served *Compiled, accepted, undecided []TaskPosterior, opts Admission
 // and are admitted provisionally. A deferred task is the opposite of
 // provisional: it also gets no verdict, but is held out of this rebuild
 // until a later, larger pass judges it. The caller persists the new
-// verdicts.
-func Admit(pool []TaskPosterior, verdict func(i int) (quarantined, decided bool), served *Prior, opts AdmissionOptions) (admitted []TaskPosterior, verdicts map[int]bool, deferred []int) {
+// verdicts. The cloud passes its store's packed tasks (StoredTask) and
+// builds from the admitted ones without unpacking them.
+func Admit[T Task](pool []T, verdict func(i int) (quarantined, decided bool), served *Prior, opts AdmissionOptions) (admitted []T, verdicts map[int]bool, deferred []int) {
 	held := make([]bool, len(pool))
-	var accepted, undecided []TaskPosterior
+	var accepted, undecided []T
 	var undecidedIdx []int
 	for i := range pool {
 		q, decided := verdict(i)
@@ -356,7 +357,7 @@ func Admit(pool []TaskPosterior, verdict func(i int) (quarantined, decided bool)
 			}
 		}
 	}
-	admitted = make([]TaskPosterior, 0, len(pool))
+	admitted = make([]T, 0, len(pool))
 	for i := range pool {
 		if !held[i] {
 			admitted = append(admitted, pool[i])

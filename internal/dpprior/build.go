@@ -39,27 +39,29 @@ type BuildOptions struct {
 	Seed int64
 }
 
-func (o *BuildOptions) defaults(tasks []TaskPosterior) BuildOptions {
-	out := *o
-	if out.GibbsIters <= 0 {
-		out.GibbsIters = 50
+// withDefaults fills o's zero fields, from tasks where they are
+// data-driven.
+func withDefaults[T Task](o BuildOptions, tasks []T) BuildOptions {
+	if o.GibbsIters <= 0 {
+		o.GibbsIters = 50
 	}
-	if out.BaseSigma <= 0 {
+	if o.BaseSigma <= 0 {
 		var ss float64
 		for _, t := range tasks {
-			n := mat.Norm2(t.Mu)
+			n := mat.Norm2(t.mean())
 			ss += n * n
 		}
-		out.BaseSigma = 2 * math.Sqrt(ss/float64(len(tasks))+1)
+		o.BaseSigma = 2 * math.Sqrt(ss/float64(len(tasks))+1)
 	}
-	if out.ClusterScale <= 0 {
+	if o.ClusterScale <= 0 {
 		var s float64
 		for _, t := range tasks {
-			s += math.Sqrt(t.Sigma.Trace() / float64(t.Sigma.Rows))
+			tr, rows := t.covTrace()
+			s += math.Sqrt(tr / float64(rows))
 		}
-		out.ClusterScale = s/float64(len(tasks)) + 1e-6
+		o.ClusterScale = s/float64(len(tasks)) + 1e-6
 	}
-	return out
+	return o
 }
 
 // Build constructs the DP mixture prior from cloud task posteriors:
@@ -68,36 +70,42 @@ func (o *BuildOptions) defaults(tasks []TaskPosterior) BuildOptions {
 // one Gaussian component per cluster (within-task posterior covariance
 // plus between-task scatter). Component weights follow the CRP predictive
 // for the next task: w_k = m_k/(α+K), base weight α/(α+K).
-func Build(tasks []TaskPosterior, opts BuildOptions) (*Prior, error) {
+//
+// The tasks may be dense (as uploaded) or packed (as the cloud's store
+// holds them); a symmetric covariance builds the same prior bits in
+// either form.
+func Build[T Task](tasks []T, opts BuildOptions) (*Prior, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("dpprior: Build: no tasks")
 	}
 	if opts.Alpha <= 0 {
 		return nil, fmt.Errorf("dpprior: Build: alpha %g must be positive", opts.Alpha)
 	}
-	dim := len(tasks[0].Mu)
+	dim := len(tasks[0].mean())
+	means := make([]mat.Vec, len(tasks))
 	for i, t := range tasks {
-		if len(t.Mu) != dim {
-			return nil, fmt.Errorf("dpprior: Build: task %d has dim %d, want %d", i, len(t.Mu), dim)
+		means[i] = t.mean()
+		if len(means[i]) != dim {
+			return nil, fmt.Errorf("dpprior: Build: task %d has dim %d, want %d", i, len(means[i]), dim)
 		}
-		if t.Sigma == nil || t.Sigma.Rows != dim || t.Sigma.Cols != dim {
+		if !t.covShape() {
 			return nil, fmt.Errorf("dpprior: Build: task %d covariance has wrong shape", i)
 		}
 	}
-	o := opts.defaults(tasks)
+	o := withDefaults(opts, tasks)
 	rng := rand.New(rand.NewSource(o.Seed))
 
-	assign := gibbsCluster(rng, tasks, o)
-	return assemble(tasks, assign, o)
+	assign := gibbsCluster(rng, means, o)
+	return assemble(tasks, means, assign, o)
 }
 
 // gibbsCluster runs collapsed Gibbs sweeps over cluster assignments for
 // the task means under the conjugate model
 //
 //	x_j | c ~ N(φ_c, s² I),  φ_c ~ N(0, σ0² I),  partition ~ CRP(α).
-func gibbsCluster(rng *rand.Rand, tasks []TaskPosterior, o BuildOptions) []int {
-	n := len(tasks)
-	g := newGibbsState(tasks, o)
+func gibbsCluster(rng *rand.Rand, means []mat.Vec, o BuildOptions) []int {
+	n := len(means)
+	g := newGibbsState(means, o)
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
@@ -149,7 +157,7 @@ func gibbsCluster(rng *rand.Rand, tasks []TaskPosterior, o BuildOptions) []int {
 // (TestGibbsScoresBitIdentical) and so are assignments and rng
 // consumption (TestGibbsMatchesReference).
 type gibbsState struct {
-	tasks    []TaskPosterior
+	means    []mat.Vec // the task means
 	s2       float64
 	byCount  []countTerms // byCount[m]: terms for a cluster of m members
 	fresh    []float64    // fresh[i]: log weight of task i opening a cluster
@@ -174,13 +182,13 @@ type clusterStat struct {
 	sum, mean mat.Vec
 }
 
-func newGibbsState(tasks []TaskPosterior, o BuildOptions) *gibbsState {
-	n := len(tasks)
-	dim := len(tasks[0].Mu)
+func newGibbsState(means []mat.Vec, o BuildOptions) *gibbsState {
+	n := len(means)
+	dim := len(means[0])
 	s2 := o.ClusterScale * o.ClusterScale
 	sigma02 := o.BaseSigma * o.BaseSigma
 	g := &gibbsState{
-		tasks:   tasks,
+		means:   means,
 		s2:      s2,
 		byCount: make([]countTerms, n+1),
 		fresh:   make([]float64, n),
@@ -198,8 +206,8 @@ func newGibbsState(tasks []TaskPosterior, o BuildOptions) *gibbsState {
 	newVar := sigma02 + s2
 	newNorm := -0.5 * float64(dim) * math.Log(2*math.Pi*newVar)
 	logAlpha := math.Log(o.Alpha)
-	for i, t := range tasks {
-		g.fresh[i] = logAlpha + (newNorm - mat.Dot(t.Mu, t.Mu)/(2*newVar))
+	for i, x := range means {
+		g.fresh[i] = logAlpha + (newNorm - mat.Dot(x, x)/(2*newVar))
 	}
 	return g
 }
@@ -213,7 +221,7 @@ func (g *gibbsState) move(i, c int, sign float64) {
 	} else {
 		cl.count--
 	}
-	mat.Axpy(sign, g.tasks[i].Mu, cl.sum)
+	mat.Axpy(sign, g.means[i], cl.sum)
 	if cl.count == 0 {
 		return
 	}
@@ -227,7 +235,7 @@ func (g *gibbsState) move(i, c int, sign float64) {
 // cluster, in slot order, then for opening a new one; ids holds the
 // matching slot, −1 for the new cluster.
 func (g *gibbsState) score(i int) {
-	x := g.tasks[i].Mu
+	x := g.means[i]
 	g.logp, g.ids = g.logp[:0], g.ids[:0]
 	for c := range g.clusters {
 		cl := &g.clusters[c]
@@ -256,7 +264,7 @@ func (g *gibbsState) open() int {
 			return c
 		}
 	}
-	dim := len(g.tasks[0].Mu)
+	dim := len(g.means[0])
 	g.clusters = append(g.clusters, clusterStat{sum: make(mat.Vec, dim), mean: make(mat.Vec, dim)})
 	return len(g.clusters) - 1
 }
@@ -278,9 +286,9 @@ func drawLog(rng *rand.Rand, logp []float64) int {
 }
 
 // assemble moment-matches one component per cluster and applies CRP
-// predictive weights with truncation.
-func assemble(tasks []TaskPosterior, assign []int, o BuildOptions) (*Prior, error) {
-	dim := len(tasks[0].Mu)
+// predictive weights with truncation; means[j] is tasks[j]'s mean.
+func assemble[T Task](tasks []T, means []mat.Vec, assign []int, o BuildOptions) (*Prior, error) {
+	dim := len(means[0])
 	nClusters := 0
 	for _, a := range assign {
 		if a+1 > nClusters {
@@ -304,11 +312,11 @@ func assemble(tasks []TaskPosterior, assign []int, o BuildOptions) (*Prior, erro
 		var totalN float64
 		mu := make(mat.Vec, dim)
 		for _, j := range g.members {
-			w := float64(tasks[j].N)
+			w := float64(tasks[j].count())
 			if w <= 0 {
 				w = 1
 			}
-			mat.Axpy(w, tasks[j].Mu, mu)
+			mat.Axpy(w, means[j], mu)
 			totalN += w
 		}
 		mat.Scale(1/totalN, mu)
@@ -316,12 +324,12 @@ func assemble(tasks []TaskPosterior, assign []int, o BuildOptions) (*Prior, erro
 		// between-task scatter of the member means.
 		sigma := mat.NewDense(dim, dim)
 		for _, j := range g.members {
-			w := float64(tasks[j].N)
+			w := float64(tasks[j].count())
 			if w <= 0 {
 				w = 1
 			}
-			sigma.AddScaled(w/totalN, tasks[j].Sigma)
-			d := mat.SubVec(tasks[j].Mu, mu)
+			tasks[j].addCov(w/totalN, sigma)
+			d := mat.SubVec(means[j], mu)
 			sigma.OuterAdd(w/totalN, d, d)
 		}
 		sigma.Symmetrize()

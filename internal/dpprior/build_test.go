@@ -121,7 +121,7 @@ func TestBuildTruncation(t *testing.T) {
 func TestBuildErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tasks, _ := makeTaskFamily(rng, 4, 3, 2, 5)
-	if _, err := Build(nil, BuildOptions{Alpha: 1}); err == nil {
+	if _, err := Build([]TaskPosterior(nil), BuildOptions{Alpha: 1}); err == nil {
 		t.Error("Build with no tasks should fail")
 	}
 	if _, err := Build(tasks, BuildOptions{Alpha: 0}); err == nil {
@@ -318,9 +318,18 @@ func referenceGibbsCluster(rng *rand.Rand, tasks []TaskPosterior, o BuildOptions
 
 // referenceBuild is Build on the reference sampler (inputs are valid).
 func referenceBuild(tasks []TaskPosterior, opts BuildOptions) (*Prior, error) {
-	o := opts.defaults(tasks)
+	o := withDefaults(opts, tasks)
 	assign := referenceGibbsCluster(rand.New(rand.NewSource(o.Seed)), tasks, o)
-	return assemble(tasks, assign, o)
+	return assemble(tasks, taskMeans(tasks), assign, o)
+}
+
+// taskMeans lists the tasks' means, the sampler's input.
+func taskMeans(tasks []TaskPosterior) []mat.Vec {
+	means := make([]mat.Vec, len(tasks))
+	for i, t := range tasks {
+		means[i] = t.Mu
+	}
+	return means
 }
 
 // referenceSummarize is SummarizeTasks on the reference sampler.
@@ -416,10 +425,10 @@ func TestGibbsMatchesReference(t *testing.T) {
 	for idx := 0; idx < 240; idx++ {
 		tasks, opts, desc := gibbsInstance(idx)
 
-		o := opts.defaults(tasks)
+		o := withDefaults(opts, tasks)
 		gotRNG := rand.New(rand.NewSource(o.Seed))
 		wantRNG := rand.New(rand.NewSource(o.Seed))
-		got := gibbsCluster(gotRNG, tasks, o)
+		got := gibbsCluster(gotRNG, taskMeans(tasks), o)
 		want := referenceGibbsCluster(wantRNG, tasks, o)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: assignments differ\n got %v\nwant %v", desc, got, want)
@@ -497,9 +506,9 @@ func directScores(g *gibbsState, x mat.Vec, o BuildOptions) ([]float64, []int) {
 func TestGibbsScoresBitIdentical(t *testing.T) {
 	for idx := 0; idx < 120; idx++ {
 		tasks, opts, desc := gibbsInstance(idx)
-		o := opts.defaults(tasks)
+		o := withDefaults(opts, tasks)
 		n := len(tasks)
-		g := newGibbsState(tasks, o)
+		g := newGibbsState(taskMeans(tasks), o)
 		assign := make([]int, n)
 		for i := range assign {
 			assign[i] = -1

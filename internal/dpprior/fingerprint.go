@@ -1,8 +1,11 @@
 package dpprior
 
 import (
+	"hash"
 	"hash/fnv"
 	"math"
+
+	"github.com/drdp/drdp/internal/mat"
 )
 
 // Fingerprint returns a stable 64-bit identity for the task posterior's
@@ -13,23 +16,42 @@ import (
 // leader crash can be resent safely, because a fingerprint the shard has
 // already appended is acknowledged without a second append.
 func (t *TaskPosterior) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(bits uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	write(uint64(len(t.Mu)))
-	for _, v := range t.Mu {
-		write(math.Float64bits(v))
-	}
+	f := newFingerprint(t.Mu)
 	if t.Sigma != nil {
 		for _, v := range t.Sigma.Data {
-			write(math.Float64bits(v))
+			f.float(v)
 		}
 	}
-	write(uint64(t.N))
-	return h.Sum64()
+	return f.sum(t.N)
+}
+
+// fingerprint is an FNV-1a hash over little-endian 64-bit words: the
+// mean's length and entries, the covariance entries in row-major order,
+// then the sample count.
+type fingerprint struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func newFingerprint(mu mat.Vec) *fingerprint {
+	f := &fingerprint{h: fnv.New64a()}
+	f.word(uint64(len(mu)))
+	for _, v := range mu {
+		f.float(v)
+	}
+	return f
+}
+
+func (f *fingerprint) word(bits uint64) {
+	for i := 0; i < 8; i++ {
+		f.buf[i] = byte(bits >> (8 * i))
+	}
+	f.h.Write(f.buf[:])
+}
+
+func (f *fingerprint) float(v float64) { f.word(math.Float64bits(v)) }
+
+func (f *fingerprint) sum(n int) uint64 {
+	f.word(uint64(n))
+	return f.h.Sum64()
 }

@@ -65,9 +65,9 @@ func ComponentTasks(p *Prior, totalN int) []TaskPosterior {
 // window's total observation count. This is what a regional aggregator
 // uploads instead of the raw window: O(components) summaries standing
 // for O(window) tasks. Deterministic given tasks (in order) and opts.
-// A window no larger than the component budget is returned as-is —
-// summarizing would only blur it without saving bytes.
-func SummarizeTasks(tasks []TaskPosterior, opts BuildOptions) ([]TaskPosterior, error) {
+// A window no larger than the component budget is returned as-is, in
+// dense form — summarizing would only blur it without saving bytes.
+func SummarizeTasks[T Task](tasks []T, opts BuildOptions) ([]TaskPosterior, error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
@@ -77,7 +77,11 @@ func SummarizeTasks(tasks []TaskPosterior, opts BuildOptions) ([]TaskPosterior, 
 		opts.MaxComponents = budget
 	}
 	if len(tasks) <= budget {
-		return tasks, nil
+		out := make([]TaskPosterior, len(tasks))
+		for i, t := range tasks {
+			out[i] = t.dense()
+		}
+		return out, nil
 	}
 	p, err := Build(tasks, opts)
 	if err != nil {
@@ -85,7 +89,7 @@ func SummarizeTasks(tasks []TaskPosterior, opts BuildOptions) ([]TaskPosterior, 
 	}
 	totalN := 0
 	for _, t := range tasks {
-		totalN += t.N
+		totalN += t.count()
 		if totalN > MaxTaskN {
 			totalN = MaxTaskN
 			break

@@ -233,8 +233,8 @@ func (s *CloudServer) appendTask(t dpprior.TaskPosterior) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dim := 0
-	if tasks, _ := s.st.View(); len(tasks) > 0 {
-		dim = len(tasks[0].Mu)
+	if tasks, _, _ := s.st.ViewRecords(); len(tasks) > 0 {
+		dim = tasks[0].Dim()
 	}
 	if err := t.Validate(dim); err != nil {
 		telemetry.ServerAdmitRejected.Inc()
@@ -411,7 +411,7 @@ func (s *CloudServer) flagStall(epoch uint64, start time.Time) {
 // set, judging undecided tasks against the served prior, and returns the
 // tasks a rebuild may use, in store order. New verdicts are persisted
 // and recorded as events on sp (nil = untraced).
-func (s *CloudServer) admit(tasks []dpprior.TaskPosterior, seqs []uint64, sp *trace.Span) []dpprior.TaskPosterior {
+func (s *CloudServer) admit(tasks []dpprior.StoredTask, seqs []uint64, sp *trace.Span) []dpprior.StoredTask {
 	s.admMu.Lock()
 	cfg := s.adm
 	s.admMu.Unlock()
@@ -508,7 +508,7 @@ func (s *CloudServer) Prior() (*dpprior.Prior, uint64, error) {
 	if p != nil {
 		return p, built, nil
 	}
-	_, stored := s.st.View()
+	stored := s.st.Version()
 	if stored == 0 {
 		return nil, 0, errNoTasks
 	}
@@ -527,7 +527,7 @@ func (s *CloudServer) Prior() (*dpprior.Prior, uint64, error) {
 // drivers use it to get read-your-writes freshness across the async
 // rebuild boundary.
 func (s *CloudServer) WaitCaughtUp() {
-	_, target := s.st.View()
+	target := s.st.Version()
 	if target == 0 {
 		return
 	}
@@ -639,7 +639,7 @@ func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*dpprior.Prior,
 		// floor, the rebuild covering it is due, so wait for it rather
 		// than refuse. A floor past the store (acked by an earlier leader)
 		// still refuses at once.
-		if _, stored := s.st.View(); stored >= req.MinVersion {
+		if s.st.Version() >= req.MinVersion {
 			p, version, _ = s.awaitBuilt(req.MinVersion)
 		}
 	}

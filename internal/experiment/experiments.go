@@ -13,7 +13,6 @@ import (
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/metrics"
 	"github.com/drdp/drdp/internal/model"
-	"github.com/drdp/drdp/internal/opt"
 	"github.com/drdp/drdp/internal/stat"
 )
 
@@ -208,20 +207,14 @@ func Table3Digits(cfg RunConfig) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			// MLP head with a small hidden layer; the cloud trains MLPs too.
+			// MLP head with a small hidden layer; the cloud trains MLPs too,
+			// each by 150 gradient-descent steps from one shared init, so
+			// the tasks' hidden units stay aligned and a prior over their
+			// parameters means something.
 			mlp := model.MLP{Dim: data.DigitDim, Hidden: 8, Classes: 10}
 			mlpInit := mlp.InitParams(rng)
 			mlpPrior, err := buildPrior(func(ds *data.Dataset) (mat.Vec, error) {
-				l, err := core.New(mlp, core.WithInit(mlpInit),
-					core.WithMStepOptions(opt.Options{MaxIter: 150}))
-				if err != nil {
-					return nil, err
-				}
-				res, err := l.Fit(ds.X, ds.Y)
-				if err != nil {
-					return nil, err
-				}
-				return res.Params, nil
+				return (baseline.FineTune{Model: mlp, Init: mlpInit, Steps: 150}).Train(ds.X, ds.Y)
 			}, mlp.NumParams())
 			if err != nil {
 				return nil, err

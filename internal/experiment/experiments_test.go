@@ -146,8 +146,8 @@ func TestTable5And6Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(t8.Rows) != 8 {
-		t.Errorf("table8 rows %d, want 8 (4 solvers × 2 radii)", len(t8.Rows))
+	if len(t8.Rows) != 6 {
+		t.Errorf("table8 rows %d, want 6 (3 solvers × 2 radii)", len(t8.Rows))
 	}
 	t9, err := Table9Deployment(cfg)
 	if err != nil {

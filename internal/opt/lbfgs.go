@@ -16,7 +16,11 @@ type LBFGSOptions struct {
 // Armijo backtracking on the quasi-Newton direction (falling back to the
 // raw gradient when the direction fails to descend). Markedly faster
 // than GD on the ill-conditioned M-step objectives that arise when prior
-// components are much stiffer in some directions than the data.
+// components are much stiffer in some directions than the data; it is
+// the default M-step solver of package core.
+//
+// Its scratch, the curvature pairs included, is allocated once per call,
+// so what a solve allocates does not grow with its iteration count.
 func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 	o := opts.Options.withDefaults()
 	m := opts.Memory
@@ -28,10 +32,18 @@ func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 	grad := make(mat.Vec, n)
 	value := f(theta, grad)
 
-	// Ring buffers of curvature pairs.
-	ss := make([]mat.Vec, 0, m)
-	ys := make([]mat.Vec, 0, m)
-	rhos := make([]float64, 0, m)
+	// The curvature pairs live in a ring of m+1 (s, y) slots: the k kept
+	// pairs, oldest first, are slots head, head+1, … (mod m+1), and the
+	// slot after the newest is always free for the next candidate pair,
+	// which is computed in place and kept by advancing k (and, when the
+	// memory is full, head).
+	slots := m + 1
+	pairs := make([]float64, 2*slots*n)
+	s := func(slot int) mat.Vec { return pairs[2*slot*n : (2*slot+1)*n] }
+	y := func(slot int) mat.Vec { return pairs[(2*slot+1)*n : (2*slot+2)*n] }
+	rhos := make([]float64, slots)
+	head, k := 0, 0
+	pair := func(i int) int { return (head + i) % slots } // slot of pair i, 0 = oldest
 
 	dir := make(mat.Vec, n)
 	trial := make(mat.Vec, n)
@@ -48,19 +60,21 @@ func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 
 		// Two-loop recursion: dir = −H·grad.
 		copy(dir, grad)
-		k := len(ss)
 		for i := k - 1; i >= 0; i-- {
-			alpha[i] = rhos[i] * mat.Dot(ss[i], dir)
-			mat.Axpy(-alpha[i], ys[i], dir)
+			j := pair(i)
+			alpha[i] = rhos[j] * mat.Dot(s(j), dir)
+			mat.Axpy(-alpha[i], y(j), dir)
 		}
 		if k > 0 {
 			// Initial scaling γ = sᵀy / yᵀy of the most recent pair.
-			gamma := 1 / (rhos[k-1] * mat.Dot(ys[k-1], ys[k-1]))
+			j := pair(k - 1)
+			gamma := 1 / (rhos[j] * mat.Dot(y(j), y(j)))
 			mat.Scale(gamma, dir)
 		}
 		for i := 0; i < k; i++ {
-			beta := rhos[i] * mat.Dot(ys[i], dir)
-			mat.Axpy(alpha[i]-beta, ss[i], dir)
+			j := pair(i)
+			beta := rhos[j] * mat.Dot(y(j), dir)
+			mat.Axpy(alpha[i]-beta, s(j), dir)
 		}
 		mat.Scale(-1, dir)
 
@@ -97,23 +111,22 @@ func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 		// curvature in a strongly nonlinear region): reset the memory so
 		// the next iteration restarts from steepest descent.
 		if backtracks >= 8 {
-			ss, ys, rhos = ss[:0], ys[:0], rhos[:0]
+			k = 0
 		}
 
 		newVal := f(trial, newGrad)
-		s := mat.SubVec(trial, theta)
-		y := mat.SubVec(newGrad, grad)
-		sy := mat.Dot(s, y)
+		next := pair(k)
+		sv := mat.SubVecTo(s(next), trial, theta)
+		yv := mat.SubVecTo(y(next), newGrad, grad)
+		sy := mat.Dot(sv, yv)
 		// Keep the pair only when curvature is positive (BFGS condition).
-		if sy > 1e-12*mat.Norm2(s)*mat.Norm2(y) {
-			if len(ss) == m {
-				ss = ss[1:]
-				ys = ys[1:]
-				rhos = rhos[1:]
+		if sy > 1e-12*mat.Norm2(sv)*mat.Norm2(yv) {
+			rhos[next] = 1 / sy
+			if k == m {
+				head = (head + 1) % slots
+			} else {
+				k++
 			}
-			ss = append(ss, s)
-			ys = append(ys, y)
-			rhos = append(rhos, 1/sy)
 			rejected = 0
 		} else {
 			// Negative curvature along the step: the quadratic model is
@@ -122,7 +135,7 @@ func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
 			// descent restart.
 			rejected++
 			if rejected >= 2 {
-				ss, ys, rhos = ss[:0], ys[:0], rhos[:0]
+				k = 0
 				rejected = 0
 			}
 		}

@@ -104,3 +104,50 @@ func TestLBFGSRespectsMaxIter(t *testing.T) {
 		t.Errorf("ran %d iterations", res.Iterations)
 	}
 }
+
+// TestLBFGSAllocBudget: the curvature pairs live in a ring allocated
+// with the rest of the solver's scratch, so a solve that wraps the ring
+// many times allocates exactly what a short one does.
+func TestLBFGSAllocBudget(t *testing.T) {
+	// Extended Rosenbrock in 20 dimensions: far enough from converging
+	// that both caps below are reached.
+	const dim = 20
+	rosen := func(theta, grad mat.Vec) float64 {
+		var v float64
+		if grad != nil {
+			mat.Fill(grad, 0)
+		}
+		for i := 0; i+1 < dim; i += 2 {
+			x, y := theta[i], theta[i+1]
+			v += (1-x)*(1-x) + 100*(y-x*x)*(y-x*x)
+			if grad != nil {
+				grad[i] = -2*(1-x) - 400*x*(y-x*x)
+				grad[i+1] = 200 * (y - x*x)
+			}
+		}
+		return v
+	}
+	start := make(mat.Vec, dim)
+	for i := range start {
+		start[i] = -1.2
+		if i%2 == 1 {
+			start[i] = 1
+		}
+	}
+	allocs := func(maxIter int) (float64, int) {
+		var iters int
+		a := testing.AllocsPerRun(5, func() {
+			iters = LBFGS(rosen, start, LBFGSOptions{Options: Options{MaxIter: maxIter, Tol: 1e-12}}).Iterations
+		})
+		return a, iters
+	}
+	short, shortIters := allocs(4)
+	long, longIters := allocs(30)
+	if shortIters != 4 || longIters != 30 {
+		t.Fatalf("the solves stopped early: %d and %d iterations, want 4 and 30", shortIters, longIters)
+	}
+	t.Logf("%d iterations: %v allocations; %d iterations: %v", shortIters, short, longIters, long)
+	if long != short {
+		t.Errorf("allocations grow with iterations: %v at %d, %v at %d", short, shortIters, long, longIters)
+	}
+}

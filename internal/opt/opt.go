@@ -1,9 +1,9 @@
-// Package opt provides the first-order optimizers used by drdp's M-step
-// and baselines: full-batch gradient descent with Armijo backtracking,
+// Package opt provides the optimizers used by drdp's M-step and
+// baselines: limited-memory BFGS (the default M-step solver), full-batch
+// gradient descent with Armijo backtracking (the baselines' solver),
 // proximal gradient descent for composite objectives (smooth loss plus a
-// dual-norm penalty), stochastic steppers (SGD with momentum, Adam), the
-// block soft-threshold proximal operator of the l2 norm, and 1-D
-// golden-section minimization and bisection.
+// dual-norm penalty), stochastic steppers (SGD with momentum, Adam) and
+// the block soft-threshold proximal operator of the l2 norm.
 package opt
 
 import (

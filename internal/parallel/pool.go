@@ -96,10 +96,7 @@ func (p *Pool) ForEachChunk(n int, fn func(chunk, lo, hi int)) {
 		}
 		return
 	}
-	p.scatter(w, chunks, func(c int) {
-		lo, hi := ChunkBounds(c, n)
-		fn(c, lo, hi)
-	})
+	p.scatter(w, &scatterBatch{tasks: chunks, items: n, chunk: fn})
 }
 
 // ForEach calls fn(i) for every i in [0, n) at grain 1 — the right
@@ -122,19 +119,18 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	p.scatter(w, n, fn)
+	p.scatter(w, &scatterBatch{tasks: n, fn: fn})
 }
 
-// scatter runs tasks 0..tasks-1 on w workers pulling indices from a
-// shared atomic counter: w−1 spawned goroutines plus the calling
+// scatter runs b's tasks 0..b.tasks-1 on w workers pulling indices from
+// a shared atomic counter: w−1 spawned goroutines plus the calling
 // goroutine, which works its share instead of idling in Wait. It records
 // utilization telemetry and re-raises the first task panic on the
 // calling goroutine once every worker has stopped.
-func (p *Pool) scatter(w, tasks int, fn func(i int)) {
+func (p *Pool) scatter(w int, b *scatterBatch) {
 	telemetry.ParallelBatches.Inc()
-	telemetry.ParallelTasks.Add(float64(tasks))
+	telemetry.ParallelTasks.Add(float64(b.tasks))
 	start := time.Now()
-	b := &scatterBatch{tasks: tasks, fn: fn}
 	b.wg.Add(w - 1)
 	for g := 1; g < w; g++ {
 		go b.spawned()
@@ -148,10 +144,15 @@ func (p *Pool) scatter(w, tasks int, fn func(i int)) {
 }
 
 // scatterBatch is one scatter call's shared state, in one allocation.
+// Task i calls fn(i), or, for a chunk batch over items, chunk(i, lo, hi)
+// on chunk i's bounds; holding the chunk function here spares a wrapper
+// closure per dispatch.
 type scatterBatch struct {
 	next    atomic.Int64
 	tasks   int
 	fn      func(i int)
+	items   int
+	chunk   func(c, lo, hi int)
 	wg      sync.WaitGroup
 	panicMu sync.Mutex
 	panicV  any
@@ -182,7 +183,12 @@ func (b *scatterBatch) work() {
 			return
 		}
 		t0 := time.Now()
-		b.fn(i)
+		if b.chunk != nil {
+			lo, hi := ChunkBounds(i, b.items)
+			b.chunk(i, lo, hi)
+		} else {
+			b.fn(i)
+		}
 		busy += time.Since(t0)
 	}
 }

@@ -136,3 +136,17 @@ func TestTreeReduceMatchesVecs(t *testing.T) {
 		t.Errorf("TreeReduceVecs(nil) = %v, want nil", got)
 	}
 }
+
+// TestDispatchAllocBudget: a pooled ForEachChunk on two workers
+// allocates its scatter batch and the spawned worker's goroutine
+// closure, and nothing to adapt the chunk function.
+func TestDispatchAllocBudget(t *testing.T) {
+	p := New(2)
+	var sink [4]int
+	fn := func(c, lo, hi int) { sink[c] = hi - lo }
+	allocs := testing.AllocsPerRun(200, func() { p.ForEachChunk(4*ChunkRows, fn) })
+	t.Logf("one pooled dispatch: %v allocations", allocs)
+	if allocs > 2 {
+		t.Errorf("one pooled dispatch allocated %v times, budget 2", allocs)
+	}
+}

@@ -197,7 +197,7 @@ func (r *Region) Pending() int {
 // or has not reached yet stays out, and those not yet decided are
 // returned in undecided so a later window can ship them once accepted.
 // Without the judge every record is admitted. Callers hold r.mu.
-func (r *Region) window(tasks []dpprior.TaskPosterior, seqs []uint64, verdicts map[uint64]bool) (window []dpprior.TaskPosterior, undecided map[uint64]struct{}) {
+func (r *Region) window(tasks []dpprior.StoredTask, seqs []uint64, verdicts map[uint64]bool) (window []dpprior.StoredTask, undecided map[uint64]struct{}) {
 	judging := r.cfg.Admission != nil && r.cfg.Admission.Quarantine
 	for i, seq := range seqs {
 		if _, waiting := r.undecided[seq]; seq <= r.syncedSeq && !waiting {
@@ -329,7 +329,7 @@ func (r *Region) SyncDown() error {
 // the server answer with its own dim. Callers hold r.mu.
 func (r *Region) dim() int {
 	if tasks, _, _ := r.srv.Store().ViewRecords(); len(tasks) > 0 {
-		return len(tasks[0].Mu)
+		return tasks[0].Dim()
 	}
 	if r.cloudPrior != nil {
 		return r.cloudPrior.Dim

@@ -82,7 +82,7 @@ func FuzzSnapshot(f *testing.F) {
 	tasks := []dpprior.TaskPosterior{mkTask(rng, 3), mkTask(rng, 3), mkTask(rng, 3)}
 	v1 := snapshotV1{Version: 4, Tasks: tasks, Seqs: []uint64{1, 3, 4}, Verdicts: map[uint64]bool{3: true}}
 	var v2 bytes.Buffer
-	if err := writeSnapshot(&v2, 4, tasks, v1.Seqs, []verdictRecord{{Seq: 3, Quarantined: true}}); err != nil {
+	if err := writeSnapshot(&v2, 4, packAll(f, tasks), v1.Seqs, []verdictRecord{{Seq: 3, Quarantined: true}}); err != nil {
 		f.Fatal(err)
 	}
 	for _, seed := range [][]byte{v1Snapshot(f, v1, true), v1Snapshot(f, v1, false), v2.Bytes()} {

@@ -107,8 +107,11 @@ func (s *Store) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error
 		return frames, upTo, nil
 	}
 	telemetry.StoreFrameCacheMisses.Add(float64(len(misses)))
+	var rec logRecord
 	for _, i := range misses {
-		b, err := encodeRecord(logRecord{Seq: frames[i].Seq, Task: tasks[start+i]})
+		rec.Seq = frames[i].Seq
+		tasks[start+i].UnpackInto(&rec.Task)
+		b, err := encodeRecord(rec)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -142,7 +145,7 @@ func (s *Store) ApplyFrames(frames []Frame) (uint64, error) {
 	}
 	type applied struct {
 		seq   uint64
-		task  dpprior.TaskPosterior
+		task  dpprior.StoredTask
 		bytes []byte
 		valid bool
 	}
@@ -164,11 +167,8 @@ func (s *Store) ApplyFrames(frames []Frame) (uint64, error) {
 			return 0, fmt.Errorf("store: replicated frame %d has %d trailing bytes", fr.Seq, int64(len(fr.Bytes))-n)
 		}
 		ver = rec.Seq
-		valid := true
-		if s.opts.Validate != nil && s.opts.Validate(rec.Task) != nil {
-			valid = false
-		}
-		batch = append(batch, applied{seq: rec.Seq, task: rec.Task, bytes: fr.Bytes, valid: valid})
+		task, valid := s.admitRecord(rec.Task)
+		batch = append(batch, applied{seq: rec.Seq, task: task, bytes: fr.Bytes, valid: valid})
 		raw = append(raw, fr.Bytes...)
 	}
 	if len(batch) == 0 {

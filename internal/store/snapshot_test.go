@@ -164,7 +164,8 @@ func TestSnapshotV1Compat(t *testing.T) {
 			}
 			check := func(s *Store, stage string) {
 				t.Helper()
-				gotTasks, gotSeqs, v := s.ViewRecords()
+				gotTasks, _ := s.View()
+				_, gotSeqs, v := s.ViewRecords()
 				if s.Len() != len(tasks) || s.Version() != tc.snap.Version || v != tc.snap.Version {
 					t.Fatalf("%s: len %d version %d, want %d/%d", stage, s.Len(), s.Version(), len(tasks), tc.snap.Version)
 				}

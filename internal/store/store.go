@@ -41,14 +41,28 @@
 // a crash between "snapshot written" and "log truncated" merely replays
 // no-ops.
 //
+// # In memory
+//
+// The store holds each task packed (dpprior.StoredTask): μ and the upper
+// triangle of Σ in one allocation, about half the dense form's bytes.
+// Tasks are packed as they enter — appended, recovered or replicated —
+// after any validation, which runs on the dense form. What the store
+// writes is still the gob encoding of the dense form: a log frame is
+// encoded from the task as appended, and a snapshot record or a
+// re-encoded replication frame from the packed task unpacked row by row
+// into one reused buffer. For an exactly symmetric Σ (a Laplace
+// covariance is symmetrized) those bytes are the ones a dense store
+// writes; a Σ that validation let through with a last-bit asymmetry is
+// kept, and re-encoded, as its upper triangle mirrored.
+//
 // # Concurrency and versioning
 //
 // The store is safe for concurrent use. Version() is the total number of
 // tasks ever appended — the same monotonic counter the edge protocol
-// uses as the prior version. View() returns an immutable prefix snapshot
-// of the task slice (appends never mutate published entries), which is
-// what lets the cloud's rebuild worker read the task set without
-// blocking appenders.
+// uses as the prior version. ViewRecords() returns an immutable prefix
+// snapshot of the packed task slice (appends never mutate published
+// entries), which is what lets the cloud's rebuild worker read the task
+// set without blocking appenders.
 //
 // # Admission integrity
 //
@@ -77,6 +91,7 @@ import (
 	"sync"
 
 	"github.com/drdp/drdp/internal/dpprior"
+	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/telemetry"
 )
 
@@ -113,7 +128,8 @@ type Options struct {
 	// Validate, when non-nil, re-checks every task read during recovery;
 	// a task it rejects is dropped (the sequence number still advances
 	// the version) and counted in RecoveryInfo.InvalidRecords. Appends
-	// are not gated here — the cloud validates before appending.
+	// are not gated here — the cloud validates before appending; Append
+	// only refuses a task whose shapes cannot be packed.
 	Validate func(dpprior.TaskPosterior) error
 	// FrameCacheSize bounds the encoded-frame cache serving FramesSince
 	// (0 = DefaultFrameCacheSize; negative = disabled). The cache lets a
@@ -132,7 +148,7 @@ type RecoveryInfo struct {
 	SkippedRecords int   // log records already covered by the snapshot
 	TruncatedBytes int64 // torn/corrupt tail bytes chopped off the log
 	Truncated      bool  // recovery found and removed a bad tail
-	InvalidRecords int   // CRC-valid tasks dropped by Options.Validate
+	InvalidRecords int   // CRC-valid tasks dropped by Options.Validate or unpackable shapes
 }
 
 // Store is a crash-safe, append-only task-posterior store.
@@ -142,7 +158,7 @@ type Store struct {
 	fs     FS
 
 	mu        sync.Mutex
-	tasks     []dpprior.TaskPosterior
+	tasks     []dpprior.StoredTask
 	seqs      []uint64 // seqs[i] is the store version that appended tasks[i]
 	verdicts  map[uint64]bool
 	version   uint64 // == total tasks appended, ever
@@ -194,6 +210,18 @@ type Store struct {
 type logRecord struct {
 	Seq  uint64
 	Task dpprior.TaskPosterior
+}
+
+// reset zeroes rec for the next decode into it but keeps its mean and
+// covariance storage. gob decodes into existing slices and leaves fields
+// the stream omits (zero values) as they were, so every field is cleared
+// first; a task decoded this way is only valid until the next decode.
+func (rec *logRecord) reset() {
+	mu, sigma := rec.Task.Mu[:0], rec.Task.Sigma
+	if sigma != nil {
+		*sigma = mat.Dense{Data: sigma.Data[:0]}
+	}
+	*rec = logRecord{Task: dpprior.TaskPosterior{Mu: mu, Sigma: sigma}}
 }
 
 // snapshotHeader opens a v2 snapshot stream; Count logRecord values
@@ -294,7 +322,7 @@ const (
 // a fixed buffer sits between it and w: memory is one encoded record
 // plus the buffer however large the pool is. tasks and seqs are
 // parallel; verdicts must be seq-sorted.
-func writeSnapshot(w io.Writer, version uint64, tasks []dpprior.TaskPosterior, seqs []uint64, verdicts []verdictRecord) error {
+func writeSnapshot(w io.Writer, version uint64, tasks []dpprior.StoredTask, seqs []uint64, verdicts []verdictRecord) error {
 	bw := bufio.NewWriterSize(w, snapshotBufBytes)
 	crc := crc32.NewIEEE()
 	body := io.MultiWriter(bw, crc)
@@ -305,9 +333,10 @@ func writeSnapshot(w io.Writer, version uint64, tasks []dpprior.TaskPosterior, s
 	if err := enc.Encode(snapshotHeader{Version: version, Count: uint64(len(tasks)), Verdicts: verdicts}); err != nil {
 		return err
 	}
-	rec := new(logRecord) // one record, reused: boxing a value per Encode would allocate
+	rec := new(logRecord) // one record and task buffer, reused: boxing a value per Encode would allocate
 	for i, t := range tasks {
-		rec.Seq, rec.Task = seqs[i], t
+		rec.Seq = seqs[i]
+		t.UnpackInto(&rec.Task)
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
@@ -396,11 +425,12 @@ func readSnapshotV2(dec *gob.Decoder, payload int64, into *Store) (snapshotHeade
 		return hdr, nil
 	}
 	n := min(hdr.Count, uint64(payload/minSnapshotRecordBytes))
-	into.tasks = make([]dpprior.TaskPosterior, 0, n)
+	into.tasks = make([]dpprior.StoredTask, 0, n)
 	into.seqs = make([]uint64, 0, n)
 	prev = 0
+	var rec logRecord
 	for i := uint64(0); i < hdr.Count; i++ {
-		var rec logRecord // fresh each time: gob decodes into existing slices
+		rec.reset()
 		if err := dec.Decode(&rec); err != nil {
 			return hdr, fmt.Errorf("record %d of %d: %w", i+1, hdr.Count, err)
 		}
@@ -453,7 +483,7 @@ func readSnapshotV1(dec *gob.Decoder, into *Store) (snapshotHeader, error) {
 	if into == nil {
 		return hdr, nil
 	}
-	into.tasks = make([]dpprior.TaskPosterior, 0, len(snap.Tasks))
+	into.tasks = make([]dpprior.StoredTask, 0, len(snap.Tasks))
 	into.seqs = make([]uint64, 0, len(snap.Tasks))
 	for i, t := range snap.Tasks {
 		seq := uint64(i + 1) // pre-admission: the contiguous seq prefix
@@ -465,16 +495,28 @@ func readSnapshotV1(dec *gob.Decoder, into *Store) (snapshotHeader, error) {
 	return hdr, nil
 }
 
-// recoverTask adds one task read back from disk during Open. A task
-// Options.Validate rejects is dropped but keeps its sequence number: the
-// version is the count of tasks ever appended, valid or not.
+// recoverTask packs one task read back from disk during Open. A task
+// Options.Validate rejects, or one whose shapes cannot be packed, is
+// dropped but keeps its sequence number: the version is the count of
+// tasks ever appended, valid or not.
 func (s *Store) recoverTask(seq uint64, t dpprior.TaskPosterior) {
-	if s.opts.Validate != nil && s.opts.Validate(t) != nil {
+	st, ok := s.admitRecord(t)
+	if !ok {
 		s.recovery.InvalidRecords++
 		return
 	}
-	s.tasks = append(s.tasks, t)
+	s.tasks = append(s.tasks, st)
 	s.seqs = append(s.seqs, seq)
+}
+
+// admitRecord validates (with Options.Validate) and packs a task read
+// from disk or from a replication frame; ok is false when either fails.
+func (s *Store) admitRecord(t dpprior.TaskPosterior) (dpprior.StoredTask, bool) {
+	if s.opts.Validate != nil && s.opts.Validate(t) != nil {
+		return dpprior.StoredTask{}, false
+	}
+	st, err := dpprior.PackTask(t)
+	return st, err == nil
 }
 
 func (s *Store) loadSnapshot() error {
@@ -571,13 +613,16 @@ func (s *Store) Len() int {
 	return len(s.tasks)
 }
 
-// View returns the current task set and version. The returned slice is
-// an immutable snapshot (append-only storage never mutates published
-// entries); callers must not modify it.
+// View returns the current task set, unpacked into fresh dense copies,
+// and the version. It allocates the dense form of every task; the
+// serving path reads the packed tasks through ViewRecords instead.
 func (s *Store) View() ([]dpprior.TaskPosterior, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tasks[:len(s.tasks):len(s.tasks)], s.version
+	tasks, _, version := s.ViewRecords()
+	out := make([]dpprior.TaskPosterior, len(tasks))
+	for i, t := range tasks {
+		out[i] = t.Task()
+	}
+	return out, version
 }
 
 // ErrClosed reports an operation on a closed store.
@@ -629,10 +674,16 @@ func (s *Store) CompactionError() error {
 }
 
 // Append durably appends one task and returns the new store version.
-// No half-frame is ever acknowledged: a write or fsync failure poisons
+// The task needs a d×d covariance for its d-dimensional mean (the form
+// the store packs); the log frame is written from t as given. No
+// half-frame is ever acknowledged: a write or fsync failure poisons
 // the store (ErrPoisoned on every later write) rather than letting the
 // running process append after a torn frame.
 func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
+	st, err := dpprior.PackTask(t)
+	if err != nil {
+		return 0, fmt.Errorf("store: append: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -664,7 +715,7 @@ func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
 		// skip this and let FramesSince fill the cache on demand.)
 		s.cacheFrameLocked(seq, frame)
 	}
-	s.tasks = append(s.tasks, t)
+	s.tasks = append(s.tasks, st)
 	s.seqs = append(s.seqs, seq)
 	s.version = seq
 	s.sinceSnap++

@@ -27,6 +27,20 @@ func mkTask(rng *rand.Rand, dim int) dpprior.TaskPosterior {
 	return dpprior.TaskPosterior{Mu: mu, Sigma: sig, N: 10 + rng.Intn(90)}
 }
 
+// packAll packs tasks the way Append does.
+func packAll(tb testing.TB, tasks []dpprior.TaskPosterior) []dpprior.StoredTask {
+	tb.Helper()
+	out := make([]dpprior.StoredTask, len(tasks))
+	for i, t := range tasks {
+		st, err := dpprior.PackTask(t)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = st
+	}
+	return out
+}
+
 func gobBytes(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -142,10 +142,10 @@ func (s *Store) Verdicts() map[uint64]bool {
 	return out
 }
 
-// ViewRecords is View plus the per-task sequence numbers (the key space
-// of Verdicts). Both slices are immutable snapshots; callers must not
-// modify them.
-func (s *Store) ViewRecords() ([]dpprior.TaskPosterior, []uint64, uint64) {
+// ViewRecords returns the stored tasks, packed, with their sequence
+// numbers (the key space of Verdicts) and the version. Both slices are
+// immutable snapshots; callers must not modify them.
+func (s *Store) ViewRecords() ([]dpprior.StoredTask, []uint64, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.tasks[:len(s.tasks):len(s.tasks)], s.seqs[:len(s.seqs):len(s.seqs)], s.version

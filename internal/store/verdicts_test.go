@@ -219,7 +219,7 @@ func TestRecoveryDropsInvalidRecords(t *testing.T) {
 		t.Errorf("seqs = %v, want [1 3]", seqs)
 	}
 	for i, task := range tasks {
-		if math.IsNaN(task.Mu[0]) {
+		if math.IsNaN(task.Mu()[0]) {
 			t.Errorf("task %d is the poisoned record", i)
 		}
 	}

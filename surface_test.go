@@ -300,11 +300,13 @@ func isBlankAssertion(spec *ast.ValueSpec) bool {
 }
 
 // recordFields maps each field of pkg's package-level struct types to its
-// type, so that a used field keeps its type in use.
+// type, so that a used field keeps its type in use. An alias (`X = pkg.X`)
+// declares no fields of its own: a use of a field keeps the aliased type
+// in use, not the alias.
 func (s *surface) recordFields(pkg *types.Package) {
 	for _, name := range pkg.Scope().Names() {
 		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-		if !ok {
+		if !ok || tn.IsAlias() {
 			continue
 		}
 		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
