@@ -508,7 +508,7 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 	case l.proximal:
 		res = p.proximalMStep(theta, scaled)
 	default:
-		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, opt.LBFGSOptions{Options: l.mstep})
+		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, l.mstep)
 	}
 	p.lastMStepIters, p.lastGradNorm = res.Iterations, res.GradNorm
 	return res.Theta
@@ -521,21 +521,24 @@ func (p *drdpProblem) surrogate(set dro.Set, scaled []float64) opt.Func {
 	l := p.learner
 	return func(th mat.Vec, grad mat.Vec) float64 {
 		value, weights := p.score(th, set)
-		if scaled != nil {
-			value += l.prior.SurrogateValue(th, scaled, p.priorWork)
-		}
-		if grad != nil {
-			mat.Fill(grad, 0)
-			// Danskin: gradient through the worst-case weights; normalize
-			// by n is built into weights (they sum to 1). score just swept
-			// th, so the batch's memo is th's.
-			p.batch.WeightedGrad(l.pool, th, weights, grad)
-			if rho := set.ThetaPenalty(); rho > 0 {
-				l.lipschitzGrad(th, rho, grad)
-			}
+		if grad == nil {
 			if scaled != nil {
-				l.prior.SurrogateGrad(th, scaled, grad, p.priorWork)
+				value += l.prior.SurrogateValue(th, scaled, p.priorWork)
 			}
+			return value
+		}
+		mat.Fill(grad, 0)
+		// Danskin: gradient through the worst-case weights; normalize by
+		// n is built into weights (they sum to 1). score just swept th,
+		// so the batch's memo is th's.
+		p.batch.WeightedGrad(l.pool, th, weights, grad)
+		if rho := set.ThetaPenalty(); rho > 0 {
+			l.lipschitzGrad(th, rho, grad)
+		}
+		if scaled != nil {
+			// One pass for the prior's value and gradient: its O(K·p²)
+			// products dominate wide models.
+			value += l.prior.SurrogateGrad(th, scaled, grad, p.priorWork)
 		}
 		return value
 	}

@@ -104,7 +104,7 @@ func benchPool(n, dim, clusters int, norm float64) []TaskPosterior {
 	return tasks
 }
 
-func benchBuild(b *testing.B, tasks []TaskPosterior) {
+func benchBuild[T Task](b *testing.B, tasks []T) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,6 +119,14 @@ func benchBuild(b *testing.B, tasks []TaskPosterior) {
 // parameters, six clusters at norm 8).
 func BenchmarkGibbsBuildN3000D17K8(b *testing.B) { benchBuild(b, benchPool(3000, 17, 8, 4)) }
 func BenchmarkGibbsBuildN3000D49K6(b *testing.B) { benchBuild(b, benchPool(3000, 49, 6, 8)) }
+
+// The same pools packed, as the cloud's store holds and builds them.
+func BenchmarkGibbsBuildPackedN3000D17K8(b *testing.B) {
+	benchBuild(b, mustPack(b, benchPool(3000, 17, 8, 4)))
+}
+func BenchmarkGibbsBuildPackedN3000D49K6(b *testing.B) {
+	benchBuild(b, mustPack(b, benchPool(3000, 49, 6, 8)))
+}
 
 // TestBuildAllocBudget holds Build to O(n + K·d) allocations, none per
 // task visit: about 2.1k for 2000 tasks, most of them assemble's

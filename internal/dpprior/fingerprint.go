@@ -15,11 +15,24 @@ import (
 // deduplicate ambiguous re-uploads — a report whose ack was lost to a
 // leader crash can be resent safely, because a fingerprint the shard has
 // already appended is acknowledged without a second append.
+//
+// A square covariance enters through its upper triangle, mirrored: a Σ
+// asymmetric in its last bits (Validate tolerates 1e-8·(1+max|Σ|))
+// fingerprints as the symmetric matrix the store keeps, so an upload
+// and its stored form (StoredTask.Fingerprint) always agree.
 func (t *TaskPosterior) Fingerprint() uint64 {
 	f := newFingerprint(t.Mu)
-	if t.Sigma != nil {
-		for _, v := range t.Sigma.Data {
-			f.float(v)
+	if s := t.Sigma; s != nil {
+		if d := s.Rows; s.Cols == d && len(s.Data) == d*d {
+			for i := 0; i < d; i++ {
+				for j := 0; j < d; j++ {
+					f.float(s.Data[min(i, j)*d+max(i, j)])
+				}
+			}
+		} else {
+			for _, v := range s.Data {
+				f.float(v)
+			}
 		}
 	}
 	return f.sum(t.N)

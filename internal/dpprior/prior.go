@@ -220,28 +220,31 @@ func (c *Compiled) SurrogateValue(theta mat.Vec, gamma []float64, scratch mat.Ve
 }
 
 // SurrogateGrad accumulates ∇_θ S(θ; γ) into dst (which must have length
-// Dim; nil allocates) and returns dst:
+// Dim) and returns S(θ; γ):
 //
 //	∇S = Σ_k γ_k Σ_k⁻¹ (θ−μ_k) + γ_0 θ/σ0²
 //
-// scratch is as for SurrogateValue.
-func (c *Compiled) SurrogateGrad(theta mat.Vec, gamma []float64, dst, scratch mat.Vec) mat.Vec {
+// Value and gradient share each component's Σ_k⁻¹(θ−μ_k), so a caller
+// that needs both pays for one product per component; the value is
+// bit-for-bit SurrogateValue's. scratch is as for SurrogateValue.
+func (c *Compiled) SurrogateGrad(theta mat.Vec, gamma []float64, dst, scratch mat.Vec) float64 {
 	c.checkGamma(gamma)
-	if dst == nil {
-		dst = make(mat.Vec, len(theta))
-	}
 	diff, prod := c.scratchVecs(scratch)
+	var s float64
 	for i, prec := range c.precisions {
 		if gamma[i] == 0 {
 			continue
 		}
 		mat.SubVecTo(diff, theta, c.Prior.Components[i].Mu)
-		mat.Axpy(gamma[i], prec.MulVecTo(prod, diff), dst)
+		prec.MulVecTo(prod, diff)
+		s += gamma[i] * 0.5 * mat.Dot(diff, prod)
+		mat.Axpy(gamma[i], prod, dst)
 	}
 	if g0 := gamma[len(c.precisions)]; g0 > 0 {
+		s += g0 * 0.5 * c.basePrec * mat.Dot(theta, theta)
 		mat.Axpy(g0*c.basePrec, theta, dst)
 	}
-	return dst
+	return s
 }
 
 // SurrogateScratch returns the work-space length SurrogateValue and

@@ -160,8 +160,12 @@ func TestSurrogateValueAndGradConsistency(t *testing.T) {
 	theta := mat.Vec{0.7, -1.3}
 	gamma := c.Responsibilities(theta)
 
-	// Finite-difference check of SurrogateGrad against SurrogateValue.
-	grad := c.SurrogateGrad(theta, gamma, nil, nil)
+	// Finite-difference check of SurrogateGrad against SurrogateValue,
+	// whose bits SurrogateGrad's value must reproduce.
+	grad := make(mat.Vec, len(theta))
+	if v, want := c.SurrogateGrad(theta, gamma, grad, nil), c.SurrogateValue(theta, gamma, nil); math.Float64bits(v) != math.Float64bits(want) {
+		t.Errorf("SurrogateGrad value = %v, SurrogateValue = %v", v, want)
+	}
 	const h = 1e-6
 	for i := range theta {
 		tp := mat.CloneVec(theta)

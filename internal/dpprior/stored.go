@@ -162,18 +162,21 @@ func (s StoredTask) covTrace() (float64, int) {
 }
 
 // addCov adds a·Σ entry by entry, as mat.Dense.AddScaled does, so a
-// symmetric Σ accumulates to the same bits in either form.
+// symmetric Σ accumulates to the same bits in either form. It walks dst
+// row by row: below the diagonal a row reads its column of the upper
+// triangle, from the diagonal on it reads the triangle's own row.
 func (s StoredTask) addCov(a float64, dst *mat.Dense) {
 	d := s.dim
-	k := d
+	tri := s.packed[d:]
 	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			v := a * s.packed[k]
-			dst.Data[i*d+j] += v
-			if j != i {
-				dst.Data[j*d+i] += v
-			}
-			k++
+		row := dst.Data[i*d : (i+1)*d]
+		k := i // triIndex(d, 0, i)
+		for j := 0; j < i; j++ {
+			row[j] += a * tri[k]
+			k += d - 1 - j
+		}
+		for j, v := range tri[k : k+d-i] {
+			row[i+j] += a * v
 		}
 	}
 }

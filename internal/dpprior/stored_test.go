@@ -3,6 +3,7 @@ package dpprior
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,7 +37,7 @@ func fullCovTask(rng *rand.Rand, dim int, center float64) TaskPosterior {
 	return TaskPosterior{Mu: mu, Sigma: sigma, N: 20 + rng.Intn(200)}
 }
 
-func mustPack(t *testing.T, tasks []TaskPosterior) []StoredTask {
+func mustPack(t testing.TB, tasks []TaskPosterior) []StoredTask {
 	t.Helper()
 	out := make([]StoredTask, len(tasks))
 	for i, task := range tasks {
@@ -99,6 +100,34 @@ func TestPackTaskRoundTrip(t *testing.T) {
 	st.UnpackInto(&reused) // a 17-dim buffer shrinks to 2×2 in place
 	if !bytes.Equal(gobOf(t, reused), gobOf(t, small)) {
 		t.Error("UnpackInto into a larger buffer differs from the packed task")
+	}
+}
+
+// TestFingerprintMirrorsUpperTriangle: a covariance asymmetric in its
+// last bit, which Validate admits, fingerprints as its packed form and as
+// the symmetric matrix that form unpacks to.
+func TestFingerprintMirrorsUpperTriangle(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	task := fullCovTask(rng, 5, 0)
+	task.Sigma.Set(3, 1, math.Nextafter(task.Sigma.At(3, 1), math.Inf(1)))
+	if err := task.Validate(0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := PackTask(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirrored := st.Task()
+	if mirrored.Sigma.At(3, 1) == task.Sigma.At(3, 1) {
+		t.Fatal("packing kept the lower triangle's entry")
+	}
+	fp := task.Fingerprint()
+	if st.Fingerprint() != fp || mirrored.Fingerprint() != fp {
+		t.Errorf("fingerprints: upload %x, packed %x, mirrored %x", fp, st.Fingerprint(), mirrored.Fingerprint())
+	}
+	task.Sigma.Set(1, 3, task.Sigma.At(3, 1)) // the upper triangle decides
+	if task.Fingerprint() == fp {
+		t.Error("changing Σ's upper triangle left the fingerprint unchanged")
 	}
 }
 

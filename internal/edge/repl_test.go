@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -175,6 +176,44 @@ func TestDedupeUploads(t *testing.T) {
 	}
 	if srv.Store().Len() != 2 {
 		t.Fatalf("distinct upload deduped: %d tasks", srv.Store().Len())
+	}
+}
+
+// TestDedupeAfterRestartLastBitAsymmetry: an upload whose Σ is
+// asymmetric in its last bit (within Validate's tolerance) is stored
+// packed, with its upper triangle mirrored. After a restart the dedupe
+// set is rebuilt from the stored tasks, and a retry of that upload must
+// still be recognized rather than appended a second time.
+func TestDedupeAfterRestartLastBitAsymmetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(206))
+	dir := t.TempDir()
+	task := clusterTask(rng, 4, 1)
+	task.Sigma.Set(0, 1, 0.02)
+	task.Sigma.Set(1, 0, math.Nextafter(0.02, 1))
+
+	report := func(addr string) uint64 {
+		t.Helper()
+		c, err := Dial(addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		v, err := c.ReportTask(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	addr, srv := startDurableServer(t, dir, nil)
+	v1 := report(addr)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	addr2, srv2 := startDurableServer(t, dir, nil)
+	srv2.EnableDedupe()
+	if v2 := report(addr2); v2 != v1 || srv2.Store().Len() != 1 {
+		t.Fatalf("retry after restart appended: versions %d/%d, %d tasks", v1, v2, srv2.Store().Len())
 	}
 }
 

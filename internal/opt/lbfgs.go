@@ -4,13 +4,8 @@ import (
 	"github.com/drdp/drdp/internal/mat"
 )
 
-// LBFGSOptions extends Options with the history length of the limited-
-// memory quasi-Newton approximation.
-type LBFGSOptions struct {
-	Options
-	// Memory is the number of (s, y) curvature pairs kept (default 8).
-	Memory int
-}
+// lbfgsMemory is the number of (s, y) curvature pairs LBFGS keeps.
+const lbfgsMemory = 8
 
 // LBFGS minimizes f with the limited-memory BFGS two-loop recursion and
 // Armijo backtracking on the quasi-Newton direction (falling back to the
@@ -21,12 +16,9 @@ type LBFGSOptions struct {
 //
 // Its scratch, the curvature pairs included, is allocated once per call,
 // so what a solve allocates does not grow with its iteration count.
-func LBFGS(f Func, theta0 mat.Vec, opts LBFGSOptions) Result {
-	o := opts.Options.withDefaults()
-	m := opts.Memory
-	if m <= 0 {
-		m = 8
-	}
+func LBFGS(f Func, theta0 mat.Vec, opts Options) Result {
+	o := opts.withDefaults()
+	const m = lbfgsMemory
 	n := len(theta0)
 	theta := mat.CloneVec(theta0)
 	grad := make(mat.Vec, n)

@@ -11,7 +11,7 @@ import (
 func TestLBFGSQuadratic(t *testing.T) {
 	c := mat.Vec{1, -2, 3, 0.5}
 	f := quadratic(c, mat.Vec{1, 10, 100, 0.1}) // badly conditioned
-	res := LBFGS(f, make(mat.Vec, 4), LBFGSOptions{Options: Options{Tol: 1e-9}})
+	res := LBFGS(f, make(mat.Vec, 4), Options{Tol: 1e-9})
 	if !res.Converged {
 		t.Fatalf("LBFGS did not converge: %+v", res)
 	}
@@ -30,7 +30,7 @@ func TestLBFGSRosenbrockFasterThanGD(t *testing.T) {
 		}
 		return v
 	}
-	lb := LBFGS(rosen, mat.Vec{-1.2, 1}, LBFGSOptions{Options: Options{MaxIter: 500, Tol: 1e-8}})
+	lb := LBFGS(rosen, mat.Vec{-1.2, 1}, Options{MaxIter: 500, Tol: 1e-8})
 	if lb.Value > 1e-10 {
 		t.Errorf("LBFGS Rosenbrock value %v after %d iters", lb.Value, lb.Iterations)
 	}
@@ -90,7 +90,7 @@ func TestLBFGSLogisticLikeObjective(t *testing.T) {
 		}
 		return v
 	}
-	lb := LBFGS(f, make(mat.Vec, d), LBFGSOptions{Options: Options{Tol: 1e-8}})
+	lb := LBFGS(f, make(mat.Vec, d), Options{Tol: 1e-8})
 	gd := GD(f, make(mat.Vec, d), Options{Tol: 1e-8, MaxIter: 5000})
 	if mat.Dist2(lb.Theta, gd.Theta) > 1e-4 {
 		t.Errorf("LBFGS %v vs GD %v", lb.Theta, gd.Theta)
@@ -99,7 +99,7 @@ func TestLBFGSLogisticLikeObjective(t *testing.T) {
 
 func TestLBFGSRespectsMaxIter(t *testing.T) {
 	f := quadratic(mat.Vec{100}, mat.Vec{0.0001})
-	res := LBFGS(f, mat.Vec{0}, LBFGSOptions{Options: Options{MaxIter: 2}})
+	res := LBFGS(f, mat.Vec{0}, Options{MaxIter: 2})
 	if res.Iterations > 2 {
 		t.Errorf("ran %d iterations", res.Iterations)
 	}
@@ -137,7 +137,7 @@ func TestLBFGSAllocBudget(t *testing.T) {
 	allocs := func(maxIter int) (float64, int) {
 		var iters int
 		a := testing.AllocsPerRun(5, func() {
-			iters = LBFGS(rosen, start, LBFGSOptions{Options: Options{MaxIter: maxIter, Tol: 1e-12}}).Iterations
+			iters = LBFGS(rosen, start, Options{MaxIter: maxIter, Tol: 1e-12}).Iterations
 		})
 		return a, iters
 	}

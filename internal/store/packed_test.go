@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -107,6 +108,66 @@ func TestPackedStoreWritesDenseBytes(t *testing.T) {
 	got, _ := r.View()
 	if !bytes.Equal(gobBytes(t, got), gobBytes(t, want)) {
 		t.Error("reopened tasks differ from the appended ones")
+	}
+}
+
+// TestAppendLogsCanonicalTask: a covariance asymmetric in its last bit
+// is logged as the packed form mirrors it, so the log frame, a frame
+// re-encoded from the packed task and a reopened store agree with each
+// other and with the append of the mirrored task.
+func TestAppendLogsCanonicalTask(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	task := fullCovTask(rng, 6)
+	canonical := task
+	canonical.Sigma = task.Sigma.Clone()
+	task.Sigma.Set(4, 2, math.Nextafter(task.Sigma.At(4, 2), math.Inf(1)))
+
+	frame := func(task dpprior.TaskPosterior, dir string) []byte {
+		s, err := Open(Options{Dir: dir, NoSync: true, Logger: telemetry.Discard()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Append(task); err != nil {
+			t.Fatal(err)
+		}
+		frames, _, err := s.FramesSince(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frames[0].Bytes
+	}
+	dir := t.TempDir()
+	logged := frame(task, dir)
+	if want := frame(canonical, t.TempDir()); !bytes.Equal(logged, want) {
+		t.Error("the asymmetric task's log frame differs from the mirrored task's")
+	}
+	if !bytes.Equal(logged, readFile(t, filepath.Join(dir, logName))) {
+		t.Error("the log file differs from the logged frame")
+	}
+	mem, err := Open(Options{Logger: telemetry.Discard()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	if _, err := mem.Append(task); err != nil {
+		t.Fatal(err)
+	}
+	reencoded, _, err := mem.FramesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reencoded[0].Bytes, logged) {
+		t.Error("the re-encoded frame differs from the logged frame")
+	}
+	r, err := Open(Options{Dir: dir, NoSync: true, Logger: telemetry.Discard()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tasks, _, _ := r.ViewRecords()
+	if len(tasks) != 1 || tasks[0].Fingerprint() != task.Fingerprint() {
+		t.Error("the reopened task's fingerprint differs from the upload's")
 	}
 }
 

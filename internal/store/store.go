@@ -202,6 +202,10 @@ type Store struct {
 	// without copying.
 	frameCache map[uint64][]byte
 	frameSeqs  []uint64
+
+	// appendTask is Append's dense buffer: each appended task is packed,
+	// then unpacked here to encode its log frame.
+	appendTask dpprior.TaskPosterior
 }
 
 // logRecord is one framed log entry. Seq is the store version the
@@ -675,7 +679,11 @@ func (s *Store) CompactionError() error {
 
 // Append durably appends one task and returns the new store version.
 // The task needs a d×d covariance for its d-dimensional mean (the form
-// the store packs); the log frame is written from t as given. No
+// the store packs). The log frame is written from the packed task, so
+// the log, the snapshots and the replication frames all carry Σ's upper
+// triangle mirrored into its lower one: t's own bytes when Σ is
+// symmetric, its canonical form when Σ is asymmetric in its last bits
+// (as Validate allows), the form StoredTask.Fingerprint hashes. No
 // half-frame is ever acknowledged: a write or fsync failure poisons
 // the store (ErrPoisoned on every later write) rather than letting the
 // running process append after a torn frame.
@@ -694,7 +702,8 @@ func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
 	}
 	seq := s.version + 1
 	if s.logF != nil {
-		frame, err := encodeRecord(logRecord{Seq: seq, Task: t})
+		st.UnpackInto(&s.appendTask)
+		frame, err := encodeRecord(logRecord{Seq: seq, Task: s.appendTask})
 		if err != nil {
 			return 0, err
 		}
