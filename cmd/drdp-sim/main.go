@@ -284,8 +284,8 @@ func runDiskChaos(rounds, perRound, dim int, hedge time.Duration, seed int64) er
 		chaos.RotFlips, chaos.Rot, chaos.Demoted, chaos.DemotionTime.Round(time.Millisecond))
 	fmt.Printf("scrub: %.0f frames repaired over the wire; rotted log byte-identical to leader: %v\n",
 		chaos.ScrubRepairedFrames, chaos.Repaired)
-	fmt.Printf("hedged reads: %.0f fired, %.0f won, %.0f cancelled; read p99 %v (control %v), round p99 %v (control %v)\n",
-		chaos.HedgeFired, chaos.HedgeWon, chaos.HedgeCancelled,
+	fmt.Printf("hedged reads: %.0f fired, %.0f won; read p99 %v (control %v), round p99 %v (control %v)\n",
+		chaos.HedgeFired, chaos.HedgeWon,
 		chaos.ReadP99.Round(time.Millisecond), control.ReadP99.Round(time.Millisecond),
 		chaos.RoundP99.Round(time.Millisecond), control.RoundP99.Round(time.Millisecond))
 	verdict := "byte-identical"

@@ -40,6 +40,15 @@ func TestGrayLeaderDemoted(t *testing.T) {
 	demotions := telemetry.ClusterDemotions.Value()
 	slow := cl.LeaderOf(0)
 	oldAddr := slow.Addr()
+	// Probes answered inside the gray budget score the leader healthy.
+	health := telemetry.ReplicaHealthGauge(slow.Name())
+	deadline := time.Now().Add(5 * time.Second)
+	for health.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy leader's drdp_cluster_replica_health_score = %v, want 1", health.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Slow, not dead: well over the gray threshold, well under the probe
 	// timeout, so liveness probes keep succeeding.
 	slow.Server().SetServeDelay(80 * time.Millisecond)
@@ -48,6 +57,11 @@ func TestGrayLeaderDemoted(t *testing.T) {
 	}
 	if got := telemetry.ClusterDemotions.Value(); got != demotions+1 {
 		t.Fatalf("drdp_cluster_demotions_total = %v, want %v", got, demotions+1)
+	}
+	// The probe that tripped the demotion scored the slow leader below
+	// healthy, and above the 0 of a failed probe: slow, not dead.
+	if got := health.Value(); got <= 0 || got >= 1 {
+		t.Errorf("demoted leader's drdp_cluster_replica_health_score = %v, want in (0, 1)", got)
 	}
 	if !slow.Server().IsFollower() {
 		t.Fatal("demoted leader should be a follower, not dead")

@@ -14,6 +14,7 @@ import (
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/mat"
+	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
 )
 
@@ -321,6 +322,60 @@ func TestFollowerTornTailRestartCatchup(t *testing.T) {
 	}
 	if follower.Lag() != 0 {
 		t.Fatalf("caught-up follower reports lag %d", follower.Lag())
+	}
+}
+
+// TestFollowerLagGaugeTracksCatchup: a follower that starts more than
+// one pull batch behind its leader shows the gap on drdp_repl_lag_seq,
+// and the gauge returns to 0 once it has caught up. The leader is slowed
+// so the window between pulls is wide enough to observe.
+func TestFollowerLagGaugeTracksCatchup(t *testing.T) {
+	base := t.TempDir()
+	build := dpprior.BuildOptions{Alpha: 1, Seed: 7}
+	leader, err := StartNode(NodeConfig{
+		Shard: 0, Replica: 0, Dir: filepath.Join(base, "r0"),
+		Build: build, Seed: 31, Logger: telemetry.Discard(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	const behind = store.DefaultMaxPullFrames + 16
+	for _, task := range makeTasks(311, behind, 3) {
+		if _, err := leader.Server().AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leader.Server().SetServeDelay(50 * time.Millisecond)
+
+	follower, err := StartNode(NodeConfig{
+		Shard: 0, Replica: 1, Dir: filepath.Join(base, "r1"),
+		Build: build, LeaderAddr: leader.Addr(),
+		PullInterval: 2 * time.Millisecond, CatchupJitter: -1,
+		Seed: 31, Logger: telemetry.Discard(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	gauge := telemetry.ReplLagGauge(follower.Name())
+	var peak float64
+	deadline := time.Now().Add(10 * time.Second)
+	for follower.Server().Store().Version() < behind {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at version %d, want %d", follower.Server().Store().Version(), behind)
+		}
+		peak = max(peak, gauge.Value())
+		time.Sleep(time.Millisecond)
+	}
+	if peak < 1 {
+		t.Errorf("drdp_repl_lag_seq never rose while the follower trailed by %d frames", behind)
+	}
+	for gauge.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("drdp_repl_lag_seq = %v after catch-up, want 0", gauge.Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -446,7 +446,6 @@ func (co *Coordinator) demote(shard int) {
 	co.promoteLocked(shard, promoted, bestVer, sp)
 	co.demotedAt[old.Addr()] = time.Now()
 	telemetry.ClusterDemotions.Inc()
-	telemetry.Events.RecordKV("cluster", "demoted", "node", old.Name())
 	co.logger.Warn("cluster: gray leader demoted",
 		"shard", shard, "slow", old.Name(), "promoted", promoted.Name(),
 		"log-version", bestVer, "map-version", co.m.Version)

@@ -125,7 +125,6 @@ func (c *ShardedClient) hedgedFetch(shard, dim int, addrs []string, floor uint64
 		// pool and passes to a reaper, which closes it when the straggler
 		// surfaces: the next read of that replica dials a fresh session
 		// instead of queueing behind the stale round trip.
-		telemetry.ClusterHedgeCancelled.Inc()
 		loser := addrs[0]
 		if !winner.secondary {
 			loser = addrs[1]

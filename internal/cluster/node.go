@@ -249,7 +249,6 @@ func (n *Node) Promote(followers int) {
 	n.srv.SetSemiSync(quorum, n.cfg.AckTimeout)
 	n.srv.SetFollower(false)
 	telemetry.ReplLagGauge(n.Name()).Set(0)
-	telemetry.Events.RecordKV("cluster", "promoted", "node", n.Name())
 	n.logger.Info("cluster: follower promoted to leader", "node", n.Name())
 }
 

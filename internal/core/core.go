@@ -264,7 +264,6 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 	prob := newProblem(l, x, y, tau)
 
 	fitStart := time.Now()
-	telemetry.ParallelWorkers.Set(float64(l.pool.Workers()))
 	var res em.Result
 	if l.prior == nil {
 		// No prior: a single convex M-step solves the whole problem.
@@ -272,7 +271,7 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 		obj := prob.objective(theta)
 		res = em.Result{Theta: theta, Objective: obj, Trace: []float64{obj},
 			Iterations: 1, Converged: true}
-		prob.recordIteration(obj, 0)
+		prob.recordIteration()
 	} else {
 		// The mixture prior makes the objective multi-basin; run EM from
 		// each candidate start and keep the best final objective, so the
@@ -295,16 +294,8 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 		out.Responsibilities = l.prior.ResponsibilitiesPool(l.pool, final)
 	}
 
-	// Publish the winning run: final objective/delta gauges and the
-	// per-iteration objective trace from the start that won the
-	// multi-start selection.
 	telemetry.CoreFits.Inc()
 	telemetry.CoreFitSeconds.Observe(time.Since(fitStart).Seconds())
-	telemetry.CoreObjective.Set(res.Objective)
-	if k := len(res.Trace); k >= 2 {
-		telemetry.CoreObjectiveDelta.Set(res.Trace[k-1] - res.Trace[k-2])
-	}
-	telemetry.SetEMTrace(res.Trace)
 	return out, nil
 }
 
@@ -318,13 +309,10 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 func (l *Learner) runStarts(prob *drdpProblem) em.Result {
 	starts := l.startingPoints()
 	opts := func(p *drdpProblem) em.Options {
-		return em.Options{MaxIters: l.emIters, Tol: l.emTol, OnIter: func(it em.Iteration) {
-			p.recordIteration(it.Objective, it.Objective-it.Prev)
-		}}
+		return em.Options{MaxIters: l.emIters, Tol: l.emTol, OnIter: p.recordIteration}
 	}
 	runs := make([]em.Result, len(starts))
 	if l.pool.Workers() > 1 && len(starts) > 1 {
-		telemetry.CoreParallelStarts.Add(float64(len(starts)))
 		var (
 			wg      sync.WaitGroup
 			panicMu sync.Mutex
@@ -429,11 +417,10 @@ type drdpProblem struct {
 	set     dro.Set
 	worstAt bool
 
-	// Inner-solver stats from the most recent mStep call, read by
+	// Inner-solver iterations of the most recent mStep call, read by
 	// recordIteration right after each EM iteration (the EM loop is
 	// sequential, so no synchronization is needed).
 	lastMStepIters int
-	lastGradNorm   float64
 }
 
 var _ em.Problem[[]float64] = (*drdpProblem)(nil)
@@ -462,16 +449,13 @@ func (p *drdpProblem) clone() *drdpProblem {
 	return newProblem(p.learner, p.x, p.y, p.tau)
 }
 
-// recordIteration publishes one EM iteration, with the stats of the
-// M-step that produced it, to the drdp_core_* telemetry. Every
-// instrument is atomic, so parallel starts and concurrent fits publish
+// recordIteration counts one EM iteration, with the inner iterations of
+// the M-step that produced it, in the drdp_core_* telemetry. Both
+// counters are atomic, so parallel starts and concurrent fits publish
 // without a lock.
-func (p *drdpProblem) recordIteration(objective, delta float64) {
+func (p *drdpProblem) recordIteration() {
 	telemetry.CoreEMIterations.Inc()
 	telemetry.CoreMStepIters.Add(float64(p.lastMStepIters))
-	telemetry.CoreObjective.Set(objective)
-	telemetry.CoreObjectiveDelta.Set(delta)
-	telemetry.CoreGradNorm.Set(p.lastGradNorm)
 }
 
 // EStep computes prior responsibilities at the current iterate.
@@ -510,7 +494,7 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 	default:
 		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, l.mstep)
 	}
-	p.lastMStepIters, p.lastGradNorm = res.Iterations, res.GradNorm
+	p.lastMStepIters = res.Iterations
 	return res.Theta
 }
 

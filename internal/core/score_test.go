@@ -72,18 +72,20 @@ func TestMStepScoresEachPointOnce(t *testing.T) {
 // M-step iterations like the golden grid, which keeps them to a second
 // each; what they allocate per iteration is what the cap leaves alone.
 // Each budget is 2× what the fit measured with the L-BFGS M-step and its
-// curvature ring; the subgradient-GD M-step it replaced allocated 64 KB,
-// 376 KB, 632 KB and 162 KB on the same fits, and before the fused sweep
-// and the reused solver scratch 173 KB, 5.66 MB, 1.61 MB and 258 KB.
+// curvature ring, once a fit stopped publishing its objective trace as
+// per-iteration gauges (which cost 250–400 B a fit); the subgradient-GD
+// M-step it replaced allocated 64 KB, 376 KB, 632 KB and 162 KB on the
+// same fits, and before the fused sweep and the reused solver scratch
+// 173 KB, 5.66 MB, 1.61 MB and 258 KB.
 var fitAllocBudgets = []struct {
 	name   string
 	budget uint64
 	opts   []Option
 }{
-	{"wasserstein", 2 * 58_976, []Option{WithUncertaintySet(dro.Set{Kind: dro.Wasserstein, Rho: 0.05})}},
-	{"kl", 2 * 124_344, []Option{WithUncertaintySet(dro.Set{Kind: dro.KL, Rho: 0.1}), cappedEM, cappedMStep}},
-	{"chi2", 2 * 213_560, []Option{WithUncertaintySet(dro.Set{Kind: dro.Chi2, Rho: 0.1}), cappedEM, cappedMStep}},
-	{"multistart/p2", 2 * 138_832, []Option{WithUncertaintySet(dro.Set{Kind: dro.Wasserstein, Rho: 0.05}), WithParallelism(2)}},
+	{"wasserstein", 2 * 58_472, []Option{WithUncertaintySet(dro.Set{Kind: dro.Wasserstein, Rho: 0.05})}},
+	{"kl", 2 * 123_456, []Option{WithUncertaintySet(dro.Set{Kind: dro.KL, Rho: 0.1}), cappedEM, cappedMStep}},
+	{"chi2", 2 * 212_656, []Option{WithUncertaintySet(dro.Set{Kind: dro.Chi2, Rho: 0.1}), cappedEM, cappedMStep}},
+	{"multistart/p2", 2 * 137_680, []Option{WithUncertaintySet(dro.Set{Kind: dro.Wasserstein, Rho: 0.05}), WithParallelism(2)}},
 }
 
 var (

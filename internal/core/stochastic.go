@@ -95,9 +95,7 @@ func (p *drdpProblem) stochasticMStep(theta mat.Vec, scaled []float64) mat.Vec {
 			steps++
 		}
 	}
-	// Adam does not track a terminal gradient norm; report step count
-	// only.
-	p.lastMStepIters, p.lastGradNorm = steps, 0
+	p.lastMStepIters = steps
 	return out
 }
 

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/stat"
@@ -89,7 +90,8 @@ func AdversarialShiftLInf(ds *Dataset, w mat.Vec, budget float64) (*Dataset, err
 // DirichletPartition splits ds across parts devices with label-skewed
 // proportions drawn from a symmetric Dirichlet(alpha): small alpha gives
 // highly non-IID per-device class mixes, large alpha approaches IID.
-// Every device receives at least one sample when possible.
+// Every device receives at least one sample when possible. Classes draw
+// from rng in ascending order, so a seed fixes the partition.
 func DirichletPartition(ds *Dataset, parts int, alpha float64, rng *rand.Rand) ([]*Dataset, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("data: DirichletPartition: parts=%d", parts)
@@ -112,8 +114,14 @@ func DirichletPartition(ds *Dataset, parts int, alpha float64, rng *rand.Rand) (
 		c := classOf(y)
 		byClass[c] = append(byClass[c], i)
 	}
+	classes := make([]int, 0, len(byClass))
+	for c := range byClass {
+		classes = append(classes, c)
+	}
+	slices.Sort(classes)
 	assignments := make([][]int, parts)
-	for _, idx := range byClass {
+	for _, c := range classes {
+		idx := byClass[c]
 		// Per-class device proportions.
 		props := stat.DirichletSym(rng, alpha, parts)
 		// Convert to counts by largest remainder.

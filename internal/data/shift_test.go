@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/drdp/drdp/internal/mat"
@@ -163,6 +164,37 @@ func TestDirichletPartition(t *testing.T) {
 	}
 	if _, err := DirichletPartition(ds, 2, 0, rng); err == nil {
 		t.Error("alpha=0 accepted")
+	}
+}
+
+// TestDirichletPartitionSeeded: one seed gives one partition. Classes
+// used to draw from the rng in map order, so two runs with the same seed
+// split the data differently.
+func TestDirichletPartitionSeeded(t *testing.T) {
+	b, err := NewBlobTask(rand.New(rand.NewSource(94)), 2, 4, 5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := b.Sample(rand.New(rand.NewSource(95)), 200)
+	split := func() [][]float64 {
+		parts, err := DirichletPartition(ds, 6, 0.5, rand.New(rand.NewSource(96)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys := make([][]float64, len(parts))
+		for p, part := range parts {
+			ys[p] = part.Y
+		}
+		return ys
+	}
+	want := split()
+	for run := 0; run < 8; run++ {
+		got := split()
+		for p := range want {
+			if !slices.Equal(got[p], want[p]) {
+				t.Fatalf("run %d: device %d labels %v, want %v", run, p, got[p], want[p])
+			}
+		}
 	}
 }
 

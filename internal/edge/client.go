@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
-	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/wire"
 )
 
@@ -202,12 +201,7 @@ func deltaPriorOf(resp *Response, old *dpprior.Prior) (*dpprior.Prior, uint64, e
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", errDeltaApply, err)
 		}
-		telemetry.EdgeClientDeltasApplied.Inc()
 		return p, resp.Version, nil
 	}
-	p, v, err := priorOf(resp, false)
-	if err == nil {
-		telemetry.EdgeClientFullPriors.Inc()
-	}
-	return p, v, err
+	return priorOf(resp, false)
 }

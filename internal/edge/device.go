@@ -214,7 +214,6 @@ func (d *Device) fetch(c Cloud) (*dpprior.Prior, RunStatus, error) {
 		// the regional aggregator, then the cached prior, then local-only.
 		if d.Regional != nil {
 			if rp, rv, rerr := d.Regional.FetchPrior(dim); rerr == nil {
-				telemetry.DeviceRegionalFallbacks.Inc()
 				st.Degradation = DegradedRegional
 				st.PriorVersion = rv
 				st.FetchErr = err
@@ -289,7 +288,6 @@ func (d *Device) RunWithStatus(c Cloud, x *mat.Dense, y []float64, report bool) 
 			N:     x.Rows,
 		})
 		if err != nil {
-			telemetry.DeviceReportErrors.Inc()
 			if !d.FallbackLocal {
 				return nil, st, fmt.Errorf("edge: device %d: report: %w", d.ID, err)
 			}

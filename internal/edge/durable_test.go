@@ -150,7 +150,8 @@ func TestDeltaSyncSavesWireBytes(t *testing.T) {
 		conn.Close()
 		t.Fatal(err)
 	}
-	c := NewMuxClient(countConn{Conn: conn, sent: reg.Counter("delta_test_client_sent_bytes"), recv: recv})
+	sent := reg.Counter("delta_test_client_sent_bytes")
+	c := NewMuxClient(countConn{Conn: conn, sent: sent, recv: recv})
 	defer c.Close()
 
 	before := recv.Value()
@@ -170,12 +171,23 @@ func TestDeltaSyncSavesWireBytes(t *testing.T) {
 	deltasBefore := telemetry.ServerPriorDelta.Value()
 	savedBefore := telemetry.ServerDeltaSavedBytes.Value()
 	serverBefore := telemetry.ServerSent.Value()
+	serverRecvBefore := telemetry.ServerReceived.Value()
+	servedBefore := telemetry.ServerRequestSeconds.Count()
+	sentBefore := sent.Value()
 	before = recv.Value()
 	p2, v2, err := c.FetchPriorDelta(dim, v1, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deltaBytes := recv.Value() - before
+	// The server read the whole request before it answered, and timed
+	// the dispatch before writing the response.
+	if got, want := telemetry.ServerReceived.Value()-serverRecvBefore, sent.Value()-sentBefore; got < want {
+		t.Errorf("server received counter advanced %v bytes over the delta refresh, client sent %v", got, want)
+	}
+	if got := telemetry.ServerRequestSeconds.Count() - servedBefore; got < 1 {
+		t.Errorf("server request-seconds histogram counted %d requests over the delta refresh, want ≥ 1", got)
+	}
 
 	if p2 == nil || v2 <= v1 {
 		t.Fatalf("delta refresh returned prior=%v version %d (had %d)", p2 != nil, v2, v1)

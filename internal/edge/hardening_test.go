@@ -9,6 +9,7 @@ import (
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/mat"
+	"github.com/drdp/drdp/internal/telemetry"
 )
 
 // TestServerRecoversFromHandlerPanic: a panic while serving one
@@ -24,6 +25,7 @@ func TestServerRecoversFromHandlerPanic(t *testing.T) {
 	})
 
 	// The poisoned request kills its connection...
+	panics := telemetry.ServerPanics.Value()
 	c1, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +34,9 @@ func TestServerRecoversFromHandlerPanic(t *testing.T) {
 	c1.SetRoundTripTimeout(time.Second)
 	if _, err := c1.Stats(); err == nil {
 		t.Fatal("round trip survived a handler panic")
+	}
+	if got := telemetry.ServerPanics.Value() - panics; got < 1 {
+		t.Errorf("drdp_edge_server_panics_total moved by %v, want ≥ 1", got)
 	}
 
 	// ...but the server keeps serving other connections and kinds.

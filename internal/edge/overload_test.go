@@ -37,6 +37,7 @@ func TestMaxConnsShedsWithOverloadedCode(t *testing.T) {
 
 	// The third connection is over the cap: its request must be answered
 	// with the retryable overload rejection.
+	shed := telemetry.ServerShedMaxConns.Value()
 	over, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +50,9 @@ func TestMaxConnsShedsWithOverloadedCode(t *testing.T) {
 	}
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-cap error %v, want ErrOverloaded", err)
+	}
+	if got := telemetry.ServerShedMaxConns.Value() - shed; got < 1 {
+		t.Errorf("drdp_edge_server_shed_total{reason=max-conns} moved by %v, want ≥ 1", got)
 	}
 
 	// Once the holders leave, a resilient client retries through the
@@ -155,6 +159,8 @@ func TestHandlerTimeoutShedsButNeverDropsAcceptedTask(t *testing.T) {
 		}
 	})
 	srv.WaitCaughtUp()
+	shed := telemetry.ServerShedTimeout.Value()
+	inflight := telemetry.ServerInflight.Value()
 
 	c, err := Dial(addr, time.Second)
 	if err != nil {
@@ -166,14 +172,27 @@ func TestHandlerTimeoutShedsButNeverDropsAcceptedTask(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("slow dispatch error %v, want ErrOverloaded", err)
 	}
+	if got := telemetry.ServerShedTimeout.Value() - shed; got < 1 {
+		t.Errorf("drdp_edge_server_shed_total{reason=handler-timeout} moved by %v, want ≥ 1", got)
+	}
+	// The abandoned dispatch is still running: the in-flight gauge shows it.
+	deadline := time.Now().Add(5 * time.Second)
+	for telemetry.ServerInflight.Value()-inflight < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("drdp_edge_server_inflight rose by %v while a shed dispatch runs, want ≥ 1",
+				telemetry.ServerInflight.Value()-inflight)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if srv.Store().Len() != 3 {
 		t.Fatalf("task committed before the dispatch was released")
 	}
 	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Store().Len() != 4 {
+	deadline = time.Now().Add(5 * time.Second)
+	for srv.Store().Len() != 4 || telemetry.ServerInflight.Value() > inflight {
 		if time.Now().After(deadline) {
-			t.Fatal("abandoned dispatch never committed the accepted task")
+			t.Fatalf("abandoned dispatch never finished: %d tasks, in-flight gauge %v (was %v)",
+				srv.Store().Len(), telemetry.ServerInflight.Value(), inflight)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

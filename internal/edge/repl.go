@@ -72,8 +72,6 @@ func (s *CloudServer) ApplyReplicated(frames []store.Frame, verdicts map[uint64]
 			}
 		}
 		s.mu.Unlock()
-		telemetry.ServerTasks.Set(float64(s.st.Len()))
-		telemetry.ServerPriorVersion.Set(float64(v))
 		s.kickRebuild()
 	}
 	return v, nil

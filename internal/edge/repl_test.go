@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
+	"github.com/drdp/drdp/internal/telemetry"
 )
 
 func gobBytesT(t *testing.T, v interface{}) []byte {
@@ -78,6 +79,7 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	addr, srv := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 	srv.SetFollower(true)
+	refused := telemetry.ServerNotLeader.Value()
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +92,9 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	}
 	if _, err := c.PullLog(1, 0, 0); !errors.As(err, &se) || se.Code != CodeNotLeader {
 		t.Fatalf("follower served the replication stream: %v", err)
+	}
+	if got := telemetry.ServerNotLeader.Value() - refused; got < 1 {
+		t.Errorf("drdp_edge_server_not_leader_total moved by %v, want ≥ 1", got)
 	}
 	// Reads still work.
 	if _, _, err := c.FetchPrior(3); err != nil {
@@ -116,10 +121,14 @@ func TestMinVersionGate(t *testing.T) {
 		t.Fatalf("satisfiable floor refused: %v", err)
 	}
 	// A floor beyond the store answers CodeLagging.
+	lagging := telemetry.ServerLagging.Value()
 	_, _, err = r.FetchPriorDeltaMin(3, 0, built+100, nil)
 	var se *ServerError
 	if !errors.As(err, &se) || se.Code != CodeLagging {
 		t.Fatalf("lagging replica served a stale prior: %v", err)
+	}
+	if got := telemetry.ServerLagging.Value() - lagging; got < 1 {
+		t.Errorf("drdp_edge_server_lagging_total moved by %v, want ≥ 1", got)
 	}
 	// A floor the leader stored waits for the rebuild covering it, but
 	// not past a stalled one: the watchdog's verdict ends the wait.
@@ -163,12 +172,16 @@ func TestDedupeUploads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An ambiguous retry of the same content is acked without appending.
+	deduped := telemetry.ServerDeduped.Value()
 	v2, err := c.ReportTask(task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v2 != v1 || srv.Store().Len() != 1 {
 		t.Fatalf("duplicate upload appended: versions %d/%d, %d tasks", v1, v2, srv.Store().Len())
+	}
+	if got := telemetry.ServerDeduped.Value() - deduped; got < 1 {
+		t.Errorf("drdp_edge_server_deduped_uploads_total moved by %v, want ≥ 1", got)
 	}
 	// Different content still appends.
 	if _, err := c.ReportTask(seedTasks(rng, 1, 3)[0]); err != nil {

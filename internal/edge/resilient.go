@@ -127,15 +127,13 @@ func NewResilientClient(dial func() (net.Conn, error), opts ResilientOptions) *R
 	}
 	logger := telemetry.OrDefault(opts.Logger)
 	// Chain the breaker's transition callback: telemetry gauge +
-	// transition counter + event + log first, then the caller's own
+	// transition counter + log first, then the caller's own
 	// callback, so user code always sees transitions the metrics saw.
 	userCB := opts.Breaker.OnStateChange
 	brCfg := opts.Breaker
 	brCfg.OnStateChange = func(from, to BreakerState) {
 		telemetry.BreakerState.Set(float64(to))
 		telemetry.BreakerTransitionCounter(to.String()).Inc()
-		telemetry.Events.RecordKV("edge-client", "breaker-transition",
-			"from", from.String(), "to", to.String())
 		if to == BreakerOpen {
 			logger.Warn("edge: circuit breaker opened", "from", from.String())
 		} else {
@@ -256,7 +254,6 @@ func (r *ResilientClient) do(req *Request) (*Response, error) {
 func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response, error) {
 	attempts := r.opts.Retry.attempts()
 	var lastErr error
-	lastCause := "transport"
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			r.statsMu.Lock()
@@ -274,7 +271,6 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 			// Fail fast: the breaker is open, don't burn the retry budget
 			// (or the device's time) dialing a cloud that is down.
 			call.Event("breaker-open")
-			telemetry.EdgeClientExhaustedBreaker.Inc()
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last transport error: %v)", err, lastErr)
 			}
@@ -283,7 +279,7 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 		c, err := r.session(call)
 		if err != nil {
 			r.failed()
-			lastErr, lastCause = err, "dial"
+			lastErr = err
 			r.logger.Warn("edge: resilient dial failed",
 				"attempt", attempt+1, "attempts", attempts, "err", err)
 			continue
@@ -310,10 +306,9 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 				// asked us to come back later. It also closed the connection
 				// after answering, so drop the session and redial after
 				// backoff.
-				telemetry.EdgeClientOverloaded.Inc()
 				call.Event("overloaded")
 				r.drop(c)
-				lastErr, lastCause = err, "overloaded"
+				lastErr = err
 				r.logger.Warn("edge: server overloaded; backing off",
 					"kind", req.Kind.String(), "attempt", attempt+1, "attempts", attempts)
 				continue
@@ -327,12 +322,9 @@ func (r *ResilientClient) doAttempts(req *Request, call *trace.Span) (*Response,
 		call.Event("transport-fault", trace.Err(err))
 		r.drop(c)
 		r.failed()
-		lastErr, lastCause = err, "transport"
+		lastErr = err
 		r.logger.Warn("edge: resilient round trip failed",
 			"kind", req.Kind.String(), "attempt", attempt+1, "attempts", attempts, "err", err)
 	}
-	// Count the FINAL attempt's cause, not the first: the last failure is
-	// what the operator must act on.
-	telemetry.EdgeClientExhaustedCounter(lastCause).Inc()
 	return nil, fmt.Errorf("edge: resilient: %s failed after %d attempts: %w", req.Kind, attempts, lastErr)
 }

@@ -173,8 +173,6 @@ func NewCloudServerWithStore(st *store.Store, seed []dpprior.TaskPosterior, opts
 			}
 		}
 	}
-	telemetry.ServerTasks.Set(float64(st.Len()))
-	telemetry.ServerPriorVersion.Set(float64(st.Version()))
 	s.healthStop = telemetry.RegisterHealth("cloud-rebuild", func() error {
 		if s.stalled.Load() {
 			return errors.New("prior rebuild worker stalled")
@@ -256,8 +254,6 @@ func (s *CloudServer) appendTask(t dpprior.TaskPosterior) (uint64, error) {
 	if s.fps != nil {
 		s.fps[t.Fingerprint()] = v
 	}
-	telemetry.ServerTasks.Set(float64(s.st.Len()))
-	telemetry.ServerPriorVersion.Set(float64(v))
 	return v, nil
 }
 
@@ -389,7 +385,7 @@ func (s *CloudServer) rebuild() bool {
 
 // flagStall is the stall check, run by the timer rebuild arms for
 // each build: when the build opened at epoch is still running past the
-// rebuild timeout, the stall is latched into telemetry (gauge + event),
+// rebuild timeout, the stall is latched into telemetry (the stalled gauge),
 // the /healthz readiness check and the floor waits (awaitBuilt). The
 // build's end clears it (setBuilt).
 func (s *CloudServer) flagStall(epoch uint64, start time.Time) {
@@ -402,7 +398,6 @@ func (s *CloudServer) flagStall(epoch uint64, start time.Time) {
 	if flag {
 		d := time.Since(start).Round(time.Millisecond)
 		telemetry.ServerRebuildStalled.Set(1)
-		telemetry.Events.RecordKV("edge_server", "rebuild-stalled", "for", d.String())
 		s.logger.Error("edge: prior rebuild worker stalled", "for", d)
 	}
 }

@@ -26,18 +26,9 @@ type Options struct {
 	Tol      float64 // relative objective change tolerance; default 1e-6
 
 	// OnIter, when non-nil, is invoked after every completed E/M
-	// iteration with the fresh objective. Errors or long work inside the
-	// hook stall the loop; it is meant for telemetry and progress
-	// reporting.
-	OnIter func(Iteration)
-}
-
-// Iteration is the per-iteration report passed to Options.OnIter.
-type Iteration struct {
-	Iter      int       // 1-based iteration index
-	Objective float64   // objective after this iteration
-	Prev      float64   // objective before this iteration
-	Theta     []float64 // current iterate (shared, do not mutate)
+	// iteration. Long work inside the hook stalls the loop; it is meant
+	// for counting iterations.
+	OnIter func()
 }
 
 // Result reports an EM run.
@@ -69,7 +60,7 @@ func Run[T any](p Problem[T], theta0 []float64, opts Options) Result {
 		next := p.Objective(theta)
 		trace = append(trace, next)
 		if opts.OnIter != nil {
-			opts.OnIter(Iteration{Iter: iter, Objective: next, Prev: obj, Theta: theta})
+			opts.OnIter()
 		}
 		rel := math.Abs(obj-next) / (1 + math.Abs(obj))
 		obj = next

@@ -47,7 +47,7 @@ func LBFGS(f Func, theta0 mat.Vec, opts Options) Result {
 	for iter = 0; iter < o.MaxIter; iter++ {
 		gnorm := mat.Norm2(grad)
 		if gnorm <= o.Tol {
-			return Result{Theta: theta, Value: value, Iterations: iter, Converged: true, GradNorm: gnorm}
+			return Result{Theta: theta, Value: value, Iterations: iter, Converged: true}
 		}
 
 		// Two-loop recursion: dir = −H·grad.
@@ -97,7 +97,7 @@ func LBFGS(f Func, theta0 mat.Vec, opts Options) Result {
 			backtracks++
 		}
 		if !accepted {
-			return Result{Theta: theta, Value: value, Iterations: iter, Converged: false, GradNorm: gnorm}
+			return Result{Theta: theta, Value: value, Iterations: iter, Converged: false}
 		}
 		// Heavy backtracking signals a poor quasi-Newton model (stale
 		// curvature in a strongly nonlinear region): reset the memory so
@@ -135,5 +135,5 @@ func LBFGS(f Func, theta0 mat.Vec, opts Options) Result {
 		copy(grad, newGrad)
 		value = newVal
 	}
-	return Result{Theta: theta, Value: value, Iterations: iter, Converged: false, GradNorm: mat.Norm2(grad)}
+	return Result{Theta: theta, Value: value, Iterations: iter, Converged: false}
 }

@@ -44,7 +44,6 @@ type Result struct {
 	Value      float64
 	Iterations int
 	Converged  bool
-	GradNorm   float64
 }
 
 // GD minimizes f by gradient descent with Armijo backtracking line search,
@@ -61,7 +60,7 @@ func GD(f Func, theta0 mat.Vec, opts Options) Result {
 	for iter = 0; iter < o.MaxIter; iter++ {
 		gnorm := mat.Norm2(grad)
 		if gnorm <= o.Tol {
-			return Result{Theta: theta, Value: value, Iterations: iter, Converged: true, GradNorm: gnorm}
+			return Result{Theta: theta, Value: value, Iterations: iter, Converged: true}
 		}
 		// Backtracking: find t with f(θ − t g) ≤ f(θ) − c t ‖g‖².
 		const c, shrink = 1e-4, 0.5
@@ -80,14 +79,14 @@ func GD(f Func, theta0 mat.Vec, opts Options) Result {
 		}
 		if !accepted {
 			// No descent direction progress possible at machine precision.
-			return Result{Theta: theta, Value: value, Iterations: iter, Converged: false, GradNorm: gnorm}
+			return Result{Theta: theta, Value: value, Iterations: iter, Converged: false}
 		}
 		copy(theta, trial)
 		value = f(theta, grad)
 		// Mild step growth so a too-small initial step recovers.
 		step = math.Min(t*2, o.InitStep*64)
 	}
-	return Result{Theta: theta, Value: value, Iterations: iter, Converged: false, GradNorm: mat.Norm2(grad)}
+	return Result{Theta: theta, Value: value, Iterations: iter, Converged: false}
 }
 
 // Prox is a proximal operator: it maps theta in place to
@@ -142,11 +141,10 @@ func ProxGD(fn Func, prox Prox, penalty func(mat.Vec) float64, theta0 mat.Vec, o
 		step = math.Min(t*2, o.InitStep*64)
 		if moved/t <= o.Tol { // generalized gradient norm
 			return Result{Theta: theta, Value: total(fval, theta), Iterations: iter + 1,
-				Converged: true, GradNorm: moved / t}
+				Converged: true}
 		}
 	}
-	return Result{Theta: theta, Value: total(fval, theta), Iterations: iter, Converged: false,
-		GradNorm: mat.Norm2(grad)}
+	return Result{Theta: theta, Value: total(fval, theta), Iterations: iter, Converged: false}
 }
 
 // ProxL2Block returns a Prox applying the block soft threshold of

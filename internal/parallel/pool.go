@@ -18,9 +18,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"github.com/drdp/drdp/internal/telemetry"
 )
 
 // ChunkRows is the fixed chunk size of the evaluation grid. It is a
@@ -89,7 +86,6 @@ func (p *Pool) ForEachChunk(n int, fn func(chunk, lo, hi int)) {
 		w = chunks
 	}
 	if w <= 1 {
-		telemetry.ParallelInline.Inc()
 		for c := 0; c < chunks; c++ {
 			lo, hi := ChunkBounds(c, n)
 			fn(c, lo, hi)
@@ -113,7 +109,6 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		w = n
 	}
 	if w <= 1 {
-		telemetry.ParallelInline.Inc()
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -124,20 +119,16 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 
 // scatter runs b's tasks 0..b.tasks-1 on w workers pulling indices from
 // a shared atomic counter: w−1 spawned goroutines plus the calling
-// goroutine, which works its share instead of idling in Wait. It records
-// utilization telemetry and re-raises the first task panic on the
-// calling goroutine once every worker has stopped.
+// goroutine, which works its share instead of idling in Wait. It
+// re-raises the first task panic on the calling goroutine once every
+// worker has stopped.
 func (p *Pool) scatter(w int, b *scatterBatch) {
-	telemetry.ParallelBatches.Inc()
-	telemetry.ParallelTasks.Add(float64(b.tasks))
-	start := time.Now()
 	b.wg.Add(w - 1)
 	for g := 1; g < w; g++ {
 		go b.spawned()
 	}
 	b.work()
 	b.wg.Wait()
-	telemetry.ParallelSectionSeconds.Add(time.Since(start).Seconds())
 	if b.panicV != nil {
 		panic(b.panicV)
 	}
@@ -163,12 +154,9 @@ func (b *scatterBatch) spawned() {
 	b.work()
 }
 
-// work runs tasks until none are left, recording its busy time and
-// capturing the first panic.
+// work runs tasks until none are left, capturing the first panic.
 func (b *scatterBatch) work() {
-	busy := time.Duration(0)
 	defer func() {
-		telemetry.ParallelBusySeconds.Add(busy.Seconds())
 		if r := recover(); r != nil {
 			b.panicMu.Lock()
 			if b.panicV == nil {
@@ -182,14 +170,12 @@ func (b *scatterBatch) work() {
 		if i >= b.tasks {
 			return
 		}
-		t0 := time.Now()
 		if b.chunk != nil {
 			lo, hi := ChunkBounds(i, b.items)
 			b.chunk(i, lo, hi)
 		} else {
 			b.fn(i)
 		}
-		busy += time.Since(t0)
 	}
 }
 
@@ -199,7 +185,6 @@ func (b *scatterBatch) work() {
 // inline: its tree is the chunk's own partial, so the bits are the same.
 func (p *Pool) SumChunked(n int, term func(i int) float64) float64 {
 	if Chunks(n) == 1 {
-		telemetry.ParallelInline.Inc()
 		return sumRange(term, 0, n)
 	}
 	return p.NewSummer(n, term).Sum()
@@ -208,7 +193,6 @@ func (p *Pool) SumChunked(n int, term func(i int) float64) float64 {
 // Sum is SumChunked over the entries of x.
 func (p *Pool) Sum(x []float64) float64 {
 	if Chunks(len(x)) == 1 {
-		telemetry.ParallelInline.Inc()
 		var s float64
 		for _, v := range x {
 			s += v
@@ -243,9 +227,6 @@ func (p *Pool) NewSummer(n int, term func(i int) float64) *Summer {
 // Sum returns SumChunked(n, term) at the term's current parameters.
 func (s *Summer) Sum() float64 {
 	if s.parts == nil {
-		if s.n > 0 {
-			telemetry.ParallelInline.Inc()
-		}
 		return sumRange(s.term, 0, s.n)
 	}
 	s.p.ForEachChunk(s.n, s.chunk)

@@ -273,7 +273,6 @@ func (r *Region) FlushUp() (int, error) {
 	}
 
 	if _, _, err := r.up.BatchReportTasks(sums); err != nil {
-		telemetry.RegionSyncDeferred.Inc()
 		r.stats.Deferred++
 		sp.EndErr(err)
 		return 0, fmt.Errorf("region %s: flush deferred: %w", r.cfg.Name, err)
@@ -285,7 +284,6 @@ func (r *Region) FlushUp() (int, error) {
 	r.stats.RawBytes += rawBytes
 	r.stats.UpBytes += upBytes
 	telemetry.RegionSyncFlushes.Inc()
-	telemetry.RegionSyncRawTasks.Add(float64(len(window)))
 	telemetry.RegionSyncSummaries.Add(float64(len(sums)))
 	telemetry.RegionBytesRaw.Add(float64(rawBytes))
 	telemetry.RegionBytesUp.Add(float64(upBytes))
@@ -311,7 +309,6 @@ func (r *Region) SyncDown() error {
 		if errors.Is(err, edge.ErrNoPrior) {
 			return nil
 		}
-		telemetry.RegionDownErrors.Inc()
 		return fmt.Errorf("region %s: sync down: %w", r.cfg.Name, err)
 	}
 	if p == nil { // NotModified
@@ -319,7 +316,6 @@ func (r *Region) SyncDown() error {
 	}
 	r.cloudPrior, r.cloudVer = p, v
 	r.stats.DownSyncs++
-	telemetry.RegionDownSyncs.Inc()
 	r.absorb(p, "cloud")
 	return nil
 }
@@ -394,15 +390,12 @@ func (r *Region) GossipOnce() (int, error) {
 				r.stats.GossipPeers++
 				r.mu.Unlock()
 				injected += n
-				telemetry.RegionGossipExchanges.Inc()
-				telemetry.RegionGossipComponents.Add(float64(n))
 				continue
 			}
 		}
 		if errors.Is(err, edge.ErrNoPrior) {
 			continue // cold peer: nothing to exchange yet
 		}
-		telemetry.RegionGossipErrors.Inc()
 		if firstErr == nil {
 			firstErr = fmt.Errorf("region %s: gossip %s: %w", r.cfg.Name, addr, err)
 		}

@@ -140,7 +140,6 @@ type DiskChaosResult struct {
 	Demotions           float64
 	HedgeFired          float64
 	HedgeWon            float64
-	HedgeCancelled      float64
 
 	FinalVersion     uint64
 	MergedComponents int
@@ -168,13 +167,12 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosResult, error) {
 	}
 	logger := telemetry.OrDefault(cfg.Logger)
 
-	base := struct{ scrub, faults, demote, fired, won, cancelled float64 }{
-		scrub:     telemetry.StoreScrubRepaired.Value(),
-		faults:    telemetry.StoreFaultInjected("bit-flip").Value(),
-		demote:    telemetry.ClusterDemotions.Value(),
-		fired:     telemetry.ClusterHedgeFired.Value(),
-		won:       telemetry.ClusterHedgeWon.Value(),
-		cancelled: telemetry.ClusterHedgeCancelled.Value(),
+	base := struct{ scrub, faults, demote, fired, won float64 }{
+		scrub:  telemetry.StoreScrubRepaired.Value(),
+		faults: telemetry.StoreFaultInjected("bit-flip").Value(),
+		demote: telemetry.ClusterDemotions.Value(),
+		fired:  telemetry.ClusterHedgeFired.Value(),
+		won:    telemetry.ClusterHedgeWon.Value(),
 	}
 
 	// The rotted replica's disk: a seeded FaultFS flipping a byte of
@@ -291,7 +289,13 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosResult, error) {
 			// Leaving the FaultFS armed would re-flip every repair splice,
 			// saturating the rotted store's lock with scrub passes and
 			// degrading the whole shard — a different (and less
-			// interesting) failure than the one under test.
+			// interesting) failure than the one under test. The window
+			// closes only once every replica, the rotted one included, has
+			// written the round: when a follower pulls is scheduling, and a
+			// window that closed first would rot nothing.
+			if !cl.WaitReplicated(15 * time.Second) {
+				return nil, errors.New("sim: chaos round never reached every replica")
+			}
 			faultFS.Disarm()
 		}
 	}
@@ -372,6 +376,5 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosResult, error) {
 	out.Demotions = telemetry.ClusterDemotions.Value() - base.demote
 	out.HedgeFired = telemetry.ClusterHedgeFired.Value() - base.fired
 	out.HedgeWon = telemetry.ClusterHedgeWon.Value() - base.won
-	out.HedgeCancelled = telemetry.ClusterHedgeCancelled.Value() - base.cancelled
 	return out, nil
 }

@@ -517,7 +517,5 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 		return nil, err
 	}
 	out.PriorBytes = buf.Bytes()
-
-	telemetry.SimDevices.Add(float64(out.Devices))
 	return out, nil
 }

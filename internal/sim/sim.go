@@ -27,7 +27,6 @@ import (
 	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/model"
-	"github.com/drdp/drdp/internal/telemetry"
 )
 
 // DeviceSpec describes one simulated edge device.
@@ -568,28 +567,6 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 	}
 	out.FinalVersion = cloud.version
 	out.Rebuilds = cloud.rebuilds
-
-	// Mirror the aggregate result into the process-wide registry so a
-	// simulation shows up on /metrics (and in Snapshot-based assertions)
-	// the same way a live fleet would.
-	retries := 0
-	for _, d := range out.Devices {
-		retries += d.Retries
-	}
-	telemetry.SimDevices.Add(float64(len(out.Devices)))
-	telemetry.SimDegraded.Add(float64(out.Degraded))
-	telemetry.SimReportsLost.Add(float64(out.ReportsLost))
-	telemetry.SimRetries.Add(float64(retries))
-	telemetry.SimRebuilds.Add(float64(out.Rebuilds))
-	telemetry.SimBytesDown.Add(float64(out.BytesDown))
-	telemetry.SimBytesUp.Add(float64(out.BytesUp))
-	telemetry.SimRefreshes.Add(float64(out.Refreshes))
-	telemetry.SimDeltaRefreshes.Add(float64(out.DeltaRefreshes))
-	telemetry.SimFullRefreshes.Add(float64(out.FullRefreshes))
-	telemetry.SimCachedFallbacks.Add(float64(out.CachedFallbacks))
-	telemetry.SimDeltaSavedBytes.Add(float64(out.DeltaBytesSaved))
-	telemetry.SimRejected.Add(float64(out.RejectedUploads))
-	telemetry.SimQuarantined.Add(float64(out.QuarantinedUploads))
 	return out, nil
 }
 

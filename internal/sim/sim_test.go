@@ -255,10 +255,11 @@ func TestSimLossyDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimTelemetryMirrorsResult asserts that one simulation run adds
-// exactly its aggregate Result to the process-wide registry — the
-// simulator and a live fleet share the same observability surface.
-func TestSimTelemetryMirrorsResult(t *testing.T) {
+// TestSimDevicesFitThroughCore asserts that every simulated device
+// trains through the real learner: one run over a lossy fleet adds one
+// drdp_core_fits_total per device to the process-wide registry, the
+// same count a live fleet's devices would add.
+func TestSimDevicesFitThroughCore(t *testing.T) {
 	cfg := simConfig(t, 216)
 	cfg.Retry = edge.RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond, Multiplier: 2}
 
@@ -268,29 +269,6 @@ func TestSimTelemetryMirrorsResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := telemetry.Snapshot()
-
-	retries := 0
-	for _, d := range res.Devices {
-		retries += d.Retries
-	}
-	for _, tc := range []struct {
-		name string
-		want int
-	}{
-		{"drdp_sim_devices_total", len(res.Devices)},
-		{"drdp_sim_degraded_total", res.Degraded},
-		{"drdp_sim_reports_lost_total", res.ReportsLost},
-		{"drdp_sim_retries_total", retries},
-		{"drdp_sim_prior_rebuilds_total", res.Rebuilds},
-		{"drdp_sim_down_bytes_total", res.BytesDown},
-		{"drdp_sim_up_bytes_total", res.BytesUp},
-	} {
-		if got := after.CounterDelta(before, tc.name); got != float64(tc.want) {
-			t.Errorf("%s delta = %g, want %d (Result)", tc.name, got, tc.want)
-		}
-	}
-	// Real training ran inside the simulation, so the core instruments
-	// must have moved too.
 	if got := after.CounterDelta(before, "drdp_core_fits_total"); got != float64(len(res.Devices)) {
 		t.Errorf("core fits delta = %g, want %d", got, len(res.Devices))
 	}

@@ -46,11 +46,15 @@ func TestAppendWriteErrorPoisonsStore(t *testing.T) {
 		}
 	}
 	ffs.Arm()
+	poisoned := telemetry.StorePoisoned.Value()
 	if _, err := s.Append(mkTask(rng, 4)); !errors.Is(err, ErrInjectedWrite) {
 		t.Fatalf("append under write fault: %v", err)
 	}
 	if s.Poisoned() == nil {
 		t.Fatal("store not poisoned after failed append")
+	}
+	if got := telemetry.StorePoisoned.Value() - poisoned; got < 1 {
+		t.Errorf("drdp_store_poisoned_total moved by %v, want ≥ 1", got)
 	}
 	// Every later write fails fast with ErrPoisoned, even ones that
 	// would now succeed; reads still serve from memory.
@@ -160,6 +164,7 @@ func TestSnapshotCompactionFailureSurfaces(t *testing.T) {
 	ffs.Arm()
 	// The 4th append crosses SnapshotEvery; compaction fails on the
 	// rename but the append itself must succeed.
+	failures := telemetry.StoreSnapshotFailures.Value()
 	v, err := s.Append(mkTask(rng, 4))
 	if err != nil {
 		t.Fatalf("append with failing compaction: %v", err)
@@ -169,6 +174,9 @@ func TestSnapshotCompactionFailureSurfaces(t *testing.T) {
 	}
 	if s.CompactionError() == nil {
 		t.Fatal("compaction failure not surfaced through CompactionError")
+	}
+	if got := telemetry.StoreSnapshotFailures.Value() - failures; got < 1 {
+		t.Errorf("drdp_store_snapshot_failures_total moved by %v, want ≥ 1", got)
 	}
 	if got := ffs.Injected("rename"); got == 0 {
 		t.Fatal("no rename fault injected")

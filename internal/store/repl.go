@@ -30,30 +30,24 @@ type Frame struct {
 	Bytes []byte
 }
 
-// DefaultFrameCacheSize is how many encoded frames a store retains for
-// FramesSince when Options.FrameCacheSize is zero.
-const DefaultFrameCacheSize = 512
+// frameCacheSize is how many encoded frames a store retains for
+// FramesSince. The cache lets a leader ship its recent log to followers
+// without re-encoding each record per pull.
+const frameCacheSize = 512
 
 // cacheFrameLocked remembers one encoded frame, evicting the oldest
 // entries FIFO past the cap. The bytes must be immutable (they are
 // handed to replication responses without copying). Caller holds s.mu.
 func (s *Store) cacheFrameLocked(seq uint64, b []byte) {
-	limit := s.opts.FrameCacheSize
-	if limit == 0 {
-		limit = DefaultFrameCacheSize
-	}
-	if limit < 0 {
-		return
-	}
 	if s.frameCache == nil {
-		s.frameCache = make(map[uint64][]byte, limit)
+		s.frameCache = make(map[uint64][]byte, frameCacheSize)
 	}
 	if _, ok := s.frameCache[seq]; ok {
 		return
 	}
 	s.frameCache[seq] = b
 	s.frameSeqs = append(s.frameSeqs, seq)
-	for len(s.frameSeqs) > limit {
+	for len(s.frameSeqs) > frameCacheSize {
 		delete(s.frameCache, s.frameSeqs[0])
 		s.frameSeqs = s.frameSeqs[1:]
 	}
@@ -102,11 +96,9 @@ func (s *Store) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error
 	}
 	s.mu.Unlock()
 
-	telemetry.StoreFrameCacheHits.Add(float64(n - len(misses)))
 	if len(misses) == 0 {
 		return frames, upTo, nil
 	}
-	telemetry.StoreFrameCacheMisses.Add(float64(len(misses)))
 	var rec logRecord
 	for _, i := range misses {
 		rec.Seq = frames[i].Seq
@@ -207,7 +199,6 @@ func (s *Store) ApplyFrames(frames []Frame) (uint64, error) {
 		telemetry.StoreInvalidRecords.Add(float64(invalid))
 		s.logger.Warn("store: dropped invalid replicated tasks", "records", invalid)
 	}
-	telemetry.StoreTasks.Set(float64(len(s.tasks)))
 	if s.logF != nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(); err != nil {
 			s.compactErr = err

@@ -128,6 +128,8 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 
 	// Detect-only pass: quarantines frames 5..10, leaves bytes alone,
 	// keeps serving from memory.
+	walked, corrupt, repaired := telemetry.StoreScrubFrames.Value(),
+		telemetry.StoreScrubCorrupt.Value(), telemetry.StoreScrubRepaired.Value()
 	rep, err := follower.Scrub(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +143,13 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 	if follower.Len() != 10 {
 		t.Fatalf("scrub disturbed in-memory state: len %d", follower.Len())
 	}
+	// The walk verifies the four intact frames and stops at the flip.
+	if got := telemetry.StoreScrubFrames.Value() - walked; got < 4 {
+		t.Errorf("drdp_store_scrub_frames_total moved by %v, want ≥ 4", got)
+	}
+	if got := telemetry.StoreScrubCorrupt.Value() - corrupt; got < 6 {
+		t.Errorf("drdp_store_scrub_corrupt_total moved by %v, want ≥ 6", got)
+	}
 
 	// Replica-assisted pass: the log ends byte-identical to the leader's.
 	rep, err = follower.Scrub(peerSource{leader})
@@ -149,6 +158,9 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 	}
 	if !rep.Repaired || rep.RepairedFrames != 6 {
 		t.Fatalf("repair scrub: %+v", rep)
+	}
+	if got := telemetry.StoreScrubRepaired.Value() - repaired; got < 6 {
+		t.Errorf("drdp_store_scrub_repaired_total moved by %v, want ≥ 6", got)
 	}
 	if !bytes.Equal(readFile(t, logPath), readFile(t, filepath.Join(leaderDir, logName))) {
 		t.Fatal("repaired follower log is not byte-identical to the leader's")

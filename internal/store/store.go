@@ -131,11 +131,6 @@ type Options struct {
 	// are not gated here — the cloud validates before appending; Append
 	// only refuses a task whose shapes cannot be packed.
 	Validate func(dpprior.TaskPosterior) error
-	// FrameCacheSize bounds the encoded-frame cache serving FramesSince
-	// (0 = DefaultFrameCacheSize; negative = disabled). The cache lets a
-	// leader ship its recent log to followers without re-encoding each
-	// record per pull.
-	FrameCacheSize int
 	// FS overrides the filesystem the store uses (nil = the real one).
 	// Tests slide a FaultFS here to run the store under disk chaos.
 	FS FS
@@ -296,7 +291,6 @@ func Open(opts Options) (*Store, error) {
 		s.logger.Warn("store: dropped invalid tasks during recovery",
 			"dir", opts.Dir, "records", s.recovery.InvalidRecords)
 	}
-	telemetry.StoreTasks.Set(float64(len(s.tasks)))
 	return s, nil
 }
 
@@ -729,7 +723,6 @@ func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
 	s.version = seq
 	s.sinceSnap++
 	telemetry.StoreAppends.Inc()
-	telemetry.StoreTasks.Set(float64(len(s.tasks)))
 	if s.logF != nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(); err != nil {
 			// The append itself is durable; compaction just didn't happen.

@@ -150,9 +150,13 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 	f.Close()
 
+	truncated := telemetry.StoreTruncatedBytes.Value()
 	r, err := Open(Options{Dir: dir, NoSync: true, Logger: telemetry.Discard()})
 	if err != nil {
 		t.Fatalf("recovery failed on torn tail: %v", err)
+	}
+	if got := telemetry.StoreTruncatedBytes.Value() - truncated; got < float64(len(torn)) {
+		t.Errorf("drdp_store_truncated_bytes_total moved by %v, want ≥ %d", got, len(torn))
 	}
 	if r.Version() != 5 || r.Len() != 5 {
 		t.Errorf("recovered to version %d with %d tasks, want 5/5", r.Version(), r.Len())

@@ -196,6 +196,7 @@ func TestRecoveryDropsInvalidRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	invalid := telemetry.StoreInvalidRecords.Value()
 	s2, err := Open(Options{Dir: dir, Logger: telemetry.Discard(),
 		Validate: dpprior.TaskValidator()})
 	if err != nil {
@@ -205,6 +206,9 @@ func TestRecoveryDropsInvalidRecords(t *testing.T) {
 	ri := s2.Recovery()
 	if ri.InvalidRecords != 1 {
 		t.Errorf("InvalidRecords = %d, want 1", ri.InvalidRecords)
+	}
+	if got := telemetry.StoreInvalidRecords.Value() - invalid; got < 1 {
+		t.Errorf("drdp_store_invalid_records_total moved by %v, want ≥ 1", got)
 	}
 	tasks, seqs, version := s2.ViewRecords()
 	if len(tasks) != 2 {

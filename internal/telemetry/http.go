@@ -35,8 +35,8 @@ func publishExpvar() {
 }
 
 // jsonSafeSnapshot converts a Values into a json.Marshal-able view:
-// JSON has no NaN/Inf, so non-finite floats (e.g. the NaN markers on
-// cleared EM-trace gauges) are rendered as strings.
+// JSON has no NaN/Inf, so non-finite floats (a gauge set to NaN) are
+// rendered as strings.
 func jsonSafeSnapshot(v Values) map[string]any {
 	num := func(f float64) any {
 		if math.IsNaN(f) || math.IsInf(f, 0) {

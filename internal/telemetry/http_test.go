@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -48,7 +49,7 @@ func TestMuxEndpoints(t *testing.T) {
 		"drdp_edge_breaker_transitions_total{to=\"open\"}",
 		"drdp_edge_cache_hits_total",
 		"drdp_edge_server_connections_active",
-		"drdp_core_em_objective_iter{iter=\"0\"}",
+		"# TYPE drdp_store_appends_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -80,6 +81,21 @@ func TestMuxEndpoints(t *testing.T) {
 	}
 	if code, _ := get("/nope"); code != 404 {
 		t.Fatalf("unknown path status %d, want 404", code)
+	}
+}
+
+// TestExpvarSnapshotIsJSONSafe: JSON has no NaN or Inf, so a gauge set
+// to one must still marshal.
+func TestExpvarSnapshotIsJSONSafe(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("nan_gauge").Set(math.NaN())
+	r.Gauge("inf_gauge").Set(math.Inf(1))
+	b, err := json.Marshal(jsonSafeSnapshot(r.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"nan_gauge":"NaN"`) || !strings.Contains(string(b), `"inf_gauge":"+Inf"`) {
+		t.Errorf("non-finite gauges not rendered as strings: %s", b)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package telemetry is drdp's observability layer: an allocation-light,
 // dependency-free metrics registry (atomic counters, gauges and streaming
 // histograms with quantile estimation), Prometheus-text / expvar / pprof
-// exposition over HTTP, a structured-event ring buffer, and the slog
-// plumbing the transport and training layers log through.
+// exposition over HTTP, and the slog plumbing the transport and training
+// layers log through.
 //
 // Metric names follow the convention drdp_<layer>_<name>_<unit>
 // (see DESIGN.md): the layer is the package that emits the metric
-// (core, edge_client, edge_server, sim, ...), the unit suffix is
+// (core, edge_client, edge_server, store, ...), the unit suffix is
 // _total for counters, _seconds/_bytes for quantities, and bare names
 // for gauges. The standard instrument set lives in instruments.go; all
 // of it registers against Default so any drdp process exposes the full

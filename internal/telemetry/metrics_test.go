@@ -221,36 +221,3 @@ func TestSnapshotDelta(t *testing.T) {
 		t.Fatalf("absent counter should read 0, got %v", got)
 	}
 }
-
-func TestSetEMTraceClearsStale(t *testing.T) {
-	SetEMTrace([]float64{10, 8, 7})
-	SetEMTrace([]float64{5})
-	snap := Snapshot()
-	if got := snap.Gauge("drdp_core_em_objective_iter", L("iter", "0")); got != 5 {
-		t.Fatalf("iter 0 = %v, want 5", got)
-	}
-	for _, it := range []string{"1", "2"} {
-		if got := snap.Gauge("drdp_core_em_objective_iter", L("iter", it)); !math.IsNaN(got) {
-			t.Fatalf("stale iter %s = %v, want NaN", it, got)
-		}
-	}
-}
-
-func TestEventLogRing(t *testing.T) {
-	e := NewEventLog(3)
-	for i := 0; i < 5; i++ {
-		e.RecordKV("test", "tick", "i", i)
-	}
-	evs := e.Recent(0)
-	if len(evs) != 3 {
-		t.Fatalf("ring holds %d events, want 3", len(evs))
-	}
-	for j, want := range []int{2, 3, 4} {
-		if got := evs[j].Fields["i"]; got != want {
-			t.Fatalf("event %d field i = %v, want %d", j, got, want)
-		}
-	}
-	if e.Total() != 5 {
-		t.Fatalf("total = %d, want 5", e.Total())
-	}
-}

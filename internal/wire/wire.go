@@ -37,8 +37,6 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"github.com/drdp/drdp/internal/telemetry"
 )
 
 // Codec identifies how (Request, Response) values are serialized on a
@@ -111,11 +109,7 @@ func ClientHandshake(conn net.Conn, timeout time.Duration) error {
 	if [6]byte(b[:6]) != [6]byte(ack[:6]) {
 		return fmt.Errorf("wire: bad ack % x", b[:6])
 	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return err
-	}
-	telemetry.WireNegotiateClientBinary.Inc()
-	return nil
+	return conn.SetDeadline(time.Time{})
 }
 
 // ServerHandshake runs the server half: it reads the connection's first
@@ -135,6 +129,5 @@ func ServerHandshake(r io.Reader, w io.Writer) error {
 	if _, err := w.Write(ack[:]); err != nil {
 		return fmt.Errorf("wire: write ack: %w", err)
 	}
-	telemetry.WireNegotiateServerBinary.Inc()
 	return nil
 }
