@@ -37,13 +37,15 @@ determinism:
 # trace continuity across a mid-round leader kill) plus the edge
 # client's resilient-session, fault-injection, round-trip-timeout and
 # fault-schedule replay tests, the cloud's rebuild-worker tests
-# (serving during a rebuild, stall timer, one cold-start build) and the
-# tests of the connection loop every server tier shares (edge.Endpoint:
-# garbage bytes, panic recovery, frame limit, idle deadline, close and
-# serve-after-close, MaxConns shedding, overload flood, handler
-# deadline), repeated under the race detector.
+# (serving during a rebuild, stall timer, one cold-start build), the
+# delta ring under concurrent reports and a follower's delta from a
+# leader's version (TestFollowerDeltaFromLeaderVersion, matched by
+# Follower), and the tests of the connection loop every server tier
+# shares (edge.Endpoint: garbage bytes, panic recovery, frame limit,
+# idle deadline, close and serve-after-close, MaxConns shedding,
+# overload flood, handler deadline), repeated under the race detector.
 chaos:
-	$(GO) test -race -count=2 -run 'Cluster|Repl|Follower|SemiSync|Dedupe|MinVersion|PullLog|Trace|Rebuild|PriorServed|ColdStart|^Test(Resilient|Chaos|RoundTripTimeout|FaultSchedule)|^TestServe|MaxConns|OverloadFlood|HandlerTimeout' \
+	$(GO) test -race -count=2 -run 'Cluster|Repl|Follower|ConcurrentReportAndDelta|SemiSync|Dedupe|MinVersion|PullLog|Trace|Rebuild|PriorServed|ColdStart|^Test(Resilient|Chaos|RoundTripTimeout|FaultSchedule)|^TestServe|MaxConns|OverloadFlood|HandlerTimeout' \
 		./internal/cluster/ ./internal/sim/ ./internal/edge/ ./internal/trace/
 
 # Hierarchical-tier chaos: the region partition scenario (degradation

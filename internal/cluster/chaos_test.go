@@ -90,6 +90,15 @@ func TestGrayLeaderDemoted(t *testing.T) {
 	if got := cl.LeaderOf(0).Server().Store().Len(); got != 12 {
 		t.Fatalf("new leader holds %d tasks, want 12", got)
 	}
+	// The coordinator keeps probing the demoted node, so its gauge follows
+	// the recovery instead of freezing at its last gray reading.
+	deadline = time.Now().Add(5 * time.Second)
+	for health.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("recovered demoted node's drdp_cluster_replica_health_score = %v, want 1", health.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestScrubRepairsFollowerOverNetwork flips a byte in a follower's

@@ -504,3 +504,91 @@ func TestClusterCloseWithOpenClient(t *testing.T) {
 	sc.Close()
 	<-closed
 }
+
+// TestFollowerDeltaFromLeaderVersion: the ShardedClient reads followers
+// first, so an edge that last fetched its prior from the leader at
+// version v asks a follower for the delta from v. The follower answers
+// from its own ring of published priors, and the patched prior must be
+// the follower's full prior byte for byte.
+func TestFollowerDeltaFromLeaderVersion(t *testing.T) {
+	cl, err := Start(fastConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const dim = 4
+	rng := rand.New(rand.NewSource(5))
+	// Tasks tight around well-separated centers: the clusters a new
+	// center leaves alone survive a rebuild, so the answer is a delta.
+	report := func(sc *ShardedClient, centers ...float64) {
+		t.Helper()
+		for _, c := range centers {
+			mu := make(mat.Vec, dim)
+			for j := range mu {
+				mu[j] = c + 0.05*rng.NormFloat64()
+			}
+			sigma := mat.Eye(dim)
+			sigma.ScaleBy(0.1)
+			if _, err := sc.ReportTask(dpprior.TaskPosterior{Mu: mu, Sigma: sigma, N: 50}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !cl.Quiesce(10 * time.Second) {
+			t.Fatal("cluster did not quiesce")
+		}
+	}
+	sc := dialTest(cl.CoordinatorAddr())
+	defer sc.Close()
+	report(sc, -20, -20, 20, 20)
+
+	shard := cl.Coordinator().Map().Shards[0]
+	if len(shard.Followers) == 0 {
+		t.Fatal("shard 0 has no follower")
+	}
+	leader, err := edge.Dial(shard.Leader, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	follower, err := edge.Dial(shard.Followers[0], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	held, v, err := leader.FetchPrior(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sv, err := sc.ShardPrior(0, dim); err != nil || sv != v {
+		t.Fatalf("sharded client read version %d (%v), leader served %d", sv, err, v)
+	}
+
+	report(sc, 60)
+	deltasBefore := telemetry.ServerPriorDelta.Value()
+	patched, pv, err := follower.FetchPriorDelta(dim, v, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if telemetry.ServerPriorDelta.Value() != deltasBefore+1 {
+		t.Error("follower did not answer with a delta")
+	}
+	want, wv, err := follower.FetchPrior(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched == nil || pv != wv || pv <= v {
+		t.Fatalf("follower delta from %d answered version %d (prior %v), its full prior is at %d", v, pv, patched != nil, wv)
+	}
+	if !bytes.Equal(gobBytes(t, patched), gobBytes(t, want)) {
+		t.Error("prior patched by the follower's delta differs from the follower's full prior")
+	}
+	// The same refresh through the sharded client, which asks the
+	// follower first.
+	sp, sv, err := sc.ShardPrior(0, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv != wv || !bytes.Equal(gobBytes(t, sp), gobBytes(t, want)) {
+		t.Errorf("sharded client refreshed to version %d, want the follower's %d byte for byte", sv, wv)
+	}
+}

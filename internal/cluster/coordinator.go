@@ -60,6 +60,11 @@ type Coordinator struct {
 	ewma         []float64            // per-shard probe-latency EWMA, seconds; 0 = no sample yet
 	grayCount    []int                // consecutive over-threshold probes per shard
 	demotedAt    map[string]time.Time // addr → when it was demoted for slowness
+	// recovering holds the demoted nodes whose health score has not read
+	// 1 since: the loop probes them beside the leaders, so a demoted
+	// node's gauge follows its recovery instead of freezing at its last
+	// reading as a leader.
+	recovering map[string]*demoted
 
 	ep     *edge.Endpoint // the shard-map endpoint; answer is its dispatch
 	stopCh chan struct{}
@@ -91,6 +96,7 @@ func NewCoordinator(nodes [][]*Node, probeInterval time.Duration, failThreshold 
 		ewma:          make([]float64, len(nodes)),
 		grayCount:     make([]int, len(nodes)),
 		demotedAt:     make(map[string]time.Time),
+		recovering:    make(map[string]*demoted),
 		stopCh:        make(chan struct{}),
 	}
 	m := edge.ShardMap{Version: 1}
@@ -152,7 +158,8 @@ func (co *Coordinator) answer(req *edge.Request, sp *trace.Span) *edge.Response 
 }
 
 // probeLoop watches every shard leader and triggers failover after
-// failThreshold consecutive missed probes.
+// failThreshold consecutive missed probes. It then probes each demoted
+// node still recovering (none, unless a gray leader was demoted).
 func (co *Coordinator) probeLoop() {
 	defer co.wg.Done()
 	// One ticker for the life of the loop: a per-iteration time.After
@@ -192,7 +199,72 @@ func (co *Coordinator) probeLoop() {
 				co.failover(shard)
 			}
 		}
+		for _, addr := range co.recoveringAddrs() {
+			start := time.Now()
+			ok := co.probe(addr)
+			co.observeDemoted(addr, ok, time.Since(start))
+		}
 	}
+}
+
+// demoted is the probe state of a demoted node: its shard and its own
+// probe-latency EWMA, which starts at the leader EWMA that demoted it.
+type demoted struct {
+	shard int
+	ewma  float64
+}
+
+// recoveringAddrs returns the demoted nodes still to probe, first
+// dropping those that lead again (their leader probes score them) or
+// left the replica table.
+func (co *Coordinator) recoveringAddrs() []string {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if len(co.recovering) == 0 {
+		return nil
+	}
+	addrs := make([]string, 0, len(co.recovering))
+	for addr, d := range co.recovering {
+		if addr == co.m.Shards[d.shard].Leader || !co.trackedLocked(d.shard, addr) {
+			delete(co.recovering, addr)
+			continue
+		}
+		addrs = append(addrs, addr)
+	}
+	return addrs
+}
+
+// trackedLocked reports whether a live node of shard has addr. Caller
+// holds co.mu.
+func (co *Coordinator) trackedLocked(shard int, addr string) bool {
+	for _, n := range co.nodes[shard] {
+		if n != nil && n.Addr() == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// observeDemoted folds one probe of a demoted node into its latency
+// EWMA and publishes its health score (0 for a failed probe). A score
+// of 1 ends its recovery.
+func (co *Coordinator) observeDemoted(addr string, ok bool, rtt time.Duration) {
+	co.mu.Lock()
+	d := co.recovering[addr]
+	if d == nil {
+		co.mu.Unlock()
+		return
+	}
+	name := co.nodeNameLocked(d.shard, addr)
+	score := 0.0
+	if ok {
+		d.ewma = grayAlpha*rtt.Seconds() + (1-grayAlpha)*d.ewma
+		if score = healthScore(co.grayLatency.Seconds(), d.ewma); score == 1 {
+			delete(co.recovering, addr)
+		}
+	}
+	co.mu.Unlock()
+	telemetry.ReplicaHealthGauge(name).Set(score)
 }
 
 // errProbeFailed marks a failed liveness probe in the flight recorder.
@@ -245,17 +317,22 @@ func (co *Coordinator) observeHealthy(shard int, addr string, rtt time.Duration)
 		co.grayCount[shard] = 0
 	}
 	co.mu.Unlock()
-	// Health score in [0,1]: 1 at or under the gray threshold, decaying
-	// toward 0 as the EWMA overshoots it. Without a policy every live
-	// leader scores 1 — the gauge still distinguishes alive from dead.
-	score := 1.0
-	if gray > 0 && avg > gray {
-		score = gray / avg
-	}
-	telemetry.ReplicaHealthGauge(name).Set(score)
+	telemetry.ReplicaHealthGauge(name).Set(healthScore(gray, avg))
 	if trip {
 		co.demote(shard)
 	}
+}
+
+// healthScore is a live replica's score in [0,1] given the gray
+// threshold and its probe-latency EWMA, both in seconds: 1 at or under
+// the threshold, decaying toward 0 as the EWMA overshoots it. Without a
+// policy every live replica scores 1 — the gauge still distinguishes
+// alive from dead.
+func healthScore(gray, avg float64) float64 {
+	if gray > 0 && avg > gray {
+		return gray / avg
+	}
+	return 1
 }
 
 // nodeNameLocked resolves a replica address to its metric label,
@@ -442,6 +519,7 @@ func (co *Coordinator) demote(shard int) {
 	// writable leaders; writes racing the switch get CodeNotLeader and
 	// re-resolve through the bumped map.
 	old.Server().SetFollower(true)
+	co.recovering[old.Addr()] = &demoted{shard: shard, ewma: co.ewma[shard]}
 	promoted := reps[best]
 	co.promoteLocked(shard, promoted, bestVer, sp)
 	co.demotedAt[old.Addr()] = time.Now()

@@ -111,8 +111,27 @@ type PriorDelta struct {
 // so a Keep entry is always safe to apply. Diff never fails: in the
 // worst case (every component changed) the delta degenerates to Add
 // entries for everything — compare WireSize against the full prior
-// before shipping it.
+// before shipping it. Diff fingerprints both priors on every call; a
+// caller that diffs a published prior many times keeps its
+// Fingerprints and calls DiffFingerprinted.
 func Diff(old, new *Prior, fromVersion, toVersion uint64) *PriorDelta {
+	return DiffFingerprinted(old, new, old.Fingerprints(), new.Fingerprints(), fromVersion, toVersion)
+}
+
+// Fingerprints returns each component's Fingerprint, in component order.
+func (p *Prior) Fingerprints() []uint64 {
+	fps := make([]uint64, len(p.Components))
+	for i := range p.Components {
+		fps[i] = p.Components[i].Fingerprint()
+	}
+	return fps
+}
+
+// DiffFingerprinted is Diff with both priors' fingerprints precomputed:
+// oldFPs and newFPs are old.Fingerprints() and new.Fingerprints(). Every
+// pairing is still verified with exact float equality, so the delta
+// equals Diff's.
+func DiffFingerprinted(old, new *Prior, oldFPs, newFPs []uint64, fromVersion, toVersion uint64) *PriorDelta {
 	d := &PriorDelta{
 		FromVersion:   fromVersion,
 		ToVersion:     toVersion,
@@ -122,19 +141,15 @@ func Diff(old, new *Prior, fromVersion, toVersion uint64) *PriorDelta {
 		Dim:           new.Dim,
 		NumComponents: len(new.Components),
 	}
-	// Index old components by fingerprint; consume each at most once so
-	// duplicate shapes pair one-to-one.
-	byFP := make(map[uint64][]int, len(old.Components))
-	for i := range old.Components {
-		fp := old.Components[i].Fingerprint()
-		byFP[fp] = append(byFP[fp], i)
-	}
+	// A mixture has few components, so scanning the old fingerprints is
+	// cheaper than indexing them. Each old component is consumed at most
+	// once so duplicate shapes pair one-to-one, in old order.
 	used := make([]bool, len(old.Components))
 	for i := range new.Components {
 		nc := &new.Components[i]
 		match := -1
-		for _, j := range byFP[nc.Fingerprint()] {
-			if !used[j] && sameShape(&old.Components[j], nc) {
+		for j, fp := range oldFPs {
+			if fp == newFPs[i] && !used[j] && sameShape(&old.Components[j], nc) {
 				match = j
 				break
 			}

@@ -204,11 +204,19 @@ func TestDiffOnRebuiltPriors(t *testing.T) {
 	if d.WireSize() >= newP.WireSize() {
 		t.Errorf("delta %dB not smaller than full prior %dB", d.WireSize(), newP.WireSize())
 	}
-	got, err := d.Apply(oldP)
-	if err != nil {
-		t.Fatal(err)
+	// The fingerprinted diff a server runs on published priors must
+	// answer exactly as Diff does.
+	fd := DiffFingerprinted(oldP, newP, oldP.Fingerprints(), newP.Fingerprints(), 8, 9)
+	if !bytes.Equal(gobBytes(t, fd), gobBytes(t, d)) {
+		t.Errorf("DiffFingerprinted = %+v, Diff = %+v", fd, d)
 	}
-	if !bytes.Equal(gobBytes(t, got), gobBytes(t, newP)) {
-		t.Error("patched prior differs from the rebuilt prior")
+	for name, delta := range map[string]*PriorDelta{"Diff": d, "DiffFingerprinted": fd} {
+		got, err := delta.Apply(oldP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gobBytes(t, got), gobBytes(t, newP)) {
+			t.Errorf("prior patched by %s differs from the rebuilt prior", name)
+		}
 	}
 }

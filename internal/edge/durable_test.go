@@ -2,7 +2,6 @@ package edge
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"sync"
@@ -45,7 +44,7 @@ func clusterTasks(rng *rand.Rand, dim int, centers []float64, perCenter int) []d
 func priorBytes(t *testing.T, p *dpprior.Prior) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+	if err := p.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -387,18 +386,39 @@ func TestStatsPriorVersionIsBuilt(t *testing.T) {
 // TestConcurrentReportAndDeltaFetch drives reports, full fetches, and
 // delta refreshes concurrently — the store/rebuild/history machinery
 // must stay consistent under the race detector.
+// TestConcurrentReportAndDeltaFetch patches priors by delta while
+// reports land, then drives more rebuilds than the server's delta ring
+// holds, one of them a build admission leaves nothing to build from.
+// Every patched prior must encode to the same bytes as a full fetch at
+// its version.
 func TestConcurrentReportAndDeltaFetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	dim := 4
 	addr, srv := startServerCfg(t, clusterTasks(rng, dim, []float64{-20, 20}, 2), nil)
 	srv.WaitCaughtUp()
+	deltasBefore := telemetry.ServerPriorDelta.Value()
 
+	// Concurrently: two reporters, two delta fetchers and one full
+	// fetcher; each version's bytes are recorded per path and compared
+	// once the server is quiet.
+	var recMu sync.Mutex
+	patched, full := map[uint64][]byte{}, map[uint64][]byte{}
+	record := func(into map[uint64][]byte, p *dpprior.Prior, v uint64) {
+		b := priorBytes(t, p)
+		recMu.Lock()
+		defer recMu.Unlock()
+		if old, ok := into[v]; ok && !bytes.Equal(old, b) {
+			t.Errorf("two priors served at version %d differ", v)
+		}
+		into[v] = b
+	}
 	centers := []float64{-60, -20, 20, 60, 100, 140}
-	var wg sync.WaitGroup
+	var reporting sync.WaitGroup
+	done := make(chan struct{})
 	for w := 0; w < 2; w++ {
-		wg.Add(1)
+		reporting.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer reporting.Done()
 			rng := rand.New(rand.NewSource(seed))
 			c, err := Dial(addr, 5*time.Second)
 			if err != nil {
@@ -415,10 +435,11 @@ func TestConcurrentReportAndDeltaFetch(t *testing.T) {
 			}
 		}(int64(100 + w))
 	}
+	var fetching sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		wg.Add(1)
+		fetching.Add(1)
 		go func() {
-			defer wg.Done()
+			defer fetching.Done()
 			c, err := Dial(addr, 5*time.Second)
 			if err != nil {
 				t.Errorf("dial: %v", err)
@@ -441,14 +462,137 @@ func TestConcurrentReportAndDeltaFetch(t *testing.T) {
 						t.Errorf("refreshed prior invalid: %v", err)
 						return
 					}
+					record(patched, p, v)
 					prior, version = p, v
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	fetching.Add(1)
+	go func() {
+		defer fetching.Done()
+		c, err := Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		defer c.Close()
+		for {
+			p, v, err := c.FetchPrior(dim)
+			if err != nil {
+				t.Errorf("full fetch: %v", err)
+				return
+			}
+			record(full, p, v)
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	reporting.Wait()
 	srv.WaitCaughtUp()
+	close(done)
+	fetching.Wait()
 	if srv.Store().Len() != 4+16 {
 		t.Errorf("store holds %d tasks, want 20", srv.Store().Len())
+	}
+	compared := 0
+	for v, b := range patched {
+		if fb, ok := full[v]; ok {
+			compared++
+			if !bytes.Equal(b, fb) {
+				t.Errorf("patched prior at version %d differs from the full fetch", v)
+			}
+		}
+	}
+	t.Logf("concurrent phase: %d patched versions, %d full, %d compared", len(patched), len(full), compared)
+
+	// Sequentially: deltaHistory+3 rebuilds, each refreshed by delta from
+	// the version before it and from the phase's first version, which
+	// falls out of the ring.
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first, firstV, err := c.FetchPrior(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, version := first, firstV
+	// check refreshes (from, fromV) by delta and compares the result with
+	// a full fetch at the same version.
+	check := func(step int, from *dpprior.Prior, fromV uint64) (*dpprior.Prior, uint64) {
+		t.Helper()
+		p, v, err := c.FetchPriorDelta(dim, fromV, from)
+		if err != nil {
+			t.Fatalf("step %d: delta fetch from %d: %v", step, fromV, err)
+		}
+		fp, fv, err := c.FetchPrior(dim)
+		if err != nil {
+			t.Fatalf("step %d: full fetch: %v", step, err)
+		}
+		if p == nil || v != fv {
+			t.Fatalf("step %d: delta from %d answered version %d (prior %v), full fetch %d", step, fromV, v, p != nil, fv)
+		}
+		if !bytes.Equal(priorBytes(t, p), priorBytes(t, fp)) {
+			t.Fatalf("step %d: prior patched from version %d differs from the full fetch at %d", step, fromV, v)
+		}
+		return p, v
+	}
+	const coveredStep = 3
+	var quarantineAll atomic.Bool
+	srv.priorMu.Lock()
+	srv.buildHook = func(uint64) {
+		if !quarantineAll.CompareAndSwap(true, false) {
+			return
+		}
+		_, seqs, _ := srv.Store().ViewRecords()
+		all := make(map[uint64]bool, len(seqs))
+		for _, seq := range seqs {
+			all[seq] = true
+		}
+		if err := srv.Store().SetVerdicts(all); err != nil {
+			t.Errorf("quarantine all: %v", err)
+		}
+	}
+	srv.priorMu.Unlock()
+	for step := 0; step < deltaHistory+3; step++ {
+		if step == coveredStep {
+			srv.SetAdmission(AdmissionConfig{Quarantine: true})
+			quarantineAll.Store(true)
+		}
+		if _, err := c.ReportTask(clusterTask(rng, dim, centers[step%len(centers)])); err != nil {
+			t.Fatal(err)
+		}
+		srv.WaitCaughtUp()
+		if step == coveredStep {
+			srv.SetAdmission(AdmissionConfig{})
+			srv.priorMu.Lock()
+			entered := srv.ring[len(srv.ring)-1].version == srv.built
+			srv.priorMu.Unlock()
+			if entered {
+				t.Fatalf("step %d: the all-quarantined build published a prior", step)
+			}
+		}
+		fullBefore := telemetry.ServerPriorFull.Value()
+		check(step, first, firstV)
+		if srv.retained(firstV) == nil && telemetry.ServerPriorFull.Value() == fullBefore {
+			t.Errorf("step %d: version %d left the ring, yet its refresh was not a full prior", step, firstV)
+		}
+		prior, version = check(step, prior, version)
+	}
+	if srv.retained(firstV) != nil {
+		t.Errorf("version %d still retained after %d rebuilds", firstV, deltaHistory+3)
+	}
+	srv.priorMu.Lock()
+	if len(srv.ring) != deltaHistory {
+		t.Errorf("ring holds %d priors, want the last %d", len(srv.ring), deltaHistory)
+	}
+	srv.priorMu.Unlock()
+	if telemetry.ServerPriorDelta.Value() <= deltasBefore {
+		t.Error("no refresh was answered with a delta")
 	}
 }

@@ -42,7 +42,8 @@ const (
 //
 // Recent built priors are retained so GetPriorDelta can answer with the
 // component-level difference against the version a client already
-// holds instead of the full prior.
+// holds instead of the full prior. The worker fingerprints each prior
+// once, when it publishes it, so a delta answer hashes neither side.
 type CloudServer struct {
 	// Endpoint is the connection layer: its exported fields tune the
 	// hardening (frame limit, idle deadline, connection cap, handler
@@ -83,12 +84,12 @@ type CloudServer struct {
 	acks  map[int]uint64
 	ackCh chan struct{}
 
-	// priorMu guards the served prior, its version and the history ring.
-	priorMu   sync.Mutex
-	prior     *dpprior.Prior
-	built     uint64 // store version the served prior corresponds to
-	history   map[uint64]*dpprior.Prior
-	histOrder []uint64
+	// priorMu guards the ring of published priors and the built version.
+	// The ring holds the last deltaHistory published priors, oldest
+	// first; its newest entry is the served prior. Entries are immutable.
+	priorMu sync.Mutex
+	ring    []*published
+	built   uint64 // store version the served prior corresponds to
 	// builtCond is broadcast whenever a build ends (built advances or
 	// buildsFailed counts a failure, buildErr holding the last error), the
 	// stall timer flags a stall, or the server closes.
@@ -157,7 +158,6 @@ func NewCloudServerWithStore(st *store.Store, seed []dpprior.TaskPosterior, opts
 		opts:      opts,
 		st:        st,
 		ownSt:     true,
-		history:   make(map[uint64]*dpprior.Prior, deltaHistory),
 		rebuildCh: make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		acks:      make(map[int]uint64),
@@ -374,13 +374,27 @@ func (s *CloudServer) rebuild() bool {
 	}
 	rsp.EndErr(err)
 	stall.Stop()
-	if err != nil {
+	var pub *published
+	switch {
+	case err != nil:
 		// The previous prior keeps serving; the next AddTask (or cold
 		// read) retries.
 		s.logger.Error("edge: background prior rebuild failed", "version", v, "err", err)
+	case p != nil:
+		// Fingerprinted here, outside priorMu, once per published prior.
+		pub = &published{version: v, prior: p, fps: p.Fingerprints()}
 	}
-	s.setBuilt(p, v, err)
+	s.setBuilt(pub, v, err)
 	return err == nil
+}
+
+// published is one prior the worker published: the store version it was
+// built at, and its component fingerprints (Prior.Fingerprints), kept
+// beside it so delta answers pair components without hashing.
+type published struct {
+	version uint64
+	prior   *dpprior.Prior
+	fps     []uint64
 }
 
 // flagStall is the stall check, run by the timer rebuild arms for
@@ -416,8 +430,11 @@ func (s *CloudServer) admit(tasks []dpprior.StoredTask, seqs []uint64, sp *trace
 		return tasks
 	}
 	stored := s.st.Verdicts()
+	var served *dpprior.Prior
 	s.priorMu.Lock()
-	served := s.prior
+	if cur := s.servedLocked(); cur != nil {
+		served = cur.prior
+	}
 	s.priorMu.Unlock()
 	admitted, verdicts, deferred := dpprior.Admit(tasks, func(i int) (bool, bool) {
 		q, ok := stored[seqs[i]]
@@ -450,12 +467,12 @@ func (s *CloudServer) admit(tasks []dpprior.StoredTask, seqs []uint64, sp *trace
 }
 
 // setBuilt ends the worker's build of store version v. A successful
-// build publishes p and retains it for delta sync; p is nil when
-// admission left nothing to build from, and v is then only marked
+// build publishes pub, which the ring retains for delta sync; pub is nil
+// when admission left nothing to build from, and v is then only marked
 // covered. A failed build (err) is counted and kept for cold reads while
 // the previous prior keeps serving. Either way a stall verdict clears
 // and builtCond waiters wake.
-func (s *CloudServer) setBuilt(p *dpprior.Prior, v uint64, err error) {
+func (s *CloudServer) setBuilt(pub *published, v uint64, err error) {
 	s.priorMu.Lock()
 	s.buildEpoch++
 	recovered := s.stalled.Swap(false)
@@ -465,14 +482,13 @@ func (s *CloudServer) setBuilt(p *dpprior.Prior, v uint64, err error) {
 		s.buildErr = err
 	case v > s.built:
 		s.built = v
-		if p != nil {
-			s.prior = p
-			s.history[v] = p
-			s.histOrder = append(s.histOrder, v)
-			for len(s.histOrder) > deltaHistory {
-				delete(s.history, s.histOrder[0])
-				s.histOrder = s.histOrder[1:]
+		if pub != nil {
+			if len(s.ring) == deltaHistory {
+				n := copy(s.ring, s.ring[1:])
+				s.ring[n] = nil
+				s.ring = s.ring[:n]
 			}
+			s.ring = append(s.ring, pub)
 		}
 	}
 	s.builtCond.Broadcast()
@@ -481,7 +497,7 @@ func (s *CloudServer) setBuilt(p *dpprior.Prior, v uint64, err error) {
 		telemetry.ServerRebuildStalled.Set(0)
 		s.logger.Info("edge: prior rebuild worker recovered")
 	}
-	if p != nil {
+	if pub != nil {
 		telemetry.ServerRebuilds.Inc()
 	}
 }
@@ -497,24 +513,42 @@ var errNoTasks = errors.New("edge: no tasks reported yet")
 // admission left nothing to build from, and when that first build failed;
 // a stalled or closing server with no prior answers as a cold one.
 func (s *CloudServer) Prior() (*dpprior.Prior, uint64, error) {
+	cur, built, err := s.served()
+	if err != nil {
+		return nil, 0, err
+	}
+	return cur.prior, built, nil
+}
+
+// served is Prior answering with the served prior's ring entry.
+func (s *CloudServer) served() (*published, uint64, error) {
 	s.priorMu.Lock()
-	p, built := s.prior, s.built
+	cur, built := s.servedLocked(), s.built
 	s.priorMu.Unlock()
-	if p != nil {
-		return p, built, nil
+	if cur != nil {
+		return cur, built, nil
 	}
 	stored := s.st.Version()
 	if stored == 0 {
 		return nil, 0, errNoTasks
 	}
-	p, built, err := s.awaitBuilt(stored)
+	cur, built, err := s.awaitBuilt(stored)
 	switch {
 	case err != nil:
 		return nil, 0, fmt.Errorf("edge: rebuild prior: %w", err)
-	case p == nil:
+	case cur == nil:
 		return nil, 0, errNoTasks
 	}
-	return p, built, nil
+	return cur, built, nil
+}
+
+// servedLocked returns the ring's newest entry, the served prior (nil
+// before the first publish). The caller holds priorMu.
+func (s *CloudServer) servedLocked() *published {
+	if n := len(s.ring); n > 0 {
+		return s.ring[n-1]
+	}
+	return nil
 }
 
 // WaitCaughtUp blocks until the served prior covers every task appended
@@ -540,36 +574,41 @@ func (s *CloudServer) WaitCaughtUp() {
 }
 
 // awaitBuilt kicks the worker and waits for the build that covers store
-// version floor, then returns the prior served. It serves both cold
+// version floor, then returns the served ring entry. It serves both cold
 // reads and the leader half of read-your-writes. A build that fails
 // meanwhile (its error is returned), a stalled one (flagStall's
 // verdict) or a closing server ends the wait early with whatever prior
 // is then served, so a read waits at most for the builds already due.
-func (s *CloudServer) awaitBuilt(floor uint64) (*dpprior.Prior, uint64, error) {
+func (s *CloudServer) awaitBuilt(floor uint64) (*published, uint64, error) {
 	s.priorMu.Lock()
 	defer s.priorMu.Unlock()
 	failed := s.buildsFailed
 	s.kickRebuild()
 	for s.built < floor && !s.stalled.Load() {
 		if s.buildsFailed != failed {
-			return s.prior, s.built, s.buildErr
+			return s.servedLocked(), s.built, s.buildErr
 		}
 		select {
 		case <-s.stopCh:
-			return s.prior, s.built, nil
+			return s.servedLocked(), s.built, nil
 		default:
 		}
 		s.builtCond.Wait()
 	}
-	return s.prior, s.built, nil
+	return s.servedLocked(), s.built, nil
 }
 
-// priorAt returns the retained prior for an exact version, if the
-// history ring still holds it.
-func (s *CloudServer) priorAt(version uint64) *dpprior.Prior {
+// retained returns the ring entry published at exactly version, if the
+// ring still holds it.
+func (s *CloudServer) retained(version uint64) *published {
 	s.priorMu.Lock()
 	defer s.priorMu.Unlock()
-	return s.history[version]
+	for _, pub := range s.ring {
+		if pub.version == version {
+			return pub
+		}
+	}
+	return nil
 }
 
 // Stats returns current counters.
@@ -612,10 +651,10 @@ func (s *CloudServer) Close() error {
 	return err
 }
 
-// servedPrior resolves the current prior for a fetch-style request,
+// servedPrior resolves the served ring entry for a fetch-style request,
 // mapping errors to protocol responses (nil means success).
-func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*dpprior.Prior, uint64, *Response) {
-	p, version, err := s.Prior()
+func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*published, uint64, *Response) {
+	cur, version, err := s.served()
 	if err != nil {
 		code := CodeInternal
 		if errors.Is(err, errNoTasks) {
@@ -623,9 +662,9 @@ func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*dpprior.Prior,
 		}
 		return nil, 0, &Response{Err: err.Error(), Code: code}
 	}
-	if req.Dim != 0 && req.Dim != p.Dim {
+	if req.Dim != 0 && req.Dim != cur.prior.Dim {
 		return nil, 0, &Response{
-			Err:  fmt.Sprintf("prior dim %d does not match requested %d", p.Dim, req.Dim),
+			Err:  fmt.Sprintf("prior dim %d does not match requested %d", cur.prior.Dim, req.Dim),
 			Code: CodeBadRequest,
 		}
 	}
@@ -635,7 +674,7 @@ func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*dpprior.Prior,
 		// than refuse. A floor past the store (acked by an earlier leader)
 		// still refuses at once.
 		if s.st.Version() >= req.MinVersion {
-			p, version, _ = s.awaitBuilt(req.MinVersion)
+			cur, version, _ = s.awaitBuilt(req.MinVersion)
 		}
 	}
 	if req.MinVersion != 0 && version < req.MinVersion {
@@ -650,7 +689,7 @@ func (s *CloudServer) servedPrior(req *Request, sp *trace.Span) (*dpprior.Prior,
 			Version: version,
 		}
 	}
-	return p, version, nil
+	return cur, version, nil
 }
 
 // SetServeDelay makes every subsequent dispatch sleep for d before
@@ -666,21 +705,22 @@ func (s *CloudServer) dispatch(req *Request, sp *trace.Span) *Response {
 	}
 	switch req.Kind {
 	case GetPrior, GetPriorDelta:
-		p, version, errResp := s.servedPrior(req, sp)
+		cur, version, errResp := s.servedPrior(req, sp)
 		if errResp != nil {
 			return errResp
 		}
+		p := cur.prior
 		if req.KnownVersion != 0 && req.KnownVersion == version {
 			telemetry.ServerPriorNotModified.Inc()
 			sp.Event("prior", trace.Str("payload", "not-modified"), trace.Int("version", int64(version)))
 			return &Response{Version: version, NotModified: true}
 		}
-		var old *dpprior.Prior
+		var old *published
 		if req.Kind == GetPriorDelta {
-			old = s.priorAt(req.KnownVersion)
+			old = s.retained(req.KnownVersion)
 		}
 		if old != nil {
-			delta := dpprior.Diff(old, p, req.KnownVersion, version)
+			delta := dpprior.DiffFingerprinted(old.prior, p, old.fps, cur.fps, req.KnownVersion, version)
 			// A delta only ships when it actually beats the full prior —
 			// a rebuild that changed every component degenerates to Adds
 			// and the full payload is the cheaper, simpler answer.

@@ -32,7 +32,8 @@ type Frame struct {
 
 // frameCacheSize is how many encoded frames a store retains for
 // FramesSince. The cache lets a leader ship its recent log to followers
-// without re-encoding each record per pull.
+// without re-encoding each record per pull; it fills once a follower
+// has pulled (see Store.frameCache).
 const frameCacheSize = 512
 
 // cacheFrameLocked remembers one encoded frame, evicting the oldest
@@ -61,8 +62,9 @@ func (s *Store) cacheFrameLocked(seq uint64, b []byte) {
 //
 // Recently appended (or previously pulled) frames come straight from the
 // encoded-frame cache; only frames that fell out of it — or never
-// entered it, on a memory-only store — pay a re-encode, outside the
-// lock, and are cached for the next follower.
+// entered it, on a memory-only store or before the first pull — pay a
+// re-encode, outside the lock, and are cached for the next follower.
+// The first call creates the cache, so later appends land in it.
 func (s *Store) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error) {
 	if maxFrames <= 0 {
 		maxFrames = DefaultMaxPullFrames
@@ -71,6 +73,9 @@ func (s *Store) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error
 	if s.closed {
 		s.mu.Unlock()
 		return nil, 0, ErrClosed
+	}
+	if s.frameCache == nil {
+		s.frameCache = make(map[uint64][]byte, frameCacheSize)
 	}
 	tasks := s.tasks[:len(s.tasks):len(s.tasks)]
 	seqs := s.seqs[:len(s.seqs):len(s.seqs)]

@@ -245,3 +245,81 @@ func TestReplicationConcurrentPull(t *testing.T) {
 		t.Fatalf("concurrent replication diverged from leader log")
 	}
 }
+
+// TestFrameCacheFillsOnceFollowed: a durable store caches the frames it
+// appends only after a follower has pulled, so a store nobody replicates
+// from holds no encoded copy of its log. A follower caches the frames it
+// applies, and once it leads it serves those very bytes.
+func TestFrameCacheFillsOnceFollowed(t *testing.T) {
+	leader, follower := openPair(t)
+	rng := rand.New(rand.NewSource(23))
+	const n = 9
+	for i := 0; i < n; i++ {
+		if _, err := leader.Append(mkTask(rng, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := func(s *Store) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.frameCache)
+	}
+	if got := cached(leader); got != 0 {
+		t.Fatalf("unreplicated store caches %d frames after %d appends, want 0", got, n)
+	}
+
+	// The first pull re-encodes what it ships (and caches it); from then
+	// on each append is cached as written.
+	replicate(t, leader, follower, 4)
+	seq, err := leader.Append(mkTask(rng, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.mu.Lock()
+	hit, ok := leader.frameCache[seq]
+	leader.mu.Unlock()
+	if !ok {
+		t.Fatalf("append %d after a pull was not cached", seq)
+	}
+	frames, _, err := leader.FramesSince(seq-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 1 || frames[0].Seq != seq || &frames[0].Bytes[0] != &hit[0] {
+		t.Fatalf("pull after append %d did not serve the cached frame", seq)
+	}
+	tasks, seqs, _ := leader.ViewRecords()
+	var rec logRecord
+	rec.Seq = seqs[len(seqs)-1]
+	tasks[len(tasks)-1].UnpackInto(&rec.Task)
+	fresh, err := encodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frames[0].Bytes, fresh) {
+		t.Fatal("cached frame differs from a re-encode of its record")
+	}
+	log := readLog(t, leader.opts.Dir)
+	if !bytes.HasSuffix(log, fresh) {
+		t.Fatal("cached frame differs from the bytes the log holds")
+	}
+
+	// The follower cached every frame it applied; promoted, it serves
+	// them verbatim.
+	if _, err := follower.ApplyFrames(frames); err != nil {
+		t.Fatal(err)
+	}
+	if got := cached(follower); got != n+1 {
+		t.Fatalf("follower caches %d of the %d frames it applied", got, n+1)
+	}
+	served, _, err := follower.FramesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(served) != n+1 || &served[n].Bytes[0] != &hit[0] {
+		t.Fatalf("promoted follower served %d frames, the last not the bytes it applied", len(served))
+	}
+	if !bytes.Equal(readLog(t, follower.opts.Dir), log) {
+		t.Fatal("follower log differs from the leader's")
+	}
+}

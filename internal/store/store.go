@@ -194,7 +194,11 @@ type Store struct {
 	// frameCache holds recently encoded log frames by sequence number,
 	// evicted FIFO by frameSeqs. Entries are immutable once cached (the
 	// same bytes the log holds), so FramesSince can hand them out
-	// without copying.
+	// without copying. It stays nil until the store replicates: the
+	// first FramesSince creates it, and only then does Append cache the
+	// frame it wrote; ApplyFrames caches what it applies, since a
+	// promoted follower serves those bytes. A store no follower pulls
+	// from caches nothing.
 	frameCache map[uint64][]byte
 	frameSeqs  []uint64
 
@@ -713,10 +717,12 @@ func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
 		}
 		s.logSize += int64(len(frame))
 		telemetry.StoreLogBytes.Add(float64(len(frame)))
-		// The frame is already encoded; remembering it makes the next
-		// replication pull a copy-free cache hit. (Memory-only stores
-		// skip this and let FramesSince fill the cache on demand.)
-		s.cacheFrameLocked(seq, frame)
+		// Once a follower pulls, remembering the encoded frame makes its
+		// next pull a copy-free cache hit. (Until then, and on
+		// memory-only stores, FramesSince fills the cache on demand.)
+		if s.frameCache != nil {
+			s.cacheFrameLocked(seq, frame)
+		}
 	}
 	s.tasks = append(s.tasks, st)
 	s.seqs = append(s.seqs, seq)

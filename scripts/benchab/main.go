@@ -21,10 +21,13 @@
 // With -head unset, side B is the working tree (tracked and untracked,
 // not ignored, files), so a change can be measured before it is
 // committed; -base HEAD -head HEAD is an A/A run of the last commit
-// against itself. The exit status is 1 when any verdict is worse or B
-// fails a larger share of operations. Each run's JSON result line is
-// appended to .bench_build/ab/runs.jsonl and its output kept in
-// .bench_build/ab/logs/.
+// against itself. A run that exits non-zero or reports correct:false is
+// recorded as a failed run (side, pair, seed and the "bench:" lines of
+// its log are printed), its pair is left out of the medians, and the
+// next pair runs. The exit status is 1 when any verdict is worse, B
+// fails a larger share of operations, or B has more failed runs than A.
+// Each run's JSON result line is appended to .bench_build/ab/runs.jsonl
+// and its output kept in .bench_build/ab/logs/.
 package main
 
 import (
@@ -139,48 +142,94 @@ func run(base, head string, pairs int, workloads string, out io.Writer) (worse b
 	defer ledger.Close()
 
 	for _, w := range names {
-		// runs[side][metric] holds one value per pair, pairs aligned.
-		runs := [2]map[string][]float64{{}, {}}
-		var attempted, failed [2]int
-		for i := 0; i < pairs; i++ {
-			seed := seeds[i%len(seeds)]
-			order := []int{0, 1}
-			if i%2 == 1 {
-				order = []int{1, 0}
+		w := w
+		runSide := func(s, pair, seed int) (result, string, string, error) {
+			logPath := filepath.Join(root, "logs", fmt.Sprintf("%s-%c-%d.log", w, 'a'+s, pair))
+			return runOnce(sp, sides[s], w, seed, logPath)
+		}
+		worseW, err := compare(sp, w, pairs, runSide, ledger, out)
+		if err != nil {
+			return false, err
+		}
+		worse = worse || worseW
+	}
+	return worse, nil
+}
+
+// compare runs pairs A/B pairs of workload w through runSide (side 0 is
+// A, 1 is B), appends each good run's result line to ledger, and prints
+// the failed runs and the verdict per end-to-end metric. It reports
+// whether any verdict is worse.
+func compare(sp spec, w string, pairs int, runSide func(side, pair, seed int) (res result, line, failure string, err error), ledger, out io.Writer) (worse bool, err error) {
+	// runs[side][metric] holds one value per complete pair, pairs aligned.
+	runs := [2]map[string][]float64{{}, {}}
+	var attempted, failed, failedRuns [2]int
+	complete := 0
+	for i := 0; i < pairs; i++ {
+		seed := seeds[i%len(seeds)]
+		order := []int{0, 1}
+		if i%2 == 1 {
+			order = []int{1, 0}
+		}
+		var got [2]result
+		ok := true
+		for _, s := range order {
+			res, line, failure, err := runSide(s, i, seed)
+			if err != nil {
+				return false, err
 			}
-			for _, s := range order {
-				res, line, err := runOnce(sp, sides[s], w, seed, fmt.Sprintf("%s-%c-%d", w, 'a'+s, i))
-				if err != nil {
-					return false, err
-				}
-				fmt.Fprintf(ledger, "{\"side\":%q,\"workload\":%q,\"pair\":%d,\"seed\":%d,\"result\":%s}\n",
-					string(rune('A'+s)), w, i, seed, line)
-				attempted[s] += res.Attempted
-				failed[s] += res.Failed
-				for _, m := range sp.EndToEnd {
-					runs[s][m.Name] = append(runs[s][m.Name], res.Metrics[m.Name].Value)
-				}
+			if failure != "" {
+				failedRuns[s]++
+				fmt.Fprintf(out, "%s: side %c, pair %d, seed %d failed: %s\n", w, 'A'+s, i, seed, failure)
+				ok = false
+				break
+			}
+			fmt.Fprintf(ledger, "{\"side\":%q,\"workload\":%q,\"pair\":%d,\"seed\":%d,\"result\":%s}\n",
+				string(rune('A'+s)), w, i, seed, line)
+			got[s] = res
+		}
+		if !ok {
+			continue
+		}
+		complete++
+		for s, res := range got {
+			attempted[s] += res.Attempted
+			failed[s] += res.Failed
+			for _, m := range sp.EndToEnd {
+				runs[s][m.Name] = append(runs[s][m.Name], res.Metrics[m.Name].Value)
 			}
 		}
-		fa, fb := share(failed[0], attempted[0]), share(failed[1], attempted[1])
-		fmt.Fprintf(out, "\n%s (failed share A %.4f, B %.4f)\n", w, fa, fb)
-		if fb > fa {
-			worse = true
-			fmt.Fprintf(out, "  worse: B fails a larger share of operations\n")
-		}
-		fmt.Fprintf(out, "  %-16s %-30s %-30s %-6s %s\n", "metric", "A median [q1, q3]", "B median [q1, q3]", "B wins", "verdict")
-		for _, m := range sp.EndToEnd {
-			v := judge(m, runs[0][m.Name], runs[1][m.Name])
-			worse = worse || v.verdict == "worse"
-			fmt.Fprintf(out, "  %-16s %-30s %-30s %2d/%-3d %s (%+.1f %%, bound %.0f %%)\n", m.Name+" "+m.Unit,
-				quart(runs[0][m.Name]), quart(runs[1][m.Name]), v.wins, pairs, v.verdict, 100*v.change, 100*m.Bound)
-		}
+	}
+	fa, fb := share(failed[0], attempted[0]), share(failed[1], attempted[1])
+	fmt.Fprintf(out, "\n%s (failed share A %.4f, B %.4f; failed runs A %d, B %d)\n", w, fa, fb, failedRuns[0], failedRuns[1])
+	if fb > fa {
+		worse = true
+		fmt.Fprintf(out, "  worse: B fails a larger share of operations\n")
+	}
+	if failedRuns[1] > failedRuns[0] {
+		worse = true
+		fmt.Fprintf(out, "  worse: B has more failed runs than A\n")
+	}
+	if complete == 0 {
+		fmt.Fprintf(out, "  no complete pair to compare\n")
+		return worse, nil
+	}
+	fmt.Fprintf(out, "  %-16s %-30s %-30s %-6s %s\n", "metric", "A median [q1, q3]", "B median [q1, q3]", "B wins", "verdict")
+	for _, m := range sp.EndToEnd {
+		v := judge(m, runs[0][m.Name], runs[1][m.Name])
+		worse = worse || v.verdict == "worse"
+		fmt.Fprintf(out, "  %-16s %-30s %-30s %2d/%-3d %s (%+.1f %%, bound %.0f %%)\n", m.Name+" "+m.Unit,
+			quart(runs[0][m.Name]), quart(runs[1][m.Name]), v.wins, complete, v.verdict, 100*v.change, 100*m.Bound)
 	}
 	return worse, nil
 }
 
 // runOnce runs the benchmark command in dir and parses its last line.
-func runOnce(sp spec, dir, workload string, seed int, logName string) (result, string, error) {
+// A run that exits non-zero, prints no result or reports correct:false
+// is a failed run: failure describes it, followed by the "bench:" lines
+// of its output, and err stays nil. err reports only what stops the
+// comparison itself.
+func runOnce(sp spec, dir, workload string, seed int, logPath string) (res result, line, failure string, err error) {
 	args := append(append([]string{}, sp.Command[1:]...),
 		"--workload", workload, "--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(sp.RunSeconds), "--trace", "0")
 	cmd := exec.Command(sp.Command[0], args...)
@@ -188,23 +237,35 @@ func runOnce(sp spec, dir, workload string, seed int, logName string) (result, s
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	runErr := cmd.Run()
-	logPath := filepath.Join(".bench_build", "ab", "logs", logName+".log")
-	if err := os.WriteFile(logPath, append(stdout.Bytes(), stderr.Bytes()...), 0o644); err != nil {
-		return result{}, "", err
-	}
-	if runErr != nil {
-		return result{}, "", fmt.Errorf("%s in %s: %v (output in %s)", workload, dir, runErr, logPath)
+	output := append(stdout.Bytes(), stderr.Bytes()...)
+	if err := os.WriteFile(logPath, output, 0o644); err != nil {
+		return result{}, "", "", err
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	last := lines[len(lines)-1]
-	var res result
-	if err := json.Unmarshal([]byte(last), &res); err != nil {
-		return result{}, "", fmt.Errorf("%s in %s: last line is not a result: %v", workload, dir, err)
+	line = lines[len(lines)-1]
+	switch {
+	case runErr != nil:
+		failure = runErr.Error()
+	case json.Unmarshal([]byte(line), &res) != nil:
+		failure = "last line is not a result"
+	case !res.Correct:
+		failure = "correctness checks failed"
+	default:
+		return res, line, "", nil
 	}
-	if !res.Correct {
-		return result{}, "", fmt.Errorf("%s in %s: correctness checks failed (output in %s)", workload, dir, logPath)
+	return result{}, "", failure + " (output in " + logPath + ")" + benchLines(output), nil
+}
+
+// benchLines returns the lines of a run's output that begin "bench:",
+// the harness's failure reports, each on a line of its own.
+func benchLines(output []byte) string {
+	var b strings.Builder
+	for _, l := range strings.Split(string(output), "\n") {
+		if strings.HasPrefix(l, "bench:") {
+			b.WriteString("\n  " + l)
+		}
 	}
-	return res, last, nil
+	return b.String()
 }
 
 type verdict struct {
