@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/edge"
-	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // DefaultScrubTimeout bounds one repair pull round trip.
@@ -40,7 +40,7 @@ func NewPullRepairSource(addr string, timeout time.Duration) *PullRepairSource {
 }
 
 // FramesSince pulls verbatim log frames after `after` from the peer.
-func (p *PullRepairSource) FramesSince(after uint64, maxFrames int) ([]store.Frame, uint64, error) {
+func (p *PullRepairSource) FramesSince(after uint64, maxFrames int) ([]wire.Frame, uint64, error) {
 	b, err := p.rc.PullLog(0, after, maxFrames)
 	if err != nil {
 		return nil, 0, err

@@ -84,6 +84,11 @@ func (s StoredTask) UnpackInto(t *TaskPosterior) {
 	t.N = s.N
 }
 
+// CovAt returns Σ[i][j], read from the upper triangle.
+func (s StoredTask) CovAt(i, j int) float64 {
+	return s.packed[s.dim+triIndex(s.dim, min(i, j), max(i, j))]
+}
+
 // Fingerprint is the Fingerprint of the task in dense form.
 func (s StoredTask) Fingerprint() uint64 {
 	d := s.dim

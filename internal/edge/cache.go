@@ -1,20 +1,21 @@
 package edge
 
 import (
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"github.com/drdp/drdp/internal/dpprior"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // PriorCache keeps the last good prior a device fetched, so a flaky or
 // down cloud degrades training to "slightly stale prior" instead of
 // "no prior at all". With a non-empty path the cache also persists
-// across process restarts (gob, atomic rename), which is what a real
-// edge deployment needs after a power cycle in a dead zone.
+// across process restarts (one wire frame holding a PriorRecord,
+// replaced by atomic rename), which is what a real edge deployment
+// needs after a power cycle in a dead zone.
 //
 // The stored version feeds Device.Run's conditional fetch: a warm cache
 // turns every refresh against an idle cloud into a handshake.
@@ -28,39 +29,31 @@ type PriorCache struct {
 	version uint64
 }
 
-// cacheFile is the on-disk format.
-type cacheFile struct {
-	Version uint64
-	Prior   *dpprior.Prior
-}
-
 // NewPriorCache creates a cache. path may be empty for a memory-only
-// cache; when the file exists its contents are loaded and validated
-// (a corrupt or invalid file is an error — delete it to start cold).
+// cache; when the file exists its contents are loaded and validated. A
+// file that is not one intact frame holding a valid prior (torn,
+// bit-flipped, or written in another format) is a cache miss: the
+// cache starts cold and the next Put replaces the file. Only a file
+// that exists but cannot be read is an error.
 func NewPriorCache(path string) (*PriorCache, error) {
 	pc := &PriorCache{path: path}
 	if path == "" {
 		return pc, nil
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return pc, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("edge: prior cache: %w", err)
 	}
-	defer f.Close()
-	var cf cacheFile
-	if err := gob.NewDecoder(f).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("edge: prior cache %s: decode: %w", path, err)
+	var rec wire.Record
+	payload, err := wire.Unframe(data)
+	if err != nil || wire.DecodeRecord(payload, &rec) != nil || rec.Kind != wire.PriorRecord ||
+		rec.Version == 0 || rec.Prior.Validate() != nil {
+		return pc, nil
 	}
-	if cf.Prior == nil || cf.Version == 0 {
-		return nil, fmt.Errorf("edge: prior cache %s: incomplete entry", path)
-	}
-	if err := cf.Prior.Validate(); err != nil {
-		return nil, fmt.Errorf("edge: prior cache %s: invalid prior: %w", path, err)
-	}
-	pc.prior, pc.version = cf.Prior, cf.Version
+	pc.prior, pc.version = rec.Prior, rec.Version
 	return pc, nil
 }
 
@@ -106,9 +99,9 @@ func (pc *PriorCache) Put(prior *dpprior.Prior, version uint64) error {
 		return fmt.Errorf("edge: prior cache: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(cacheFile{Version: version, Prior: prior}); err != nil {
+	if _, err := tmp.Write(wire.AppendPriorRecord(nil, version, prior)); err != nil {
 		tmp.Close()
-		return fmt.Errorf("edge: prior cache: encode: %w", err)
+		return fmt.Errorf("edge: prior cache: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("edge: prior cache: %w", err)

@@ -1,12 +1,15 @@
 package edge
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/drdp/drdp/internal/dpprior"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 func testPrior(t *testing.T, seed int64, dim int) *dpprior.Prior {
@@ -75,13 +78,49 @@ func TestPriorCachePersistence(t *testing.T) {
 	}
 }
 
+// TestPriorCacheCorruptFile: a cache file that is not one intact frame
+// holding a valid prior — bytes of no format, a gob-encoded entry from
+// builds that wrote the cache with encoding/gob, a torn file, a
+// bit-flipped file — reads as a cache miss, and the next Put replaces it.
 func TestPriorCacheCorruptFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "prior.cache")
-	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
+	p := testPrior(t, 302, 3)
+	good := wire.AppendPriorRecord(nil, 5, p)
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct {
+		Version uint64
+		Prior   *dpprior.Prior
+	}{5, p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPriorCache(path); err == nil {
-		t.Fatal("corrupt cache file accepted")
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x04
+	for name, data := range map[string][]byte{
+		"not a frame": []byte("not a gob stream"),
+		"gob":         old.Bytes(),
+		"truncated":   good[:len(good)-9],
+		"bit-flipped": flipped,
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pc, err := NewPriorCache(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, v, ok := pc.Get(); ok || v != 0 {
+			t.Fatalf("%s: cache served version %d", name, v)
+		}
+		if err := pc.Put(p, 6); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := NewPriorCache(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, v, ok := reloaded.Get(); !ok || v != 6 {
+			t.Fatalf("%s: the Put after a miss reloads as version %d", name, v)
+		}
 	}
 }
 

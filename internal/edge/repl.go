@@ -4,9 +4,9 @@ import (
 	"errors"
 	"time"
 
-	"github.com/drdp/drdp/internal/store"
 	"github.com/drdp/drdp/internal/telemetry"
 	"github.com/drdp/drdp/internal/trace"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // Replica roles on CloudServer. A leader is the ordinary server: clients
@@ -53,7 +53,7 @@ var errNotLeader = errors.New("edge: not the shard leader")
 // verdict sidecar is folded in, then a rebuild is kicked so the
 // follower's served prior catches up. Returns the follower's new durable
 // version — the AfterSeq of its next pull, i.e. its acknowledgement.
-func (s *CloudServer) ApplyReplicated(frames []store.Frame, verdicts map[uint64]bool) (uint64, error) {
+func (s *CloudServer) ApplyReplicated(frames []wire.Frame, verdicts map[uint64]bool) (uint64, error) {
 	v, err := s.st.ApplyFrames(frames)
 	if err != nil {
 		return 0, err
@@ -149,7 +149,7 @@ func (s *CloudServer) waitAcked(v uint64) {
 
 // LogBatch is one PullLog answer on the client side.
 type LogBatch struct {
-	Frames   []store.Frame
+	Frames   []wire.Frame
 	Verdicts map[uint64]bool
 	// UpTo is the leader's store version at answer time; lag is UpTo
 	// minus the follower's own version after applying Frames.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -98,7 +97,7 @@ type ClusterResult struct {
 	MapVersion       uint64   // final shard-map version (bumps count promotions)
 	FinalVersions    []uint64 // per-shard leader store versions at the end
 	MergedComponents int
-	PriorBytes       []byte // gob of the final merged prior (byte-identity checks)
+	PriorBytes       []byte // Prior.Encode of the final merged prior (byte-identity checks)
 
 	// Traces is the flight-recorder snapshot at the end of an Audit run
 	// (nil otherwise).
@@ -247,7 +246,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	out.MergedComponents = len(merged.Components)
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(merged); err != nil {
+	if err := merged.Encode(&buf); err != nil {
 		return nil, err
 	}
 	out.PriorBytes = buf.Bytes()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -143,7 +142,7 @@ type DiskChaosResult struct {
 
 	FinalVersion     uint64
 	MergedComponents int
-	PriorBytes       []byte // gob of the final merged prior (byte-identity vs control)
+	PriorBytes       []byte // Prior.Encode of the final merged prior (byte-identity vs control)
 }
 
 // rotReplica is the replica index carrying the FaultFS. Not replica 1:
@@ -365,7 +364,7 @@ func RunDiskChaos(cfg DiskChaosConfig) (*DiskChaosResult, error) {
 	}
 	out.MergedComponents = len(merged.Components)
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(merged); err != nil {
+	if err := merged.Encode(&buf); err != nil {
 		return nil, err
 	}
 	out.PriorBytes = buf.Bytes()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -138,7 +137,7 @@ type RegionsResult struct {
 	// cloud was unreachable.
 	GossipInjected int
 
-	// PriorBytes is the gob encoding of the final cloud prior; a
+	// PriorBytes is the Prior.Encode bytes of the final cloud prior; a
 	// partition run and its control must match byte for byte.
 	PriorBytes        []byte
 	FinalCloudVersion uint64
@@ -513,7 +512,7 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 	}
 	out.FinalCloudVersion = version
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(final); err != nil {
+	if err := final.Encode(&buf); err != nil {
 		return nil, err
 	}
 	out.PriorBytes = buf.Bytes()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // openFault opens a store in dir under a FaultFS with the given plan,
@@ -65,7 +66,7 @@ func TestAppendWriteErrorPoisonsStore(t *testing.T) {
 	if err := s.SetVerdicts(map[uint64]bool{1: true}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("verdict write on poisoned store: %v", err)
 	}
-	if _, err := s.ApplyFrames([]Frame{{Seq: 99}}); !errors.Is(err, ErrPoisoned) {
+	if _, err := s.ApplyFrames([]wire.Frame{{Seq: 99}}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("apply frames on poisoned store: %v", err)
 	}
 	if s.Version() != 3 || s.Len() != 3 {

@@ -2,7 +2,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,39 +13,50 @@ import (
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // FuzzRecover feeds arbitrary bytes to the store as a log file. Recovery
-// must never panic, and must be idempotent: whatever task set the first
-// Open salvages, a second Open of the truncated log recovers the same
-// set with nothing further to chop.
+// must never panic, must allocate in proportion to the file whatever its
+// length prefixes claim, must leave a log it refuses as the gob layout
+// untouched, and must be idempotent: whatever task set the first Open
+// salvages, a second Open of the truncated log recovers the same set
+// with nothing further to chop.
 func FuzzRecover(f *testing.F) {
 	// Seed with a valid two-record log, a torn version of it, and
 	// pathological prefixes.
 	rng := rand.New(rand.NewSource(7))
 	var valid []byte
 	for seq := uint64(1); seq <= 2; seq++ {
-		frame, err := encodeRecord(logRecord{Seq: seq, Task: mkTask(rng, 3)})
-		if err != nil {
-			f.Fatal(err)
-		}
-		valid = append(valid, frame...)
+		valid = append(valid, taskFrame(f, seq, mkTask(rng, 3))...)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
-	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4, 9, 9, 9, 9})
+	f.Add([]byte{4, 0, 0, 0, 1, 2, 3, 4, 9, 9, 9, 9})
+	// An empty frame: intact, but no record, and no gob-layout frame.
+	f.Add(make([]byte, 8))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Small record bound so a hostile length prefix cannot make the
-		// fuzzer allocate its way to an OOM.
-		opts := Options{Dir: dir, NoSync: true, MaxRecordBytes: 1 << 20, Logger: telemetry.Discard()}
+		opts := Options{Dir: dir, NoSync: true, Logger: telemetry.Discard()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		s, err := Open(opts)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("recovery of a %d-byte log allocated %d bytes", len(data), alloc)
+		}
+		if errors.Is(err, errLegacyLayout) {
+			if !bytes.Equal(readFile(t, filepath.Join(dir, logName)), data) {
+				t.Fatal("a log refused as the gob layout was changed")
+			}
+			return
+		}
 		if err != nil {
 			// Only the snapshot may hard-fail Open, and there is none here.
 			t.Fatalf("recovery hard-failed on log bytes: %v", err)
@@ -75,17 +86,20 @@ func FuzzRecover(f *testing.F) {
 // FuzzSnapshot feeds arbitrary bytes to the store as a snapshot file.
 // Open must either load it or report it corrupt — never panic, and never
 // allocate more than a bounded multiple of the file (the header's record
-// count is untrusted). Whatever loads scrubs intact and survives a v2
+// count is untrusted). Whatever loads scrubs intact and survives a
 // rewrite and reopen unchanged.
 func FuzzSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
-	tasks := []dpprior.TaskPosterior{mkTask(rng, 3), mkTask(rng, 3), mkTask(rng, 3)}
-	v1 := snapshotV1{Version: 4, Tasks: tasks, Seqs: []uint64{1, 3, 4}, Verdicts: map[uint64]bool{3: true}}
-	var v2 bytes.Buffer
-	if err := writeSnapshot(&v2, 4, packAll(f, tasks), v1.Seqs, []verdictRecord{{Seq: 3, Quarantined: true}}); err != nil {
-		f.Fatal(err)
+	tasks := packAll(f, []dpprior.TaskPosterior{mkTask(rng, 3), mkTask(rng, 3), mkTask(rng, 3)})
+	snapshot := func(verdicts []verdictRecord) []byte {
+		var buf bytes.Buffer
+		if err := writeSnapshot(&buf, 4, tasks, []uint64{1, 3, 4}, verdicts); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	for _, seed := range [][]byte{v1Snapshot(f, v1, true), v1Snapshot(f, v1, false), v2.Bytes()} {
+	empty := wire.AppendSnapshotHeader(nil, 2, 0)
+	for _, seed := range [][]byte{snapshot([]verdictRecord{{Seq: 3, Quarantined: true}}), snapshot(nil), empty} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:len(seed)-3])
@@ -93,15 +107,14 @@ func FuzzSnapshot(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x10
 		f.Add(flipped)
 	}
-	// A v1 snapshot whose seqs leave (0, Version] used to load, and its
-	// v2 rewrite then failed to reopen.
-	f.Add(v1Snapshot(f, snapshotV1{Version: 4, Tasks: tasks, Seqs: []uint64{1, 36, 4}}, true))
-	// A checksummed v2 header claiming 2^61 records it does not hold.
-	hdr := bytes.NewBuffer(bytes.Clone(snapshotV2Magic))
-	if err := gob.NewEncoder(hdr).Encode(snapshotHeader{Version: 1 << 62, Count: 1 << 61}); err != nil {
-		f.Fatal(err)
+	// Task records whose seqs leave (0, Version] in order.
+	gapped := wire.AppendSnapshotHeader(nil, 4, 3)
+	for i, seq := range []uint64{1, 36, 4} {
+		gapped = wire.AppendTaskRecord(gapped, seq, tasks[i])
 	}
-	f.Add(withTrailer(hdr.Bytes()))
+	f.Add(gapped)
+	// A header claiming 2^61 records it does not hold.
+	f.Add(wire.AppendSnapshotHeader(nil, 1<<62, 1<<61))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -113,10 +126,8 @@ func FuzzSnapshot(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		s, err := Open(opts)
 		runtime.ReadMemStats(&after)
-		// gob itself may allocate one read chunk (≤ 10 MB) for a message
-		// length it has not yet seen the bytes of; beyond that, memory
-		// must follow the file, not the header's claims.
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+16<<20 {
+		// Memory must follow the file, not the header's claims.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+1<<20 {
 			t.Fatalf("open of a %d-byte snapshot allocated %d bytes", len(data), alloc)
 		}
 		if err != nil {
@@ -140,7 +151,7 @@ func FuzzSnapshot(f *testing.F) {
 		s.Close()
 		r, err := Open(opts)
 		if err != nil {
-			t.Fatalf("v2 rewrite of a loaded snapshot does not reopen: %v", err)
+			t.Fatalf("rewrite of a loaded snapshot does not reopen: %v", err)
 		}
 		defer r.Close()
 		_, rseqs, rv := r.ViewRecords()

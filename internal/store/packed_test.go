@@ -12,6 +12,7 @@ import (
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // fullCovTask is mkTask with every off-diagonal covariance entry set
@@ -29,19 +30,19 @@ func fullCovTask(rng *rand.Rand, dim int) dpprior.TaskPosterior {
 }
 
 // storeFileHashes are the SHA-256 sums of the files a store holds after
-// the fixed sequence in TestPackedStoreWritesDenseBytes, as written by
-// the store when it still kept tasks dense.
+// the fixed sequence in TestPackedStoreWritesDenseBytes.
 var storeFileHashes = map[string]string{
-	snapshotName:   "fcdbc816ca98e568af865dc4b292dd1170853dcc2353d45de78ee6ec9c493691",
-	logName:        "4f6a85572e3cf69c65cf1eed4c2d1bcbb34c350174b91f9bd2c711c72fb50516",
-	"verdicts.log": "01c82fcd9fdaad0abc3c7a216b70b35395ddf362e09b71229fb4e7489150de7e",
+	snapshotName:   "192e4bc022916f65bef728cfef502533d9be0ba2c7624f5710bf3cbf5abdb402",
+	logName:        "2711b1a603daec02d5514a9c1317b94b0bfaaa6fdc9f3fe2fffc7ea27f3209d4",
+	"verdicts.log": "97edf9cf0e089fdb83484530a4b9ba743ac68ab8123cd124f13dd629eba17c43",
 }
 
 // TestPackedStoreWritesDenseBytes: packing changes what the store holds
 // in memory, not what it writes. A fixed append sequence leaves the
-// snapshot, log and verdict files byte for byte as the dense store wrote
-// them; frames re-encoded from packed tasks (a memory-only store caches
-// none) equal the log's frames; and a reopen unpacks the tasks appended.
+// snapshot, log and verdict files as pinned; each log frame carries the
+// appended task in the dense layout the wire codec writes for it;
+// frames re-encoded by a memory-only store equal the log's frames; and
+// a reopen unpacks the tasks appended.
 func TestPackedStoreWritesDenseBytes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, SnapshotEvery: 64, NoSync: true, Logger: telemetry.Discard()})
@@ -79,6 +80,16 @@ func TestPackedStoreWritesDenseBytes(t *testing.T) {
 		got := sha256.Sum256(readFile(t, filepath.Join(dir, name)))
 		if hex.EncodeToString(got[:]) != sum {
 			t.Errorf("%s: sha256 %x, want %s", name, got, sum)
+		}
+	}
+
+	// A task record is [header][kind][seq] and then the task, laid out
+	// as a request carrying the dense task ends.
+	const taskOffset = frameHeaderBytes + 1 + 8
+	for i, fr := range logged {
+		req := wire.AppendRequest(nil, &wire.Request{Kind: wire.ReportTask, Task: &want[fr.Seq-1]})
+		if !bytes.HasSuffix(req, fr.Bytes[taskOffset:]) {
+			t.Fatalf("frame %d (seq %d) does not carry the dense task's wire bytes", i, fr.Seq)
 		}
 	}
 

@@ -1,67 +1,110 @@
 package store
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"github.com/drdp/drdp/internal/wire"
 )
 
-// Framing: [4-byte big-endian payload length][4-byte IEEE CRC32][payload].
-// Shared by the task log and the verdict sidecar.
-const headerBytes = 8
+// frameHeaderBytes is the [length][CRC] prefix of every wire frame.
+const frameHeaderBytes = 8
 
-// encodePayload frames one gob value with a length prefix and checksum.
-// Each value gets its own encoder so it is self-contained on the read
-// side (recovery can decode any intact prefix).
-func encodePayload(v any) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return nil, fmt.Errorf("store: encode record: %w", err)
+// walkBufBytes sizes the read buffer between a file and the frame walk.
+const walkBufBytes = 64 << 10
+
+// walkFrames reads f's frames from its start up to size, handing each
+// CRC-verified payload to visit (valid until the next frame), and
+// returns the offset just past the last frame visit accepted. It stops
+// at the first frame that is torn, corrupt, longer than the bytes left
+// before size — no length prefix is trusted beyond them, so a corrupt
+// one allocates nothing — or that visit refuses; err says why, and is
+// nil when every frame up to size was accepted. The log replay, the
+// verdict replay, the snapshot load and every scrub check walk their
+// files with it.
+func walkFrames(f File, size int64, visit func(payload []byte) error) (int64, error) {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, err
 	}
-	frame := make([]byte, headerBytes+payload.Len())
-	binary.BigEndian.PutUint32(frame[0:4], uint32(payload.Len()))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	copy(frame[headerBytes:], payload.Bytes())
-	return frame, nil
-}
-
-// readPayload reads one framed value from r into v, returning the bytes
-// consumed. io.EOF means a clean end of log; any other error marks a
-// torn or corrupt record (the caller truncates there).
-func readPayload(r io.Reader, maxBytes int64, v any) (int64, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, io.EOF // clean boundary
+	r := bufio.NewReaderSize(io.LimitReader(f, size), walkBufBytes)
+	var buf []byte
+	var off int64
+	for off < size {
+		payload, err := wire.ReadFrame(r, size-off-frameHeaderBytes, buf)
+		if err != nil {
+			return off, err
 		}
-		return 0, fmt.Errorf("store: torn record header: %w", err)
+		if err := visit(payload); err != nil {
+			return off, err
+		}
+		buf = payload
+		off += frameHeaderBytes + int64(len(payload))
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if int64(n) > maxBytes {
-		return 0, fmt.Errorf("store: record length %d exceeds limit %d", n, maxBytes)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, fmt.Errorf("store: torn record payload: %w", err)
-	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.BigEndian.Uint32(hdr[4:8]) {
-		return 0, fmt.Errorf("store: record checksum mismatch")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return 0, fmt.Errorf("store: decode record: %w", err)
-	}
-	return headerBytes + int64(n), nil
+	return off, nil
 }
 
-func encodeRecord(rec logRecord) ([]byte, error) {
-	return encodePayload(rec)
+// decodeRecord decodes a frame's payload into rec, which must be of
+// kind want.
+func decodeRecord(payload []byte, want wire.RecordKind, rec *wire.Record) error {
+	if err := wire.DecodeRecord(payload, rec); err != nil {
+		return err
+	}
+	if rec.Kind != want {
+		return fmt.Errorf("store: record of kind %d where kind %d belongs", rec.Kind, want)
+	}
+	return nil
 }
 
-func readRecord(r io.Reader, maxBytes int64) (logRecord, int64, error) {
-	var rec logRecord
-	n, err := readPayload(r, maxBytes, &rec)
-	return rec, n, err
+// decodeFrame checks that fr, a replicated or repair-pulled frame, is
+// exactly one intact task record carrying fr.Seq, and decodes it into
+// rec.
+func decodeFrame(fr wire.Frame, rec *wire.Record) error {
+	payload, err := wire.Unframe(fr.Bytes)
+	if err != nil {
+		return err
+	}
+	if err := decodeRecord(payload, wire.TaskRecord, rec); err != nil {
+		return err
+	}
+	if rec.Seq != fr.Seq {
+		return fmt.Errorf("frame labeled %d carries seq %d", fr.Seq, rec.Seq)
+	}
+	return nil
+}
+
+// errLegacyLayout refuses a directory written by builds that kept the
+// store as gob records: a snapshot.gob snapshot, or logs whose frames
+// carry a big-endian length. Open reads none of it and changes none of
+// its bytes; move the directory aside to start cold.
+var errLegacyLayout = errors.New("store: directory holds the retired gob layout (snapshot.gob, big-endian log frames); move it aside to start cold")
+
+// legacySnapshotName is the snapshot file of the retired gob layout.
+const legacySnapshotName = "snapshot.gob"
+
+// legacyFrame reports whether f, a log that failed its first frame,
+// opens with a frame of the retired layout: a non-zero big-endian
+// length (no gob value is empty) that fits the file and a CRC that
+// matches the bytes it spans. A corrupt new-format frame passes both by
+// chance once in 2^32.
+func legacyFrame(f File, size int64) bool {
+	var hdr [frameHeaderBytes]byte
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return false
+	}
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return false
+	}
+	n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+	if n == 0 || n > size-frameHeaderBytes {
+		return false
+	}
+	crc := crc32.NewIEEE()
+	if _, err := io.CopyN(crc, f, n); err != nil {
+		return false
+	}
+	return crc.Sum32() == binary.BigEndian.Uint32(hdr[4:8])
 }

@@ -1,71 +1,37 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // Replication primitives: a leader ships its append-only log to followers
 // frame by frame, and a follower applies the frames verbatim to its own
-// log. Because a logRecord holds no maps, gob re-encodes it to the exact
-// bytes the leader first wrote, so FramesSince can serve the stream from
-// in-memory state — no file-offset bookkeeping — while the follower's log
-// stays byte-identical to the leader's. The follower's durable version is
-// its acknowledgement: after a crash (even mid-stream, with a torn tail)
-// it re-requests from Version(), which recovery has already rolled back
-// to the last intact frame.
+// log. A log frame is a pure function of the stored task and its
+// sequence number (wire.AppendTaskRecord), so FramesSince re-encodes the
+// stream from in-memory state — no file-offset bookkeeping — and returns
+// exactly the bytes the log holds, while
+// the follower's log stays byte-identical to the leader's. The
+// follower's durable version is its acknowledgement: after a crash
+// (even mid-stream, with a torn tail) it re-requests from Version(),
+// which recovery has already rolled back to the last intact frame.
 
 // DefaultMaxPullFrames caps one FramesSince batch when the caller passes
 // no limit, bounding a single replication response.
 const DefaultMaxPullFrames = 256
 
-// Frame is one replicated log record: the verbatim framed bytes
-// (length + CRC + gob payload) and the sequence number they carry.
-type Frame struct {
-	Seq   uint64
-	Bytes []byte
-}
-
-// frameCacheSize is how many encoded frames a store retains for
-// FramesSince. The cache lets a leader ship its recent log to followers
-// without re-encoding each record per pull; it fills once a follower
-// has pulled (see Store.frameCache).
-const frameCacheSize = 512
-
-// cacheFrameLocked remembers one encoded frame, evicting the oldest
-// entries FIFO past the cap. The bytes must be immutable (they are
-// handed to replication responses without copying). Caller holds s.mu.
-func (s *Store) cacheFrameLocked(seq uint64, b []byte) {
-	if s.frameCache == nil {
-		s.frameCache = make(map[uint64][]byte, frameCacheSize)
-	}
-	if _, ok := s.frameCache[seq]; ok {
-		return
-	}
-	s.frameCache[seq] = b
-	s.frameSeqs = append(s.frameSeqs, seq)
-	for len(s.frameSeqs) > frameCacheSize {
-		delete(s.frameCache, s.frameSeqs[0])
-		s.frameSeqs = s.frameSeqs[1:]
-	}
-}
-
 // FramesSince returns the framed log records with sequence numbers above
 // after (at most maxFrames; 0 means DefaultMaxPullFrames), plus the
 // store's current version so the caller can measure its replication lag.
 // Sequence numbers a past recovery dropped are simply absent: the
-// follower's version jumps over them exactly as the leader's did.
-//
-// Recently appended (or previously pulled) frames come straight from the
-// encoded-frame cache; only frames that fell out of it — or never
-// entered it, on a memory-only store or before the first pull — pay a
-// re-encode, outside the lock, and are cached for the next follower.
-// The first call creates the cache, so later appends land in it.
-func (s *Store) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error) {
+// follower's version jumps over them exactly as the leader's did. The
+// frames are encoded outside the lock into one fresh buffer, which the
+// caller owns.
+func (s *Store) FramesSince(after uint64, maxFrames int) ([]wire.Frame, uint64, error) {
 	if maxFrames <= 0 {
 		maxFrames = DefaultMaxPullFrames
 	}
@@ -74,53 +40,26 @@ func (s *Store) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error
 		s.mu.Unlock()
 		return nil, 0, ErrClosed
 	}
-	if s.frameCache == nil {
-		s.frameCache = make(map[uint64][]byte, frameCacheSize)
-	}
-	tasks := s.tasks[:len(s.tasks):len(s.tasks)]
-	seqs := s.seqs[:len(s.seqs):len(s.seqs)]
-	upTo := s.version
-	start := sort.Search(len(seqs), func(i int) bool { return seqs[i] > after })
-	n := len(seqs) - start
-	if n > maxFrames {
-		n = maxFrames
-	}
-	if n <= 0 {
-		s.mu.Unlock()
-		return nil, upTo, nil
-	}
-	frames := make([]Frame, n)
-	var misses []int
-	for i := 0; i < n; i++ {
-		frames[i].Seq = seqs[start+i]
-		if b, ok := s.frameCache[frames[i].Seq]; ok {
-			frames[i].Bytes = b
-		} else {
-			misses = append(misses, i)
-		}
-	}
+	tasks, seqs, upTo := s.tasks[:len(s.tasks):len(s.tasks)], s.seqs[:len(s.seqs):len(s.seqs)], s.version
 	s.mu.Unlock()
 
-	if len(misses) == 0 {
-		return frames, upTo, nil
+	start := sort.Search(len(seqs), func(i int) bool { return seqs[i] > after })
+	n := min(len(seqs)-start, maxFrames)
+	if n <= 0 {
+		return nil, upTo, nil
 	}
-	var rec logRecord
-	for _, i := range misses {
-		rec.Seq = frames[i].Seq
-		tasks[start+i].UnpackInto(&rec.Task)
-		b, err := encodeRecord(rec)
-		if err != nil {
-			return nil, 0, err
-		}
-		frames[i].Bytes = b
+	tasks, seqs = tasks[start:start+n], seqs[start:start+n]
+	size := 0
+	for _, t := range tasks {
+		size += wire.TaskRecordLen(t.Dim())
 	}
-	s.mu.Lock()
-	if !s.closed {
-		for _, i := range misses {
-			s.cacheFrameLocked(frames[i].Seq, frames[i].Bytes)
-		}
+	buf := make([]byte, 0, size)
+	frames := make([]wire.Frame, n)
+	for i, t := range tasks {
+		off := len(buf)
+		buf = wire.AppendTaskRecord(buf, seqs[i], t)
+		frames[i] = wire.Frame{Seq: seqs[i], Bytes: buf[off:len(buf):len(buf)]}
 	}
-	s.mu.Unlock()
 	return frames, upTo, nil
 }
 
@@ -131,7 +70,7 @@ func (s *Store) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error
 // in increasing order. The whole batch is written and fsynced as one unit
 // before the in-memory state advances, so the returned version is durable
 // — it is the acknowledgement the follower reports upstream.
-func (s *Store) ApplyFrames(frames []Frame) (uint64, error) {
+func (s *Store) ApplyFrames(frames []wire.Frame) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -143,29 +82,22 @@ func (s *Store) ApplyFrames(frames []Frame) (uint64, error) {
 	type applied struct {
 		seq   uint64
 		task  dpprior.StoredTask
-		bytes []byte
 		valid bool
 	}
 	var batch []applied
 	var raw []byte
+	var rec wire.Record
 	ver := s.version
 	for _, fr := range frames {
 		if fr.Seq <= ver {
 			continue
 		}
-		rec, n, err := readRecord(bytes.NewReader(fr.Bytes), s.opts.MaxRecordBytes)
-		if err != nil {
+		if err := decodeFrame(fr, &rec); err != nil {
 			return 0, fmt.Errorf("store: replicated frame %d: %w", fr.Seq, err)
-		}
-		if rec.Seq != fr.Seq {
-			return 0, fmt.Errorf("store: replicated frame labeled %d carries seq %d", fr.Seq, rec.Seq)
-		}
-		if n != int64(len(fr.Bytes)) {
-			return 0, fmt.Errorf("store: replicated frame %d has %d trailing bytes", fr.Seq, int64(len(fr.Bytes))-n)
 		}
 		ver = rec.Seq
 		task, valid := s.admitRecord(rec.Task)
-		batch = append(batch, applied{seq: rec.Seq, task: task, bytes: fr.Bytes, valid: valid})
+		batch = append(batch, applied{seq: rec.Seq, task: task, valid: valid})
 		raw = append(raw, fr.Bytes...)
 	}
 	if len(batch) == 0 {
@@ -196,9 +128,6 @@ func (s *Store) ApplyFrames(frames []Frame) (uint64, error) {
 		s.version = a.seq
 		s.sinceSnap++
 		telemetry.StoreAppends.Inc()
-		// Cache the applied frame verbatim: a promoted follower serves
-		// its own replication stream from these same bytes.
-		s.cacheFrameLocked(a.seq, a.bytes)
 	}
 	if invalid > 0 {
 		telemetry.StoreInvalidRecords.Add(float64(invalid))

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // replicate pulls frames from leader into follower in batches until the
@@ -200,13 +201,13 @@ func TestApplyFramesRejectsCorruptAndMislabeled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipped := Frame{Seq: frames[0].Seq, Bytes: append([]byte(nil), frames[0].Bytes...)}
+	flipped := wire.Frame{Seq: frames[0].Seq, Bytes: append([]byte(nil), frames[0].Bytes...)}
 	flipped.Bytes[len(flipped.Bytes)-1] ^= 0x40
-	if _, err := follower.ApplyFrames([]Frame{flipped}); err == nil {
+	if _, err := follower.ApplyFrames([]wire.Frame{flipped}); err == nil {
 		t.Fatalf("corrupt frame accepted")
 	}
-	mislabeled := Frame{Seq: frames[1].Seq + 10, Bytes: frames[1].Bytes}
-	if _, err := follower.ApplyFrames([]Frame{mislabeled}); err == nil {
+	mislabeled := wire.Frame{Seq: frames[1].Seq + 10, Bytes: frames[1].Bytes}
+	if _, err := follower.ApplyFrames([]wire.Frame{mislabeled}); err == nil {
 		t.Fatalf("mislabeled frame accepted")
 	}
 	if follower.Version() != 0 || follower.Len() != 0 {
@@ -246,80 +247,45 @@ func TestReplicationConcurrentPull(t *testing.T) {
 	}
 }
 
-// TestFrameCacheFillsOnceFollowed: a durable store caches the frames it
-// appends only after a follower has pulled, so a store nobody replicates
-// from holds no encoded copy of its log. A follower caches the frames it
-// applies, and once it leads it serves those very bytes.
-func TestFrameCacheFillsOnceFollowed(t *testing.T) {
+// TestFramesSinceIsLogBytes: the frames a store serves are exactly the
+// bytes its log file holds — on the leader that appended them and on a
+// follower that applied them — because both re-encode a frame from the
+// stored task and its seq, and Append wrote it the same way.
+func TestFramesSinceIsLogBytes(t *testing.T) {
 	leader, follower := openPair(t)
 	rng := rand.New(rand.NewSource(23))
 	const n = 9
 	for i := 0; i < n; i++ {
-		if _, err := leader.Append(mkTask(rng, 4)); err != nil {
+		if _, err := leader.Append(fullCovTask(rng, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cached := func(s *Store) int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.frameCache)
-	}
-	if got := cached(leader); got != 0 {
-		t.Fatalf("unreplicated store caches %d frames after %d appends, want 0", got, n)
-	}
-
-	// The first pull re-encodes what it ships (and caches it); from then
-	// on each append is cached as written.
 	replicate(t, leader, follower, 4)
-	seq, err := leader.Append(mkTask(rng, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader.mu.Lock()
-	hit, ok := leader.frameCache[seq]
-	leader.mu.Unlock()
-	if !ok {
-		t.Fatalf("append %d after a pull was not cached", seq)
-	}
-	frames, _, err := leader.FramesSince(seq-1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 1 || frames[0].Seq != seq || &frames[0].Bytes[0] != &hit[0] {
-		t.Fatalf("pull after append %d did not serve the cached frame", seq)
-	}
-	tasks, seqs, _ := leader.ViewRecords()
-	var rec logRecord
-	rec.Seq = seqs[len(seqs)-1]
-	tasks[len(tasks)-1].UnpackInto(&rec.Task)
-	fresh, err := encodeRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(frames[0].Bytes, fresh) {
-		t.Fatal("cached frame differs from a re-encode of its record")
-	}
-	log := readLog(t, leader.opts.Dir)
-	if !bytes.HasSuffix(log, fresh) {
-		t.Fatal("cached frame differs from the bytes the log holds")
-	}
-
-	// The follower cached every frame it applied; promoted, it serves
-	// them verbatim.
-	if _, err := follower.ApplyFrames(frames); err != nil {
-		t.Fatal(err)
-	}
-	if got := cached(follower); got != n+1 {
-		t.Fatalf("follower caches %d of the %d frames it applied", got, n+1)
-	}
-	served, _, err := follower.FramesSince(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(served) != n+1 || &served[n].Bytes[0] != &hit[0] {
-		t.Fatalf("promoted follower served %d frames, the last not the bytes it applied", len(served))
-	}
-	if !bytes.Equal(readLog(t, follower.opts.Dir), log) {
-		t.Fatal("follower log differs from the leader's")
+	for _, s := range []*Store{leader, follower} {
+		frames, _, err := s.FramesSince(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frames) != n {
+			t.Fatalf("%d frames served, want %d", len(frames), n)
+		}
+		var served []byte
+		for i, fr := range frames {
+			if fr.Seq != uint64(i+1) {
+				t.Fatalf("frame %d carries seq %d", i, fr.Seq)
+			}
+			served = append(served, fr.Bytes...)
+		}
+		if !bytes.Equal(served, readLog(t, s.opts.Dir)) {
+			t.Fatal("served frames differ from the log file")
+		}
+		// A pull from the middle is a suffix of the same bytes.
+		tail, _, err := s.FramesSince(5, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tail) != 2 || !bytes.Equal(tail[0].Bytes, frames[5].Bytes) || !bytes.Equal(tail[1].Bytes, frames[6].Bytes) {
+			t.Fatal("a pull from seq 5 differs from the full pull")
+		}
 	}
 }

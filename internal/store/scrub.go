@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // Integrity scrubbing. Disk corruption that lands after a write
@@ -29,7 +29,7 @@ import (
 type RepairSource interface {
 	// FramesSince returns verbatim log frames with sequence numbers
 	// above after (*Store satisfies this directly).
-	FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error)
+	FramesSince(after uint64, maxFrames int) ([]wire.Frame, uint64, error)
 	// Verdicts returns the peer's full verdict map.
 	Verdicts() (map[uint64]bool, error)
 }
@@ -114,16 +114,8 @@ func (s *Store) Scrub(src RepairSource) (ScrubReport, error) {
 		return rep, nil
 	}
 
-	logPlan, err := s.detectLogCorruptionLocked(&rep)
-	if err != nil {
-		s.mu.Unlock()
-		return rep, err
-	}
-	verdictsCorrupt, err := s.detectVerdictCorruptionLocked(&rep)
-	if err != nil {
-		s.mu.Unlock()
-		return rep, err
-	}
+	logPlan := s.detectLogCorruptionLocked(&rep)
+	verdictsCorrupt := s.detectVerdictCorruptionLocked(&rep)
 	// Evidence the peer's verdict map is needed: a corrupt sidecar to
 	// merge before rewriting, a recovery-truncated sidecar to reconcile,
 	// or a log repair this pass (the replica still remembers what a
@@ -144,9 +136,9 @@ func (s *Store) Scrub(src RepairSource) (ScrubReport, error) {
 
 	// Phase 2 (unlocked): pull repair state from the peer. The store
 	// keeps serving while these round-trips are in flight.
-	var frames []Frame
+	var frames []wire.Frame
 	if logPlan != nil {
-		frames, err = pullRange(src, logPlan.lastGood, logPlan.upTo, s.opts.MaxRecordBytes)
+		frames, err = pullRange(src, logPlan.lastGood, logPlan.upTo)
 		if err != nil {
 			return rep, fmt.Errorf("store: scrub: pull repair frames after %d: %w", logPlan.lastGood, err)
 		}
@@ -213,7 +205,7 @@ func (s *Store) Scrub(src RepairSource) (ScrubReport, error) {
 // framesCover reports whether the pulled frames carry exactly the
 // sequence numbers a full repair needs (pullRange already verified
 // CRCs and strict ascent, so an element-wise compare suffices).
-func framesCover(frames []Frame, want []uint64) bool {
+func framesCover(frames []wire.Frame, want []uint64) bool {
 	if len(frames) != len(want) {
 		return false
 	}
@@ -262,11 +254,11 @@ func (s *Store) finishScrubLocked(rep *ScrubReport) {
 	s.logger.Info("store: scrub cleared poisoned state", "dir", s.opts.Dir)
 }
 
-// snapshotIntactLocked re-reads the snapshot file (absent = intact): a
-// v2 snapshot is proven by its CRC and header without decoding a task,
-// a v1 one is decoded whole. Failing to open it for reasons
-// other than not-exist propagates; any read, decode or consistency
-// failure reports corrupt. Caller holds s.mu.
+// snapshotIntactLocked re-walks the snapshot file (absent = intact),
+// checking every frame, record and seq as a load would without keeping
+// a task. Failing to open it for reasons other than not-exist
+// propagates; any read, decode or consistency failure reports corrupt.
+// Caller holds s.mu.
 func (s *Store) snapshotIntactLocked() (bool, error) {
 	f, err := s.fs.OpenFile(filepath.Join(s.opts.Dir, snapshotName), os.O_RDONLY, 0)
 	if err != nil {
@@ -276,7 +268,7 @@ func (s *Store) snapshotIntactLocked() (bool, error) {
 		return false, fmt.Errorf("store: scrub: open snapshot: %w", err)
 	}
 	defer f.Close()
-	_, err = readSnapshot(f, nil)
+	_, _, err = readSnapshot(f, nil)
 	return err == nil, nil
 }
 
@@ -299,31 +291,26 @@ type logRepairPlan struct {
 // bad frame is suspect even if later frames happen to be intact;
 // repair re-pulls the whole range verbatim, which restores those too.
 // Caller holds s.mu.
-func (s *Store) detectLogCorruptionLocked(rep *ScrubReport) (*logRepairPlan, error) {
-	if _, err := s.logF.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("store: scrub: rewind log: %w", err)
-	}
+func (s *Store) detectLogCorruptionLocked(rep *ScrubReport) *logRepairPlan {
 	// Restore the append position no matter how the walk ends.
 	defer func() { s.logF.Seek(s.logSize, io.SeekStart) }()
 
-	offset := int64(0) // end of the last intact frame
 	lastGood := s.snapVersion
 	sawFrame := false
-	reader := io.LimitReader(s.logF, s.logSize)
-	for offset < s.logSize {
-		rec, n, err := readRecord(reader, s.opts.MaxRecordBytes)
-		if err != nil {
-			break // corrupt or torn at offset
+	var rec wire.Record
+	offset, _ := walkFrames(s.logF, s.logSize, func(payload []byte) error {
+		if err := decodeRecord(payload, wire.TaskRecord, &rec); err != nil {
+			return err
 		}
-		offset += n
 		if rec.Seq > lastGood || !sawFrame {
 			lastGood = rec.Seq
 		}
 		sawFrame = true
 		rep.FramesChecked++
-	}
+		return nil
+	})
 	if offset >= s.logSize {
-		return nil, nil // every frame intact
+		return nil // every frame intact
 	}
 
 	// Quarantine (lastGood, version].
@@ -343,7 +330,7 @@ func (s *Store) detectLogCorruptionLocked(rep *ScrubReport) (*logRepairPlan, err
 		lastGood: lastGood,
 		upTo:     s.version,
 		logSize:  s.logSize,
-	}, nil
+	}
 }
 
 // seqsAboveLocked returns the in-memory sequence numbers above after.
@@ -359,8 +346,9 @@ func (s *Store) seqsAboveLocked(after uint64) []uint64 {
 // it does not advance it. The pull stops early (without error) if the
 // source has nothing above the cursor; the caller treats the shortfall
 // as an incomplete pull and skips the splice.
-func pullRange(src RepairSource, after, upTo uint64, maxRecordBytes int64) ([]Frame, error) {
-	var out []Frame
+func pullRange(src RepairSource, after, upTo uint64) ([]wire.Frame, error) {
+	var out []wire.Frame
+	var rec wire.Record
 	cursor := after
 	for cursor < upTo {
 		frames, _, err := src.FramesSince(cursor, 0)
@@ -372,15 +360,8 @@ func pullRange(src RepairSource, after, upTo uint64, maxRecordBytes int64) ([]Fr
 			if fr.Seq > upTo {
 				return out, nil
 			}
-			rec, n, err := readRecord(bytes.NewReader(fr.Bytes), maxRecordBytes)
-			if err != nil {
+			if err := decodeFrame(fr, &rec); err != nil {
 				return nil, fmt.Errorf("repair frame %d: %w", fr.Seq, err)
-			}
-			if rec.Seq != fr.Seq {
-				return nil, fmt.Errorf("repair frame labeled %d carries seq %d", fr.Seq, rec.Seq)
-			}
-			if n != int64(len(fr.Bytes)) {
-				return nil, fmt.Errorf("repair frame %d has trailing bytes", fr.Seq)
 			}
 			if fr.Seq <= cursor {
 				return nil, fmt.Errorf("repair frames not ascending at seq %d", fr.Seq)
@@ -397,10 +378,10 @@ func pullRange(src RepairSource, after, upTo uint64, maxRecordBytes int64) ([]Fr
 }
 
 // spliceTailLocked truncates the log at offset and appends the repaired
-// frames durably, updating the logical size and frame cache. The
+// frames durably, updating the logical size. The
 // in-memory state is untouched — memory was never corrupted; only the
 // disk image is being brought back in line with it. Caller holds s.mu.
-func (s *Store) spliceTailLocked(offset int64, frames []Frame) error {
+func (s *Store) spliceTailLocked(offset int64, frames []wire.Frame) error {
 	if err := s.logF.Truncate(offset); err != nil {
 		return fmt.Errorf("store: scrub: truncate quarantined tail: %w", err)
 	}
@@ -421,39 +402,30 @@ func (s *Store) spliceTailLocked(offset int64, frames []Frame) error {
 		return fmt.Errorf("store: scrub: sync repaired log: %w", err)
 	}
 	s.logSize += int64(len(raw))
-	for _, fr := range frames {
-		s.cacheFrameLocked(fr.Seq, fr.Bytes)
-	}
 	return nil
 }
 
 // detectVerdictCorruptionLocked CRC-walks the sidecar and reports
 // whether it holds corrupt bytes. Caller holds s.mu.
-func (s *Store) detectVerdictCorruptionLocked(rep *ScrubReport) (bool, error) {
+func (s *Store) detectVerdictCorruptionLocked(rep *ScrubReport) bool {
 	if s.verdictF == nil {
-		return false, nil
-	}
-	if _, err := s.verdictF.Seek(0, io.SeekStart); err != nil {
-		return false, fmt.Errorf("store: scrub: rewind verdict log: %w", err)
+		return false
 	}
 	defer func() { s.verdictF.Seek(s.verdictSize, io.SeekStart) }()
-	offset := int64(0)
-	reader := io.LimitReader(s.verdictF, s.verdictSize)
-	for offset < s.verdictSize {
-		var rec verdictRecord
-		n, err := readPayload(reader, s.opts.MaxRecordBytes, &rec)
-		if err != nil {
-			break
+	var rec wire.Record
+	offset, _ := walkFrames(s.verdictF, s.verdictSize, func(payload []byte) error {
+		if err := decodeRecord(payload, wire.VerdictRecord, &rec); err != nil {
+			return err
 		}
-		offset += n
 		rep.VerdictFrames++
-	}
+		return nil
+	})
 	if offset >= s.verdictSize {
-		return false, nil
+		return false
 	}
 	rep.VerdictCorrupt = true
 	telemetry.StoreScrubCorrupt.Inc()
-	return true, nil
+	return true
 }
 
 // rewriteVerdictsLocked heals a corrupt sidecar by merging the peer's
@@ -478,11 +450,7 @@ func (s *Store) rewriteVerdictsLocked(rep *ScrubReport, peer map[uint64]bool) er
 	recs := s.sortedVerdictsLocked()
 	var raw []byte
 	for _, rec := range recs {
-		frame, err := encodePayload(rec)
-		if err != nil {
-			return err
-		}
-		raw = append(raw, frame...)
+		raw = wire.AppendVerdictRecord(raw, rec.Seq, rec.Quarantined)
 	}
 	if err := s.verdictF.Truncate(0); err != nil {
 		return fmt.Errorf("store: scrub: truncate verdict log: %w", err)
@@ -535,11 +503,7 @@ func (s *Store) reconcileVerdictsLocked(rep *ScrubReport, peer map[uint64]bool) 
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	var raw []byte
 	for _, seq := range seqs {
-		frame, err := encodePayload(verdictRecord{Seq: seq, Quarantined: peer[seq]})
-		if err != nil {
-			return err
-		}
-		raw = append(raw, frame...)
+		raw = wire.AppendVerdictRecord(raw, seq, peer[seq])
 	}
 	if _, err := s.verdictF.Write(raw); err != nil {
 		return fmt.Errorf("store: scrub: append reconciled verdicts: %w", err)

@@ -11,12 +11,13 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // peerSource adapts a local *Store into a RepairSource.
 type peerSource struct{ peer *Store }
 
-func (p peerSource) FramesSince(after uint64, maxFrames int) ([]Frame, uint64, error) {
+func (p peerSource) FramesSince(after uint64, maxFrames int) ([]wire.Frame, uint64, error) {
 	return p.peer.FramesSince(after, maxFrames)
 }
 func (p peerSource) Verdicts() (map[uint64]bool, error) { return p.peer.Verdicts(), nil }
@@ -100,7 +101,6 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 	defer follower.Close()
 
 	rng := rand.New(rand.NewSource(2))
-	var ends []int64
 	for i := 0; i < 10; i++ {
 		if _, err := leader.Append(mkTask(rng, 4)); err != nil {
 			t.Fatal(err)
@@ -114,17 +114,8 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 	// Record frame boundaries on the follower to land the flip inside
 	// frame 4's payload.
 	logPath := filepath.Join(followerDir, logName)
-	raw := readFile(t, logPath)
-	off := int64(0)
-	for off < int64(len(raw)) {
-		_, n, err := readRecord(bytes.NewReader(raw[off:]), DefaultMaxRecordBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off += n
-		ends = append(ends, off)
-	}
-	flipByte(t, logPath, ends[3]+headerBytes+2)
+	ends := frameEnds(t, readFile(t, logPath))
+	flipByte(t, logPath, ends[3]+frameHeaderBytes+2)
 
 	// Detect-only pass: quarantines frames 5..10, leaves bytes alone,
 	// keeps serving from memory.
@@ -251,7 +242,7 @@ func TestScrubVerdictSidecarRepair(t *testing.T) {
 
 	// Flip a byte in the first sidecar record: recovery truncates from
 	// there, dropping every verdict on the floor.
-	flipByte(t, filepath.Join(followerDir, verdictLogName), headerBytes+1)
+	flipByte(t, filepath.Join(followerDir, verdictLogName), frameHeaderBytes+1)
 	follower = openPlain(t, followerDir)
 	defer follower.Close()
 	if !follower.Recovery().Truncated {
@@ -293,7 +284,7 @@ func TestScrubLiveVerdictCorruption(t *testing.T) {
 	if err := s.SetVerdicts(want); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, verdictLogName), headerBytes)
+	flipByte(t, filepath.Join(dir, verdictLogName), frameHeaderBytes)
 	rep, err := s.Scrub(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -421,16 +412,7 @@ func TestScrubSkipsPartialRepair(t *testing.T) {
 	// Rot frame 4 on the follower: frames 5..10 are quarantined, but the
 	// laggard can supply only 5..7.
 	logPath := filepath.Join(followerDir, logName)
-	raw := readFile(t, logPath)
-	off := int64(0)
-	for i := 0; i < 4; i++ {
-		_, n, err := readRecord(bytes.NewReader(raw[off:]), DefaultMaxRecordBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off += n
-	}
-	flipByte(t, logPath, off-2)
+	flipByte(t, logPath, frameEnds(t, readFile(t, logPath))[3]-2)
 	corrupted := readFile(t, logPath)
 
 	rep, err := follower.Scrub(peerSource{laggard})
@@ -474,7 +456,7 @@ func TestStartScrubber(t *testing.T) {
 		}
 	}
 	replicate(t, leader, follower, 0)
-	flipByte(t, filepath.Join(followerDir, logName), headerBytes+3)
+	flipByte(t, filepath.Join(followerDir, logName), frameHeaderBytes+3)
 
 	reports := make(chan ScrubReport, 16)
 	sc := follower.StartScrubber(5*time.Millisecond,

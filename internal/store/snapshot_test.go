@@ -2,17 +2,12 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
-	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/telemetry"
 )
 
@@ -46,7 +41,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Snapshot(); err != nil { // warm-up: gob type caches
+	if err := s.Snapshot(); err != nil { // warm-up
 		t.Fatal(err)
 	}
 	const runs = 4
@@ -73,8 +68,8 @@ func TestSnapshotAllocBudget(t *testing.T) {
 
 // TestSnapshotBytesDeterministic: two stores given the same appends and
 // verdicts write byte-identical snapshots, and a store rewriting its
-// own unchanged state does too. Verdicts used to be a gob map, written
-// in random iteration order.
+// own unchanged state does too: verdicts are written in seq order, not
+// in map iteration order.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	verdicts := make(map[uint64]bool)
 	for seq := uint64(1); seq <= 40; seq++ {
@@ -110,98 +105,5 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	}
 	if a, b := write(), write(); !bytes.Equal(a, b) {
 		t.Fatal("two stores with the same appends and verdicts wrote different snapshot bytes")
-	}
-}
-
-// v1Snapshot hand-writes a legacy one-value snapshot, optionally with
-// the [CRC][SCRC] trailer.
-func v1Snapshot(t testing.TB, snap snapshotV1, trailer bool) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if trailer {
-		return withTrailer(buf.Bytes())
-	}
-	return buf.Bytes()
-}
-
-// withTrailer appends the [CRC32 of body][SCRC] snapshot trailer.
-func withTrailer(body []byte) []byte {
-	var tr [8]byte
-	binary.BigEndian.PutUint32(tr[:4], crc32.ChecksumIEEE(body))
-	copy(tr[4:], snapshotMagic)
-	return append(body, tr[:]...)
-}
-
-// TestSnapshotV1Compat: v1 snapshots — with the CRC trailer, without
-// it, and with nil Seqs — open to exactly the state they encode, scrub
-// intact, and are rewritten as v2 by the next compaction.
-func TestSnapshotV1Compat(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tasks := make([]dpprior.TaskPosterior, 5)
-	for i := range tasks {
-		tasks[i] = mkTask(rng, 3)
-	}
-	gapped := []uint64{1, 2, 4, 5, 7} // seqs 3 and 6 were dropped by validation
-	verdicts := map[uint64]bool{1: true, 4: false, 7: true}
-	cases := []struct {
-		name     string
-		snap     snapshotV1
-		trailer  bool
-		wantSeqs []uint64
-	}{
-		{"trailer", snapshotV1{Version: 7, Tasks: tasks, Seqs: gapped, Verdicts: verdicts}, true, gapped},
-		{"no-trailer", snapshotV1{Version: 7, Tasks: tasks, Seqs: gapped, Verdicts: verdicts}, false, gapped},
-		{"nil-seqs", snapshotV1{Version: 5, Tasks: tasks, Verdicts: map[uint64]bool{2: true}}, true, []uint64{1, 2, 3, 4, 5}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, snapshotName)
-			if err := os.WriteFile(path, v1Snapshot(t, tc.snap, tc.trailer), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			check := func(s *Store, stage string) {
-				t.Helper()
-				gotTasks, _ := s.View()
-				_, gotSeqs, v := s.ViewRecords()
-				if s.Len() != len(tasks) || s.Version() != tc.snap.Version || v != tc.snap.Version {
-					t.Fatalf("%s: len %d version %d, want %d/%d", stage, s.Len(), s.Version(), len(tasks), tc.snap.Version)
-				}
-				if !bytes.Equal(gobBytes(t, gotTasks), gobBytes(t, tasks)) {
-					t.Fatalf("%s: tasks differ from the v1 snapshot's", stage)
-				}
-				if !reflect.DeepEqual(gotSeqs, tc.wantSeqs) {
-					t.Fatalf("%s: seqs %v, want %v", stage, gotSeqs, tc.wantSeqs)
-				}
-				if !reflect.DeepEqual(s.Verdicts(), tc.snap.Verdicts) {
-					t.Fatalf("%s: verdicts %v, want %v", stage, s.Verdicts(), tc.snap.Verdicts)
-				}
-			}
-			s, err := Open(Options{Dir: dir, NoSync: true, Logger: telemetry.Discard()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(s, "v1 open")
-			rep, err := s.Scrub(nil)
-			if err != nil || !rep.Clean() {
-				t.Fatalf("scrub of a v1 snapshot: %+v, %v", rep, err)
-			}
-			if err := s.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			raw := readFile(t, path)
-			if !bytes.HasPrefix(raw, snapshotV2Magic) || !bytes.HasSuffix(raw, snapshotMagic) {
-				t.Fatalf("compaction after a v1 open left %q…%q, want a v2 file", raw[:4], raw[len(raw)-4:])
-			}
-			re, err := Open(Options{Dir: dir, NoSync: true, Logger: telemetry.Discard()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			check(re, "v2 reopen")
-		})
 	}
 }

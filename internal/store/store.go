@@ -5,55 +5,51 @@
 //
 // # On-disk layout
 //
-// A store directory holds at most three files:
+// A store directory holds at most three files, each a sequence of wire
+// frames ([u32 LE length][u32 LE IEEE CRC32 of payload][payload]), one
+// record per frame, in the record layout of package wire:
 //
-//	snapshot.gob   the compacted prefix (layout below)
-//	tasks.log      framed records appended since the snapshot
-//	verdicts.log   framed admission verdicts appended since the snapshot
+//	snapshot.bin   the compacted prefix: SnapshotHeader{Version, Count},
+//	               then VerdictRecord × (seq-ascending), then TaskRecord × Count
+//	tasks.log      TaskRecord{Seq, Task} frames appended since the snapshot
+//	verdicts.log   VerdictRecord{Seq, Quarantined} frames appended since the snapshot
 //
-// The snapshot (v2) is one gob stream between a magic and a checksum:
+// A task record is a pure function of the stored (packed) task and its
+// sequence number, and one function (wire.AppendTaskRecord) writes it
+// for Append, FramesSince and compaction: the log, the snapshot and the
+// replication stream carry the same bytes, and FramesSince returns
+// exactly what the log file holds. Equal states write equal snapshots.
 //
-//	"SNP2" gob({Version, Count, Verdicts}) gob({Seq, Task}) × Count [4-byte IEEE CRC32][SCRC]
-//
-// where Verdicts is a seq-sorted slice (so equal states write equal
-// bytes) and the CRC covers everything before it. Compaction streams it
-// straight into a temp file through a 64 KB buffer, holding one record
-// at a time instead of an encoded copy of the pool; recovery decodes it
-// record by record into the store and checks the CRC at the end, and
-// the scrubber checks CRC and header without decoding tasks at all. A
-// v1 snapshot — one gob({Version, Tasks, Seqs, Verdicts}) value, with or
-// without the [CRC][SCRC] trailer — still loads, and the next
-// compaction rewrites it as v2.
-//
-// Each log record is framed as
-//
-//	[4-byte big-endian payload length][4-byte IEEE CRC32 of payload][payload]
-//
-// where the payload is an independently gob-encoded {Seq, Task} pair.
-// Records are self-delimiting and self-checking, so recovery can replay
-// the log from the start and stop at the first torn or corrupt record:
-// a crash mid-append loses at most the record being written, never the
-// tail behind it. The truncated bytes are chopped off so the next append
-// lands on a clean boundary.
+// Every file is read by one frame walker (walkFrames), which bounds
+// each frame's length by the bytes left in its file and checks its CRC
+// before decoding it. Recovery replays the log from the start and stops
+// at the first torn or corrupt frame: a crash mid-append loses at most
+// the record being written, never the tail behind it. The truncated
+// bytes are chopped off so the next append lands on a clean boundary.
+// The verdict sidecar recovers the same way. A snapshot is all or
+// nothing: a bad frame, a record out of place or fewer task records
+// than its header counts make it corrupt, and Open refuses it. The
+// scrubber re-walks all three files with the same walker.
 //
 // Sequence numbers make compaction crash-safe in either order: a record
 // whose Seq is already covered by the snapshot is skipped on replay, so
 // a crash between "snapshot written" and "log truncated" merely replays
 // no-ops.
 //
+// A directory in the retired gob layout (a snapshot.gob, or logs of
+// big-endian frames) is refused with errLegacyLayout before any of its
+// bytes is changed.
+//
 // # In memory
 //
 // The store holds each task packed (dpprior.StoredTask): μ and the upper
 // triangle of Σ in one allocation, about half the dense form's bytes.
 // Tasks are packed as they enter — appended, recovered or replicated —
-// after any validation, which runs on the dense form. What the store
-// writes is still the gob encoding of the dense form: a log frame is
-// encoded from the task as appended, and a snapshot record or a
-// re-encoded replication frame from the packed task unpacked row by row
-// into one reused buffer. For an exactly symmetric Σ (a Laplace
-// covariance is symmetrized) those bytes are the ones a dense store
-// writes; a Σ that validation let through with a last-bit asymmetry is
-// kept, and re-encoded, as its upper triangle mirrored.
+// after any validation, which runs on the dense form. A record writes
+// Σ dense, its upper triangle mirrored; for an exactly symmetric Σ (a
+// Laplace covariance is symmetrized) that is the task as uploaded, and
+// a Σ that validation let through with a last-bit asymmetry is kept,
+// and written, as its upper triangle mirrored.
 //
 // # Concurrency and versioning
 //
@@ -78,12 +74,8 @@ package store
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -91,22 +83,17 @@ import (
 	"sync"
 
 	"github.com/drdp/drdp/internal/dpprior"
-	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 const (
-	snapshotName = "snapshot.gob"
+	snapshotName = "snapshot.bin"
 	logName      = "tasks.log"
 
 	// DefaultSnapshotEvery is how many appended records accumulate in the
 	// log before it is compacted into the snapshot.
 	DefaultSnapshotEvery = 64
-
-	// DefaultMaxRecordBytes bounds one log record on the read path; a
-	// corrupt length prefix cannot make recovery allocate unbounded
-	// memory.
-	DefaultMaxRecordBytes = 64 << 20
 )
 
 // Options configures a Store.
@@ -120,9 +107,6 @@ type Options struct {
 	// NoSync skips fsync after appends and snapshots. Cuts append latency
 	// for tests and benchmarks at the cost of durability on power loss.
 	NoSync bool
-	// MaxRecordBytes bounds one record during recovery
-	// (0 = DefaultMaxRecordBytes).
-	MaxRecordBytes int64
 	// Logger receives recovery notices; nil picks the default handler.
 	Logger *slog.Logger
 	// Validate, when non-nil, re-checks every task read during recovery;
@@ -191,73 +175,17 @@ type Store struct {
 	// compactions instead of a silently growing log.
 	compactErr error
 
-	// frameCache holds recently encoded log frames by sequence number,
-	// evicted FIFO by frameSeqs. Entries are immutable once cached (the
-	// same bytes the log holds), so FramesSince can hand them out
-	// without copying. It stays nil until the store replicates: the
-	// first FramesSince creates it, and only then does Append cache the
-	// frame it wrote; ApplyFrames caches what it applies, since a
-	// promoted follower serves those bytes. A store no follower pulls
-	// from caches nothing.
-	frameCache map[uint64][]byte
-	frameSeqs  []uint64
-
-	// appendTask is Append's dense buffer: each appended task is packed,
-	// then unpacked here to encode its log frame.
-	appendTask dpprior.TaskPosterior
-}
-
-// logRecord is one framed log entry. Seq is the store version the
-// append produced, letting replay skip records the snapshot already
-// covers.
-type logRecord struct {
-	Seq  uint64
-	Task dpprior.TaskPosterior
-}
-
-// reset zeroes rec for the next decode into it but keeps its mean and
-// covariance storage. gob decodes into existing slices and leaves fields
-// the stream omits (zero values) as they were, so every field is cleared
-// first; a task decoded this way is only valid until the next decode.
-func (rec *logRecord) reset() {
-	mu, sigma := rec.Task.Mu[:0], rec.Task.Sigma
-	if sigma != nil {
-		*sigma = mat.Dense{Data: sigma.Data[:0]}
-	}
-	*rec = logRecord{Task: dpprior.TaskPosterior{Mu: mu, Sigma: sigma}}
-}
-
-// snapshotHeader opens a v2 snapshot stream; Count logRecord values
-// follow it on the same gob encoder, in ascending Seq order. Verdicts
-// are seq-sorted.
-type snapshotHeader struct {
-	Version  uint64
-	Count    uint64
-	Verdicts []verdictRecord
-}
-
-// snapshotV1 is the legacy snapshot: the whole pool as one gob value.
-// It is read, never written. Seqs and Verdicts are absent from
-// pre-admission snapshots; gob decodes them as nil and recovery derives
-// Seqs as the contiguous prefix (which is exactly what it was before
-// tasks could be dropped).
-type snapshotV1 struct {
-	Version  uint64
-	Tasks    []dpprior.TaskPosterior
-	Seqs     []uint64
-	Verdicts map[uint64]bool
+	// frame is Append's encode buffer, reused under mu.
+	frame []byte
 }
 
 // Open opens (or creates) a store, recovering the task set from the
 // snapshot and log. A torn or corrupt log tail is truncated and
 // reported via Recovery(); a corrupt snapshot is a hard error (delete
-// it to start cold).
+// it to start cold), and so is a directory in the retired gob layout.
 func Open(opts Options) (*Store, error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if opts.MaxRecordBytes <= 0 {
-		opts.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 	if opts.FS == nil {
 		opts.FS = OSFS()
@@ -274,13 +202,13 @@ func Open(opts Options) (*Store, error) {
 	if err := s.fs.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	if err := s.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := s.replayLog(); err != nil {
-		return nil, err
-	}
-	if err := s.loadVerdicts(); err != nil {
+	if err := s.open(); err != nil {
+		if s.logF != nil {
+			s.logF.Close()
+		}
+		if s.verdictF != nil {
+			s.verdictF.Close()
+		}
 		return nil, err
 	}
 	if s.recovery.Truncated {
@@ -298,151 +226,118 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-var (
-	// snapshotMagic ends every checksummed snapshot, after the 4-byte
-	// IEEE CRC32 of everything before it. v1 snapshots without it still
-	// load; they just cannot be integrity-checked.
-	snapshotMagic = []byte("SCRC")
-	// snapshotV2Magic opens a v2 snapshot. No v1 file can start with it:
-	// a gob stream opens with a type definition, whose negative type id
-	// cannot encode as 'N'.
-	snapshotV2Magic = []byte("SNP2")
-)
+// open recovers the directory's three files in order.
+func (s *Store) open() error {
+	if f, err := s.fs.OpenFile(filepath.Join(s.opts.Dir, legacySnapshotName), os.O_RDONLY, 0); err == nil {
+		f.Close()
+		return fmt.Errorf("%w: %s", errLegacyLayout, s.opts.Dir)
+	}
+	if err := s.loadSnapshot(); err != nil {
+		return err
+	}
+	if err := s.replayLog(); err != nil {
+		return err
+	}
+	return s.loadVerdicts()
+}
 
 const (
-	// snapshotBufBytes sizes the buffer between the gob stream and the
-	// snapshot file, in both directions.
+	// snapshotBufBytes sizes the buffer between the encoder and the
+	// snapshot file.
 	snapshotBufBytes = 64 << 10
-	// minSnapshotRecordBytes is the smallest gob value message (length,
-	// type id, end of struct): file size / it bounds how many records a
-	// snapshot can hold, whatever its header claims.
-	minSnapshotRecordBytes = 3
+	// minTaskRecordBytes is the smallest framed task record (a
+	// 0-dimensional task without a covariance): file size / it bounds how
+	// many records a snapshot can hold, whatever its header claims.
+	minTaskRecordBytes = frameHeaderBytes + 1 + 8 + 4 + 1 + 8
 )
 
-// writeSnapshot streams the v2 layout to w. One encoder carries the
-// header and every record, so the gob type descriptors go out once, and
-// a fixed buffer sits between it and w: memory is one encoded record
-// plus the buffer however large the pool is. tasks and seqs are
+// writeSnapshot writes the snapshot layout to w through a fixed buffer,
+// encoding one frame at a time into one reused slice: memory is one
+// frame plus the buffer however large the pool is. tasks and seqs are
 // parallel; verdicts must be seq-sorted.
 func writeSnapshot(w io.Writer, version uint64, tasks []dpprior.StoredTask, seqs []uint64, verdicts []verdictRecord) error {
 	bw := bufio.NewWriterSize(w, snapshotBufBytes)
-	crc := crc32.NewIEEE()
-	body := io.MultiWriter(bw, crc)
-	if _, err := body.Write(snapshotV2Magic); err != nil {
-		return err
+	frame := wire.AppendSnapshotHeader(nil, version, uint64(len(tasks)))
+	for _, v := range verdicts {
+		frame = wire.AppendVerdictRecord(frame, v.Seq, v.Quarantined)
 	}
-	enc := gob.NewEncoder(body)
-	if err := enc.Encode(snapshotHeader{Version: version, Count: uint64(len(tasks)), Verdicts: verdicts}); err != nil {
-		return err
-	}
-	rec := new(logRecord) // one record and task buffer, reused: boxing a value per Encode would allocate
 	for i, t := range tasks {
-		rec.Seq = seqs[i]
-		t.UnpackInto(&rec.Task)
-		if err := enc.Encode(rec); err != nil {
+		if _, err := bw.Write(frame); err != nil {
 			return err
 		}
+		frame = wire.AppendTaskRecord(frame[:0], seqs[i], t)
 	}
-	var trailer [8]byte
-	binary.BigEndian.PutUint32(trailer[:4], crc.Sum32())
-	copy(trailer[4:], snapshotMagic)
-	if _, err := bw.Write(trailer[:]); err != nil {
+	if _, err := bw.Write(frame); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// readSnapshot streams one snapshot file of either layout. With into
-// non-nil every stored task is recovered into it as it is decoded;
-// with into nil a v2 snapshot's records are not decoded at all — its
-// checksum vouches for them — which is how the scrubber checks the file
-// without building a second copy of the pool. The CRC trailer
-// (mandatory for v2, optional for v1) is checked once the last byte has
-// been read, before Open returns the store. Any failure means corrupt.
-func readSnapshot(f File, into *Store) (snapshotHeader, error) {
+// readSnapshot walks one snapshot file: its header, then verdict
+// records, then exactly Count task records, each list in ascending seq
+// within (0, Version]. With into non-nil every verdict and task is
+// recovered into it as it is read; with into nil (the scrubber) the
+// file is only checked. Any failure means corrupt.
+func readSnapshot(f File, into *Store) (version, count uint64, err error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return snapshotHeader{}, err
+		return 0, 0, err
 	}
-	payload, trailered, want := size, false, uint32(0)
-	if size >= 8 {
-		var trailer [8]byte
-		if _, err := f.Seek(size-8, io.SeekStart); err != nil {
-			return snapshotHeader{}, err
+	var rec wire.Record
+	var header bool
+	var tasks, prev uint64
+	_, err = walkFrames(f, size, func(payload []byte) error {
+		if err := wire.DecodeRecord(payload, &rec); err != nil {
+			return err
 		}
-		if _, err := io.ReadFull(f, trailer[:]); err != nil {
-			return snapshotHeader{}, err
+		switch {
+		case !header:
+			if rec.Kind != wire.SnapshotHeader {
+				return fmt.Errorf("record of kind %d where the header belongs", rec.Kind)
+			}
+			if rec.Count > rec.Version {
+				return fmt.Errorf("%d tasks above version %d", rec.Count, rec.Version)
+			}
+			header, version, count = true, rec.Version, rec.Count
+			if into != nil {
+				n := min(count, uint64(size/minTaskRecordBytes))
+				into.tasks = make([]dpprior.StoredTask, 0, n)
+				into.seqs = make([]uint64, 0, n)
+			}
+		case rec.Kind == wire.VerdictRecord && tasks == 0:
+			if err := checkSeq("verdict", rec.Seq, prev, version); err != nil {
+				return err
+			}
+			prev = rec.Seq
+			if into != nil {
+				into.verdicts[rec.Seq] = rec.Quarantined
+			}
+		case rec.Kind == wire.TaskRecord && tasks < count:
+			if tasks == 0 {
+				prev = 0
+			}
+			if err := checkSeq("record", rec.Seq, prev, version); err != nil {
+				return err
+			}
+			prev = rec.Seq
+			tasks++
+			if into != nil {
+				into.recoverTask(rec.Seq, rec.Task)
+			}
+		default:
+			return fmt.Errorf("record of kind %d out of place after %d of %d tasks", rec.Kind, tasks, count)
 		}
-		if bytes.Equal(trailer[4:], snapshotMagic) {
-			payload, trailered, want = size-8, true, binary.BigEndian.Uint32(trailer[:4])
-		}
+		return nil
+	})
+	switch {
+	case err != nil:
+		return version, count, err
+	case !header:
+		return 0, 0, errors.New("no header")
+	case tasks != count:
+		return version, count, fmt.Errorf("%d of %d task records", tasks, count)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return snapshotHeader{}, err
-	}
-	crc := crc32.NewIEEE()
-	br := bufio.NewReaderSize(io.TeeReader(io.LimitReader(f, payload), crc), snapshotBufBytes)
-	var hdr snapshotHeader
-	if magic, _ := br.Peek(len(snapshotV2Magic)); bytes.Equal(magic, snapshotV2Magic) {
-		if !trailered {
-			return hdr, errors.New("v2 snapshot without checksum trailer")
-		}
-		br.Discard(len(magic)) // cannot fail: Peek buffered these bytes
-		hdr, err = readSnapshotV2(gob.NewDecoder(br), payload, into)
-	} else {
-		hdr, err = readSnapshotV1(gob.NewDecoder(br), into)
-	}
-	if err != nil {
-		return hdr, err
-	}
-	// Whatever the decoder left unread still belongs to the checksum.
-	if _, err := io.Copy(io.Discard, br); err != nil {
-		return hdr, err
-	}
-	if trailered && crc.Sum32() != want {
-		return hdr, errors.New("snapshot checksum mismatch")
-	}
-	return hdr, nil
-}
-
-// readSnapshotV2 decodes the header and, with into non-nil, the Count
-// records behind it. Count is untrusted: it only sizes the destination
-// up to what payload bytes can hold.
-func readSnapshotV2(dec *gob.Decoder, payload int64, into *Store) (snapshotHeader, error) {
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return hdr, fmt.Errorf("header: %w", err)
-	}
-	if hdr.Count > hdr.Version {
-		return hdr, fmt.Errorf("%d tasks above version %d", hdr.Count, hdr.Version)
-	}
-	var prev uint64
-	for _, v := range hdr.Verdicts {
-		if err := checkSeq("verdict", v.Seq, prev, hdr.Version); err != nil {
-			return hdr, err
-		}
-		prev = v.Seq
-	}
-	if into == nil {
-		return hdr, nil
-	}
-	n := min(hdr.Count, uint64(payload/minSnapshotRecordBytes))
-	into.tasks = make([]dpprior.StoredTask, 0, n)
-	into.seqs = make([]uint64, 0, n)
-	prev = 0
-	var rec logRecord
-	for i := uint64(0); i < hdr.Count; i++ {
-		rec.reset()
-		if err := dec.Decode(&rec); err != nil {
-			return hdr, fmt.Errorf("record %d of %d: %w", i+1, hdr.Count, err)
-		}
-		if err := checkSeq("record", rec.Seq, prev, hdr.Version); err != nil {
-			return hdr, err
-		}
-		prev = rec.Seq
-		into.recoverTask(rec.Seq, rec.Task)
-	}
-	return hdr, nil
+	return version, count, nil
 }
 
 // checkSeq enforces the order every persisted seq list keeps: strictly
@@ -452,49 +347,6 @@ func checkSeq(what string, seq, prev, version uint64) error {
 		return fmt.Errorf("%s seq %d out of order or above version %d", what, seq, version)
 	}
 	return nil
-}
-
-// readSnapshotV1 decodes a legacy one-value snapshot, recovering its
-// tasks into into when non-nil.
-func readSnapshotV1(dec *gob.Decoder, into *Store) (snapshotHeader, error) {
-	var snap snapshotV1
-	if err := dec.Decode(&snap); err != nil {
-		return snapshotHeader{}, err
-	}
-	hdr := snapshotHeader{Version: snap.Version, Count: uint64(len(snap.Tasks))}
-	if hdr.Count > snap.Version {
-		return hdr, fmt.Errorf("%d tasks above version %d", len(snap.Tasks), snap.Version)
-	}
-	if snap.Seqs != nil && len(snap.Seqs) != len(snap.Tasks) {
-		return hdr, fmt.Errorf("%d tasks but %d seqs", len(snap.Tasks), len(snap.Seqs))
-	}
-	var prev uint64
-	for _, seq := range snap.Seqs {
-		if err := checkSeq("task", seq, prev, snap.Version); err != nil {
-			return hdr, err
-		}
-		prev = seq
-	}
-	// Verdicts for seqs the snapshot never issued are dropped, as the
-	// sidecar replay drops them, so the v2 rewrite holds a valid header.
-	for seq, q := range snap.Verdicts {
-		if seq != 0 && seq <= snap.Version {
-			hdr.Verdicts = append(hdr.Verdicts, verdictRecord{Seq: seq, Quarantined: q})
-		}
-	}
-	if into == nil {
-		return hdr, nil
-	}
-	into.tasks = make([]dpprior.StoredTask, 0, len(snap.Tasks))
-	into.seqs = make([]uint64, 0, len(snap.Tasks))
-	for i, t := range snap.Tasks {
-		seq := uint64(i + 1) // pre-admission: the contiguous seq prefix
-		if snap.Seqs != nil {
-			seq = snap.Seqs[i]
-		}
-		into.recoverTask(seq, t)
-	}
-	return hdr, nil
 }
 
 // recoverTask packs one task read back from disk during Open. A task
@@ -531,20 +383,17 @@ func (s *Store) loadSnapshot() error {
 		return fmt.Errorf("store: open snapshot: %w", err)
 	}
 	defer f.Close()
-	hdr, err := readSnapshot(f, s)
+	version, count, err := readSnapshot(f, s)
 	if err != nil {
 		return fmt.Errorf("store: snapshot %s is corrupt (delete it to start cold): %w", path, err)
 	}
-	for _, v := range hdr.Verdicts {
-		s.verdicts[v.Seq] = v.Quarantined
-	}
-	s.version = hdr.Version
-	s.snapVersion = hdr.Version
-	s.recovery.SnapshotTasks = int(hdr.Count)
+	s.version = version
+	s.snapVersion = version
+	s.recovery.SnapshotTasks = int(count)
 	return nil
 }
 
-// replayLog scans the framed log, appending records beyond the snapshot
+// replayLog walks the framed log, appending records beyond the snapshot
 // version and truncating the first torn or corrupt tail it hits.
 func (s *Store) replayLog() error {
 	path := filepath.Join(s.opts.Dir, logName)
@@ -553,43 +402,53 @@ func (s *Store) replayLog() error {
 		return fmt.Errorf("store: open log: %w", err)
 	}
 	s.logF = f
-
-	offset := int64(0) // end of the last fully valid record
-	for {
-		rec, n, err := readRecord(f, s.opts.MaxRecordBytes)
-		if errors.Is(err, io.EOF) {
-			break
+	var rec wire.Record
+	offset, _, err := s.recoverFrames(f, "log", func(payload []byte) error {
+		if err := decodeRecord(payload, wire.TaskRecord, &rec); err != nil {
+			return err
 		}
-		if err != nil {
-			// Torn or corrupt tail: everything before offset is intact.
-			end, serr := f.Seek(0, io.SeekEnd)
-			if serr != nil {
-				return fmt.Errorf("store: seek log: %w", serr)
-			}
-			s.recovery.Truncated = true
-			s.recovery.TruncatedBytes = end - offset
-			if terr := f.Truncate(offset); terr != nil {
-				return fmt.Errorf("store: truncate log tail: %w", terr)
-			}
-			break
-		}
-		offset += n
 		if rec.Seq <= s.version {
 			// Already covered by the snapshot (crash between snapshot
 			// write and log truncation).
 			s.recovery.SkippedRecords++
-			continue
+			return nil
 		}
 		s.version = rec.Seq
 		s.recovery.LogRecords++
 		s.sinceSnap++
 		s.recoverTask(rec.Seq, rec.Task)
+		return nil
+	})
+	s.logSize = offset
+	return err
+}
+
+// recoverFrames walks one log file through visit and truncates it after
+// the last intact frame, returning that offset, with the file
+// positioned there, and whether it truncated. A file whose very first
+// frame is in the retired layout is left untouched and refused with
+// errLegacyLayout.
+func (s *Store) recoverFrames(f File, what string, visit func(payload []byte) error) (int64, bool, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, false, fmt.Errorf("store: seek %s: %w", what, err)
+	}
+	offset, werr := walkFrames(f, size, visit)
+	if werr != nil {
+		if offset == 0 && legacyFrame(f, size) {
+			return 0, false, fmt.Errorf("%w: %s", errLegacyLayout, f.Name())
+		}
+		// Torn or corrupt tail: everything before offset is intact.
+		s.recovery.Truncated = true
+		s.recovery.TruncatedBytes += size - offset
+		if err := f.Truncate(offset); err != nil {
+			return 0, true, fmt.Errorf("store: truncate %s tail: %w", what, err)
+		}
 	}
 	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seek log end: %w", err)
+		return 0, werr != nil, fmt.Errorf("store: seek %s end: %w", what, err)
 	}
-	s.logSize = offset
-	return nil
+	return offset, werr != nil, nil
 }
 
 // Recovery reports what Open found on disk (zero value for a fresh or
@@ -700,11 +559,8 @@ func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
 	}
 	seq := s.version + 1
 	if s.logF != nil {
-		st.UnpackInto(&s.appendTask)
-		frame, err := encodeRecord(logRecord{Seq: seq, Task: s.appendTask})
-		if err != nil {
-			return 0, err
-		}
+		s.frame = wire.AppendTaskRecord(s.frame[:0], seq, st)
+		frame := s.frame
 		if _, err := s.logF.Write(frame); err != nil {
 			s.poisonLocked(err)
 			return 0, fmt.Errorf("store: append: %w", err)
@@ -717,12 +573,6 @@ func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
 		}
 		s.logSize += int64(len(frame))
 		telemetry.StoreLogBytes.Add(float64(len(frame)))
-		// Once a follower pulls, remembering the encoded frame makes its
-		// next pull a copy-free cache hit. (Until then, and on
-		// memory-only stores, FramesSince fills the cache on demand.)
-		if s.frameCache != nil {
-			s.cacheFrameLocked(seq, frame)
-		}
 	}
 	s.tasks = append(s.tasks, st)
 	s.seqs = append(s.seqs, seq)
@@ -773,8 +623,6 @@ func (s *Store) snapshotLocked() error {
 		return fmt.Errorf("store: snapshot temp: %w", err)
 	}
 	defer s.fs.Remove(tmp.Name())
-	// The CRC trailer lets the scrubber (and every future load) prove the
-	// snapshot intact instead of hoping gob notices.
 	if err := writeSnapshot(tmp, s.version, s.tasks, s.seqs, s.sortedVerdictsLocked()); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: write snapshot: %w", err)

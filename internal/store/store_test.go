@@ -12,6 +12,7 @@ import (
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/telemetry"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 // mkTask builds a small deterministic task posterior.
@@ -39,6 +40,26 @@ func packAll(tb testing.TB, tasks []dpprior.TaskPosterior) []dpprior.StoredTask 
 		out[i] = st
 	}
 	return out
+}
+
+// taskFrame is the log frame Append writes for task at seq.
+func taskFrame(tb testing.TB, seq uint64, task dpprior.TaskPosterior) []byte {
+	tb.Helper()
+	return wire.AppendTaskRecord(nil, seq, packAll(tb, []dpprior.TaskPosterior{task})[0])
+}
+
+// frameEnds returns the end offset of each frame in raw.
+func frameEnds(tb testing.TB, raw []byte) []int64 {
+	tb.Helper()
+	r := bytes.NewReader(raw)
+	var ends []int64
+	for r.Len() > 0 {
+		if _, err := wire.ReadFrame(r, int64(r.Len()), nil); err != nil {
+			tb.Fatal(err)
+		}
+		ends = append(ends, int64(len(raw)-r.Len()))
+	}
+	return ends
 }
 
 func gobBytes(t *testing.T, v any) []byte {
@@ -136,10 +157,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 
 	// Simulate the crash: append a torn record (header + partial payload).
 	logPath := filepath.Join(dir, logName)
-	full, err := encodeRecord(logRecord{Seq: 6, Task: mkTask(rng, 3)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := taskFrame(t, 6, mkTask(rng, 3))
 	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +230,7 @@ func TestCrashRecoveryCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[ends[1]+headerBytes+3] ^= 0xff
+	data[ends[1]+frameHeaderBytes+3] ^= 0xff
 	if err := os.WriteFile(logPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +322,7 @@ func TestReplaySkipsSnapshotCoveredRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(2); seq <= 4; seq++ {
-		frame, err := encodeRecord(logRecord{Seq: seq, Task: mkTask(rng, 3)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(frame); err != nil {
+		if _, err := f.Write(taskFrame(t, seq, mkTask(rng, 3))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,14 +342,41 @@ func TestReplaySkipsSnapshotCoveredRecords(t *testing.T) {
 }
 
 // TestCorruptSnapshotIsHardError: unlike the log tail, a torn snapshot
-// cannot be partially trusted — Open must refuse.
+// cannot be partially trusted — Open must refuse bytes that are not
+// frames, and a snapshot cut at a frame boundary, whose every frame is
+// intact but which holds fewer task records than its header counts.
 func TestCorruptSnapshotIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte("not gob"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte("not a frame"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Options{Dir: dir, Logger: telemetry.Discard()}); err == nil {
 		t.Fatal("corrupt snapshot opened cleanly")
+	}
+
+	dir = t.TempDir()
+	s, err := Open(Options{Dir: dir, SnapshotEvery: -1, NoSync: true, Logger: telemetry.Discard()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 3; i++ {
+		if _, err := s.Append(mkTask(rng, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	path := filepath.Join(dir, snapshotName)
+	raw := readFile(t, path)
+	ends := frameEnds(t, raw)
+	if err := os.WriteFile(path, raw[:ends[len(ends)-2]], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Dir: dir, Logger: telemetry.Discard()}); err == nil {
+		t.Fatal("snapshot missing its last task record opened cleanly")
 	}
 }
 

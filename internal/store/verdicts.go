@@ -1,25 +1,16 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"github.com/drdp/drdp/internal/dpprior"
+	"github.com/drdp/drdp/internal/wire"
 )
 
 const verdictLogName = "verdicts.log"
-
-// verdictRecord is one framed entry of the verdict sidecar: the
-// admission judge's decision for the task appended at Seq. Later records
-// for the same Seq override earlier ones on replay.
-type verdictRecord struct {
-	Seq         uint64
-	Quarantined bool
-}
 
 // loadVerdicts opens the verdict sidecar and replays it over the
 // verdicts recovered from the snapshot. A torn or corrupt tail is
@@ -32,38 +23,17 @@ func (s *Store) loadVerdicts() error {
 		return fmt.Errorf("store: open verdict log: %w", err)
 	}
 	s.verdictF = f
-
-	offset := int64(0)
-	for {
-		var rec verdictRecord
-		n, err := readPayload(f, s.opts.MaxRecordBytes, &rec)
-		if errors.Is(err, io.EOF) {
-			break
+	var rec wire.Record
+	s.verdictSize, s.verdictsTruncated, err = s.recoverFrames(f, "verdict log", func(payload []byte) error {
+		if err := decodeRecord(payload, wire.VerdictRecord, &rec); err != nil {
+			return err
 		}
-		if err != nil {
-			end, serr := f.Seek(0, io.SeekEnd)
-			if serr != nil {
-				return fmt.Errorf("store: seek verdict log: %w", serr)
-			}
-			s.recovery.Truncated = true
-			s.recovery.TruncatedBytes += end - offset
-			s.verdictsTruncated = true
-			if terr := f.Truncate(offset); terr != nil {
-				return fmt.Errorf("store: truncate verdict log tail: %w", terr)
-			}
-			break
+		if rec.Seq != 0 && rec.Seq <= s.version {
+			s.verdicts[rec.Seq] = rec.Quarantined
 		}
-		offset += n
-		if rec.Seq == 0 || rec.Seq > s.version {
-			continue
-		}
-		s.verdicts[rec.Seq] = rec.Quarantined
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seek verdict log end: %w", err)
-	}
-	s.verdictSize = offset
-	return nil
+		return nil
+	})
+	return err
 }
 
 // SetVerdicts durably records admission verdicts (true = quarantined)
@@ -94,11 +64,7 @@ func (s *Store) SetVerdicts(verdicts map[uint64]bool) error {
 	if s.verdictF != nil {
 		var frames []byte
 		for _, seq := range seqs {
-			frame, err := encodePayload(verdictRecord{Seq: seq, Quarantined: verdicts[seq]})
-			if err != nil {
-				return err
-			}
-			frames = append(frames, frame...)
+			frames = wire.AppendVerdictRecord(frames, seq, verdicts[seq])
 		}
 		if _, err := s.verdictF.Write(frames); err != nil {
 			s.poisonLocked(err)
@@ -116,6 +82,13 @@ func (s *Store) SetVerdicts(verdicts map[uint64]bool) error {
 		s.verdicts[seq] = verdicts[seq]
 	}
 	return nil
+}
+
+// verdictRecord is one admission verdict: the judge's decision for the
+// task appended at Seq.
+type verdictRecord struct {
+	Seq         uint64
+	Quarantined bool
 }
 
 // sortedVerdictsLocked returns the verdict map as records in ascending

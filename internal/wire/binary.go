@@ -7,7 +7,6 @@ import (
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/mat"
-	"github.com/drdp/drdp/internal/store"
 )
 
 // The fixed-layout binary codec. Every message payload (the bytes
@@ -593,7 +592,7 @@ func DecodeResponse(payload []byte, resp *Response, reuse bool) error {
 			return r.err
 		}
 		if !reuse || cap(resp.Frames) < n {
-			resp.Frames = make([]store.Frame, n)
+			resp.Frames = make([]Frame, n)
 		}
 		resp.Frames = resp.Frames[:n]
 		for i := range resp.Frames {

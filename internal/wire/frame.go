@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
 
 	"github.com/drdp/drdp/internal/telemetry"
@@ -17,8 +18,8 @@ import (
 // The length is checked against the receiver's frame limit before any
 // allocation, and the CRC before any decoding, so a torn or corrupt
 // frame fails the connection instead of producing a half-decoded
-// message — the same contract the durable store applies to its log
-// records.
+// message. The durable store writes its records in the same frames
+// (record.go) and reads them back through ReadFrame and Unframe.
 
 // frameHeaderLen is the length+CRC prefix size.
 const frameHeaderLen = 8
@@ -69,18 +70,14 @@ func (e *Encoder) reserve() []byte {
 	if e.buf == nil {
 		e.buf = getBuf()
 	}
-	b := e.buf[:0]
-	return append(b, make([]byte, frameHeaderLen)...)
+	return openFrame(e.buf[:0])
 }
 
 // flush backfills the header over the appended payload and writes the
 // whole frame in one call, so a message is never split across writes at
 // this layer.
 func (e *Encoder) flush(b []byte) error {
-	e.buf = b // keep the grown buffer even on error
-	payload := b[frameHeaderLen:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	e.buf = closeFrame(b, 0) // keep the grown buffer even on error
 	n, err := e.w.Write(b)
 	telemetry.WireBytesBinaryOut.Add(float64(n))
 	if err != nil {
@@ -122,31 +119,79 @@ func (d *Decoder) Release() {
 // next reads one frame and returns its CRC-verified payload, valid
 // until the next call.
 func (d *Decoder) next() ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
-		return nil, err // io.EOF between frames means a clean close
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if d.max > 0 && int64(n) > d.max {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, d.max)
-	}
 	if d.buf == nil {
 		d.buf = getBuf()
 	}
-	if cap(d.buf) < int(n) {
-		d.buf = make([]byte, n)
+	limit := d.max
+	if limit <= 0 {
+		limit = math.MaxUint32
 	}
-	d.buf = d.buf[:n]
-	if _, err := io.ReadFull(d.r, d.buf); err != nil {
+	payload, err := ReadFrame(d.r, limit, d.buf)
+	if err != nil {
+		return nil, err
+	}
+	d.buf = payload
+	telemetry.WireBytesBinaryIn.Add(float64(len(payload) + frameHeaderLen))
+	telemetry.WireMsgsBinaryIn.Inc()
+	return payload, nil
+}
+
+// openFrame appends a blank frame header to b; closeFrame fills it in
+// once the payload has been appended behind it.
+func openFrame(b []byte) []byte { return append(b, make([]byte, frameHeaderLen)...) }
+
+// closeFrame writes the header at b[start:] for the payload that
+// follows it up to the end of b.
+func closeFrame(b []byte, start int) []byte {
+	payload := b[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b
+}
+
+// ReadFrame reads one frame from r and returns its CRC-verified payload
+// in buf, which it grows when too small. A length above limit fails
+// before anything is allocated: the store passes the bytes left in the
+// file, so a corrupt length cannot claim more than the file holds. An
+// io.EOF before the first header byte is returned as is (a clean end
+// between frames); a frame cut short anywhere else is an error.
+func ReadFrame(r io.Reader, limit int64, buf []byte) ([]byte, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if int64(n) > limit {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
+	}
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	telemetry.WireBytesBinaryIn.Add(float64(n + frameHeaderLen))
-	if got := crc32.ChecksumIEEE(d.buf); got != want {
+	if got, want := crc32.ChecksumIEEE(buf), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
 		return nil, fmt.Errorf("wire: frame CRC mismatch: got %08x, want %08x", got, want)
 	}
-	telemetry.WireMsgsBinaryIn.Inc()
-	return d.buf, nil
+	return buf, nil
+}
+
+// Unframe returns the CRC-verified payload of b, which must hold
+// exactly one frame: its length is bounded by b itself. The payload
+// aliases b.
+func Unframe(b []byte) ([]byte, error) {
+	if len(b) < frameHeaderLen {
+		return nil, fmt.Errorf("wire: %d-byte frame is shorter than its header", len(b))
+	}
+	payload := b[frameHeaderLen:]
+	if n := binary.LittleEndian.Uint32(b[0:4]); int64(n) != int64(len(payload)) {
+		return nil, fmt.Errorf("wire: frame of %d bytes carries %d", n, len(payload))
+	}
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(b[4:8]); got != want {
+		return nil, fmt.Errorf("wire: frame CRC mismatch: got %08x, want %08x", got, want)
+	}
+	return payload, nil
 }
 
 // DecodeRequest reads and decodes one framed request into req.

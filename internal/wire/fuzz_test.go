@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/drdp/drdp/internal/dpprior"
-	"github.com/drdp/drdp/internal/store"
 )
 
 // FuzzWireCodec throws arbitrary bytes at both decoders and both
@@ -28,7 +27,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(AppendResponse(nil, &Response{Prior: testPrior(3, 2), Version: 4}))
 	f.Add(AppendResponse(nil, &Response{Delta: testDelta(2), Version: 7}))
 	f.Add(AppendResponse(nil, &Response{
-		Frames:     []store.Frame{{Seq: 1, Bytes: []byte{1, 2, 3}}},
+		Frames:     []Frame{{Seq: 1, Bytes: []byte{1, 2, 3}}},
 		VerdictMap: map[uint64]bool{1: true},
 		UpTo:       1,
 	}))

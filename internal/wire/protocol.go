@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/drdp/drdp/internal/dpprior"
-	"github.com/drdp/drdp/internal/store"
 )
 
 // The protocol message types live here so the codec — and every tier
@@ -164,7 +163,7 @@ type Response struct {
 	// no prior payload was shipped.
 	NotModified bool
 	// Frames is the PullLog payload: verbatim log frames after AfterSeq.
-	Frames []store.Frame
+	Frames []Frame
 	// VerdictMap, on PullLog, replicates the leader's admission verdict
 	// sidecar (seq → quarantined) so a promoted follower keeps every
 	// quarantine decision.

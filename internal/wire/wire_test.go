@@ -13,7 +13,6 @@ import (
 
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/mat"
-	"github.com/drdp/drdp/internal/store"
 )
 
 func testTask(dim int, seed float64) dpprior.TaskPosterior {
@@ -90,7 +89,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Delta: testDelta(3), Version: 7},
 		{NotModified: true, Version: 11},
 		{
-			Frames:     []store.Frame{{Seq: 1, Bytes: []byte{1, 2, 3}}, {Seq: 2, Bytes: []byte{4}}},
+			Frames:     []Frame{{Seq: 1, Bytes: []byte{1, 2, 3}}, {Seq: 2, Bytes: []byte{4}}},
 			VerdictMap: map[uint64]bool{1: true, 2: false},
 			UpTo:       2, Version: 2,
 		},
@@ -390,5 +389,62 @@ func TestBinaryDecodeAllocBudget(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("response decode with reuse allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRecordRoundTrip: every record kind survives a frame, a frame
+// bounded by its own slice, and a decode; a task record carries the
+// packed task in the dense layout requests carry it; and a frame
+// claiming more bytes than its limit or its slice is refused.
+func TestRecordRoundTrip(t *testing.T) {
+	task := testTask(4, 0.5)
+	st, err := dpprior.PackTask(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := testPrior(4, 2)
+	var b []byte
+	b = AppendSnapshotHeader(b, 9, 1)
+	b = AppendVerdictRecord(b, 7, true)
+	b = AppendTaskRecord(b, 8, st)
+	b = AppendPriorRecord(b, 9, prior)
+	want := []Record{
+		{Kind: SnapshotHeader, Version: 9, Count: 1},
+		{Kind: VerdictRecord, Seq: 7, Quarantined: true},
+		{Kind: TaskRecord, Seq: 8, Task: task},
+		{Kind: PriorRecord, Version: 9, Prior: prior},
+	}
+	r := bytes.NewReader(b)
+	for i, w := range want {
+		start := len(b) - r.Len()
+		payload, err := ReadFrame(r, int64(r.Len()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Kind == TaskRecord {
+			if len(b[start:])-r.Len() != TaskRecordLen(4) {
+				t.Errorf("task record is %d bytes, TaskRecordLen says %d", len(b[start:])-r.Len(), TaskRecordLen(4))
+			}
+			if !bytes.HasSuffix(AppendRequest(nil, &Request{Task: &task}), payload[9:]) {
+				t.Error("task record does not carry the request layout of the dense task")
+			}
+		}
+		if _, err := Unframe(b[start : len(b)-r.Len()]); err != nil {
+			t.Fatal(err)
+		}
+		var got Record
+		if err := DecodeRecord(payload, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("record %d: got %+v, want %+v", i, got, w)
+		}
+	}
+	frame := AppendVerdictRecord(nil, 1, false)
+	if _, err := ReadFrame(bytes.NewReader(frame), int64(len(frame))-9, nil); err == nil {
+		t.Error("frame longer than its limit was read")
+	}
+	if _, err := Unframe(append(frame, 0)); err == nil {
+		t.Error("frame with a trailing byte was accepted")
 	}
 }
