@@ -20,6 +20,19 @@
 // WithProximalMStep selects proximal gradient descent, which takes the
 // kink exactly and reaches exact zeros at large ρ, and
 // WithStochasticMStep a minibatch solver.
+//
+// With a prior, the L-BFGS M-steps are warm and inexact. Each EM run
+// keeps one opt.Memory: the data term and the worst-case weights do not
+// depend on γ, so the curvature pairs one M-step learned stay a good
+// inverse-Hessian model for the next, which opens with them instead of a
+// unit step along −∇. Each M-step stops at ‖∇‖ ≤ max(Tol, η·‖∇₀‖) with
+// η = 0.1 and ∇₀ the surrogate's gradient at its opening iterate (the
+// inexact-Newton forcing rule): ‖∇₀‖ → 0 as EM converges, so the last
+// M-steps solve to Tol by themselves, and every accepted step passes the
+// Armijo test from the current iterate, so the MM descent property
+// holds. Every run starts with an empty memory, so the winner does not
+// depend on the order or the parallelism of the starts. Without a prior
+// the single M-step is the whole problem and solves cold to Tol.
 package core
 
 import (
@@ -61,7 +74,15 @@ type Learner struct {
 	proximal    bool
 	ground      dro.GroundNorm // transport cost of the Wasserstein ball
 	pool        *parallel.Pool // nil = inline serial reference path
+
+	// forcing is η of the prior M-steps' forcing rule: mstepForcing, or
+	// 0, set by package tests, to solve every M-step to Tol.
+	forcing float64
 }
+
+// mstepForcing is η of the prior M-steps' forcing rule (see the package
+// comment).
+const mstepForcing = 0.1
 
 // Option configures a Learner.
 type Option func(*Learner) error
@@ -131,7 +152,10 @@ func WithEMIters(iters int, tol float64) Option {
 	}
 }
 
-// WithMStepOptions overrides the inner convex solver's options.
+// WithMStepOptions overrides the inner convex solver's options. The
+// learner sets Forcing itself: the L-BFGS M-steps of a prior fit stop
+// early by the forcing rule (see the package comment), and the single
+// M-step of a fit without a prior solves to Tol.
 func WithMStepOptions(o opt.Options) Option {
 	return func(l *Learner) error {
 		l.mstep = o
@@ -199,6 +223,7 @@ func New(m model.Model, options ...Option) (*Learner, error) {
 		emIters: 25,
 		emTol:   1e-6,
 		mstep:   opt.Options{MaxIter: 200, Tol: 1e-6},
+		forcing: mstepForcing,
 	}
 	for _, o := range options {
 		if err := o(l); err != nil {
@@ -303,9 +328,10 @@ func (l *Learner) Fit(x *mat.Dense, y []float64) (*Result, error) {
 // with the best final objective (first-best on ties, in start order —
 // the same selection the sequential loop makes). With a multi-worker
 // pool the starts run concurrently on their own goroutines, each on a
-// private clone of the problem (own loss scratch and inner-solver
-// stats); each run's computation is unchanged, so the winner is
-// bit-identical to the sequential path.
+// private clone of the problem (own loss scratch, curvature memory and
+// inner-solver stats); the sequential path empties the one problem's
+// curvature memory before each run instead, so every run's computation
+// is the same either way and the winner is bit-identical.
 func (l *Learner) runStarts(prob *drdpProblem) em.Result {
 	starts := l.startingPoints()
 	opts := func(p *drdpProblem) em.Options {
@@ -341,6 +367,7 @@ func (l *Learner) runStarts(prob *drdpProblem) em.Result {
 		}
 	} else {
 		for i, start := range starts {
+			prob.mem.Reset()
 			runs[i] = em.Run[[]float64](prob, start, opts(prob))
 		}
 	}
@@ -407,6 +434,10 @@ type drdpProblem struct {
 	scaled    []float64
 	priorWork mat.Vec
 
+	// The L-BFGS curvature memory one M-step hands the next within an EM
+	// run; runStarts empties it before each run.
+	mem opt.Memory
+
 	// Memo of the last point score evaluated: the point, its per-sample
 	// losses, and the worst-case value and weights under set. worstAt is
 	// false until value and weights belong to (theta, set).
@@ -443,8 +474,9 @@ func newProblem(l *Learner, x *mat.Dense, y []float64, tau float64) *drdpProblem
 }
 
 // clone returns a problem sharing the learner and data but with private
-// scratch and memo, so parallel multi-start runs never race on the loss
-// and weight buffers or the inner-solver stats.
+// scratch, memo and an empty curvature memory, so parallel multi-start
+// runs never race on the loss and weight buffers, the L-BFGS memory or
+// the inner-solver stats.
 func (p *drdpProblem) clone() *drdpProblem {
 	return newProblem(p.learner, p.x, p.y, p.tau)
 }
@@ -468,8 +500,9 @@ func (p *drdpProblem) EStep(theta []float64) []float64 {
 //	F(θ; γ) = worst-case loss (via duality) + τ·S(θ; γ)
 //
 // starting from the current iterate, so the MM descent property holds.
-// L-BFGS solves it unless the learner selected the proximal or the
-// stochastic M-step.
+// L-BFGS solves it, warm and to the forcing tolerance (see the package
+// comment), unless the learner selected the proximal or the stochastic
+// M-step.
 func (p *drdpProblem) MStep(theta []float64, gamma []float64) []float64 {
 	return p.mStep(mat.Vec(theta), gamma)
 }
@@ -492,7 +525,12 @@ func (p *drdpProblem) mStep(theta mat.Vec, gamma []float64) mat.Vec {
 	case l.proximal:
 		res = p.proximalMStep(theta, scaled)
 	default:
-		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, l.mstep)
+		o := l.mstep
+		o.Forcing = 0
+		if scaled != nil {
+			o.Forcing = l.forcing
+		}
+		res = opt.LBFGS(p.surrogate(l.set, scaled), theta, o, &p.mem)
 	}
 	p.lastMStepIters = res.Iterations
 	return res.Theta

@@ -140,6 +140,45 @@ func TestFitBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	assertBitIdentical(t, "gomaxprocs 1-vs-4", ref, got)
 }
 
+// TestSequentialFitsBitIdentical: every EM run starts with an empty
+// L-BFGS curvature memory, so two fits in a row on one Learner return the
+// same bits as each other and as a fresh Learner, and the starts run in
+// sequence on one problem return what they return in parallel on clones.
+func TestSequentialFitsBitIdentical(t *testing.T) {
+	x, y, prior := determinismTask(t, 300)
+	var serial *Result
+	for _, par := range []int{1, 2} {
+		newLearner := func() *Learner {
+			l, err := New(model.Logistic{Dim: 4},
+				WithUncertaintySet(dro.Set{Kind: dro.Wasserstein, Rho: 0.05}),
+				WithPrior(prior),
+				WithParallelism(par),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+		fit := func(l *Learner) *Result {
+			res, err := l.Fit(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		l := newLearner()
+		first, second := fit(l), fit(l)
+		label := fmt.Sprintf("parallelism %d", par)
+		assertBitIdentical(t, label+" first-vs-second", first, second)
+		assertBitIdentical(t, label+" second-vs-fresh", second, fit(newLearner()))
+		if serial == nil {
+			serial = first
+		} else {
+			assertBitIdentical(t, label+" vs parallelism 1", first, serial)
+		}
+	}
+}
+
 // TestLearnerConcurrentFit exercises the documented contract that one
 // Learner may serve concurrent Fit/Certificate calls (run under -race in
 // CI): all concurrent fits of the same data must agree bit-for-bit.

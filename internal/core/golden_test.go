@@ -18,8 +18,11 @@ import (
 )
 
 // goldenPath holds one line per goldenCases entry: the bit patterns of
-// every float a fit returns. The dumps predate the M-step's score
-// memo; recapture them only in a change meant to alter fit results.
+// every float a fit returns. The default-solver lines were recaptured
+// when the prior M-steps became warm (the L-BFGS memory carried across
+// EM iterations) and inexact (the forcing rule); the proximal lines
+// predate the M-step's score memo. Recapture them only in a change
+// meant to alter fit results.
 const goldenPath = "testdata/fit_golden.txt"
 
 // goldenTask draws the n-sample task of the golden grid and a

@@ -23,6 +23,11 @@ type Options struct {
 	MaxIter  int     // default 500
 	Tol      float64 // first-order tolerance; default 1e-6
 	InitStep float64 // initial line-search step; default 1.0
+
+	// Forcing, when positive, makes LBFGS an inexact solve: it also stops
+	// once ‖∇‖ ≤ Forcing·‖∇₀‖, ∇₀ being the gradient at its start. GD and
+	// ProxGD ignore it.
+	Forcing float64
 }
 
 func (o Options) withDefaults() Options {
