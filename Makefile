@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check determinism bench bench-json bench-wire bench-ledger bench-compare bench-ab chaos chaos-region chaos-disk fuzz-wire trace-smoke
+.PHONY: all build vet test race check determinism flake bench bench-json bench-wire bench-ledger bench-compare bench-ab chaos chaos-region chaos-disk fuzz-wire trace-smoke
 
 all: check
 
@@ -34,7 +34,9 @@ determinism:
 
 # Failover/partition chaos: the replicated-tier tests (leader kill
 # mid-round, torn-tail restart, semi-sync acks, verdict replication,
-# trace continuity across a mid-round leader kill) plus the edge
+# trace continuity across a mid-round leader kill, the fault-schedule
+# checks and the composed rot + slow-leader + kill schedule of
+# sim.RunCluster) plus the edge
 # client's resilient-session, fault-injection, round-trip-timeout and
 # fault-schedule replay tests, the cloud's rebuild-worker tests
 # (serving during a rebuild, stall timer, one cold-start build), the
@@ -60,13 +62,19 @@ chaos-region:
 # Disk-fault chaos: the storage-and-gray-failure suites under the race
 # detector — FaultFS injection (short writes, write/fsync/rename errors,
 # ENOSPC, bit flips), store poisoning, scrub repair over the wire,
-# verdict-sidecar recovery, gray-leader demotion, hedged reads, and the
-# full RunDiskChaos scenario (bit rot + slow leader, byte-identical
-# repair, bounded p99).
+# verdict-sidecar recovery, gray-leader demotion, hedged reads, and
+# TestRunDiskChaos (a rot + slow-leader schedule through sim.RunCluster:
+# byte-identical repair, bounded p99).
 chaos-disk:
 	$(GO) test -race -count=2 \
 		-run 'Fault|Scrub|Poison|Sidecar|Verdict|Snapshot|DiskChaos|Gray|Hedge|Demot' \
 		./internal/store/ ./internal/cluster/ ./internal/sim/ ./internal/edge/
+
+# Flake hunt: the concurrent tiers' tests (edge, cluster, region, sim,
+# store) twenty times over under the race detector. One failure in
+# twenty runs is a flake to fix, not to retry.
+flake:
+	$(GO) test -race -count=20 ./internal/edge/ ./internal/cluster/ ./internal/region/ ./internal/sim/ ./internal/store/
 
 # Wire codec gates: the microbenchmarks with allocation reporting and
 # the decode allocs/op budget (binary decode into reused buffers must

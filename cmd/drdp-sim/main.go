@@ -10,7 +10,7 @@
 // With -cluster the command instead runs the replicated-shard-tier
 // scenario: a REAL in-process cluster (live listeners, log streaming,
 // coordinator probes) fed rounds of task uploads, with an optional
-// leader kill mid-round:
+// leader kill before one round:
 //
 //	drdp-sim -cluster -shards 3 -replicas 2
 //	drdp-sim -cluster -shards 3 -replicas 2 -kill-shard 0 -kill-round 3
@@ -20,11 +20,12 @@
 // serve spans) afterwards; -trace-out FILE also writes the raw
 // flight-recorder snapshot as JSON (readable with drdp-trace).
 //
-// With -disk-chaos the command runs the disk-fault chaos scenario on a
-// real 3-replica shard: bit rot on one follower's disk plus a
-// slow-but-alive leader mid-run, defended by the background scrubber
-// (byte-identical repair over the wire), the coordinator's gray-failure
-// demotion, and the client's hedged reads (-hedge sets the hedge delay):
+// With -disk-chaos the command runs the same scenario on a real
+// 3-replica shard on disk, a fault-free control run and then bit rot on
+// one follower's disk plus a slow-but-alive leader before the middle
+// round, defended by the background scrubber (byte-identical repair
+// over the wire), the coordinator's gray-failure demotion, and the
+// client's hedged reads (-hedge sets the hedge delay):
 //
 //	drdp-sim -disk-chaos
 //	drdp-sim -disk-chaos -hedge 20ms -rounds 12 -tasks-per-round 4
@@ -83,12 +84,12 @@ func run() error {
 		rounds      = flag.Int("rounds", 6, "cluster: upload rounds")
 		perRound    = flag.Int("tasks-per-round", 4, "cluster: uploads per round")
 		killShard   = flag.Int("kill-shard", -1, "cluster: kill this shard's leader mid-round (-1 = no fault)")
-		killRound   = flag.Int("kill-round", 2, "cluster: round before which the kill fires")
+		killRound   = flag.Int("kill-round", 2, "cluster: round before which the kill fires (in [0, rounds))")
 		traceAudit  = flag.Bool("trace-audit", false, "cluster: sample every trace and print per-round span trees after the run")
 		traceOut    = flag.String("trace-out", "", "cluster: write the flight-recorder snapshot as JSON to this file (implies -trace-audit)")
 
 		diskChaos = flag.Bool("disk-chaos", false, "run the disk-fault chaos scenario (bit rot + gray leader on a 3-replica shard) instead of the fleet simulator")
-		hedge     = flag.Duration("hedge", 0, "disk-chaos: client hedged-read delay (0 = scenario default)")
+		hedge     = flag.Duration("hedge", 20*time.Millisecond, "disk-chaos: client hedged-read delay (0 = no hedging)")
 	)
 	flag.Parse()
 
@@ -96,8 +97,20 @@ func run() error {
 		return runDiskChaos(*rounds, *perRound, *dim, *hedge, *seed)
 	}
 	if *clusterMode {
-		return runCluster(*shards, *replicas, *rounds, *perRound, *dim, *killShard, *killRound, *seed,
-			*traceAudit || *traceOut != "", *traceOut)
+		cfg := sim.ClusterConfig{
+			Shards:        *shards,
+			Replicas:      *replicas,
+			Rounds:        *rounds,
+			TasksPerRound: *perRound,
+			Dim:           *dim,
+			Audit:         *traceAudit || *traceOut != "",
+			Seed:          *seed,
+			Logger:        simLogger(),
+		}
+		if *killShard >= 0 {
+			cfg.Faults = []sim.Fault{{Round: *killRound, Shard: *killShard, Kind: sim.KillLeader}}
+		}
+		return runCluster(cfg, *traceOut)
 	}
 
 	var link edge.LinkProfile
@@ -131,9 +144,7 @@ func run() error {
 		Family:       family,
 		Model:        model.Logistic{Dim: *dim},
 		Set:          dro.Set{Kind: dro.Wasserstein, Rho: *rho},
-		Alpha:        1,
 		RebuildEvery: *rebuildEvery,
-		Flip:         0.05,
 		Admission:    *admission,
 		TrimFrac:     *trimFrac,
 		Seed:         *seed,
@@ -200,33 +211,23 @@ func printSimTelemetry(snap telemetry.Values) {
 	}
 }
 
+func simLogger() *slog.Logger {
+	return telemetry.NewLogger(slog.LevelInfo).With("component", "drdp-sim")
+}
+
 // runCluster drives the replicated-shard-tier scenario and prints its
-// throughput, failover timings, and recovery verdict. With audit on, it
+// throughput, fault timings, and recovery verdict. With audit on, it
 // also prints every round's merged span tree (plus any pinned failover
 // trace) and optionally writes the raw snapshot as JSON.
-func runCluster(shards, replicas, rounds, perRound, dim, killShard, killRound int, seed int64, audit bool, traceOut string) error {
-	res, err := sim.RunCluster(sim.ClusterConfig{
-		Shards:        shards,
-		Replicas:      replicas,
-		Rounds:        rounds,
-		TasksPerRound: perRound,
-		Dim:           dim,
-		KillShard:     killShard,
-		KillRound:     killRound,
-		Audit:         audit,
-		Seed:          seed,
-		Logger:        telemetry.NewLogger(slog.LevelInfo).With("component", "drdp-sim"),
-	})
+func runCluster(cfg sim.ClusterConfig, traceOut string) error {
+	res, err := sim.RunCluster(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("cluster: %d shards × %d replicas, %d tasks over %d rounds in %v (%.1f rounds/s)\n",
 		res.Shards, res.Replicas, res.Tasks, res.Rounds,
 		res.Elapsed.Round(time.Millisecond), res.RoundsPerSec)
-	if res.Killed != "" {
-		fmt.Printf("fault: killed leader %s; failover %v, read-path recovery %v\n",
-			res.Killed, res.FailoverTime.Round(time.Millisecond), res.RecoveryTime.Round(time.Millisecond))
-	}
+	printFaults(res)
 	fmt.Printf("final: shard-map v%d, per-shard versions %v, merged prior %d components (%d bytes)\n",
 		res.MapVersion, res.FinalVersions, res.MergedComponents, len(res.PriorBytes))
 	if res.Traces != nil {
@@ -246,44 +247,59 @@ func runCluster(shards, replicas, rounds, perRound, dim, killShard, killRound in
 	return nil
 }
 
-// runDiskChaos drives the disk-fault chaos scenario (bit rot on one
-// follower + a gray leader) twice — a fault-free control run, then the
-// chaos run over the same seed — and prints what each defense bought,
+// printFaults prints one line per injected fault.
+func printFaults(res *sim.ClusterResult) {
+	for _, f := range res.Faults {
+		switch f.Kind {
+		case sim.KillLeader:
+			fmt.Printf("fault: killed leader %s; failover %v, read-path recovery %v\n",
+				f.Node, f.FailoverTime.Round(time.Millisecond), f.RecoveryTime.Round(time.Millisecond))
+		case sim.SlowLeader:
+			fmt.Printf("fault: gray leader %s demoted in %v\n", f.Node, f.FailoverTime.Round(time.Millisecond))
+		case sim.RotFollower:
+			fmt.Printf("fault: bit rot on %s before round %d\n", f.Node, f.Round)
+		}
+	}
+}
+
+// runDiskChaos drives the disk-fault chaos scenario twice — a
+// fault-free control run, then bit rot on one follower plus a gray
+// leader over the same seed — and prints what each defense bought,
 // ending with the byte-identity verdict the scenario is built around.
 func runDiskChaos(rounds, perRound, dim int, hedge time.Duration, seed int64) error {
-	logger := telemetry.NewLogger(slog.LevelInfo).With("component", "drdp-sim")
-	run := func(chaos bool) (*sim.DiskChaosResult, error) {
+	run := func(faults []sim.Fault) (*sim.ClusterResult, error) {
 		dir, err := os.MkdirTemp("", "drdp-disk-chaos-*")
 		if err != nil {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		return sim.RunDiskChaos(sim.DiskChaosConfig{
+		return sim.RunCluster(sim.ClusterConfig{
+			Shards:        1,
+			Replicas:      3,
 			Rounds:        rounds,
 			TasksPerRound: perRound,
 			Dim:           dim,
+			Faults:        faults,
 			Dir:           dir,
-			Chaos:         chaos,
 			HedgeDelay:    hedge,
 			Seed:          seed,
-			Logger:        logger,
+			Logger:        simLogger(),
 		})
 	}
-	control, err := run(false)
+	control, err := run(nil)
 	if err != nil {
 		return fmt.Errorf("control run: %w", err)
 	}
-	chaos, err := run(true)
+	chaos, err := run([]sim.Fault{{Round: rounds / 2, Kind: sim.RotFollower}, {Round: rounds / 2, Kind: sim.SlowLeader}})
 	if err != nil {
 		return fmt.Errorf("chaos run: %w", err)
 	}
 	fmt.Printf("disk chaos: %d replicas, %d tasks over %d rounds in %v (control %v)\n",
 		chaos.Replicas, chaos.Tasks, chaos.Rounds,
 		chaos.Elapsed.Round(time.Millisecond), control.Elapsed.Round(time.Millisecond))
-	fmt.Printf("faults: %d bytes rotted on %s; gray leader %s demoted in %v\n",
-		chaos.RotFlips, chaos.Rot, chaos.Demoted, chaos.DemotionTime.Round(time.Millisecond))
-	fmt.Printf("scrub: %.0f frames repaired over the wire; rotted log byte-identical to leader: %v\n",
-		chaos.ScrubRepairedFrames, chaos.Repaired)
+	printFaults(chaos)
+	fmt.Printf("scrub: %d bytes rotted, %.0f frames repaired over the wire; follower logs byte-identical to leader: %v\n",
+		chaos.RotFlips, chaos.ScrubRepairedFrames, chaos.LogsIdentical)
 	fmt.Printf("hedged reads: %.0f fired, %.0f won; read p99 %v (control %v), round p99 %v (control %v)\n",
 		chaos.HedgeFired, chaos.HedgeWon,
 		chaos.ReadP99.Round(time.Millisecond), control.ReadP99.Round(time.Millisecond),
@@ -293,8 +309,8 @@ func runDiskChaos(rounds, perRound, dim int, hedge time.Duration, seed int64) er
 		verdict = "DIVERGED"
 	}
 	fmt.Printf("final: prior version %d, %d components; chaos vs control prior: %s\n",
-		chaos.FinalVersion, chaos.MergedComponents, verdict)
-	if verdict != "byte-identical" || !chaos.Repaired {
+		chaos.FinalVersions[0], chaos.MergedComponents, verdict)
+	if verdict != "byte-identical" || !chaos.LogsIdentical {
 		return fmt.Errorf("disk chaos run failed its acceptance criteria")
 	}
 	return nil

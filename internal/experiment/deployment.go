@@ -42,9 +42,7 @@ func Table9Deployment(cfg RunConfig) (*Table, error) {
 					Family:       family,
 					Model:        model.Logistic{Dim: 8},
 					Set:          dro.Set{Kind: dro.Wasserstein, Rho: 0.05},
-					Alpha:        1,
 					RebuildEvery: rebuildEvery,
-					Flip:         0.05,
 					Seed:         seed,
 				}
 				var specs []sim.DeviceSpec

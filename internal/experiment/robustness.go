@@ -48,9 +48,7 @@ func Table14PoisonedEdges(cfg RunConfig) (*Table, error) {
 					Family:       family,
 					Model:        model.Logistic{Dim: 8},
 					Set:          dro.Set{Kind: dro.Wasserstein, Rho: 0.05},
-					Alpha:        1,
 					RebuildEvery: 1,
-					Flip:         0.05,
 					Admission:    admission,
 					TrimFrac:     0.6,
 					Seed:         seed,

@@ -13,7 +13,8 @@ import (
 func TestClusterAuditTraces(t *testing.T) {
 	res, err := RunCluster(ClusterConfig{
 		Shards: 2, Replicas: 2, Rounds: 4, TasksPerRound: 3,
-		KillShard: 0, KillRound: 2, Seed: 1234, Audit: true,
+		Faults: []Fault{{Round: 2, Shard: 0, Kind: KillLeader}},
+		Seed:   1234, Audit: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +22,7 @@ func TestClusterAuditTraces(t *testing.T) {
 	if res.Traces == nil {
 		t.Fatal("audit run captured no flight-recorder snapshot")
 	}
-	if res.Killed == "" {
+	if len(res.Faults) != 1 || res.Faults[0].Node == "" {
 		t.Fatal("kill was not injected")
 	}
 

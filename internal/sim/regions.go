@@ -14,13 +14,33 @@ import (
 	"github.com/drdp/drdp/internal/dpprior"
 	"github.com/drdp/drdp/internal/dro"
 	"github.com/drdp/drdp/internal/edge"
-	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/model"
 	"github.com/drdp/drdp/internal/region"
 	"github.com/drdp/drdp/internal/telemetry"
 )
 
-// RegionsConfig sizes a hierarchical edge → region → cloud scenario.
+// The hierarchical scenario's fixed shape: regionCount regions of
+// devicesPerRegion devices each, regionRounds rounds, and per round
+// uploadsPerRound synthetic task posteriors landing on each region — the
+// raw stream the regions summarize upward, at most summaryComponents
+// components per flush (the upload-byte reduction is roughly
+// window/summary). Region 1's cloud partition covers rounds
+// [partitionStart, partitionEnd); from regionCutStart its devices lose
+// the region too.
+const (
+	regionCount       = 2
+	devicesPerRegion  = 3
+	regionRounds      = 9
+	uploadsPerRound   = 6
+	regionDim         = 4
+	regionSamples     = 30
+	summaryComponents = 4
+	partitionStart    = 2
+	regionCutStart    = 4
+	partitionEnd      = 7
+)
+
+// RegionsConfig picks a hierarchical edge → region → cloud scenario.
 // Like the cluster scenario it runs the REAL tier in-process: real
 // regional aggregators (store + admission + rebuild + sync), real
 // listeners, real protocol both hops. The fault is a regional cloud
@@ -29,39 +49,15 @@ import (
 // region too, walking the full degradation ladder
 // fresh → regional → cached → local-only.
 //
-// The phase schedule (PartitionStart/RegionCutStart/PartitionEnd, and
-// the derived upload-skip and flush-barrier rounds) applies to the
-// control run too — Partition only decides whether the links actually
-// cut. That keeps the cloud's ingest stream identical across the pair,
-// which is what makes the byte-identity acceptance check meaningful.
+// The phase schedule (and the derived upload-skip and flush-barrier
+// rounds) applies to the control run too — Partition only decides
+// whether the links actually cut. That keeps the cloud's ingest stream
+// identical across the pair, which is what makes the byte-identity
+// acceptance check meaningful.
 type RegionsConfig struct {
-	// Regions × DevicesPerRegion sizes the tier (defaults 2 × 3).
-	Regions          int
-	DevicesPerRegion int
-	// Rounds of the synchronous round loop (default 9).
-	Rounds int
-	// UploadsPerRound is how many synthetic task posteriors land on each
-	// region per round (default 6) — the raw stream the regions
-	// summarize upward.
-	UploadsPerRound int
-	// Dim is the parameter dimensionality (default 4).
-	Dim int
-	// Samples is the per-device training set size (default 30).
-	Samples int
-	// Alpha is the DP concentration shared by cloud and regions.
-	Alpha float64
-	// SummaryComponents caps each upward flush's summary count
-	// (default 4); the upload-byte reduction is roughly window/summary.
-	SummaryComponents int
 	// Partition injects the fault; false runs the control with the same
 	// schedule but healthy links.
 	Partition bool
-	// PartitionStart..PartitionEnd is the cloud-partition round window
-	// for region 1 (defaults 2..7, i.e. rounds 2-6 dark). RegionCutStart
-	// (default 4) is the round its devices lose the region too.
-	PartitionStart int
-	PartitionEnd   int
-	RegionCutStart int
 	// Gossip lets region 1 exchange component deltas with region 0
 	// while the cloud is unreachable (partition runs only).
 	Gossip bool
@@ -71,48 +67,8 @@ type RegionsConfig struct {
 	Logger *slog.Logger
 }
 
-func (c RegionsConfig) withDefaults() RegionsConfig {
-	if c.Regions <= 0 {
-		c.Regions = 2
-	}
-	if c.DevicesPerRegion <= 0 {
-		c.DevicesPerRegion = 3
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 9
-	}
-	if c.UploadsPerRound <= 0 {
-		c.UploadsPerRound = 6
-	}
-	if c.Dim <= 0 {
-		c.Dim = 4
-	}
-	if c.Samples <= 0 {
-		c.Samples = 30
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 1
-	}
-	if c.SummaryComponents <= 0 {
-		c.SummaryComponents = 4
-	}
-	if c.PartitionStart <= 0 {
-		c.PartitionStart = 2
-	}
-	if c.PartitionEnd <= 0 {
-		c.PartitionEnd = 7
-	}
-	if c.RegionCutStart <= 0 {
-		c.RegionCutStart = 4
-	}
-	return c
-}
-
 // RegionsResult reports one hierarchical scenario run.
 type RegionsResult struct {
-	Rounds  int
-	Devices int
-
 	// LadderOrder is the order degradation levels were FIRST observed
 	// across region 1's device rounds — the acceptance check is that a
 	// partition walks it strictly downward:
@@ -139,9 +95,7 @@ type RegionsResult struct {
 
 	// PriorBytes is the Prior.Encode bytes of the final cloud prior; a
 	// partition run and its control must match byte for byte.
-	PriorBytes        []byte
-	FinalCloudVersion uint64
-	RegionStats       []region.SyncStats
+	PriorBytes []byte
 }
 
 // gatedCloud wraps an edge.Cloud behind a partition gate: while the
@@ -208,61 +162,30 @@ func (g gatedConn) Write(p []byte) (int, error) {
 	return g.Conn.Write(p)
 }
 
-// runRegions executes one hierarchical scenario: a cloud, Regions
-// regional aggregators serving DevicesPerRegion devices each, a
+// runRegions executes one hierarchical scenario: a cloud, regionCount
+// regional aggregators serving devicesPerRegion devices each, a
 // deterministic per-round upload stream each region summarizes upward
 // at fixed flush barriers, and (when Partition is set) a mid-run cloud
 // partition of region 1 that deepens into a full regional outage
 // before healing. Two runs with the same config — one Partition, one
 // control — must return byte-identical PriorBytes.
 func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Regions < 2 {
-		return nil, errors.New("sim: regions scenario needs at least 2 regions")
-	}
-	if !(cfg.PartitionStart < cfg.RegionCutStart && cfg.RegionCutStart < cfg.PartitionEnd && cfg.PartitionEnd <= cfg.Rounds) {
-		return nil, fmt.Errorf("sim: phase schedule %d/%d/%d must be ascending within %d rounds",
-			cfg.PartitionStart, cfg.RegionCutStart, cfg.PartitionEnd, cfg.Rounds)
-	}
 	logger := telemetry.OrDefault(cfg.Logger)
 	// Priors live in model parameter space: logistic weights + bias.
-	pdim := model.Logistic{Dim: cfg.Dim}.NumParams()
+	pdim := model.Logistic{Dim: regionDim}.NumParams()
 
-	// The synthetic upload stream: deterministic in the seed, generated
-	// up front in (round, region, k) order so control and partition runs
+	// The synthetic upload stream: deterministic in the seed, drawn up
+	// front in (round, region, k) order so control and partition runs
 	// feed the regions identical bytes.
-	taskRng := rand.New(rand.NewSource(cfg.Seed + 2))
-	uploads := make([][][]dpprior.TaskPosterior, cfg.Rounds)
-	for round := range uploads {
-		uploads[round] = make([][]dpprior.TaskPosterior, cfg.Regions)
-		for r := range uploads[round] {
-			batch := make([]dpprior.TaskPosterior, cfg.UploadsPerRound)
-			for k := range batch {
-				mu := make(mat.Vec, pdim)
-				for j := range mu {
-					mu[j] = taskRng.NormFloat64()
-				}
-				sigma := mat.Eye(pdim)
-				sigma.ScaleBy(0.1)
-				batch[k] = dpprior.TaskPosterior{Mu: mu, Sigma: sigma, N: 100}
-			}
-			uploads[round][r] = batch
-		}
+	uploads := syntheticTasks(cfg.Seed+2, regionRounds*regionCount*uploadsPerRound, pdim)
+	uploadBatch := func(round, r int) []dpprior.TaskPosterior {
+		k := (round*regionCount + r) * uploadsPerRound
+		return uploads[k : k+uploadsPerRound]
 	}
 
 	// The cloud, pre-warmed so round 0 devices fetch a real prior.
-	seedRng := rand.New(rand.NewSource(cfg.Seed + 3))
-	seedTasks := make([]dpprior.TaskPosterior, 4)
-	for i := range seedTasks {
-		mu := make(mat.Vec, pdim)
-		for j := range mu {
-			mu[j] = seedRng.NormFloat64()
-		}
-		sigma := mat.Eye(pdim)
-		sigma.ScaleBy(0.1)
-		seedTasks[i] = dpprior.TaskPosterior{Mu: mu, Sigma: sigma, N: 100}
-	}
-	cloud, err := edge.NewCloudServer(seedTasks, dpprior.BuildOptions{Alpha: cfg.Alpha, Seed: cfg.Seed + 1}, logger)
+	seedTasks := syntheticTasks(cfg.Seed+3, 4, pdim)
+	cloud, err := edge.NewCloudServer(seedTasks, dpprior.BuildOptions{Alpha: alpha, Seed: cfg.Seed + 1}, logger)
 	if err != nil {
 		return nil, fmt.Errorf("sim: cloud: %w", err)
 	}
@@ -276,8 +199,8 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 	// from the region itself.
 	var cloudCut, regionCut atomic.Bool
 
-	regions := make([]*region.Region, cfg.Regions)
-	regionAddrs := make([]string, cfg.Regions)
+	regions := make([]*region.Region, regionCount)
+	regionAddrs := make([]string, regionCount)
 	defer func() {
 		for _, r := range regions {
 			if r != nil {
@@ -285,13 +208,13 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 			}
 		}
 	}()
-	for i := 0; i < cfg.Regions; i++ {
+	for i := 0; i < regionCount; i++ {
 		rcfg := region.Config{
 			Name:      fmt.Sprintf("region-%d", i),
 			CloudAddr: cloudAddr,
 			Build: dpprior.BuildOptions{
-				Alpha:         cfg.Alpha,
-				MaxComponents: cfg.SummaryComponents,
+				Alpha:         alpha,
+				MaxComponents: summaryComponents,
 				Seed:          cfg.Seed + 100 + int64(i),
 			},
 			DialTimeout: 2 * time.Second,
@@ -324,7 +247,7 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 	}
 
 	// Per-region uploader muxes: the device-fleet upload path.
-	uploaders := make([]*edge.MuxClient, cfg.Regions)
+	uploaders := make([]*edge.MuxClient, regionCount)
 	for i, addr := range regionAddrs {
 		u, err := edge.Dial(addr, 2*time.Second)
 		if err != nil {
@@ -338,30 +261,30 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 	// Region 1's last device has a cold cache and FallbackLocal — the
 	// device that walks all the way down to local-only.
 	dataRng := rand.New(rand.NewSource(cfg.Seed + 4))
-	family, err := data.NewTaskFamily(dataRng, cfg.Dim, 2, 4, 0.3)
+	family, err := data.NewTaskFamily(dataRng, regionDim, 2, 4, 0.3)
 	if err != nil {
 		return nil, err
 	}
-	m := model.Logistic{Dim: cfg.Dim}
+	m := model.Logistic{Dim: regionDim}
 	type simDevice struct {
 		dev     *edge.Device
 		primary edge.Cloud
 		train   *data.Dataset
 		test    *data.Dataset
 	}
-	devices := make([][]simDevice, cfg.Regions)
-	for i := 0; i < cfg.Regions; i++ {
-		devices[i] = make([]simDevice, cfg.DevicesPerRegion)
-		for j := 0; j < cfg.DevicesPerRegion; j++ {
+	devices := make([][]simDevice, regionCount)
+	for i := 0; i < regionCount; i++ {
+		devices[i] = make([]simDevice, devicesPerRegion)
+		for j := 0; j < devicesPerRegion; j++ {
 			task := family.SampleTask(dataRng, j%2)
-			task.Flip = 0.05
+			task.Flip = labelFlip
 			d := &edge.Device{
 				ID:      i*100 + j,
 				Model:   m,
 				Set:     dro.Set{Kind: dro.Wasserstein, Rho: 0.05},
 				EMIters: 3,
 			}
-			cold := i == 1 && j == cfg.DevicesPerRegion-1
+			cold := i == 1 && j == devicesPerRegion-1
 			if !cold {
 				cache, err := edge.NewPriorCache("")
 				if err != nil {
@@ -393,41 +316,37 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 			devices[i][j] = simDevice{
 				dev:     d,
 				primary: gatedCloud{cut: cloudGate, inner: cc},
-				train:   task.Sample(dataRng, cfg.Samples),
+				train:   task.Sample(dataRng, regionSamples),
 				test:    task.Sample(dataRng, 300),
 			}
 		}
 	}
 
-	out := &RegionsResult{
-		Rounds:       cfg.Rounds,
-		Devices:      cfg.Regions * cfg.DevicesPerRegion,
-		LadderCounts: make(map[string]int),
-	}
+	out := &RegionsResult{LadderCounts: make(map[string]int)}
 	seen := make(map[string]bool)
 	var accSum float64
 	var accN int
 	var lastRoundFresh bool
 
 	inPartition := func(round int) bool {
-		return cfg.Partition && round >= cfg.PartitionStart && round < cfg.PartitionEnd
+		return cfg.Partition && round >= partitionStart && round < partitionEnd
 	}
 	// Upload-skip schedule: while region 1's devices can't reach their
 	// region, their uploads don't happen — in BOTH runs, so the regions'
 	// flush windows stay comparable.
 	uploadsSkipped := func(round, r int) bool {
-		return r == 1 && round >= cfg.RegionCutStart && round < cfg.PartitionEnd
+		return r == 1 && round >= regionCutStart && round < partitionEnd
 	}
 	// Flush barriers sit strictly outside the partition window: the
 	// region tier's sync invariant (DESIGN.md) is that a partition that
 	// heals before the next barrier is invisible to the cloud.
 	flushRound := func(round int) bool {
-		return round == cfg.PartitionStart-1 || round == cfg.Rounds-1
+		return round == partitionStart-1 || round == regionRounds-1
 	}
 
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < regionRounds; round++ {
 		cloudCut.Store(inPartition(round))
-		regionCut.Store(cfg.Partition && round >= cfg.RegionCutStart && round < cfg.PartitionEnd)
+		regionCut.Store(cfg.Partition && round >= regionCutStart && round < partitionEnd)
 
 		roundFresh := true
 		for i := range devices {
@@ -456,7 +375,7 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 				}
 			}
 		}
-		if round == cfg.Rounds-1 {
+		if round == regionRounds-1 {
 			lastRoundFresh = roundFresh
 		}
 
@@ -464,7 +383,7 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 			if uploadsSkipped(round, i) {
 				continue
 			}
-			if _, _, err := uploaders[i].BatchReportTasks(uploads[round][i]); err != nil {
+			if _, _, err := uploaders[i].BatchReportTasks(uploadBatch(round, i)); err != nil {
 				return nil, fmt.Errorf("sim: round %d uploads to region %d: %w", round, i, err)
 			}
 		}
@@ -497,7 +416,6 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 
 	for _, r := range regions {
 		st := r.Stats()
-		out.RegionStats = append(out.RegionStats, st)
 		out.RawBytes += st.RawBytes
 		out.UpBytes += st.UpBytes
 	}
@@ -506,11 +424,10 @@ func runRegions(cfg RegionsConfig) (*RegionsResult, error) {
 	}
 
 	cloud.WaitCaughtUp()
-	final, version, err := cloud.Prior()
+	final, _, err := cloud.Prior()
 	if err != nil {
 		return nil, fmt.Errorf("sim: final cloud prior: %w", err)
 	}
-	out.FinalCloudVersion = version
 	var buf bytes.Buffer
 	if err := final.Encode(&buf); err != nil {
 		return nil, err

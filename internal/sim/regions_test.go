@@ -89,12 +89,3 @@ func TestRunRegionsDeterministic(t *testing.T) {
 		t.Errorf("byte accounting differs: %d/%d vs %d/%d", a.RawBytes, a.UpBytes, b.RawBytes, b.UpBytes)
 	}
 }
-
-// TestRunRegionsRejectsBadSchedule: phase rounds must be ascending and
-// inside the run.
-func TestRunRegionsRejectsBadSchedule(t *testing.T) {
-	cfg := RegionsConfig{Seed: 1, Rounds: 4, PartitionStart: 3, RegionCutStart: 2, PartitionEnd: 5}
-	if _, err := runRegions(cfg); err == nil {
-		t.Error("out-of-order phase schedule accepted")
-	}
-}

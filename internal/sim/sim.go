@@ -37,20 +37,6 @@ type DeviceSpec struct {
 	Samples  int  // local training samples
 	Report   bool // upload the solved task posterior
 	Cluster  int  // task-family cluster the device's task comes from
-	// LossRate is the probability that one transfer attempt (prior fetch
-	// or report upload) fails on this device's link. Failed attempts cost
-	// time (detection + backoff per Config.Retry); when every attempt
-	// fails the device degrades: it trains prior-free, and a lost report
-	// never reaches the cloud.
-	LossRate float64
-	// RefreshEvery, with Refreshes, runs a background prior-sync loop
-	// after training: every RefreshEvery the device refreshes its held
-	// prior — by version handshake when current, by component delta when
-	// the cloud still retains the held version, by full prior otherwise,
-	// and by falling back to the held copy when the cloud is down.
-	RefreshEvery time.Duration
-	// Refreshes is how many refresh rounds the device runs (0 = none).
-	Refreshes int
 	// Poison corrupts this device's uploaded posterior (training itself
 	// stays honest, so the device's own accuracy is unaffected): the
 	// poisoned-edge threat model where a compromised edge attacks the
@@ -82,23 +68,12 @@ type Config struct {
 	Model  model.Logistic
 	// Set is the local uncertainty ball each device trains with.
 	Set dro.Set
-	// Alpha is the cloud's DP concentration.
-	Alpha float64
 	// RebuildEvery batches prior rebuilds: the cloud folds reports into
 	// the served prior only after this many accumulate (1 = immediately).
 	RebuildEvery int
 	// ComputeRate calibrates simulated training time: parameter-gradient
 	// evaluations per second (default 5e6).
 	ComputeRate float64
-	// TestSamples sizes the per-device accuracy measurement (default 1000).
-	TestSamples int
-	// Flip is the label noise on device tasks.
-	Flip float64
-	// Retry is the per-device transfer retry schedule used when a link
-	// has a LossRate (zero value = one attempt, no retries). Mirrors the
-	// live transport's ResilientClient policy so the simulator and the
-	// real stack degrade the same way.
-	Retry edge.RetryPolicy
 	// Admission turns on the cloud's admission control: uploads are
 	// semantically validated (rejects never enter the pool) and the
 	// admission judge quarantines statistical outliers out of rebuilds —
@@ -107,16 +82,6 @@ type Config struct {
 	// TrimFrac caps the fraction of the pool one judgment round may
 	// quarantine (0 = dpprior default). Only meaningful with Admission.
 	TrimFrac float64
-	// OutageStart/OutageEnd model a cloud crash and recovery: in
-	// [OutageStart, OutageEnd) every cloud interaction fails after the
-	// retry budget, so arriving devices train prior-free and refreshing
-	// devices fall back to their held prior. At OutageEnd the cloud comes
-	// back with its durable state (tasks, served prior, version) intact
-	// but its in-memory delta history empty — exactly what a drdp-cloud
-	// restart on a -data-dir looks like: the first refresh after recovery
-	// resyncs in full, later ones by delta again. Equal values = no outage.
-	OutageStart time.Duration
-	OutageEnd   time.Duration
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -128,11 +93,18 @@ func (c Config) withDefaults() Config {
 	if c.ComputeRate <= 0 {
 		c.ComputeRate = 5e6
 	}
-	if c.TestSamples <= 0 {
-		c.TestSamples = 1000
-	}
 	return c
 }
+
+const (
+	// alpha is the DP concentration of every cloud, region and shard the
+	// package's scenarios build.
+	alpha = 1
+	// labelFlip is the label noise on simulated device tasks.
+	labelFlip = 0.05
+	// testSamples sizes each simulated device's accuracy measurement.
+	testSamples = 1000
+)
 
 // DeviceResult reports one device's simulated lifecycle.
 type DeviceResult struct {
@@ -141,18 +113,10 @@ type DeviceResult struct {
 	FetchedVersion  uint64 // 0 = cold cloud, trained without a prior
 	PriorComponents int
 	Accuracy        float64
-	DownlinkTime    time.Duration // prior transfer (including failed attempts)
+	DownlinkTime    time.Duration // prior transfer
 	TrainTime       time.Duration // simulated compute time
 	UplinkTime      time.Duration // report transfer (0 if not reporting)
 	TimeToModel     time.Duration // arrive → model ready
-	Retries         int           // failed transfer attempts that were retried
-	Degraded        bool          // fetch attempts exhausted: trained prior-free
-	ReportLost      bool          // upload attempts exhausted: cloud never saw the task
-	Refreshes       int           // background prior-sync rounds run
-	DeltaRefreshes  int           // refreshes answered with a component delta
-	FullRefreshes   int           // refreshes that moved the full prior
-	CachedFallbacks int           // refreshes that fell back to the held prior (cloud down/unreachable)
-	FinalVersion    uint64        // prior version held when the run ended
 	Rejected        bool          // upload refused by semantic validation
 	Quarantined     bool          // upload admitted but held out of rebuilds by the judge
 }
@@ -162,16 +126,8 @@ type Result struct {
 	Devices      []DeviceResult
 	FinalVersion uint64
 	Rebuilds     int
-	BytesDown    int // total prior bytes shipped to devices (fetch + refresh)
+	BytesDown    int // total prior bytes shipped to devices
 	BytesUp      int // total posterior bytes reported
-	Degraded     int // devices that trained without a prior due to link loss
-	ReportsLost  int // reports that never reached the cloud
-
-	Refreshes       int // background prior-sync rounds across the fleet
-	DeltaRefreshes  int // refreshes served as component deltas
-	FullRefreshes   int // refreshes that moved the full prior
-	CachedFallbacks int // refreshes that fell back to the held prior
-	DeltaBytesSaved int // full-prior bytes the delta refreshes avoided
 
 	RejectedUploads    int // uploads refused by semantic validation
 	QuarantinedUploads int // uploads held out of rebuilds by the admission judge
@@ -192,7 +148,6 @@ const (
 	evFetched
 	evTrained
 	evReportArrived
-	evRefresh
 )
 
 type eventQueue []event
@@ -208,13 +163,8 @@ func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
 func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
-// simDeltaHistory mirrors the live server's delta retention: how many
-// built priors the simulated cloud keeps for delta refreshes.
-const simDeltaHistory = 8
-
-// cloudState is the simulated cloud: accumulated tasks, the currently
-// served prior (rebuilt per policy), and a ring of recent priors for
-// delta refreshes — the same retention the live CloudServer has.
+// cloudState is the simulated cloud: accumulated tasks and the currently
+// served prior, rebuilt per policy.
 type cloudState struct {
 	tasks        []dpprior.TaskPosterior
 	taskDev      []int // device index that reported tasks[i]
@@ -222,7 +172,6 @@ type cloudState struct {
 	served       *dpprior.Prior
 	version      uint64
 	rebuilds     int
-	alpha        float64
 	seed         int64
 	admission    bool
 	trimFrac     float64
@@ -230,8 +179,6 @@ type cloudState struct {
 	rejected     int          // uploads refused by validation
 	decided      map[int]bool // task index → quarantined
 	deferred     []int        // flagged but over budget last round: no verdict yet
-	history      map[uint64]*dpprior.Prior
-	histOrder    []uint64
 }
 
 // report handles one uploaded posterior; accepted is false when
@@ -263,22 +210,13 @@ func (c *cloudState) rebuild() {
 	if len(admitted) == 0 {
 		return
 	}
-	p, err := dpprior.Build(admitted, dpprior.BuildOptions{Alpha: c.alpha, Seed: c.seed})
+	p, err := dpprior.Build(admitted, dpprior.BuildOptions{Alpha: alpha, Seed: c.seed})
 	if err != nil {
 		return
 	}
 	c.served = p
 	c.version++
 	c.rebuilds++
-	if c.history == nil {
-		c.history = make(map[uint64]*dpprior.Prior, simDeltaHistory)
-	}
-	c.history[c.version] = p
-	c.histOrder = append(c.histOrder, c.version)
-	for len(c.histOrder) > simDeltaHistory {
-		delete(c.history, c.histOrder[0])
-		c.histOrder = c.histOrder[1:]
-	}
 }
 
 // admit runs the same admission pass as the live server (dpprior.Admit):
@@ -302,48 +240,16 @@ func (c *cloudState) admit() []dpprior.TaskPosterior {
 	return admitted
 }
 
-// restart models the recovery side of an outage: the durable store
-// brings back tasks, served prior and version, but the in-memory delta
-// history is gone — refreshes right after recovery go full.
-func (c *cloudState) restart() {
-	c.history = nil
-	c.histOrder = nil
-}
-
-// transfer simulates one possibly-lossy transfer: each failed attempt
-// costs a detection delay (two one-way latencies — the timed-out
-// handshake) plus the policy's backoff, and ok reports whether any
-// attempt within the retry budget succeeded. Deterministic per rng.
-func transfer(rng *rand.Rand, loss float64, policy edge.RetryPolicy, link edge.LinkProfile) (retries int, waste time.Duration, ok bool) {
-	attempts := policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for i := 0; i < attempts; i++ {
-		if loss <= 0 || rng.Float64() >= loss {
-			return retries, waste, true
-		}
-		waste += 2 * link.Latency
-		if i < attempts-1 {
-			retries++
-			waste += policy.Delay(i, rng)
-		}
-	}
-	return retries, waste, false
-}
-
 // deviceState carries a device's in-flight data between events.
 type deviceState struct {
-	spec          DeviceSpec
-	task          data.LinearTask
-	train         *data.Dataset
-	test          *data.Dataset
-	prior         *dpprior.Prior
-	version       uint64
-	result        DeviceResult
-	fit           *core.Result
-	cov           *mat.Dense // Laplace posterior covariance, computed once
-	refreshesLeft int
+	spec   DeviceSpec
+	task   data.LinearTask
+	train  *data.Dataset
+	test   *data.Dataset
+	prior  *dpprior.Prior
+	result DeviceResult
+	fit    *core.Result
+	cov    *mat.Dense // Laplace posterior covariance, computed once
 }
 
 // Run executes the simulation and returns per-device results ordered by
@@ -364,12 +270,12 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 			return nil, fmt.Errorf("sim: device %d has no samples", spec.ID)
 		}
 		task := cfg.Family.SampleTask(rng, spec.Cluster)
-		task.Flip = cfg.Flip
+		task.Flip = labelFlip
 		devices[i] = &deviceState{
 			spec:  spec,
 			task:  task,
 			train: task.Sample(rng, spec.Samples),
-			test:  task.Sample(rng, cfg.TestSamples),
+			test:  task.Sample(rng, testSamples),
 			result: DeviceResult{
 				ID:       spec.ID,
 				ArriveAt: spec.ArriveAt,
@@ -378,14 +284,10 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 	}
 
 	cloud := &cloudState{
-		alpha:     cfg.Alpha,
 		seed:      cfg.Seed + 1,
 		admission: cfg.Admission,
 		trimFrac:  cfg.TrimFrac,
 	}
-	// Link faults draw from their own stream so enabling loss does not
-	// perturb task sampling.
-	linkRng := rand.New(rand.NewSource(cfg.Seed + 2))
 	q := &eventQueue{}
 	seq := 0
 	push := func(at time.Duration, kind eventKind, dev int) {
@@ -397,55 +299,22 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 	}
 
 	out := &Result{}
-	hasOutage := cfg.OutageEnd > cfg.OutageStart
-	recovered := !hasOutage
 	for q.Len() > 0 {
 		e := heap.Pop(q).(event)
 		d := devices[e.dev]
-		// Outage window: every interaction starting inside it fails after
-		// the retry budget, as if the cloud process were dead.
-		down := hasOutage && e.at >= cfg.OutageStart && e.at < cfg.OutageEnd
-		if !recovered && e.at >= cfg.OutageEnd {
-			cloud.restart()
-			recovered = true
-		}
-		lossFor := func(base float64) float64 {
-			if down {
-				return 1
-			}
-			return base
-		}
 		switch e.kind {
 		case evArrive:
-			// The lossy link may eat fetch attempts before (or instead of)
-			// the prior coming through.
-			retries, waste, ok := transfer(linkRng, lossFor(d.spec.LossRate), cfg.Retry, d.spec.Link)
-			d.result.Retries += retries
 			// Snapshot the served prior NOW; downlink delay follows.
 			d.prior = cloud.served
-			d.version = cloud.version
-			var downlink time.Duration
-			if !ok {
-				// Every attempt lost: degrade to prior-free training, like
-				// a live Device with FallbackLocal and a cold cache.
-				d.prior = nil
-				d.version = 0
-				d.result.Degraded = true
-				out.Degraded++
-				downlink = waste
-			} else if d.prior != nil {
-				wire := d.prior.WireSize()
-				downlink = waste + d.spec.Link.TransferTime(wire)
-				out.BytesDown += wire
-			} else {
-				downlink = waste + d.spec.Link.Latency // empty "no prior yet" reply
-			}
-			d.result.DownlinkTime = downlink
-			d.result.FetchedVersion = d.version
+			d.result.FetchedVersion = cloud.version
+			d.result.DownlinkTime = d.spec.Link.Latency // empty "no prior yet" reply
 			if d.prior != nil {
+				wire := d.prior.WireSize()
+				d.result.DownlinkTime = d.spec.Link.TransferTime(wire)
 				d.result.PriorComponents = len(d.prior.Components)
+				out.BytesDown += wire
 			}
-			push(e.at+downlink, evFetched, e.dev)
+			push(e.at+d.result.DownlinkTime, evFetched, e.dev)
 
 		case evFetched:
 			// Real training; simulated duration from the compute model.
@@ -463,11 +332,6 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 
 		case evTrained:
 			d.result.TimeToModel = e.at - d.spec.ArriveAt
-			if d.spec.Refreshes > 0 && d.spec.RefreshEvery > 0 {
-				// Start the background prior-sync loop.
-				d.refreshesLeft = d.spec.Refreshes
-				push(e.at+d.spec.RefreshEvery, evRefresh, e.dev)
-			}
 			if !d.spec.Report {
 				break
 			}
@@ -476,18 +340,8 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 				return nil, fmt.Errorf("sim: device %d posterior: %w", d.spec.ID, err)
 			}
 			d.cov = cov
-			retries, waste, ok := transfer(linkRng, lossFor(d.spec.LossRate), cfg.Retry, d.spec.Link)
-			d.result.Retries += retries
-			if !ok {
-				// The upload never made it: the device keeps its model but
-				// the fleet's prior misses this task.
-				d.result.ReportLost = true
-				out.ReportsLost++
-				d.result.UplinkTime = waste
-				break
-			}
 			wire := 8 * (len(d.fit.Params) + len(cov.Data) + 1)
-			d.result.UplinkTime = waste + d.spec.Link.TransferTime(wire)
+			d.result.UplinkTime = d.spec.Link.TransferTime(wire)
 			out.BytesUp += wire
 			push(e.at+d.result.UplinkTime, evReportArrived, e.dev)
 
@@ -503,48 +357,6 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 			if !cloud.report(task, e.dev, cfg.RebuildEvery) {
 				d.result.Rejected = true
 				out.RejectedUploads++
-			}
-
-		case evRefresh:
-			d.refreshesLeft--
-			if d.refreshesLeft > 0 {
-				push(e.at+d.spec.RefreshEvery, evRefresh, e.dev)
-			}
-			d.result.Refreshes++
-			out.Refreshes++
-			retries, _, ok := transfer(linkRng, lossFor(d.spec.LossRate), cfg.Retry, d.spec.Link)
-			d.result.Retries += retries
-			switch {
-			case !ok:
-				// Cloud down or link dead: the device keeps serving itself
-				// from the prior it already holds — the PriorCache path.
-				d.result.CachedFallbacks++
-				out.CachedFallbacks++
-			case cloud.served == nil || cloud.version == d.version:
-				// Cold cloud or already current: a version handshake, no
-				// payload.
-			default:
-				full := cloud.served.WireSize()
-				wire := full
-				delta := false
-				if old := cloud.history[d.version]; old != nil && d.prior != nil {
-					pd := dpprior.Diff(old, cloud.served, d.version, cloud.version)
-					if pd.WireSize() < full {
-						wire = pd.WireSize()
-						delta = true
-					}
-				}
-				if delta {
-					d.result.DeltaRefreshes++
-					out.DeltaRefreshes++
-					out.DeltaBytesSaved += full - wire
-				} else {
-					d.result.FullRefreshes++
-					out.FullRefreshes++
-				}
-				out.BytesDown += wire
-				d.prior = cloud.served
-				d.version = cloud.version
 			}
 		}
 	}
@@ -562,7 +374,6 @@ func Run(cfg Config, specs []DeviceSpec) (*Result, error) {
 		out.QuarantinedUploads++
 	}
 	for _, d := range devices {
-		d.result.FinalVersion = d.version
 		out.Devices = append(out.Devices, d.result)
 	}
 	out.FinalVersion = cloud.version

@@ -23,8 +23,6 @@ func simConfig(t *testing.T, seed int64) Config {
 		Family: family,
 		Model:  model.Logistic{Dim: 6},
 		Set:    dro.Set{Kind: dro.Wasserstein, Rho: 0.05},
-		Alpha:  1,
-		Flip:   0.05,
 		Seed:   seed,
 	}
 }
@@ -172,194 +170,18 @@ func TestSimDeterministic(t *testing.T) {
 	}
 }
 
-// lossyFleet marks every device's link with the given loss rate.
-func lossyFleet(pioneers, late int, link edge.LinkProfile, loss float64) []DeviceSpec {
-	specs := fleet(pioneers, late, link)
-	for i := range specs {
-		specs[i].LossRate = loss
-	}
-	return specs
-}
-
-func TestSimLossyLinkDegradesAndRetries(t *testing.T) {
-	cfg := simConfig(t, 216)
-	cfg.Retry = edge.RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond, Multiplier: 2}
-
-	// Total loss: every fetch exhausts its retries, every device trains
-	// prior-free, every report is lost.
-	res, err := Run(cfg, lossyFleet(2, 2, edge.Link3G, 1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded != 4 || res.ReportsLost != 2 {
-		t.Fatalf("total loss: degraded=%d reportsLost=%d", res.Degraded, res.ReportsLost)
-	}
-	if res.FinalVersion != 0 || res.BytesDown != 0 || res.BytesUp != 0 {
-		t.Errorf("traffic crossed a fully lossy link: %+v", res)
-	}
-	for _, d := range res.Devices {
-		if !d.Degraded || d.FetchedVersion != 0 {
-			t.Errorf("device %d not degraded under total loss: %+v", d.ID, d)
-		}
-		if d.Retries == 0 {
-			t.Errorf("device %d recorded no retries under total loss", d.ID)
-		}
-	}
-
-	// Moderate loss: the run completes, retries appear, and waste makes
-	// time-to-model no better than the lossless fleet's.
-	lossless, err := Run(simConfig(t, 216), fleet(2, 2, edge.Link3G))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := Run(cfg, lossyFleet(2, 2, edge.Link3G, 0.4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retries int
-	for _, d := range lossy.Devices {
-		retries += d.Retries
-	}
-	if retries == 0 {
-		t.Error("40% loss produced zero retries across the fleet")
-	}
-	var ttmLossless, ttmLossy time.Duration
-	for i := range lossless.Devices {
-		ttmLossless += lossless.Devices[i].TimeToModel
-		ttmLossy += lossy.Devices[i].TimeToModel
-	}
-	if ttmLossy < ttmLossless {
-		t.Errorf("lossy fleet was faster: %v < %v", ttmLossy, ttmLossless)
-	}
-}
-
-func TestSimLossyDeterministic(t *testing.T) {
-	mk := func() (*Result, error) {
-		cfg := simConfig(t, 217)
-		cfg.Retry = edge.RetryPolicy{MaxAttempts: 3, Base: 20 * time.Millisecond, Jitter: 0.3}
-		return Run(cfg, lossyFleet(2, 2, edge.Link4G, 0.3))
-	}
-	r1, err := mk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := mk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.Devices {
-		a, b := r1.Devices[i], r2.Devices[i]
-		if a.Retries != b.Retries || a.Degraded != b.Degraded || a.TimeToModel != b.TimeToModel {
-			t.Fatalf("lossy run nondeterministic at device %d: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 // TestSimDevicesFitThroughCore asserts that every simulated device
-// trains through the real learner: one run over a lossy fleet adds one
+// trains through the real learner: one run adds one
 // drdp_core_fits_total per device to the process-wide registry, the
 // same count a live fleet's devices would add.
 func TestSimDevicesFitThroughCore(t *testing.T) {
-	cfg := simConfig(t, 216)
-	cfg.Retry = edge.RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond, Multiplier: 2}
-
 	before := telemetry.Snapshot()
-	res, err := Run(cfg, lossyFleet(2, 2, edge.Link3G, 0.4))
+	res, err := Run(simConfig(t, 216), fleet(2, 2, edge.Link3G))
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := telemetry.Snapshot()
 	if got := after.CounterDelta(before, "drdp_core_fits_total"); got != float64(len(res.Devices)) {
 		t.Errorf("core fits delta = %g, want %d", got, len(res.Devices))
-	}
-}
-
-// TestSimCloudRestart exercises the outage/recovery scenario: the cloud
-// dies mid-run, refreshing devices fall back to their held priors,
-// devices arriving during the outage train prior-free, and after the
-// cloud recovers (durable state intact, delta history lost) the fleet
-// resynchronizes — in full right after the restart, by delta once the
-// history refills.
-func TestSimCloudRestart(t *testing.T) {
-	cfg := simConfig(t, 321)
-	cfg.OutageStart = 60 * time.Second
-	cfg.OutageEnd = 120 * time.Second
-
-	var specs []DeviceSpec
-	for i := 0; i < 4; i++ {
-		specs = append(specs, DeviceSpec{
-			ID: i, ArriveAt: time.Duration(i) * time.Second,
-			Link: edge.LinkWiFi, Samples: 200, Report: true, Cluster: i % 2,
-			RefreshEvery: 20 * time.Second, Refreshes: 8,
-		})
-	}
-	// Arrives while the cloud is down: must degrade, then resync later.
-	specs = append(specs, DeviceSpec{
-		ID: 4, ArriveAt: 70 * time.Second,
-		Link: edge.LinkWiFi, Samples: 12, Cluster: 0,
-		RefreshEvery: 20 * time.Second, Refreshes: 5,
-	})
-	// Arrives after recovery: reports so the post-restart history refills
-	// and later refreshes can go by delta again.
-	specs = append(specs, DeviceSpec{
-		ID: 5, ArriveAt: 130 * time.Second,
-		Link: edge.LinkWiFi, Samples: 200, Report: true, Cluster: 1,
-	})
-
-	res, err := Run(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("totals: refreshes=%d delta=%d full=%d cached=%d saved=%dB finalVersion=%d degraded=%d",
-		res.Refreshes, res.DeltaRefreshes, res.FullRefreshes, res.CachedFallbacks,
-		res.DeltaBytesSaved, res.FinalVersion, res.Degraded)
-
-	// During the outage every refresh must fall back to the held prior.
-	if res.CachedFallbacks == 0 {
-		t.Error("no cached fallbacks during a 60s outage")
-	}
-	// After recovery the delta history is gone, so resyncs go full first;
-	// once post-restart reports refill it, at least one refresh must have
-	// gone by delta and saved bytes.
-	if res.FullRefreshes == 0 {
-		t.Error("no full resyncs after the restart")
-	}
-	if res.DeltaRefreshes == 0 || res.DeltaBytesSaved <= 0 {
-		t.Errorf("delta refreshes=%d saved=%dB; delta sync never engaged",
-			res.DeltaRefreshes, res.DeltaBytesSaved)
-	}
-	for _, d := range res.Devices {
-		switch {
-		case d.ID <= 3:
-			// Pioneers refresh through the outage: some rounds fell back,
-			// and the final rounds resynchronized to the current prior.
-			if d.Refreshes != 8 {
-				t.Errorf("pioneer %d ran %d refreshes, want 8", d.ID, d.Refreshes)
-			}
-			if d.CachedFallbacks == 0 {
-				t.Errorf("pioneer %d never fell back during the outage", d.ID)
-			}
-			if d.FinalVersion != res.FinalVersion {
-				t.Errorf("pioneer %d ended at version %d, fleet is at %d",
-					d.ID, d.FinalVersion, res.FinalVersion)
-			}
-		case d.ID == 4:
-			// Arrived mid-outage: trained prior-free, resynced afterwards.
-			if !d.Degraded || d.FetchedVersion != 0 {
-				t.Errorf("mid-outage device: degraded=%v fetched=%d, want prior-free arrival",
-					d.Degraded, d.FetchedVersion)
-			}
-			if d.FinalVersion != res.FinalVersion {
-				t.Errorf("mid-outage device ended at version %d, fleet is at %d",
-					d.FinalVersion, res.FinalVersion)
-			}
-		case d.ID == 5:
-			// Arrived after recovery: a normal warm fetch off the durable
-			// state, no degradation.
-			if d.Degraded || d.FetchedVersion == 0 {
-				t.Errorf("post-recovery device: degraded=%v fetched=%d, want warm fetch",
-					d.Degraded, d.FetchedVersion)
-			}
-		}
 	}
 }
