@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -158,8 +160,15 @@ func (co *Coordinator) answer(req *edge.Request, sp *trace.Span) *edge.Response 
 }
 
 // probeLoop watches every shard leader and triggers failover after
-// failThreshold consecutive missed probes. It then probes each demoted
-// node still recovering (none, unless a gray leader was demoted).
+// failThreshold consecutive missed probes; each demoted node still
+// recovering (none, unless a gray leader was demoted) is probed beside
+// them. Each tick starts a probe of every watched address that has none
+// in flight, all at once, so a slow node (a probe's dial and round trip
+// are each bounded by the probe timeout) holds back only its own next
+// probe, never another shard's verdict; that next probe starts as soon
+// as the slow one lands.
+// Results are folded on this goroutine as they land, leaders in shard
+// order first, so failover and demotion stay serial.
 func (co *Coordinator) probeLoop() {
 	defer co.wg.Done()
 	// One ticker for the life of the loop: a per-iteration time.After
@@ -167,43 +176,131 @@ func (co *Coordinator) probeLoop() {
 	// which at a 10ms cadence is real garbage on a long-lived coordinator.
 	ticker := time.NewTicker(co.probeInterval)
 	defer ticker.Stop()
+	var probes sync.WaitGroup
+	defer probes.Wait()
+	results := make(chan probeResult)
+	inflight := make(map[string]bool) // addresses with a probe out
+	launch := func(r probeResult) {
+		inflight[r.addr] = true
+		probes.Add(1)
+		go func() {
+			defer probes.Done()
+			r.start = time.Now()
+			r.ok = co.probe(r.addr)
+			r.rtt = time.Since(r.start)
+			select {
+			case results <- r:
+			case <-co.stopCh:
+			}
+		}()
+	}
 	for {
 		select {
 		case <-co.stopCh:
 			return
+		case r := <-results:
+			// Fold every result that has landed, leaders in shard order.
+			batch := []probeResult{r}
+		drain:
+			for {
+				select {
+				case r := <-results:
+					batch = append(batch, r)
+				default:
+					break drain
+				}
+			}
+			slices.SortFunc(batch, probeResult.compare)
+			var overdue []string
+			for _, r := range batch {
+				delete(inflight, r.addr)
+				co.fold(r)
+				if r.rtt >= co.probeInterval {
+					overdue = append(overdue, r.addr)
+				}
+			}
+			// A probe that outlasted the interval missed its next tick:
+			// probe that address again now, in its role after the fold.
+			if len(overdue) > 0 {
+				for _, t := range co.probeTargets() {
+					if slices.Contains(overdue, t.addr) && !inflight[t.addr] {
+						launch(t)
+					}
+				}
+			}
 		case <-ticker.C:
-		}
-		co.mu.Lock()
-		leaders := make([]string, len(co.m.Shards))
-		for i, s := range co.m.Shards {
-			leaders[i] = s.Leader
-		}
-		co.mu.Unlock()
-		for shard, addr := range leaders {
-			start := time.Now()
-			if co.probe(addr) {
-				co.observeHealthy(shard, addr, time.Since(start))
-				continue
-			}
-			// Only FAILED probes are retro-recorded: healthy probes at the
-			// probe cadence would flood the flight recorder's recent ring.
-			trace.Default.Record("probe", start, time.Since(start), errProbeFailed,
-				trace.Int("shard", int64(shard)), trace.Str("leader", addr))
-			co.mu.Lock()
-			name := co.nodeNameLocked(shard, addr)
-			co.failures[shard]++
-			trip := co.failures[shard] >= co.failThreshold
-			co.mu.Unlock()
-			telemetry.ReplicaHealthGauge(name).Set(0)
-			if trip {
-				co.failover(shard)
+			for _, t := range co.probeTargets() {
+				if !inflight[t.addr] {
+					launch(t)
+				}
 			}
 		}
-		for _, addr := range co.recoveringAddrs() {
-			start := time.Now()
-			ok := co.probe(addr)
-			co.observeDemoted(addr, ok, time.Since(start))
-		}
+	}
+}
+
+// probeResult is one probe: of a shard's leader, or (shard −1) of the
+// demoted node addr; when it started, how long it took and whether the
+// node answered.
+type probeResult struct {
+	shard int
+	addr  string
+	start time.Time
+	rtt   time.Duration
+	ok    bool
+}
+
+// compare orders leaders by shard, then demoted nodes by address.
+func (r probeResult) compare(o probeResult) int {
+	if (r.shard < 0) != (o.shard < 0) {
+		return cmp.Compare(o.shard, r.shard)
+	}
+	return cmp.Or(cmp.Compare(r.shard, o.shard), cmp.Compare(r.addr, o.addr))
+}
+
+// probeTargets returns this tick's probes: every shard's leader, then
+// the demoted nodes still recovering.
+func (co *Coordinator) probeTargets() []probeResult {
+	co.mu.Lock()
+	targets := make([]probeResult, len(co.m.Shards))
+	for i, s := range co.m.Shards {
+		targets[i] = probeResult{shard: i, addr: s.Leader}
+	}
+	co.mu.Unlock()
+	for _, addr := range co.recoveringAddrs() {
+		targets = append(targets, probeResult{shard: -1, addr: addr})
+	}
+	return targets
+}
+
+// fold applies one probe's result. A leader probe that lands after its
+// shard changed leader says nothing about the new one and is dropped.
+func (co *Coordinator) fold(r probeResult) {
+	if r.shard < 0 {
+		co.observeDemoted(r.addr, r.ok, r.rtt)
+		return
+	}
+	co.mu.Lock()
+	current := co.m.Shards[r.shard].Leader == r.addr
+	co.mu.Unlock()
+	switch {
+	case !current:
+		return
+	case r.ok:
+		co.observeHealthy(r.shard, r.addr, r.rtt)
+		return
+	}
+	// Only FAILED probes are retro-recorded: healthy probes at the
+	// probe cadence would flood the flight recorder's recent ring.
+	trace.Default.Record("probe", r.start, r.rtt, errProbeFailed,
+		trace.Int("shard", int64(r.shard)), trace.Str("leader", r.addr))
+	co.mu.Lock()
+	name := co.nodeNameLocked(r.shard, r.addr)
+	co.failures[r.shard]++
+	trip := co.failures[r.shard] >= co.failThreshold
+	co.mu.Unlock()
+	telemetry.ReplicaHealthGauge(name).Set(0)
+	if trip {
+		co.failover(r.shard)
 	}
 }
 
@@ -247,11 +344,12 @@ func (co *Coordinator) trackedLocked(shard int, addr string) bool {
 
 // observeDemoted folds one probe of a demoted node into its latency
 // EWMA and publishes its health score (0 for a failed probe). A score
-// of 1 ends its recovery.
+// of 1 ends its recovery. A node promoted since the probe started is
+// scored by its leader probes from then on, so its result is dropped.
 func (co *Coordinator) observeDemoted(addr string, ok bool, rtt time.Duration) {
 	co.mu.Lock()
 	d := co.recovering[addr]
-	if d == nil {
+	if d == nil || addr == co.m.Shards[d.shard].Leader {
 		co.mu.Unlock()
 		return
 	}

@@ -439,14 +439,18 @@ type drdpProblem struct {
 	mem opt.Memory
 
 	// Memo of the last point score evaluated: the point, its per-sample
-	// losses, and the worst-case value and weights under set. worstAt is
-	// false until value and weights belong to (theta, set).
-	theta   mat.Vec   // nil before the first score
-	losses  []float64 // length n
-	weights []float64 // length n
-	value   float64
-	set     dro.Set
-	worstAt bool
+	// losses, the worst-case value and weights under set, and the data
+	// term's gradient under those weights (what batch.WeightedGrad adds
+	// to a zero vector). worstAt is false until value and weights belong
+	// to (theta, set); gradAt until dataGrad does.
+	theta    mat.Vec   // nil before the first score
+	losses   []float64 // length n
+	weights  []float64 // length n
+	value    float64
+	set      dro.Set
+	worstAt  bool
+	dataGrad mat.Vec // length NumParams
+	gradAt   bool
 
 	// Inner-solver iterations of the most recent mStep call, read by
 	// recordIteration right after each EM iteration (the EM loop is
@@ -458,13 +462,14 @@ var _ em.Problem[[]float64] = (*drdpProblem)(nil)
 
 func newProblem(l *Learner, x *mat.Dense, y []float64, tau float64) *drdpProblem {
 	p := &drdpProblem{
-		learner: l,
-		x:       x,
-		y:       y,
-		tau:     tau,
-		batch:   model.NewBatch(l.model, x, y),
-		losses:  make([]float64, x.Rows),
-		weights: make([]float64, x.Rows),
+		learner:  l,
+		x:        x,
+		y:        y,
+		tau:      tau,
+		batch:    model.NewBatch(l.model, x, y),
+		losses:   make([]float64, x.Rows),
+		weights:  make([]float64, x.Rows),
+		dataGrad: make(mat.Vec, l.model.NumParams()),
 	}
 	if l.prior != nil {
 		p.scaled = make([]float64, l.prior.NumComponents()+1)
@@ -549,11 +554,18 @@ func (p *drdpProblem) surrogate(set dro.Set, scaled []float64) opt.Func {
 			}
 			return value
 		}
-		mat.Fill(grad, 0)
 		// Danskin: gradient through the worst-case weights; normalize by
 		// n is built into weights (they sum to 1). score just swept th,
-		// so the batch's memo is th's.
-		p.batch.WeightedGrad(l.pool, th, weights, grad)
+		// so the batch's memo is th's. The previous M-step's last point
+		// is the next one's first: its data gradient is copied back.
+		if p.gradAt {
+			copy(grad, p.dataGrad)
+		} else {
+			mat.Fill(grad, 0)
+			p.batch.WeightedGrad(l.pool, th, weights, grad)
+			copy(p.dataGrad, grad)
+			p.gradAt = true
+		}
 		if rho := set.ThetaPenalty(); rho > 0 {
 			l.lipschitzGrad(th, rho, grad)
 		}
@@ -581,7 +593,8 @@ func (p *drdpProblem) objective(theta mat.Vec) float64 {
 // certificate. It remembers the last point, so asking again for it — an
 // accepted line-search trial re-evaluated with its gradient, the M-step's
 // result scored by the objective, the next M-step's opening call — costs
-// no data sweep or dual solve.
+// no data sweep or dual solve; surrogate keeps that point's data gradient
+// beside it.
 //
 // The memo is keyed by θ's bit pattern (math.Float64bits, not ==, so −0
 // and +0 stay distinct points) and by the set: the losses depend on θ
@@ -598,7 +611,7 @@ func (p *drdpProblem) score(theta mat.Vec, set dro.Set) (float64, []float64) {
 	}
 	if !p.worstAt || p.set != set {
 		p.value = set.WorstCaseInto(l.pool, p.losses, l.lipschitz(theta), p.weights)
-		p.set, p.worstAt = set, true
+		p.set, p.worstAt, p.gradAt = set, true, false
 	}
 	return p.value, p.weights
 }

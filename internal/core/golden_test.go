@@ -20,8 +20,11 @@ import (
 // goldenPath holds one line per goldenCases entry: the bit patterns of
 // every float a fit returns. The default-solver lines were recaptured
 // when the prior M-steps became warm (the L-BFGS memory carried across
-// EM iterations) and inexact (the forcing rule); the proximal lines
-// predate the M-step's score memo. Recapture them only in a change
+// EM iterations) and inexact (the forcing rule). The KL and χ² lines of
+// both solvers were recaptured when the logistic loss moved to the
+// one-exp kernel, whose low bits differ from log1p(exp(−m)); the
+// Wasserstein lines did not move. TestKernelMatchesTwoExpOracle bounds
+// that move against the old kernel. Recapture them only in a change
 // meant to alter fit results.
 const goldenPath = "testdata/fit_golden.txt"
 

@@ -12,11 +12,11 @@ import (
 )
 
 // sweepRecorder is a logistic model that logs the parameters of every
-// Losses or LossesSweep call. With n ≤ 256 rows the data is one chunk,
-// so each call is one full-data sweep.
+// Losses or LossesSweep call, and of every gradient sweep. With n ≤ 256
+// rows the data is one chunk, so each call is one full-data sweep.
 type sweepRecorder struct {
 	model.Logistic
-	sweeps *[]mat.Vec
+	sweeps, grads *[]mat.Vec
 }
 
 func (m sweepRecorder) Losses(params mat.Vec, x *mat.Dense, y []float64, out []float64) []float64 {
@@ -29,18 +29,34 @@ func (m sweepRecorder) LossesSweep(params mat.Vec, x *mat.Dense, y []float64, ou
 	return m.Logistic.LossesSweep(params, x, y, out, memo)
 }
 
+func (m sweepRecorder) WeightedGrad(params mat.Vec, x *mat.Dense, y []float64, w []float64, grad mat.Vec) mat.Vec {
+	*m.grads = append(*m.grads, mat.CloneVec(params))
+	return m.Logistic.WeightedGrad(params, x, y, w, grad)
+}
+
+func (m sweepRecorder) WeightedGradSweep(params mat.Vec, x *mat.Dense, y []float64, w, memo []float64, grad mat.Vec) mat.Vec {
+	*m.grads = append(*m.grads, mat.CloneVec(params))
+	return m.Logistic.WeightedGradSweep(params, x, y, w, memo, grad)
+}
+
 // TestMStepScoresEachPointOnce checks that a fit never sweeps the data
 // twice in a row at the same parameters: an accepted line-search trial,
 // the M-step's result scored by the EM objective, and the next M-step's
 // opening evaluation all reuse the sweep that first scored the point.
+// The same holds for gradient sweeps, whose weights depend only on the
+// point and the set: the next M-step opens with the data gradient the
+// last one ended on. The proximal M-step under Wasserstein is the
+// exception: it scores its smooth part under None and the objective
+// under Wasserstein, so each M-step's first point gets its weights, and
+// its data gradient, anew.
 func TestMStepScoresEachPointOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	x, y := linearTask(rng, 200, 4, mat.Vec{1.5, -2, 0.5, 1}, 0.08)
 	_, _, prior := goldenTask(40)
 	for _, s := range batchSolvers {
 		for _, set := range robustSets {
-			var sweeps []mat.Vec
-			m := sweepRecorder{Logistic: model.Logistic{Dim: 4}, sweeps: &sweeps}
+			var sweeps, grads []mat.Vec
+			m := sweepRecorder{Logistic: model.Logistic{Dim: 4}, sweeps: &sweeps, grads: &grads}
 			l, err := New(m, append([]Option{
 				WithPrior(prior),
 				WithUncertaintySet(set),
@@ -58,6 +74,15 @@ func TestMStepScoresEachPointOnce(t *testing.T) {
 			for i := 1; i < len(sweeps); i++ {
 				if sameBits(sweeps[i-1], sweeps[i]) {
 					t.Errorf("%s/%s: sweeps %d and %d of %d are at the same θ", s.name, set.Kind, i-1, i, len(sweeps))
+					break
+				}
+			}
+			if s.name == "proximal" && set.Kind == dro.Wasserstein {
+				continue
+			}
+			for i := 1; i < len(grads); i++ {
+				if sameBits(grads[i-1], grads[i]) {
+					t.Errorf("%s/%s: gradient sweeps %d and %d of %d are at the same θ", s.name, set.Kind, i-1, i, len(grads))
 					break
 				}
 			}

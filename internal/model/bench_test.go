@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/drdp/drdp/internal/mat"
+	"github.com/drdp/drdp/internal/parallel"
 )
 
 func benchSetup(b *testing.B, m Model, kind string, n int) (mat.Vec, *mat.Dense, []float64, []float64) {
@@ -58,5 +59,25 @@ func BenchmarkMLPGrad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mat.Fill(grad, 0)
 		m.WeightedGrad(params, x, y, w, grad)
+	}
+}
+
+// BenchmarkLogisticBatchSweep is one M-step evaluation at fit_heavy's
+// shape (n = 1000, dim 16) on a memo-keeping Batch: the loss sweep, then
+// the weighted gradient that reads its memo. One worker, so the number
+// is the kernel's and not the scheduler's.
+func BenchmarkLogisticBatchSweep(b *testing.B) {
+	const n = 1000
+	m := Logistic{Dim: 16}
+	params, x, y, w := benchSetup(b, m, "binary", n)
+	batch := NewBatch(m, x, y)
+	pool := parallel.New(1)
+	out := make([]float64, n)
+	grad := make(mat.Vec, m.NumParams())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		batch.Losses(pool, params, out)
+		mat.Fill(grad, 0)
+		batch.WeightedGrad(pool, params, w, grad)
 	}
 }

@@ -268,7 +268,10 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
+// TestSigmoidStability checks σ(z) — slope at margin −z — saturates
+// exactly at both extremes and is ½ at 0.
 func TestSigmoidStability(t *testing.T) {
+	sigmoid := func(z float64) float64 { return slope(-z, math.Exp(-math.Abs(z))) }
 	if got := sigmoid(1000); got != 1 {
 		t.Errorf("sigmoid(1000) = %v", got)
 	}
@@ -280,12 +283,12 @@ func TestSigmoidStability(t *testing.T) {
 	}
 }
 
-// TestLogistic1pStability checks log(1 + exp(z)) — marginLoss at margin
-// −z — at both overflow cut-offs and at 0.
+// TestLogistic1pStability checks log(1 + exp(z)) — the loss at margin
+// −z — far out on both sides and at 0.
 func TestLogistic1pStability(t *testing.T) {
+	l := Logistic{Dim: 1}
 	logistic1p := func(z float64) float64 {
-		loss, _ := marginLoss(-z)
-		return loss
+		return l.Losses(mat.Vec{0, -z}, mat.NewDense(1, 1), []float64{1}, nil)[0]
 	}
 	if got := logistic1p(100); got != 100 {
 		t.Errorf("logistic1p(100) = %v", got)

@@ -253,6 +253,13 @@ func TestRunClusterComposedFaults(t *testing.T) {
 	if chaos.Demotions < 1 || chaos.Promotions < 1 {
 		t.Fatalf("want a demotion and a promotion, got %v and %v", chaos.Demotions, chaos.Promotions)
 	}
+	// The demoted slow node is still probed while shard 1's leader dies;
+	// its 300ms probes must not hold back shard 1's three missed probes.
+	for _, o := range chaos.Faults {
+		if o.Kind == KillLeader && o.FailoverTime > 300*time.Millisecond {
+			t.Errorf("kill on shard %d failed over after %v, want ≤ 300ms", o.Shard, o.FailoverTime)
+		}
+	}
 	if chaos.Tasks != control.Tasks {
 		t.Fatalf("composed run delivered %d tasks, control %d", chaos.Tasks, control.Tasks)
 	}
