@@ -37,7 +37,6 @@ type Trainer interface {
 // ERM is plain empirical risk minimization.
 type ERM struct {
 	Model model.Model
-	Opts  opt.Options
 }
 
 var _ Trainer = ERM{}
@@ -47,7 +46,9 @@ func (e ERM) Name() string { return "local-erm" }
 
 // Train implements Trainer.
 func (e ERM) Train(x *mat.Dense, y []float64) (mat.Vec, error) {
-	l, err := core.New(e.Model, core.WithMStepOptions(e.Opts))
+	// The M-step runs to opt's defaults (up to 500 iterations), not the
+	// learner's own 200-iteration cap.
+	l, err := core.New(e.Model, core.WithMStepOptions(opt.Options{}))
 	if err != nil {
 		return nil, fmt.Errorf("baseline: erm: %w", err)
 	}
@@ -91,7 +92,6 @@ type GaussMAP struct {
 	Model  model.Model
 	Mu     mat.Vec
 	Lambda float64
-	Opts   opt.Options
 }
 
 var _ Trainer = GaussMAP{}
@@ -108,7 +108,7 @@ func (g GaussMAP) Train(x *mat.Dense, y []float64) (mat.Vec, error) {
 		return nil, fmt.Errorf("baseline: gauss-map: prior mean dim %d, want %d",
 			len(g.Mu), g.Model.NumParams())
 	}
-	return fitPenalized(g.Model, x, y, g.Opts, func(theta, grad mat.Vec) float64 {
+	return fitPenalized(g.Model, x, y, opt.Options{}, func(theta, grad mat.Vec) float64 {
 		diff := mat.SubVec(theta, g.Mu)
 		v := 0.5 * g.Lambda * mat.Dot(diff, diff)
 		if grad != nil {
@@ -170,7 +170,6 @@ func (f FineTune) Train(x *mat.Dense, y []float64) (mat.Vec, error) {
 type DRO struct {
 	Model model.Model
 	Set   dro.Set
-	Opts  opt.Options
 }
 
 var _ Trainer = DRO{}
@@ -182,7 +181,7 @@ func (d DRO) Name() string { return "dro-noprior" }
 func (d DRO) Train(x *mat.Dense, y []float64) (mat.Vec, error) {
 	l, err := core.New(d.Model,
 		core.WithUncertaintySet(d.Set),
-		core.WithMStepOptions(d.Opts))
+		core.WithMStepOptions(opt.Options{})) // as ERM's M-step
 	if err != nil {
 		return nil, fmt.Errorf("baseline: dro: %w", err)
 	}

@@ -378,12 +378,6 @@ func (c *ShardedClient) fetchMergedPrior(dim int) (*dpprior.Prior, error) {
 	return merged, nil
 }
 
-// Applied returns the per-shard read-your-writes floors (highest prior
-// versions this client has applied).
-func (c *ShardedClient) Applied() []uint64 {
-	return append([]uint64(nil), c.applied...)
-}
-
 // Close closes every underlying connection.
 func (c *ShardedClient) Close() error {
 	err := c.coord.Close()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/drdp/drdp/internal/dpprior"
-	"github.com/drdp/drdp/internal/edge"
 	"github.com/drdp/drdp/internal/store"
 )
 
@@ -46,10 +45,8 @@ type Config struct {
 	// store — the disk-fault chaos hook (nil result = real filesystem).
 	NodeFS func(shard, replica int) store.FS
 	// Seed drives every node's jitter deterministically.
-	Seed int64
-	// Admission configures leader-side quarantine.
-	Admission edge.AdmissionConfig
-	Logger    *slog.Logger
+	Seed   int64
+	Logger *slog.Logger
 }
 
 // Cluster is a running shard tier: nodes plus coordinator.
@@ -80,7 +77,6 @@ func Start(cfg Config) (*Cluster, error) {
 				PullInterval: cfg.PullInterval,
 				ScrubEvery:   cfg.ScrubEvery,
 				Seed:         cfg.Seed,
-				Admission:    cfg.Admission,
 				Logger:       cfg.Logger,
 			}
 			if cfg.NodeFS != nil {

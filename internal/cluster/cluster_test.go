@@ -143,15 +143,17 @@ func TestClusterFailoverByteIdenticalPriors(t *testing.T) {
 // rejected — and the served prior stays byte-identical — after the
 // leader that judged it dies.
 func TestClusterVerdictsSurviveFailover(t *testing.T) {
-	cfg := fastConfig(1, 2)
-	// MinScored pinned to the full population: one deterministic
-	// judgment round (see the edge admission tests).
-	cfg.Admission = edge.AdmissionConfig{Quarantine: true, TrimFrac: 0.4, MinScored: 9}
-	cl, err := Start(cfg)
+	cl, err := Start(fastConfig(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// MinScored pinned to the full population: one deterministic
+	// judgment round (see the edge admission tests). Leaders judge;
+	// followers inherit verdicts through the replicated sidecar.
+	for r := 0; r < 2; r++ {
+		cl.Node(0, r).Server().SetAdmission(edge.AdmissionConfig{Quarantine: true, TrimFrac: 0.4, MinScored: 9})
+	}
 
 	const dim = 3
 	sc := dialTest(cl.CoordinatorAddr())
@@ -320,8 +322,11 @@ func TestFollowerTornTailRestartCatchup(t *testing.T) {
 		t.Fatalf("follower log (%d bytes) differs from leader log (%d bytes) after catch-up",
 			len(followerLog), len(leaderLog))
 	}
-	if follower.Lag() != 0 {
-		t.Fatalf("caught-up follower reports lag %d", follower.Lag())
+	lag := telemetry.ReplLagGauge(follower.Name())
+	for deadline := time.Now().Add(5 * time.Second); lag.Value() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("caught-up follower reports lag %v", lag.Value())
+		}
 	}
 }
 

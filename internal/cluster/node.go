@@ -79,14 +79,9 @@ type NodeConfig struct {
 	// CatchupJitter bounds the seeded pre-pull delay on (re)start
 	// (0 = DefaultCatchupJitter; negative = none).
 	CatchupJitter time.Duration
-	// MaxHealthyLag is the /healthz lag threshold (0 = DefaultMaxHealthyLag).
-	MaxHealthyLag uint64
 	// Seed drives the catch-up jitter and the pull client's backoff.
-	Seed int64
-	// Admission is applied to the server (leaders judge; followers
-	// inherit verdicts through the replicated sidecar).
-	Admission edge.AdmissionConfig
-	Logger    *slog.Logger
+	Seed   int64
+	Logger *slog.Logger
 }
 
 // Node is one running replica: a CloudServer, its listener, and (as a
@@ -130,7 +125,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("cluster: node %d/%d: %w", cfg.Shard, cfg.Replica, err)
 	}
 	srv.SetSemiSync(cfg.SyncReplicas, cfg.AckTimeout)
-	srv.SetAdmission(cfg.Admission)
 	srv.EnableDedupe()
 	n := &Node{cfg: cfg, srv: srv, logger: logger}
 	srv.SetNodeName(n.Name())
@@ -189,22 +183,10 @@ func (n *Node) lagHealth() error {
 	n.mu.Lock()
 	lag := n.lag
 	n.mu.Unlock()
-	max := n.cfg.MaxHealthyLag
-	if max == 0 {
-		max = DefaultMaxHealthyLag
-	}
-	if n.srv.IsFollower() && lag > max {
-		return fmt.Errorf("replication lag %d exceeds %d", lag, max)
+	if n.srv.IsFollower() && lag > DefaultMaxHealthyLag {
+		return fmt.Errorf("replication lag %d exceeds %d", lag, DefaultMaxHealthyLag)
 	}
 	return nil
-}
-
-// Lag reports the node's last observed replication lag in sequence
-// numbers (0 for a leader).
-func (n *Node) Lag() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lag
 }
 
 // Follow (re)points the node's pull loop at a leader address, stopping

@@ -55,12 +55,12 @@ import (
 // Learner is a configured DRDP edge learner. Construct with New; the
 // zero value is not usable.
 //
-// A Learner is immutable after New and safe for concurrent use: Fit,
-// Predict and Certificate may be called from any number of goroutines at
-// once. Each Fit call allocates its own scratch state (per-start when
-// multi-start runs in parallel), so concurrent fits never share buffers;
-// the only shared mutable state is the drdp_core_* telemetry, whose
-// instruments are atomic.
+// A Learner is immutable after New and safe for concurrent use: Fit and
+// Predict may be called from any number of goroutines at once. Each Fit
+// call allocates its own scratch state (per-start when multi-start runs
+// in parallel), so concurrent fits never share buffers; the only shared
+// mutable state is the drdp_core_* telemetry, whose instruments are
+// atomic.
 type Learner struct {
 	model       model.Model
 	set         dro.Set
@@ -385,21 +385,6 @@ func (l *Learner) runStarts(prob *drdpProblem) em.Result {
 func (l *Learner) Predict(params mat.Vec, x mat.Vec) float64 {
 	return l.model.Predict(params, x)
 }
-
-// Certificate returns the worst-case expected loss of params over the
-// configured uncertainty ball centered at the empirical distribution of
-// (x, y) — an out-of-sample robustness certificate.
-func (l *Learner) Certificate(params mat.Vec, x *mat.Dense, y []float64) float64 {
-	losses := model.ParLosses(l.pool, l.model, params, x, y, nil)
-	v, _ := l.set.WorstCasePool(l.pool, losses, l.lipschitz(params))
-	return v
-}
-
-// Model returns the learner's model.
-func (l *Learner) Model() model.Model { return l.model }
-
-// Set returns the learner's uncertainty set.
-func (l *Learner) Set() dro.Set { return l.set }
 
 // startingPoints returns the EM starts: the explicit init when given;
 // otherwise every prior component mean plus a zero (base-basin) start.

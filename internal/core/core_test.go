@@ -119,7 +119,7 @@ func TestFitERMSeparatesLinearData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := model.Accuracy(l.Model(), res.Params, x, y); acc < 0.97 {
+	if acc := model.Accuracy(l.model, res.Params, x, y); acc < 0.97 {
 		t.Errorf("ERM training accuracy %v", acc)
 	}
 	if res.EmpiricalLoss > 0.3 {
@@ -153,6 +153,15 @@ func TestWassersteinShrinksParams(t *testing.T) {
 	}
 }
 
+// certificate is the worst-case expected loss of params over l's
+// uncertainty ball centered at the empirical distribution of (x, y),
+// computed apart from Fit.
+func certificate(l *Learner, params mat.Vec, x *mat.Dense, y []float64) float64 {
+	losses := model.ParLosses(l.pool, l.model, params, x, y, nil)
+	v, _ := l.set.WorstCasePool(l.pool, losses, l.lipschitz(params))
+	return v
+}
+
 func TestRobustLossIsCertificate(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	x, y := linearTask(rng, 50, 2, mat.Vec{1, 1}, 0.1)
@@ -169,7 +178,7 @@ func TestRobustLossIsCertificate(t *testing.T) {
 		if res.RobustLoss < res.EmpiricalLoss-1e-9 {
 			t.Errorf("%v: robust loss %v below empirical %v", kind, res.RobustLoss, res.EmpiricalLoss)
 		}
-		cert := l.Certificate(res.Params, x, y)
+		cert := certificate(l, res.Params, x, y)
 		if math.Abs(cert-res.RobustLoss) > 1e-9 {
 			t.Errorf("%v: Certificate %v != RobustLoss %v", kind, cert, res.RobustLoss)
 		}
@@ -309,7 +318,7 @@ func TestPriorWashesOutWithAbundantData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := model.Accuracy(l.Model(), res.Params, x, y); acc < 0.9 {
+	if acc := model.Accuracy(l.model, res.Params, x, y); acc < 0.9 {
 		t.Errorf("misleading prior pinned the fit: train accuracy %v", acc)
 	}
 	if mat.Dist2(res.Params, misleading) < 1 {
@@ -340,8 +349,8 @@ func TestMStepGradientConsistency(t *testing.T) {
 	// Probe the true objective around the solution: J(θ*) should be a
 	// local minimum up to solver tolerance.
 	obj := func(theta mat.Vec) float64 {
-		losses := l.Model().Losses(theta, x, y, nil)
-		v, _ := l.Set().WorstCase(losses, l.Model().Lipschitz(theta))
+		losses := l.model.Losses(theta, x, y, nil)
+		v, _ := l.set.WorstCase(losses, l.model.Lipschitz(theta))
 		return v + (1.0/float64(len(y)))*(-prior.LogDensity(theta))
 	}
 	base := obj(res.Params)
@@ -387,7 +396,7 @@ func TestMultiStartVetoesMisleadingComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := model.Accuracy(multi.Model(), resMulti.Params, test, testY); acc < 0.85 {
+	if acc := model.Accuracy(multi.model, resMulti.Params, test, testY); acc < 0.85 {
 		t.Errorf("multi-start accuracy %v: trapped by adversarial component", acc)
 	}
 
@@ -456,7 +465,7 @@ func TestSoftmaxMulticlassFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := model.Accuracy(l.Model(), res.Params, x, y); acc < 0.95 {
+	if acc := model.Accuracy(l.model, res.Params, x, y); acc < 0.95 {
 		t.Errorf("multiclass accuracy %v", acc)
 	}
 }

@@ -207,7 +207,7 @@ func TestLearnerConcurrentFit(t *testing.T) {
 				return
 			}
 			results[g] = res
-			certs[g] = l.Certificate(res.Params, x, y)
+			certs[g] = certificate(l, res.Params, x, y)
 		}(g)
 	}
 	wg.Wait()

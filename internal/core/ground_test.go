@@ -94,7 +94,7 @@ func TestGroundMetricCertificateUsesDualNorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l.Certificate(params, train.X, train.Y)
+		return certificate(l, params, train.X, train.Y)
 	}
 	c2 := cert(dro.GroundL2)
 	c1 := cert(dro.GroundL1)

@@ -61,7 +61,7 @@ func TestLBFGSMStepKLSet(t *testing.T) {
 	}
 	// 10 % of the labels are flipped and the KL worst case upweights the
 	// hard samples, so ~0.82 train accuracy is the expected regime.
-	if acc := model.Accuracy(l.Model(), res.Params, x, y); acc < 0.78 {
+	if acc := model.Accuracy(l.model, res.Params, x, y); acc < 0.78 {
 		t.Errorf("accuracy %v", acc)
 	}
 }

@@ -44,12 +44,6 @@ func NewOnlineWindow(l *Learner, window int) (*Online, error) {
 	return &Online{learner: l, window: window}, nil
 }
 
-// Len returns the number of accumulated samples.
-func (o *Online) Len() int { return len(o.rows) }
-
-// Params returns the current fitted parameters (nil before any data).
-func (o *Online) Params() mat.Vec { return o.params }
-
 // Observe appends a batch of samples and refits, returning the fit
 // result over the accumulated data.
 func (o *Online) Observe(x *mat.Dense, y []float64) (*Result, error) {

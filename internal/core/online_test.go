@@ -30,10 +30,10 @@ func TestOnlineAccumulatesAndImproves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		accs = append(accs, model.Accuracy(l.Model(), res.Params, testX, testY))
+		accs = append(accs, model.Accuracy(l.model, res.Params, testX, testY))
 	}
-	if online.Len() != 100 {
-		t.Errorf("accumulated %d samples, want 100", online.Len())
+	if len(online.rows) != 100 {
+		t.Errorf("accumulated %d samples, want 100", len(online.rows))
 	}
 	// Later accuracy should clearly beat the first-batch accuracy.
 	if accs[4] <= accs[0] {
@@ -138,8 +138,8 @@ func TestOnlineWindowTrims(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if online.Len() != 25 {
-		t.Errorf("window kept %d samples, want 25", online.Len())
+	if len(online.rows) != 25 {
+		t.Errorf("window kept %d samples, want 25", len(online.rows))
 	}
 	if _, err := NewOnlineWindow(l, 0); err == nil {
 		t.Error("zero window accepted")
@@ -171,7 +171,7 @@ func TestOnlineWindowForgetsOldConcept(t *testing.T) {
 		t.Fatal(err)
 	}
 	testX, testY := linearTask(rng, 500, 2, mat.Vec{-2, -1}, 0)
-	if acc := model.Accuracy(l.Model(), res.Params, testX, testY); acc < 0.95 {
+	if acc := model.Accuracy(l.model, res.Params, testX, testY); acc < 0.95 {
 		t.Errorf("windowed learner stuck on the old concept: %v", acc)
 	}
 }
@@ -197,7 +197,7 @@ func TestOnlineValidation(t *testing.T) {
 	if _, err := online.Observe(mat.NewDense(1, 2), []float64{1, 1}); err == nil {
 		t.Error("label mismatch accepted")
 	}
-	if online.Params() != nil {
+	if online.params != nil {
 		t.Error("params should be nil before data")
 	}
 }

@@ -83,7 +83,7 @@ func TestProximalMStepWithPriorMonotone(t *testing.T) {
 			t.Fatalf("trace not monotone at %d: %v", i, res.Trace)
 		}
 	}
-	if acc := model.Accuracy(l.Model(), res.Params, x, y); acc < 0.85 {
+	if acc := model.Accuracy(l.model, res.Params, x, y); acc < 0.85 {
 		t.Errorf("train accuracy %v", acc)
 	}
 }

@@ -36,8 +36,8 @@ func TestStochasticMStepMatchesBatchOnLargeN(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	accBatch := model.Accuracy(batchLearner.Model(), batchRes.Params, testX, testY)
-	accSGD := model.Accuracy(sgdLearner.Model(), sgdRes.Params, testX, testY)
+	accBatch := model.Accuracy(batchLearner.model, batchRes.Params, testX, testY)
+	accSGD := model.Accuracy(sgdLearner.model, sgdRes.Params, testX, testY)
 	if accSGD < accBatch-0.02 {
 		t.Errorf("stochastic M-step accuracy %v vs batch %v", accSGD, accBatch)
 	}
@@ -60,7 +60,7 @@ func TestStochasticMStepWithPriorAndKL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := model.Accuracy(l.Model(), res.Params, x, y); acc < 0.85 {
+	if acc := model.Accuracy(l.model, res.Params, x, y); acc < 0.85 {
 		t.Errorf("train accuracy %v", acc)
 	}
 	// Objective should have improved overall even if not monotone.
@@ -99,7 +99,7 @@ func TestStochasticBatchLargerThanN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := model.Accuracy(l.Model(), res.Params, x, y); acc < 0.9 {
+	if acc := model.Accuracy(l.model, res.Params, x, y); acc < 0.9 {
 		t.Errorf("accuracy %v", acc)
 	}
 }

@@ -94,21 +94,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return out
 }
 
-// Split partitions into a training set with n samples and a test set with
-// the rest, after a shuffle driven by rng. It fails when n is out of range.
-func (d *Dataset) Split(n int, rng *rand.Rand) (train, test *Dataset, err error) {
-	if n <= 0 || n >= d.Len() {
-		return nil, nil, fmt.Errorf("data: Split: n=%d out of range (0, %d)", n, d.Len())
-	}
-	c := d.Clone()
-	c.Shuffle(rng)
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	return c.Subset(idx[:n]), c.Subset(idx[n:]), nil
-}
-
 // Concat appends other's samples to a copy of d. Dimensions and label
 // conventions must match.
 func (d *Dataset) Concat(other *Dataset) (*Dataset, error) {

@@ -88,24 +88,6 @@ func TestShufflePreservesPairs(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	d := binaryDS()
-	train, test, err := d.Split(1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len() != 1 || test.Len() != 3 {
-		t.Errorf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	if _, _, err := d.Split(0, rng); err == nil {
-		t.Error("Split(0) accepted")
-	}
-	if _, _, err := d.Split(4, rng); err == nil {
-		t.Error("Split(n) accepted")
-	}
-}
-
 func TestConcat(t *testing.T) {
 	d := binaryDS()
 	all, err := d.Concat(d)

@@ -118,8 +118,6 @@ type DigitTask struct {
 	Noise float64
 	// Jitter enables the random ±1-pixel translation.
 	Jitter bool
-	// IntensityLow/High bound the random stroke intensity (defaults 0.8/1.2).
-	IntensityLow, IntensityHigh float64
 }
 
 // parseTemplate converts a bitmap string into a flat 64-vector of 0/1.
@@ -158,13 +156,10 @@ func (t DigitTask) Template(d int) mat.Vec {
 // SampleOne draws one image of digit d.
 func (t DigitTask) SampleOne(rng *rand.Rand, d int) mat.Vec {
 	img := t.Template(d)
-	lo, hi := t.IntensityLow, t.IntensityHigh
-	if lo <= 0 {
-		lo = 0.8
-	}
-	if hi <= lo {
-		hi = lo + 0.4
-	}
+	// The stroke intensity is uniform on [0.8, 1.2); the width is hi − lo
+	// in float64, not the constant 0.4, which has other bits.
+	lo := 0.8
+	hi := lo + 0.4
 	intensity := lo + (hi-lo)*rng.Float64()
 	mat.Scale(intensity, img)
 	if t.Jitter {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/parallel"
@@ -262,25 +261,6 @@ func (c *Compiled) scratchVecs(scratch mat.Vec) (diff, prod mat.Vec) {
 		panic(fmt.Sprintf("dpprior: surrogate scratch length %d, want %d", len(scratch), 2*d))
 	}
 	return scratch[:d], scratch[d:]
-}
-
-// Sample draws θ from the prior: pick a component (or base) by weight,
-// then draw from the chosen Gaussian.
-func (c *Compiled) Sample(rng *rand.Rand) mat.Vec {
-	u := rng.Float64()
-	var acc float64
-	for i, comp := range c.Prior.Components {
-		acc += comp.Weight
-		if u < acc {
-			return c.comps[i].Sample(rng)
-		}
-	}
-	// Base measure (also the round-off fallthrough).
-	x := make(mat.Vec, c.Prior.Dim)
-	for j := range x {
-		x[j] = c.Prior.BaseSigma * rng.NormFloat64()
-	}
-	return x
 }
 
 func (c *Compiled) checkGamma(gamma []float64) {

@@ -201,31 +201,6 @@ func TestSurrogateMajorizesNegLogDensity(t *testing.T) {
 	}
 }
 
-func TestCompiledSampleMixtureFrequencies(t *testing.T) {
-	c, err := Compile(twoComponentPrior())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	const trials = 20000
-	var nearC0 int
-	for i := 0; i < trials; i++ {
-		x := c.Sample(rng)
-		if len(x) != 2 {
-			t.Fatalf("sample dim %d", len(x))
-		}
-		if mat.Dist2(x, mat.Vec{2, 0}) < 3 {
-			nearC0++
-		}
-	}
-	frac := float64(nearC0) / trials
-	// Component 0 has weight 0.5 and is tight; expect roughly half the
-	// draws near its mean (some base-measure draws land there too).
-	if frac < 0.4 || frac > 0.75 {
-		t.Errorf("fraction near component 0 = %v, expected ≈ 0.5", frac)
-	}
-}
-
 func TestCompileEmptyPrior(t *testing.T) {
 	p := &Prior{Alpha: 1, BaseWeight: 1, BaseSigma: 2, Dim: 3}
 	c, err := Compile(p)

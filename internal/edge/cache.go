@@ -68,17 +68,6 @@ func (pc *PriorCache) Get() (prior *dpprior.Prior, version uint64, ok bool) {
 	return pc.prior, pc.version, pc.prior != nil
 }
 
-// Version returns the cached version (0 when cold) — the value to pass
-// as KnownVersion in a conditional fetch.
-func (pc *PriorCache) Version() uint64 {
-	if pc == nil {
-		return 0
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.version
-}
-
 // Put stores a freshly fetched prior and persists it when the cache is
 // file-backed. A nil prior or zero version is rejected.
 func (pc *PriorCache) Put(prior *dpprior.Prior, version uint64) error {

@@ -30,8 +30,8 @@ func TestPriorCacheMemory(t *testing.T) {
 	if _, _, ok := pc.Get(); ok {
 		t.Fatal("cold cache reported a prior")
 	}
-	if pc.Version() != 0 {
-		t.Fatalf("cold cache version %d", pc.Version())
+	if _, v, _ := pc.Get(); v != 0 {
+		t.Fatalf("cold cache version %d", v)
 	}
 	p := testPrior(t, 300, 3)
 	if err := pc.Put(p, 7); err != nil {
@@ -129,7 +129,7 @@ func TestPriorCacheNilReceiver(t *testing.T) {
 	if _, _, ok := pc.Get(); ok {
 		t.Error("nil cache reported a prior")
 	}
-	if pc.Version() != 0 {
+	if _, v, _ := pc.Get(); v != 0 {
 		t.Error("nil cache has a version")
 	}
 }

@@ -65,7 +65,7 @@ func TestChaosDeviceLoop(t *testing.T) {
 				FallbackLocal: true,
 			}
 
-			dial := faults.Dialer(func() (net.Conn, error) {
+			dial := withFaults(&faults, func() (net.Conn, error) {
 				return net.DialTimeout("tcp", addr, time.Second)
 			})
 			rc := NewResilientClient(dial, ResilientOptions{
@@ -143,39 +143,14 @@ func TestChaosDeviceLoop(t *testing.T) {
 	}
 }
 
-// TestChaosThrottledAndFaulty composes a lossy fault schedule with a
-// link-profile throttle — the "slow AND flaky 3G uplink" case — and
-// checks the loop still completes.
-func TestChaosThrottledAndFaulty(t *testing.T) {
-	rng := rand.New(rand.NewSource(501))
-	addr, _ := startServerCfg(t, seedTasks(rng, 3, 3), nil)
-	profile := LinkProfile{Name: "flaky", Latency: 5 * time.Millisecond, Bandwidth: 1e6}
-	faults := &FaultConfig{Seed: 9, DropWrite: 0.2, Reset: 0.1}
-
-	dial := func() (net.Conn, error) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+// withFaults wraps every connection dial produces in f's fault schedule.
+func withFaults(f *FaultConfig, dial func() (net.Conn, error)) func() (net.Conn, error) {
+	return func() (net.Conn, error) {
+		conn, err := dial()
 		if err != nil {
 			return nil, err
 		}
-		return profile.Throttle(faults.Wrap(conn)), nil
-	}
-	rc := NewResilientClient(dial, ResilientOptions{
-		Retry:            RetryPolicy{MaxAttempts: 5, Base: 5 * time.Millisecond},
-		RoundTripTimeout: 500 * time.Millisecond,
-		Seed:             11,
-	})
-	defer rc.Close()
-
-	ok := 0
-	for i := 0; i < 5; i++ {
-		if _, _, err := rc.FetchPrior(3); err == nil {
-			ok++
-		} else if errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("breaker misconfigured for this test: %v", err)
-		}
-	}
-	if ok == 0 {
-		t.Errorf("no fetch succeeded over the flaky throttled link; stats %+v", rc.TransportStats())
+		return f.Wrap(conn), nil
 	}
 }
 

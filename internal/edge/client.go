@@ -54,20 +54,11 @@ type calls struct {
 // FetchPrior downloads the current prior for the given parameter
 // dimensionality (pass 0 to skip the dimension check) and validates it.
 func (c calls) FetchPrior(dim int) (*dpprior.Prior, uint64, error) {
-	return c.FetchPriorIfNewer(dim, 0)
-}
-
-// FetchPriorIfNewer is the conditional fetch: when the cloud's prior
-// version still equals knownVersion, no payload crosses the wire and a
-// nil prior is returned with the (unchanged) version. Use in periodic
-// refresh loops so an idle cloud costs only a handshake. A zero
-// knownVersion is an unconditional fetch.
-func (c calls) FetchPriorIfNewer(dim int, knownVersion uint64) (*dpprior.Prior, uint64, error) {
-	resp, err := c.rt(&Request{Kind: GetPrior, Dim: dim, KnownVersion: knownVersion})
+	resp, err := c.rt(&Request{Kind: GetPrior, Dim: dim})
 	if err != nil {
 		return nil, 0, err
 	}
-	return priorOf(resp, knownVersion != 0)
+	return priorOf(resp)
 }
 
 // FetchPriorDelta refreshes a prior the client already holds: it sends
@@ -165,13 +156,8 @@ func (c calls) FetchShardMap(knownVersion uint64) (*ShardMap, uint64, error) {
 	return resp.Map, resp.Version, nil
 }
 
-// priorOf interprets a GetPrior response: validates the payload and,
-// when conditional fetch is in play, passes NotModified through as a nil
-// prior with the unchanged version.
-func priorOf(resp *Response, conditional bool) (*dpprior.Prior, uint64, error) {
-	if conditional && resp.NotModified {
-		return nil, resp.Version, nil
-	}
+// priorOf interprets a full-prior response and validates its payload.
+func priorOf(resp *Response) (*dpprior.Prior, uint64, error) {
 	if resp.Prior == nil {
 		return nil, 0, fmt.Errorf("edge: server returned empty prior")
 	}
@@ -203,5 +189,5 @@ func deltaPriorOf(resp *Response, old *dpprior.Prior) (*dpprior.Prior, uint64, e
 		}
 		return p, resp.Version, nil
 	}
-	return priorOf(resp, false)
+	return priorOf(resp)
 }

@@ -19,7 +19,6 @@ import (
 // satisfy it.
 type Cloud interface {
 	FetchPrior(dim int) (*dpprior.Prior, uint64, error)
-	FetchPriorIfNewer(dim int, knownVersion uint64) (*dpprior.Prior, uint64, error)
 	// FetchPriorDelta refreshes a held prior by version: the server
 	// answers NotModified, a component delta (patched onto old before
 	// returning), or a full prior when a delta isn't possible or

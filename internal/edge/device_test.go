@@ -129,8 +129,8 @@ func TestDeviceCacheFallback(t *testing.T) {
 	if st.Degradation != DegradedNone || st.PriorVersion == 0 {
 		t.Fatalf("healthy round status %+v", st)
 	}
-	if cache.Version() != st.PriorVersion {
-		t.Fatalf("cache not warmed: %d vs %d", cache.Version(), st.PriorVersion)
+	if _, v, _ := cache.Get(); v != st.PriorVersion {
+		t.Fatalf("cache not warmed: %d vs %d", v, st.PriorVersion)
 	}
 
 	// Round 2: still healthy — the conditional fetch hits NotModified and
@@ -206,9 +206,6 @@ type staticCloud struct {
 func (s *staticCloud) FetchPrior(int) (*dpprior.Prior, uint64, error) {
 	return s.prior, s.version, nil
 }
-func (s *staticCloud) FetchPriorIfNewer(int, uint64) (*dpprior.Prior, uint64, error) {
-	return s.prior, s.version, nil
-}
 func (s *staticCloud) FetchPriorDelta(int, uint64, *dpprior.Prior) (*dpprior.Prior, uint64, error) {
 	return s.prior, s.version, nil
 }
@@ -222,9 +219,6 @@ type failingCloud struct{ reports int }
 var errFakeLink = errors.New("edge_test: link down")
 
 func (f *failingCloud) FetchPrior(int) (*dpprior.Prior, uint64, error) { return nil, 0, errFakeLink }
-func (f *failingCloud) FetchPriorIfNewer(int, uint64) (*dpprior.Prior, uint64, error) {
-	return nil, 0, errFakeLink
-}
 func (f *failingCloud) FetchPriorDelta(int, uint64, *dpprior.Prior) (*dpprior.Prior, uint64, error) {
 	return nil, 0, errFakeLink
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/drdp/drdp/internal/dro"
 	"github.com/drdp/drdp/internal/mat"
 	"github.com/drdp/drdp/internal/model"
-	"github.com/drdp/drdp/internal/wire"
 )
 
 // startServerCfg runs a cloud server on a random loopback port until the
@@ -166,7 +165,7 @@ func TestConditionalFetch(t *testing.T) {
 		t.Fatal("initial fetch returned no prior")
 	}
 	// Refresh with the current version: no payload.
-	p2, v2, err := c.FetchPriorIfNewer(4, version)
+	p2, v2, err := c.FetchPriorDelta(4, version, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestConditionalFetch(t *testing.T) {
 	if pf, vf, err := c.FetchPriorDeltaMin(4, version, acked, prior); err != nil || pf == nil || vf < acked {
 		t.Fatalf("read with floor %d right after the report: prior=%v version %d, %v", acked, pf != nil, vf, err)
 	}
-	p3, v3, err := c.FetchPriorIfNewer(4, version)
+	p3, v3, err := c.FetchPriorDelta(4, version, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestConditionalFetch(t *testing.T) {
 		t.Error("version did not advance after a report")
 	}
 	// KnownVersion 0 always ships.
-	p4, _, err := c.FetchPriorIfNewer(4, 0)
+	p4, _, err := c.FetchPriorDelta(4, 0, nil)
 	if err != nil || p4 == nil {
 		t.Errorf("unconditional fetch failed: %v, %v", p4, err)
 	}
@@ -279,50 +278,6 @@ func TestLinkProfiles(t *testing.T) {
 	// Zero payload still pays latency.
 	if got := Link3G.TransferTime(0); got != Link3G.Latency {
 		t.Errorf("zero payload time %v", got)
-	}
-}
-
-func TestThrottledConnZeroBandwidthPanics(t *testing.T) {
-	// A zero-bandwidth profile must fail loudly, not sleep(+Inf).
-	bad := LinkProfile{Name: "dead"}
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	conn := bad.Throttle(a)
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-bandwidth Write did not panic")
-		}
-	}()
-	conn.Write([]byte("x"))
-}
-
-func TestThrottledConnDelays(t *testing.T) {
-	// A profile with tiny bandwidth must make the write measurably slow.
-	rng := rand.New(rand.NewSource(114))
-	addr, _ := startServerCfg(t, seedTasks(rng, 2, 3), nil)
-	raw, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw.Close()
-
-	slow := LinkProfile{Name: "test", Latency: 30 * time.Millisecond, Bandwidth: 1e9}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ClientHandshake(conn, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c := NewMuxClient(slow.Throttle(conn))
-	defer c.Close()
-	start := time.Now()
-	if _, _, err := c.FetchPrior(3); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("throttled fetch took only %v", elapsed)
 	}
 }
 

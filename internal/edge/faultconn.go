@@ -23,10 +23,6 @@ var (
 // the seeded per-connection RNG, so a given (Seed, traffic) pair always
 // yields the same fault schedule — chaos tests are reproducible.
 //
-// Compose with LinkProfile.Throttle to get a slow AND lossy link:
-//
-//	conn = profile.Throttle(cfg.Wrap(conn))
-//
 // The zero value injects nothing.
 type FaultConfig struct {
 	// Seed drives the schedule; Wrap derives a distinct stream per
@@ -80,19 +76,6 @@ func (f *FaultConfig) Wrap(conn net.Conn) net.Conn {
 		Conn: conn,
 		cfg:  *f,
 		rng:  rand.New(rand.NewSource(f.Seed + int64(idx)*7919)),
-	}
-}
-
-// Dialer wraps a dial function so every connection it produces carries
-// the fault schedule — the natural way to feed a ResilientClient a
-// lossy link.
-func (f *FaultConfig) Dialer(dial func() (net.Conn, error)) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		conn, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		return f.Wrap(conn), nil
 	}
 }
 

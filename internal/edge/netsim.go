@@ -2,15 +2,13 @@ package edge
 
 import (
 	"fmt"
-	"net"
 	"time"
 )
 
 // LinkProfile models an edge uplink for the systems-cost analysis:
 // one-way latency plus a serialization bandwidth. TransferTime gives the
 // analytic time to move a payload over the link (deterministic, used by
-// the Table 4 benchmark); Throttle wraps a real connection to impose the
-// profile on live traffic (used by the distributed example).
+// Tables 4 and 9 and the fleet simulator).
 type LinkProfile struct {
 	Name      string
 	Latency   time.Duration // one-way propagation latency
@@ -35,36 +33,3 @@ func (p LinkProfile) TransferTime(bytes int) time.Duration {
 	ser := time.Duration(float64(bytes) / p.Bandwidth * float64(time.Second))
 	return p.Latency + ser
 }
-
-// Throttle wraps conn so each Write pays the profile's serialization
-// delay and the first Write additionally pays the one-way latency. Reads
-// are left untouched (the peer's writes already paid). Composable with
-// FaultConfig.Wrap for links that are both slow and lossy.
-func (p LinkProfile) Throttle(conn net.Conn) net.Conn {
-	return &throttledConn{Conn: conn, profile: p}
-}
-
-type throttledConn struct {
-	net.Conn
-	profile LinkProfile
-	started bool
-}
-
-func (t *throttledConn) Write(b []byte) (int, error) {
-	if t.profile.Bandwidth <= 0 {
-		// Same guard as TransferTime: without it a zero-bandwidth profile
-		// yields +Inf delay and a time.Sleep that never returns.
-		panic(fmt.Sprintf("edge: LinkProfile %q has non-positive bandwidth", t.profile.Name))
-	}
-	delay := time.Duration(float64(len(b)) / t.profile.Bandwidth * float64(time.Second))
-	if !t.started {
-		delay += t.profile.Latency
-		t.started = true
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return t.Conn.Write(b)
-}
-
-var _ net.Conn = (*throttledConn)(nil)

@@ -50,8 +50,7 @@
 //
 // FaultConfig provides a deterministic fault-injection net.Conn wrapper
 // (drops, resets, partial writes, corruption, delays) for driving the
-// whole stack through hostile-network chaos tests; it composes with
-// LinkProfile.Throttle.
+// whole stack through hostile-network chaos tests.
 package edge
 
 import (

@@ -89,18 +89,6 @@ func (s *CloudServer) recordAck(followerID int, seq uint64) {
 	s.ackMu.Unlock()
 }
 
-// FollowerAcks returns a copy of the per-follower durable versions the
-// leader has observed (the coordinator's promotion input).
-func (s *CloudServer) FollowerAcks() map[int]uint64 {
-	s.ackMu.Lock()
-	defer s.ackMu.Unlock()
-	out := make(map[int]uint64, len(s.acks))
-	for id, seq := range s.acks {
-		out[id] = seq
-	}
-	return out
-}
-
 // SetSemiSync configures semi-synchronous appends (safe on a live
 // server): replicas is how many follower acknowledgements an AddTask
 // waits for (0 = async), timeout bounds the wait (0 = DefaultAckTimeout).

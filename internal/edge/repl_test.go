@@ -54,8 +54,11 @@ func TestPullLogAndFollowerApply(t *testing.T) {
 		}
 	}
 	// The leader recorded the follower's acknowledgements as it pulled.
-	if acks := leader.FollowerAcks(); acks[1] != leader.Store().Version()-1 && acks[1] != leader.Store().Version() {
-		t.Fatalf("follower ack %d not tracked (leader at %d)", acks[1], leader.Store().Version())
+	leader.ackMu.Lock()
+	ack := leader.acks[1]
+	leader.ackMu.Unlock()
+	if v := leader.Store().Version(); ack != v-1 && ack != v {
+		t.Fatalf("follower ack %d not tracked (leader at %d)", ack, v)
 	}
 	// The follower serves the same prior bytes at the same version.
 	follower.WaitCaughtUp()

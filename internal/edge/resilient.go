@@ -117,9 +117,9 @@ func DialResilient(addr string, opts ResilientOptions) *ResilientClient {
 }
 
 // NewResilientClient wraps an arbitrary dial function — compose with
-// LinkProfile.Throttle or FaultConfig.Wrap for simulated links:
+// FaultConfig.Wrap for a lossy link:
 //
-//	dial := func() (net.Conn, error) { c, err := net.Dial("tcp", addr); ... return profile.Throttle(faults.Wrap(c)), nil }
+//	dial := func() (net.Conn, error) { c, err := net.Dial("tcp", addr); ... return faults.Wrap(c), nil }
 func NewResilientClient(dial func() (net.Conn, error), opts ResilientOptions) *ResilientClient {
 	seed := opts.Seed
 	if seed == 0 {

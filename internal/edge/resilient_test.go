@@ -359,7 +359,7 @@ func TestResilientConcurrentCallers(t *testing.T) {
 	uploads := seedTasks(rng, callers*calls, 3)
 
 	faults := &FaultConfig{Seed: 5, Reset: 0.05, DropWrite: 0.05}
-	rc := NewResilientClient(faults.Dialer(func() (net.Conn, error) {
+	rc := NewResilientClient(withFaults(faults, func() (net.Conn, error) {
 		return dialTCP(addr, time.Second)
 	}), ResilientOptions{
 		Retry:            DefaultRetryPolicy,

@@ -215,7 +215,7 @@ func TestTelemetryChaosMatchesInjectedFaults(t *testing.T) {
 	addr, _ := startServerCfg(t, seedTasks(rng, 4, 3), nil)
 
 	faults := FaultConfig{Seed: 3, FailAfterOps: 12}
-	dial := faults.Dialer(func() (net.Conn, error) {
+	dial := withFaults(&faults, func() (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, time.Second)
 	})
 	rc := NewResilientClient(dial, ResilientOptions{

@@ -20,7 +20,8 @@ func TestUntracedRequestAllocatesNoServerSpans(t *testing.T) {
 	}
 	defer srv.Close()
 	srv.WaitCaughtUp()
-	tr := trace.New(trace.Config{SampleRate: 1, Seed: 99})
+	tr := trace.New(99)
+	tr.SetSampleRate(1)
 	srv.SetTracer(tr)
 	before := tr.Stats()
 

@@ -134,9 +134,6 @@ func (s *Series) Table() *Table {
 // Render writes the series as an aligned ASCII table.
 func (s *Series) Render(w io.Writer) error { return s.Table().Render(w) }
 
-// WriteCSV writes the series as CSV.
-func (s *Series) WriteCSV(w io.Writer) error { return s.Table().WriteCSV(w) }
-
 // MeanStd is an aggregated measurement over repetitions.
 type MeanStd struct {
 	Mean, Std float64

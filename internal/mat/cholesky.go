@@ -159,24 +159,6 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// MulVecL returns L x, used to sample from N(mu, A) as mu + L z.
-func (c *Cholesky) MulVecL(x Vec) Vec {
-	n := c.L.Rows
-	if len(x) != n {
-		panic(fmt.Sprintf("mat: Cholesky.MulVecL: length %d, want %d", len(x), n))
-	}
-	y := make(Vec, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		row := c.L.Data[i*n : i*n+i+1]
-		for k, v := range row {
-			s += v * x[k]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // SolveLInPlace solves L y = b (forward substitution only), overwriting
 // b with y. The squared norm of y is the Mahalanobis quadratic
 // bᵀA⁻¹b, which the Gaussian log-density uses without completing the

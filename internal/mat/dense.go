@@ -136,25 +136,6 @@ func (m *Dense) MulVecTo(y, x Vec) Vec {
 	return y
 }
 
-// MulVecT returns mᵀ*x as a new vector.
-func (m *Dense) MulVecT(x Vec) Vec {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVecT: vector length %d, want %d", len(x), m.Rows))
-	}
-	y := make(Vec, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			y[j] += xi * v
-		}
-	}
-	return y
-}
-
 // Mul returns m*b as a new matrix (gemm, ikj loop order).
 func (m *Dense) Mul(b *Dense) *Dense {
 	if m.Cols != b.Rows {
@@ -173,26 +154,6 @@ func (m *Dense) Mul(b *Dense) *Dense {
 				orow[j] += a * v
 			}
 		}
-	}
-	return out
-}
-
-// Add returns m + b as a new matrix.
-func (m *Dense) Add(b *Dense) *Dense {
-	m.checkSameShape("Add", b)
-	out := NewDense(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v + b.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - b as a new matrix.
-func (m *Dense) Sub(b *Dense) *Dense {
-	m.checkSameShape("Sub", b)
-	out := NewDense(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v - b.Data[i]
 	}
 	return out
 }

@@ -109,13 +109,16 @@ func TestMLPProbaSimplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(261))
 	m := MLP{Dim: 3, Hidden: 4, Classes: 5}
 	params := m.InitParams(rng)
-	p := m.Proba(params, mat.Vec{0.5, -1, 2})
+	// Each class's loss is −log p(class | x), so exp(−loss) over the
+	// classes is the probability vector.
+	x := mat.FromRows([][]float64{{0.5, -1, 2}})
 	var sum float64
-	for _, v := range p {
-		if v < 0 {
-			t.Fatalf("negative probability %v", v)
+	for c := 0; c < m.Classes; c++ {
+		p := math.Exp(-m.Losses(params, x, []float64{float64(c)}, nil)[0])
+		if p <= 0 {
+			t.Fatalf("class %d: probability %v", c, p)
 		}
-		sum += v
+		sum += p
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probabilities sum to %v", sum)

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -186,21 +185,4 @@ func (m MLP) Predict(params mat.Vec, x mat.Vec) float64 {
 	logits := make(mat.Vec, m.Classes)
 	m.forward(params, x, h, logits)
 	return float64(mat.ArgMax(logits))
-}
-
-// Proba returns the class-probability vector for x.
-func (m MLP) Proba(params mat.Vec, x mat.Vec) mat.Vec {
-	h := make(mat.Vec, m.Hidden)
-	logits := make(mat.Vec, m.Classes)
-	m.forward(params, x, h, logits)
-	return mat.Softmax(logits, logits)
-}
-
-// Validate reports invalid hyperparameters.
-func (m MLP) Validate() error {
-	if m.Dim <= 0 || m.Hidden <= 0 || m.Classes < 2 {
-		return fmt.Errorf("model: mlp: invalid shape dim=%d hidden=%d classes=%d",
-			m.Dim, m.Hidden, m.Classes)
-	}
-	return nil
 }

@@ -129,12 +129,6 @@ func (s Softmax) Predict(params mat.Vec, x mat.Vec) float64 {
 	return float64(mat.ArgMax(logits))
 }
 
-// Proba returns the class-probability vector for x.
-func (s Softmax) Proba(params mat.Vec, x mat.Vec) mat.Vec {
-	logits := s.Logits(params, x, nil)
-	return mat.Softmax(logits, logits)
-}
-
 // LeastSquares is linear regression with squared loss
 // ℓ = ½(wᵀx + b − y)². Parameters are [w, b]. Its feature-Lipschitz
 // constant is not globally bounded; Lipschitz returns ‖w‖₂ as the local

@@ -175,26 +175,19 @@ func ProxL2Block(coef float64, from, to int) Prox {
 	}
 }
 
-// SGD is a stochastic gradient stepper with classical momentum.
-// The zero value is invalid; set LR > 0.
+// SGD is a plain stochastic gradient stepper. The zero value is
+// invalid; set LR > 0.
 type SGD struct {
-	LR       float64 // learning rate, > 0
-	Momentum float64 // in [0, 1)
-
-	velocity mat.Vec
+	LR float64 // learning rate, > 0
 }
 
-// Step applies one update θ ← θ − LR·v with v ← momentum·v + grad.
+// Step applies one update θ ← θ − LR·grad.
 func (s *SGD) Step(theta, grad mat.Vec) {
 	if s.LR <= 0 {
 		panic("opt: SGD: learning rate must be positive")
 	}
-	if s.velocity == nil {
-		s.velocity = make(mat.Vec, len(theta))
-	}
 	for i, g := range grad {
-		s.velocity[i] = s.Momentum*s.velocity[i] + g
-		theta[i] -= s.LR * s.velocity[i]
+		theta[i] -= s.LR * g
 	}
 }
 

@@ -152,7 +152,7 @@ func TestProxL2BlockPanicsOnNegative(t *testing.T) {
 
 func TestSGDConvergesOnQuadratic(t *testing.T) {
 	theta := mat.Vec{10, -10}
-	s := &SGD{LR: 0.1, Momentum: 0.5}
+	s := &SGD{LR: 0.1}
 	grad := make(mat.Vec, 2)
 	for i := 0; i < 500; i++ {
 		grad[0], grad[1] = theta[0], theta[1]

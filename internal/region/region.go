@@ -13,9 +13,10 @@
 // cloud's merged prior by version (GetPriorDelta) and folds the cloud's
 // components into its local store as pseudo-tasks, so the prior a
 // region serves during a cloud partition still carries global
-// knowledge. Sideways (optional), regions gossip component deltas with
-// peer regions so two regions cut off from the cloud keep exchanging
-// what their devices learn.
+// knowledge. Sideways (optional), a gossip round fetches each peer
+// region's prior and absorbs its components the same way, so two
+// regions cut off from the cloud keep exchanging what their devices
+// learn; the region serves its own build over those pseudo-tasks.
 //
 // Every pseudo-task injected from above or sideways is tracked by
 // fingerprint and excluded from upward flushes: knowledge that came
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -107,7 +107,6 @@ type Region struct {
 	injected   map[uint64]struct{} // fingerprints of down-sync/gossip pseudo-tasks
 	cloudPrior *dpprior.Prior
 	cloudVer   uint64
-	peerPriors map[string]*dpprior.Prior
 	stats      SyncStats
 	closed     bool
 }
@@ -159,35 +158,19 @@ func Start(cfg Config, seed []dpprior.TaskPosterior) (*Region, error) {
 			RoundTripTimeout: edge.DefaultRoundTripTimeout,
 			Logger:           cfg.Logger,
 		}),
-		injected:   make(map[uint64]struct{}),
-		peerPriors: make(map[string]*dpprior.Prior),
+		injected: make(map[uint64]struct{}),
 	}, nil
 }
 
 // Server exposes the region's local cloud-server stack — devices in
-// the same process attach clients to it via Serve/net.Pipe, and tests
-// reach the store and prior through it.
+// the same process attach clients to it via its Serve, and tests reach
+// the store and prior through it.
 func (r *Region) Server() *edge.CloudServer { return r.srv }
-
-// Serve accepts device connections on ln (blocks; run in a goroutine).
-func (r *Region) Serve(ln net.Listener) error { return r.srv.Serve(ln) }
 
 // ListenAndServe binds addr and serves devices, sending the bound
 // address on addrCh if non-nil.
 func (r *Region) ListenAndServe(addr string, addrCh chan<- string) error {
 	return r.srv.ListenAndServe(addr, addrCh)
-}
-
-// Pending reports how many locally admitted raw tasks await the next
-// upward flush.
-func (r *Region) Pending() int {
-	r.srv.WaitCaughtUp()
-	tasks, seqs, _ := r.srv.Store().ViewRecords()
-	verdicts := r.srv.Store().Verdicts()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	window, _ := r.window(tasks, seqs, verdicts)
-	return len(window)
 }
 
 // window returns the stored records the next upward flush ships, in
@@ -359,9 +342,9 @@ func (r *Region) absorb(p *dpprior.Prior, from string) int {
 	return injected
 }
 
-// GossipOnce exchanges component deltas with every configured peer
-// region: fetch the peer's current prior and absorb its components as
-// pseudo-tasks (fingerprint-deduplicated, excluded from upward sync).
+// GossipOnce fetches every configured peer region's current prior and
+// absorbs its components as pseudo-tasks (fingerprint-deduplicated,
+// excluded from upward sync).
 // It returns how many components were newly absorbed. Unreachable
 // peers are skipped, not fatal — gossip exists precisely for partial
 // connectivity.
@@ -384,7 +367,6 @@ func (r *Region) GossipOnce() (int, error) {
 			c.Close()
 			if err == nil {
 				r.mu.Lock()
-				r.peerPriors[addr] = p
 				n := r.absorb(p, addr)
 				r.stats.GossipIn += n
 				r.stats.GossipPeers++
@@ -403,57 +385,11 @@ func (r *Region) GossipOnce() (int, error) {
 	return injected, firstErr
 }
 
-// MergedPrior returns the best global prior the region can currently
-// offer: the locally built prior (which already folds in device
-// uploads, down-synced cloud components, and gossip), merged — via
-// dpprior.MergePriors, deterministically, peers in address order —
-// with any peer priors gossip has collected that the local build may
-// not have absorbed yet. With a cold local store it falls back to the
-// last down-synced cloud prior.
-func (r *Region) MergedPrior() (*dpprior.Prior, uint64, error) {
-	own, ver, err := r.srv.Prior()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, edge.ErrNoPrior) && r.cloudPrior != nil {
-			return r.cloudPrior, r.cloudVer, nil
-		}
-		return nil, 0, err
-	}
-	if len(r.peerPriors) == 0 {
-		return own, ver, nil
-	}
-	shards := []*dpprior.Prior{own}
-	addrs := make([]string, 0, len(r.peerPriors))
-	for a := range r.peerPriors {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	for _, a := range addrs {
-		shards = append(shards, r.peerPriors[a])
-	}
-	merged, err := dpprior.MergePriors(shards)
-	if err != nil {
-		// Peers with incompatible hyperparameters can't merge; the local
-		// prior alone is still valid.
-		return own, ver, nil
-	}
-	return merged, ver, nil
-}
-
 // Stats returns a snapshot of the region's sync counters.
 func (r *Region) Stats() SyncStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// SyncedSeq reports the store version covered by the last successful
-// upward flush.
-func (r *Region) SyncedSeq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.syncedSeq
 }
 
 // Close shuts the uplink and the local server stack (which syncs and

@@ -68,6 +68,17 @@ func serve(t *testing.T, srv interface {
 	return ln.Addr().String()
 }
 
+// pending counts the stored records the next upward flush would ship.
+func pending(r *Region) int {
+	r.srv.WaitCaughtUp()
+	tasks, seqs, _ := r.srv.Store().ViewRecords()
+	verdicts := r.srv.Store().Verdicts()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	window, _ := r.window(tasks, seqs, verdicts)
+	return len(window)
+}
+
 func startRegion(t *testing.T, cfg Config) *Region {
 	t.Helper()
 	r, err := Start(cfg, nil)
@@ -96,7 +107,7 @@ func TestFlushSummarizesWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.Pending(); got != 12 {
+	if got := pending(r); got != 12 {
 		t.Fatalf("Pending = %d, want 12", got)
 	}
 	n, err := r.FlushUp()
@@ -117,7 +128,7 @@ func TestFlushSummarizesWindow(t *testing.T) {
 	if st.UpBytes >= st.RawBytes {
 		t.Errorf("summarization saved nothing: raw %d, up %d", st.RawBytes, st.UpBytes)
 	}
-	if got := r.Pending(); got != 0 {
+	if got := pending(r); got != 0 {
 		t.Errorf("Pending after flush = %d, want 0", got)
 	}
 	if n2, err := r.FlushUp(); err != nil || n2 != 0 {
@@ -168,24 +179,24 @@ func TestFlushShipsOnlyAdmitted(t *testing.T) {
 		t.Fatalf("scenario did not mix verdicts and deferrals: stats %+v, %d verdicts (%d quarantine)",
 			st, len(verdicts), quarantined)
 	}
-	pending := r.Pending()
+	before := pending(r)
 	if _, err := r.FlushUp(); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Stats().RawTasks; got != 40 {
 		t.Fatalf("flush summarized %d raw tasks, want the 40 accepted", got)
 	}
-	if pending != 40 {
-		t.Fatalf("Pending before the flush = %d, want the window's 40", pending)
+	if before != 40 {
+		t.Fatalf("Pending before the flush = %d, want the window's 40", before)
 	}
-	if got := r.Pending(); got != 0 {
+	if got := pending(r); got != 0 {
 		t.Fatalf("Pending after flush = %d, want 0", got)
 	}
 
 	// Later honest tasks ship in the next window; the suspects still
 	// do not.
 	add(synthTasks(rng, 20, 4))
-	if got := r.Pending(); got != 20 {
+	if got := pending(r); got != 20 {
 		t.Fatalf("Pending = %d, want the 20 new tasks", got)
 	}
 	if _, err := r.FlushUp(); err != nil {
@@ -281,7 +292,7 @@ func TestSyncDownAbsorbsCloudComponents(t *testing.T) {
 	if tasks, _, _ := r.Server().Store().ViewRecords(); len(tasks) == 0 {
 		t.Fatal("down-sync absorbed nothing")
 	}
-	if got := r.Pending(); got != 0 {
+	if got := pending(r); got != 0 {
 		t.Fatalf("pseudo-tasks are flushable: Pending = %d", got)
 	}
 	before := cloud.Stats().Tasks
@@ -318,7 +329,7 @@ func TestGossipAbsorbsPeerComponents(t *testing.T) {
 		}
 	}
 	peer.Server().WaitCaughtUp()
-	peerAddr := serve(t, peer)
+	peerAddr := serve(t, peer.Server())
 
 	r := startRegion(t, Config{
 		Name:      "r1",
@@ -337,11 +348,11 @@ func TestGossipAbsorbsPeerComponents(t *testing.T) {
 	}
 	// Absorbed components serve locally...
 	r.Server().WaitCaughtUp()
-	if _, _, err := r.MergedPrior(); err != nil {
-		t.Fatalf("no merged prior after gossip: %v", err)
+	if _, _, err := r.Server().Prior(); err != nil {
+		t.Fatalf("no prior after gossip: %v", err)
 	}
 	// ...but never go upward.
-	if got := r.Pending(); got != 0 {
+	if got := pending(r); got != 0 {
 		t.Fatalf("gossiped components are flushable: Pending = %d", got)
 	}
 	if _, err := r.FlushUp(); err != nil {
@@ -510,7 +521,7 @@ func TestRegionServesDevicesOverWire(t *testing.T) {
 		Seed:   42,
 		Logger: telemetry.Discard(),
 	})
-	addr := serve(t, r)
+	addr := serve(t, r.Server())
 
 	c, err := edge.Dial(addr, time.Second)
 	if err != nil {

@@ -118,13 +118,6 @@ func (g gatedCloud) FetchPrior(dim int) (*dpprior.Prior, uint64, error) {
 	return g.inner.FetchPrior(dim)
 }
 
-func (g gatedCloud) FetchPriorIfNewer(dim int, known uint64) (*dpprior.Prior, uint64, error) {
-	if g.cut.Load() {
-		return nil, 0, errPartitioned
-	}
-	return g.inner.FetchPriorIfNewer(dim, known)
-}
-
 func (g gatedCloud) FetchPriorDelta(dim int, known uint64, old *dpprior.Prior) (*dpprior.Prior, uint64, error) {
 	if g.cut.Load() {
 		return nil, 0, errPartitioned

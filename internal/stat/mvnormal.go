@@ -3,7 +3,6 @@ package stat
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/drdp/drdp/internal/mat"
 )
@@ -69,23 +68,6 @@ func (m *MVNormal) whiten(x, buf mat.Vec) mat.Vec {
 	}
 	m.chol.SolveLInPlace(y)
 	return y
-}
-
-// Sample draws one vector as Mu + L z with z standard normal.
-func (m *MVNormal) Sample(rng *rand.Rand) mat.Vec {
-	z := make(mat.Vec, m.Dim())
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	x := m.chol.MulVecL(z)
-	mat.Axpy(1, m.Mu, x)
-	return x
-}
-
-// Mahalanobis returns sqrt((x-Mu)ᵀ Σ⁻¹ (x-Mu)).
-func (m *MVNormal) Mahalanobis(x mat.Vec) float64 {
-	var buf [stackDim]float64
-	return mat.Norm2(m.whiten(x, buf[:]))
 }
 
 // Precision returns Σ⁻¹ as a fresh matrix.

@@ -41,46 +41,16 @@ func TestMVNormalDimMismatch(t *testing.T) {
 	}
 }
 
-func TestMVNormalSampleMoments(t *testing.T) {
-	rng := NewRNG(100)
-	sigma := mat.FromRows([][]float64{{2, 0.5}, {0.5, 1}})
-	mu := mat.Vec{1, -1}
-	mv, err := NewMVNormal(mu, sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const trials = 40000
-	mean := make(mat.Vec, 2)
-	cov := mat.NewDense(2, 2)
-	samples := make([]mat.Vec, trials)
-	for i := 0; i < trials; i++ {
-		x := mv.Sample(rng)
-		samples[i] = x
-		mat.Axpy(1, x, mean)
-	}
-	mat.Scale(1.0/trials, mean)
-	for _, x := range samples {
-		d := mat.SubVec(x, mean)
-		cov.OuterAdd(1.0/trials, d, d)
-	}
-	for i := range mu {
-		if math.Abs(mean[i]-mu[i]) > 0.03 {
-			t.Errorf("sample mean[%d] = %v, want %v", i, mean[i], mu[i])
-		}
-	}
-	if !cov.Equal(sigma, 0.05) {
-		t.Errorf("sample covariance %+v, want %+v", cov, sigma)
-	}
-}
-
 func TestMahalanobis(t *testing.T) {
 	mv, err := NewMVNormal(mat.Vec{0, 0}, mat.Diag(mat.Vec{4, 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Point (2, 3): sqrt((2/2)² + (3/3)²) = sqrt(2).
-	if got := mv.Mahalanobis(mat.Vec{2, 3}); math.Abs(got-math.Sqrt2) > 1e-10 {
-		t.Errorf("Mahalanobis = %v, want sqrt(2)", got)
+	// Point (2, 3) lies at squared Mahalanobis distance (2/2)² + (3/3)² = 2,
+	// so LogPDF = −log 2π − ½ log det Σ − ½·2.
+	want := -math.Log(2*math.Pi) - 0.5*math.Log(36) - 1
+	if got := mv.LogPDF(mat.Vec{2, 3}); math.Abs(got-want) > 1e-10 {
+		t.Errorf("LogPDF = %v, want %v", got, want)
 	}
 }
 
@@ -225,12 +195,8 @@ func TestLogPDFMatchesAllocatingSolve(t *testing.T) {
 			y := mat.SubVec(x, mv.Mu)
 			mv.chol.SolveLInPlace(y)
 			wantLP := mv.lognc - 0.5*mat.Dot(y, y)
-			wantM := mat.Norm2(y)
 			if got := mv.LogPDF(x); math.Float64bits(got) != math.Float64bits(wantLP) {
 				t.Fatalf("d=%d: LogPDF %v, want %v", d, got, wantLP)
-			}
-			if got := mv.Mahalanobis(x); math.Float64bits(got) != math.Float64bits(wantM) {
-				t.Fatalf("d=%d: Mahalanobis %v, want %v", d, got, wantM)
 			}
 		}
 	}
@@ -242,9 +208,8 @@ func TestLogPDFAllocBudget(t *testing.T) {
 	x := make(mat.Vec, 49)
 	var sink float64
 	logPDF := testing.AllocsPerRun(100, func() { sink += mv.LogPDF(x) })
-	mahal := testing.AllocsPerRun(100, func() { sink += mv.Mahalanobis(x) })
-	t.Logf("d=49: LogPDF %.0f allocs, Mahalanobis %.0f allocs", logPDF, mahal)
-	if logPDF != 0 || mahal != 0 {
-		t.Fatalf("d=49: LogPDF %.0f allocs, Mahalanobis %.0f allocs, want 0", logPDF, mahal)
+	t.Logf("d=49: LogPDF %.0f allocs", logPDF)
+	if logPDF != 0 {
+		t.Fatalf("d=49: LogPDF %.0f allocs, want 0", logPDF)
 	}
 }

@@ -51,15 +51,6 @@ func (g Gamma) Sample(rng *rand.Rand) float64 {
 	}
 }
 
-// LogPDF returns the log density at x (x > 0).
-func (g Gamma) LogPDF(x float64) float64 {
-	if x <= 0 {
-		return math.Inf(-1)
-	}
-	lg, _ := math.Lgamma(g.Alpha)
-	return g.Alpha*math.Log(g.Beta) - lg + (g.Alpha-1)*math.Log(x) - g.Beta*x
-}
-
 // Dirichlet draws a probability vector from Dirichlet(alpha) via
 // normalized Gamma variates.
 func Dirichlet(rng *rand.Rand, alpha []float64) []float64 {

@@ -26,20 +26,6 @@ func TestGammaSampleMoments(t *testing.T) {
 	}
 }
 
-func TestGammaLogPDF(t *testing.T) {
-	// Gamma(1, b) is Exponential(b): logpdf = log b - b x.
-	g := Gamma{1, 2}
-	for _, x := range []float64{0.1, 1, 3} {
-		want := math.Log(2) - 2*x
-		if got := g.LogPDF(x); math.Abs(got-want) > 1e-12 {
-			t.Errorf("Gamma(1,2).LogPDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-	if !math.IsInf(g.LogPDF(-1), -1) {
-		t.Error("LogPDF of negative x should be -Inf")
-	}
-}
-
 func TestGammaSamplePanicsOnBadParams(t *testing.T) {
 	defer func() {
 		if recover() == nil {

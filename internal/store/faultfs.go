@@ -97,17 +97,6 @@ func (f *FaultFS) Injected(kind string) int {
 	return f.counts[kind]
 }
 
-// InjectedTotal reports the total number of injected faults.
-func (f *FaultFS) InjectedTotal() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, c := range f.counts {
-		n += c
-	}
-	return n
-}
-
 // hit draws one fault decision; kind is counted when it fires.
 func (f *FaultFS) hit(rate float64, kind string) bool {
 	if rate <= 0 {

@@ -135,7 +135,6 @@ func (s *Store) ApplyFrames(frames []wire.Frame) (uint64, error) {
 	}
 	if s.logF != nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(); err != nil {
-			s.compactErr = err
 			telemetry.StoreSnapshotFailures.Inc()
 			s.logger.Warn("store: snapshot compaction failed", "err", err)
 		}

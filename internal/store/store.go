@@ -102,7 +102,9 @@ type Options struct {
 	// memory-only: no persistence, but the same API and versioning.
 	Dir string
 	// SnapshotEvery compacts the log into the snapshot after this many
-	// appended records (0 = DefaultSnapshotEvery; negative = never).
+	// appended records (0 = DefaultSnapshotEvery; negative = never). A
+	// failed compaction does not fail its append: it is logged, counted
+	// in drdp_store_snapshot_failures_total and retried on the next one.
 	SnapshotEvery int
 	// NoSync skips fsync after appends and snapshots. Cuts append latency
 	// for tests and benchmarks at the cost of durability on power loss.
@@ -170,10 +172,6 @@ type Store struct {
 	// ErrPoisoned instead of appending after garbage. Reads still serve;
 	// reopening the store recovers cleanly (recovery truncates the tear).
 	poisoned error
-	// compactErr is the last snapshot-compaction failure (nil after a
-	// success); surfaced through CompactionError so operators see failed
-	// compactions instead of a silently growing log.
-	compactErr error
 
 	// frame is Append's encode buffer, reused under mu.
 	frame []byte
@@ -517,23 +515,6 @@ func (s *Store) poisonLocked(cause error) {
 	s.logger.Error("store: write failure poisoned the store; reopen to recover", "err", cause)
 }
 
-// Poisoned returns the failure that poisoned the store (nil = healthy).
-func (s *Store) Poisoned() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.poisoned
-}
-
-// CompactionError returns the most recent snapshot-compaction failure
-// (nil after a success). Compaction failures do not fail the append that
-// triggered them — the append is already durable — but they must not be
-// invisible either.
-func (s *Store) CompactionError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactErr
-}
-
 // Append durably appends one task and returns the new store version.
 // The task needs a d×d covariance for its d-dimensional mean (the form
 // the store packs). The log frame is written from the packed task, so
@@ -582,10 +563,9 @@ func (s *Store) Append(t dpprior.TaskPosterior) (uint64, error) {
 	if s.logF != nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(); err != nil {
 			// The append itself is durable; compaction just didn't happen.
-			// The old snapshot stays authoritative. Latch the error (it is
-			// CompactionError until a compaction succeeds), count it, and
-			// retry on the next append.
-			s.compactErr = err
+			// The old snapshot stays authoritative. Log and count the
+			// failure (drdp_store_snapshot_failures_total), and retry on
+			// the next append.
 			telemetry.StoreSnapshotFailures.Inc()
 			s.logger.Warn("store: snapshot compaction failed", "err", err)
 		}
@@ -658,20 +638,8 @@ func (s *Store) snapshotLocked() error {
 	}
 	s.sinceSnap = 0
 	s.snapVersion = s.version
-	s.compactErr = nil
 	telemetry.StoreSnapshots.Inc()
 	return nil
-}
-
-// Sync flushes the log to stable storage (useful with NoSync stores
-// before an orderly shutdown).
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.logF == nil {
-		return nil
-	}
-	return s.logF.Sync()
 }
 
 // Close syncs and closes the store. Further appends fail with ErrClosed.

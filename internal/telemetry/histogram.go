@@ -69,53 +69,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Quantile estimates the q-th quantile (q in [0,1]) by linear
-// interpolation within the containing bucket, assuming observations are
-// uniform inside each bucket. The first bucket interpolates from 0 (or
-// the bound itself if it is negative); the overflow bucket returns the
-// last finite bound. Returns NaN when the histogram is empty or q is
-// out of range.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			if i == len(h.bounds) {
-				// Overflow bucket: best available estimate is its lower edge.
-				if len(h.bounds) == 0 {
-					return math.NaN()
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			} else if h.bounds[i] < 0 {
-				lo = h.bounds[i]
-			}
-			hi := h.bounds[i]
-			frac := (rank - cum) / n
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // buckets returns cumulative counts per bound plus the +Inf total, for
 // Prometheus exposition ({le="bound"} series are cumulative).
 func (h *Histogram) buckets() (bounds []float64, cumulative []uint64, infCount uint64) {

@@ -96,8 +96,12 @@ type HistogramValue struct {
 	Count  uint64
 }
 
-// Quantile estimates the q-th quantile from the snapshot, with the same
-// interpolation rule as Histogram.Quantile.
+// Quantile estimates the q-th quantile (q in [0,1]) by linear
+// interpolation within the containing bucket, assuming observations are
+// uniform inside each bucket. The first bucket interpolates from 0 (or
+// the bound itself if it is negative); the overflow bucket returns the
+// last finite bound. Returns NaN when the histogram is empty or q is
+// out of range.
 func (h HistogramValue) Quantile(q float64) float64 {
 	if q < 0 || q > 1 || math.IsNaN(q) || h.Count == 0 {
 		return math.NaN()

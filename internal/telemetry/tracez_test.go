@@ -15,16 +15,12 @@ import (
 // quantile with no observations is NaN, never 0.
 func TestEmptyHistogramQuantileNaN(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_empty_seconds", nil)
-	if q := h.Quantile(0.99); !math.IsNaN(q) {
-		t.Fatalf("empty histogram p99 = %v, want NaN", q)
-	}
-	hv, ok := r.Snapshot().Histogram("test_empty_seconds")
-	if !ok {
-		t.Fatal("histogram missing from snapshot")
-	}
-	if q := hv.Quantile(0.5); !math.IsNaN(q) {
-		t.Fatalf("empty snapshot p50 = %v, want NaN", q)
+	r.Histogram("test_empty_seconds", nil)
+	hv := snapshotHistogram(t, r, "test_empty_seconds")
+	for _, q := range []float64{0.5, 0.99} {
+		if got := hv.Quantile(q); !math.IsNaN(got) {
+			t.Fatalf("empty snapshot quantile %v = %v, want NaN", q, got)
+		}
 	}
 }
 
@@ -81,7 +77,9 @@ func TestPrometheusNeverEmitsQuantileSeries(t *testing.T) {
 // TestTracezHandler drives the /tracez surface end to end: JSON
 // snapshot, HTML index, per-trace tree, and the exemplar linkage.
 func TestTracezHandler(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: 1, Seed: 5, SlowThreshold: -1})
+	tr := trace.New(5)
+	tr.SetSampleRate(1)
+	tr.SetSlowThreshold(-1)
 	sp := tr.StartTrace("round", trace.Int("device", 3))
 	child := sp.Child("rpc report-task")
 	child.Event("retry", trace.Int("attempt", 2))

@@ -141,14 +141,6 @@ func (s *Span) TraceID() TraceID {
 	return s.trace
 }
 
-// ID returns the span's ID, or 0 on a nil span.
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // WireContext returns the (TraceID, SpanID) pair to propagate in a
 // request. Both are 0 on a nil span — the untraced wire form.
 func (s *Span) WireContext() (uint64, uint64) {
@@ -214,24 +206,4 @@ func (s *Span) EndErr(err error) {
 	}
 	s.mu.Unlock()
 	s.frag.spanEnded(s)
-}
-
-// Failed reports whether the span ended with an error.
-func (s *Span) Failed() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err != ""
-}
-
-// Duration returns the span's duration (0 while still open).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dur
 }

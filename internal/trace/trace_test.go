@@ -10,18 +10,23 @@ import (
 	"time"
 )
 
-// on builds a tracer that samples everything, deterministically.
-func on() *Tracer {
-	return New(Config{SampleRate: 1, Seed: 42, SlowThreshold: -1})
+// on builds a tracer that samples everything, deterministically, and
+// pins no trace for being slow.
+func on() *Tracer { return sampling(42, 1, -1) }
+
+// sampling builds a seeded tracer with the given sample rate and slow
+// threshold.
+func sampling(seed int64, rate float64, slow time.Duration) *Tracer {
+	tr := New(seed)
+	tr.SetSampleRate(rate)
+	tr.SetSlowThreshold(slow)
+	return tr
 }
 
 func TestNilSpanIsNoOp(t *testing.T) {
 	var s *Span
 	if id := s.TraceID(); id != 0 {
 		t.Fatalf("nil TraceID = %v, want 0", id)
-	}
-	if id := s.ID(); id != 0 {
-		t.Fatalf("nil ID = %v, want 0", id)
 	}
 	tr, sp := s.WireContext()
 	if tr != 0 || sp != 0 {
@@ -35,16 +40,10 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	s.Event("ev")
 	s.End()
 	s.EndErr(errors.New("boom"))
-	if s.Failed() {
-		t.Fatal("nil Failed = true")
-	}
-	if d := s.Duration(); d != 0 {
-		t.Fatalf("nil Duration = %v, want 0", d)
-	}
 }
 
 func TestUntracedPathAllocatesNothing(t *testing.T) {
-	tr := New(Config{Seed: 1}) // sampling off
+	tr := New(1) // sampling off
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := tr.StartTrace("round")
 		c := sp.Child("call")
@@ -115,7 +114,7 @@ func TestSpanTreeCompletesIntoRecorder(t *testing.T) {
 }
 
 func TestJoinAlwaysRecords(t *testing.T) {
-	tr := New(Config{Seed: 7}) // head sampling OFF
+	tr := New(7) // head sampling OFF
 	sp := tr.Join(0xabc, 0xdef, "serve report-task", Str("node", "s0r0"))
 	if sp == nil {
 		t.Fatal("Join with nonzero trace returned nil despite rate 0")
@@ -138,7 +137,7 @@ func TestJoinAlwaysRecords(t *testing.T) {
 
 func TestSamplingDeterministicAndProportional(t *testing.T) {
 	count := func(rate float64) int {
-		tr := New(Config{SampleRate: rate, Seed: 99})
+		tr := sampling(99, rate, DefaultSlowThreshold)
 		n := 0
 		for i := 0; i < 2000; i++ {
 			if sp := tr.StartTrace("t"); sp != nil {
@@ -164,18 +163,18 @@ func TestSamplingDeterministicAndProportional(t *testing.T) {
 }
 
 func TestRingEvictionAndNotablePinning(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Seed: 3, Capacity: 4, NotableCapacity: 4, SlowThreshold: -1})
+	tr := sampling(3, 1, -1)
 	// One error trace, then a burst of healthy traffic big enough to
 	// evict it from the recent ring.
 	bad := tr.StartTrace("failover-round")
 	bad.EndErr(errors.New("leader down"))
 	badID := bad.TraceID()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultCapacity+6; i++ {
 		tr.StartTrace(fmt.Sprintf("healthy-%d", i)).End()
 	}
 	snap := tr.Snapshot()
-	if len(snap.Recent) != 4 {
-		t.Fatalf("recent = %d, want 4", len(snap.Recent))
+	if len(snap.Recent) != DefaultCapacity {
+		t.Fatalf("recent = %d, want %d", len(snap.Recent), DefaultCapacity)
 	}
 	for _, td := range snap.Recent {
 		if td.Trace == badID.String() {
@@ -192,7 +191,7 @@ func TestRingEvictionAndNotablePinning(t *testing.T) {
 }
 
 func TestSlowThresholdPinsTrace(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Seed: 5, SlowThreshold: time.Nanosecond})
+	tr := sampling(5, 1, time.Nanosecond)
 	sp := tr.StartTrace("slow")
 	time.Sleep(time.Millisecond)
 	sp.End()
@@ -201,7 +200,7 @@ func TestSlowThresholdPinsTrace(t *testing.T) {
 		t.Fatalf("slow trace not pinned: notable = %d", len(snap.Notable))
 	}
 	// Negative threshold disables slow pinning.
-	tr2 := New(Config{SampleRate: 1, Seed: 5, SlowThreshold: -1})
+	tr2 := sampling(5, 1, -1)
 	sp2 := tr2.StartTrace("fast")
 	time.Sleep(time.Millisecond)
 	sp2.End()
@@ -275,7 +274,7 @@ func TestDoubleEndIsIdempotent(t *testing.T) {
 }
 
 func TestConcurrentSpansAndSnapshots(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Seed: 11, Capacity: 8, NotableCapacity: 4})
+	tr := sampling(11, 1, DefaultSlowThreshold)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -370,7 +369,7 @@ func TestTreeRendering(t *testing.T) {
 
 func TestWireContextRoundTrip(t *testing.T) {
 	origin := on()
-	remote := New(Config{Seed: 13}) // remote has sampling off
+	remote := New(13) // remote has sampling off
 
 	root := origin.StartTrace("round")
 	call := root.Child("call")
@@ -390,7 +389,7 @@ func TestWireContextRoundTrip(t *testing.T) {
 	if rsnap.Recent[0].Trace != root.TraceID().String() {
 		t.Fatalf("remote trace = %s, want %s", rsnap.Recent[0].Trace, root.TraceID())
 	}
-	if rsnap.Recent[0].Spans[0].Parent != call.ID().String() {
-		t.Fatalf("remote parent = %s, want %s", rsnap.Recent[0].Spans[0].Parent, call.ID())
+	if rsnap.Recent[0].Spans[0].Parent != SpanID(parent).String() {
+		t.Fatalf("remote parent = %s, want %s", rsnap.Recent[0].Spans[0].Parent, SpanID(parent))
 	}
 }

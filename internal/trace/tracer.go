@@ -20,27 +20,6 @@ const (
 	maxSpansPerTrace = 512
 )
 
-// Config sizes a Tracer. The zero value is valid: sampling off,
-// default rings and slow threshold.
-type Config struct {
-	// SampleRate is the head-sampling probability in [0, 1] for locally
-	// started traces (StartTrace / Record). 0 disables local tracing
-	// entirely — no spans are allocated. Joined traces (a request that
-	// arrived with a TraceID) are always recorded: the originator
-	// already paid the sampling decision.
-	SampleRate float64
-	// SlowThreshold marks a completed trace notable when its root ran
-	// at least this long (0 = DefaultSlowThreshold; negative disables).
-	SlowThreshold time.Duration
-	// Capacity is the recent-trace ring size (0 = DefaultCapacity).
-	Capacity int
-	// NotableCapacity is the error/slow ring size (0 = DefaultNotableCapacity).
-	NotableCapacity int
-	// Seed makes ID generation and the sampling sequence deterministic
-	// (tests); 0 derives a base from the clock.
-	Seed int64
-}
-
 // Stats are a tracer's own counters, for /tracez and tests.
 type Stats struct {
 	Started      uint64 // sampling decisions taken (StartTrace + Record)
@@ -75,38 +54,33 @@ type Tracer struct {
 	pinnedNext int
 }
 
-// New builds a Tracer from cfg.
-func New(cfg Config) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.NotableCapacity <= 0 {
-		cfg.NotableCapacity = DefaultNotableCapacity
-	}
-	slow := cfg.SlowThreshold
-	if slow == 0 {
-		slow = DefaultSlowThreshold
-	}
-	seed := cfg.Seed
+// New builds a Tracer with sampling off, DefaultCapacity recent and
+// DefaultNotableCapacity notable traces, and DefaultSlowThreshold. A
+// nonzero seed makes ID generation and the sampling sequence
+// deterministic (tests); 0 derives a base from the clock.
+func New(seed int64) *Tracer {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 	t := &Tracer{
 		idBase: splitmix64(uint64(seed)),
-		recent: make([]*TraceDump, cfg.Capacity),
-		pinned: make([]*TraceDump, cfg.NotableCapacity),
+		recent: make([]*TraceDump, DefaultCapacity),
+		pinned: make([]*TraceDump, DefaultNotableCapacity),
 	}
-	t.rateBits.Store(math.Float64bits(cfg.SampleRate))
-	t.slowNs.Store(int64(slow))
+	t.slowNs.Store(int64(DefaultSlowThreshold))
 	return t
 }
 
 // Default is the process-wide tracer the edge/cluster instrumentation
 // records into. Sampling starts off; daemons enable it via
 // -trace-sample, tests and the sim audit via SetSampleRate.
-var Default = New(Config{})
+var Default = New(0)
 
-// SetSampleRate adjusts head sampling on a live tracer (clamped to [0, 1]).
+// SetSampleRate adjusts head sampling on a live tracer (clamped to
+// [0, 1]): the probability that a locally started trace (StartTrace,
+// Record) is recorded. At 0 no local span is allocated. Joined traces (a
+// request that arrived with a TraceID) are always recorded: the
+// originator already paid the sampling decision.
 func (t *Tracer) SetSampleRate(r float64) {
 	if math.IsNaN(r) || r < 0 {
 		r = 0
@@ -123,9 +97,6 @@ func (t *Tracer) SampleRate() float64 { return math.Float64frombits(t.rateBits.L
 // SetSlowThreshold adjusts the notable-by-duration bound (negative
 // disables slow pinning).
 func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNs.Store(int64(d)) }
-
-// Enabled reports whether locally started traces can be sampled at all.
-func (t *Tracer) Enabled() bool { return t.SampleRate() > 0 }
 
 // Stats snapshots the tracer's counters.
 func (t *Tracer) Stats() Stats {

@@ -93,12 +93,6 @@ type Decoder struct {
 	r   io.Reader
 	max int64
 	buf []byte
-	// Reuse makes DecodeRequest/DecodeResponse recycle the payload
-	// slices already hanging off the destination message. Only safe when
-	// the caller consumes each message fully before reading the next;
-	// the production paths retain payloads (tasks go to the store,
-	// priors to the cache), so they leave it off.
-	Reuse bool
 }
 
 // NewDecoder returns a Decoder reading framed messages from r. max
@@ -194,20 +188,22 @@ func Unframe(b []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// DecodeRequest reads and decodes one framed request into req.
+// DecodeRequest reads and decodes one framed request into req, in fresh
+// payload slices: its callers keep them (tasks go to the store).
 func (d *Decoder) DecodeRequest(req *Request) error {
 	payload, err := d.next()
 	if err != nil {
 		return err
 	}
-	return DecodeRequest(payload, req, d.Reuse)
+	return DecodeRequest(payload, req, false)
 }
 
-// DecodeResponse reads and decodes one framed response into resp.
+// DecodeResponse reads and decodes one framed response into resp, in
+// fresh payload slices: its callers keep them (priors go to the cache).
 func (d *Decoder) DecodeResponse(resp *Response) error {
 	payload, err := d.next()
 	if err != nil {
 		return err
 	}
-	return DecodeResponse(payload, resp, d.Reuse)
+	return DecodeResponse(payload, resp, false)
 }

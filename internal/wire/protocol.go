@@ -241,15 +241,6 @@ func (m *ShardMap) ShardOf(fingerprint uint64) int {
 	return best
 }
 
-// Replicas returns the shard's full replica set, leader first — the
-// fall-through order for version-gated reads.
-func (s *ShardReplicas) Replicas() []string {
-	out := make([]string, 0, 1+len(s.Followers))
-	out = append(out, s.Leader)
-	out = append(out, s.Followers...)
-	return out
-}
-
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // mix for rendezvous scoring.
 func mix64(x uint64) uint64 {

@@ -14,13 +14,18 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// unusedExportsFile lists the exported package-level names that nothing
-// outside their own package's tests references. TestExportedSurface
-// keeps it exact, so the surface can only shrink on purpose.
+// unusedExportsFile lists the exported package-level names and methods
+// that nothing outside their own package's tests calls. TestExportedSurface
+// and TestExportedMembers keep it exact, so the surface can only shrink on
+// purpose.
 const unusedExportsFile = "testdata/unused_exports.txt"
+
+// moduleSurface audits this module once for both tests.
+var moduleSurface = sync.OnceValues(func() (unused, error) { return unusedExports(".") })
 
 // TestExportedSurface type-checks every package in the module, with its
 // tests, and lists each exported package-level name (func, type, var,
@@ -31,7 +36,7 @@ const unusedExportsFile = "testdata/unused_exports.txt"
 // unused export fails, and so does an allowlisted name that gained a
 // caller or was deleted.
 func TestExportedSurface(t *testing.T) {
-	got, err := unusedExports(".")
+	got, err := moduleSurface()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +44,37 @@ func TestExportedSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	compareAllowlist(t, "exported names", got.names, want.names)
+}
+
+// TestExportedMembers applies the same rule one level down, to the
+// exported methods of the module's named types (interfaces included): a
+// method counts as called when non-test code or another package's tests
+// reference it, or when it is in the method set of an interface its type
+// satisfies and the interface's method is called (any method of a
+// standard-library interface the module names, such as io.Writer or
+// sort.Interface). String, Error, Is and Unwrap count as called, since
+// fmt and errors call them. Every allowlisted method carries its reason
+// after a '#' on its own line.
+func TestExportedMembers(t *testing.T) {
+	got, err := moduleSurface()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := readAllowlist(unusedExportsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range want.members {
+		if want.reasons[m] == "" {
+			t.Errorf("%s is allowlisted in %s without a reason", m, unusedExportsFile)
+		}
+	}
+	compareAllowlist(t, "exported methods", got.members, want.members)
+}
+
+func compareAllowlist(t *testing.T, what string, got, want []string) {
+	t.Helper()
 	var added, stale []string
 	for _, name := range got {
 		if !slices.Contains(want, name) {
@@ -51,15 +87,15 @@ func TestExportedSurface(t *testing.T) {
 		}
 	}
 	if len(added) > 0 {
-		t.Errorf("%d exported names have no caller outside their own package's tests; "+
+		t.Errorf("%d %s have no caller outside their own package's tests; "+
 			"give them one, unexport or delete them:\n\t%s",
-			len(added), strings.Join(added, "\n\t"))
+			len(added), what, strings.Join(added, "\n\t"))
 	}
 	if len(stale) > 0 {
-		t.Errorf("%d names in %s now have a caller or no longer exist; remove them from it:\n\t%s",
-			len(stale), unusedExportsFile, strings.Join(stale, "\n\t"))
+		t.Errorf("%d %s in %s now have a caller or no longer exist; remove them from it:\n\t%s",
+			len(stale), what, unusedExportsFile, strings.Join(stale, "\n\t"))
 	}
-	t.Logf("%d unused exported names", len(got))
+	t.Logf("%d unused %s", len(got), what)
 }
 
 // TestUnusedExportsRules runs the audit on a fixture module
@@ -76,25 +112,68 @@ func TestUnusedExportsRules(t *testing.T) {
 		"lib.Self",     // used only by its own methods
 		"lib.TestOnly", // used only by its own package's tests
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("unused exports of the fixture = %q, want %q", got, want)
+	if !slices.Equal(got.names, want) {
+		t.Errorf("unused exports of the fixture = %q, want %q", got.names, want)
 	}
 }
 
-func readAllowlist(path string) ([]string, error) {
+// TestUnusedMembersRules pins the member rules on the same fixture:
+// each method listed breaks one rule, and lib's other methods are each
+// kept by one: Self.Get (called by non-test code, its sibling), Impl.Via
+// (called through the Via interface), Inner.Promoted (called through
+// Outer, which embeds Inner), Kind.String and Kind.Is (called by fmt and
+// errors), Sorted's three (called by sort) and Field.ByOtherTest (called
+// by another package's tests).
+func TestUnusedMembersRules(t *testing.T) {
+	got, err := unusedExports("testdata/surface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"lib.Asserted.M",  // its interface is used only by a blank assertion
+		"lib.Iface.M",     // never called through its interface
+		"lib.Impl.NotVia", // in no interface anything calls through
+		"lib.Self.Double", // called only by its own package's tests
+	}
+	if !slices.Equal(got.members, want) {
+		t.Errorf("unused methods of the fixture = %q, want %q", got.members, want)
+	}
+}
+
+// allowlist is unusedExportsFile parsed: package-level names, and
+// methods ("<path>.<Type>.<Method>") with the reason after their '#'.
+type allowlist struct {
+	names, members []string
+	reasons        map[string]string
+}
+
+func readAllowlist(path string) (allowlist, error) {
+	a := allowlist{reasons: map[string]string{}}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return a, err
 	}
 	defer f.Close()
-	var names []string
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "#") {
-			names = append(names, line)
+		entry, reason, _ := strings.Cut(sc.Text(), "#")
+		entry = strings.TrimSpace(entry)
+		switch {
+		case entry == "":
+		case isMember(entry):
+			a.members = append(a.members, entry)
+			a.reasons[entry] = strings.TrimSpace(reason)
+		default:
+			a.names = append(a.names, entry)
 		}
 	}
-	return names, sc.Err()
+	return a, sc.Err()
+}
+
+// isMember reports an entry that names a method: two dots after the last
+// slash of its package path.
+func isMember(entry string) bool {
+	return strings.Count(entry[strings.LastIndex(entry, "/")+1:], ".") == 2
 }
 
 // surfacePkg is one directory of the module: its parsed package,
@@ -112,14 +191,27 @@ type surface struct {
 	checked map[string]*types.Package // non-test variants, by import path
 	owner   map[*types.Var]types.Object
 	used    map[string]bool // "path.Name"
+	calls   map[*types.Func]bool
+	ifaces  map[types.Type]bool // whose called methods reach their implementations
 }
 
-// unusedExports returns the module's unused exported names, sorted, each
-// as "<import path relative to the module>.<Name>" ("drdp." for the root).
-func unusedExports(root string) ([]string, error) {
+// unused is what the audit lists, each sorted: exported package-level
+// names, and exported methods as "<path>.<Type>.<Method>".
+type unused struct {
+	names, members []string
+}
+
+// protocolMethods are called by fmt and errors through interfaces the
+// module never names.
+var protocolMethods = []string{"String", "Error", "Is", "Unwrap"}
+
+// unusedExports returns the module's unused exported names, each as
+// "<import path relative to the module>.<Name>" ("drdp." for the root),
+// and its unused exported methods, each as "<path>.<Type>.<Method>".
+func unusedExports(root string) (unused, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, err
+		return unused{}, err
 	}
 	// Standard-library sources are type-checked without cgo, so the audit
 	// needs no C toolchain; only the module's own code matters here.
@@ -130,10 +222,12 @@ func unusedExports(root string) ([]string, error) {
 		checked: map[string]*types.Package{},
 		owner:   map[*types.Var]types.Object{},
 		used:    map[string]bool{},
+		calls:   map[*types.Func]bool{},
+		ifaces:  map[types.Type]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	if err := s.load(root, modPath); err != nil {
-		return nil, err
+		return unused{}, err
 	}
 	paths := make([]string, 0, len(s.pkgs))
 	for path := range s.pkgs {
@@ -143,20 +237,31 @@ func unusedExports(root string) ([]string, error) {
 	for _, path := range paths {
 		p := s.pkgs[path]
 		if _, err := s.Import(path); err != nil {
-			return nil, err
+			return unused{}, err
 		}
 		if len(p.tests) > 0 {
 			if err := s.check(path, append(slices.Clip(p.files), p.tests...), path); err != nil {
-				return nil, err
+				return unused{}, err
 			}
 		}
 		if len(p.xtests) > 0 {
 			if err := s.check(path+"_test", p.xtests, path); err != nil {
-				return nil, err
+				return unused{}, err
 			}
 		}
 	}
-	var unused []string
+	var named []*types.Named
+	for _, path := range paths {
+		scope := s.checked[path].Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				named = append(named, tn.Type().(*types.Named))
+			}
+		}
+	}
+	s.callImplementations(named)
+
+	var u unused
 	for _, path := range paths {
 		scope := s.checked[path].Scope()
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, modPath), "/")
@@ -164,12 +269,73 @@ func unusedExports(root string) ([]string, error) {
 			rel = s.checked[path].Name()
 		}
 		for _, name := range scope.Names() {
-			if token.IsExported(name) && !s.used[path+"."+name] {
-				unused = append(unused, rel+"."+name)
+			if !token.IsExported(name) {
+				continue
+			}
+			if !s.used[path+"."+name] {
+				u.names = append(u.names, rel+"."+name)
+			}
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				for _, m := range declaredMethods(tn.Type().(*types.Named)) {
+					if m.Exported() && !s.calls[m] && !slices.Contains(protocolMethods, m.Name()) {
+						u.members = append(u.members, rel+"."+name+"."+m.Name())
+					}
+				}
 			}
 		}
 	}
-	return unused, nil
+	slices.Sort(u.members)
+	return u, nil
+}
+
+// declaredMethods returns the methods a named type declares itself: an
+// interface's explicit methods, or a concrete type's.
+func declaredMethods(t *types.Named) []*types.Func {
+	var ms []*types.Func
+	if iface, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < iface.NumExplicitMethods(); i++ {
+			ms = append(ms, iface.ExplicitMethod(i))
+		}
+		return ms
+	}
+	for i := 0; i < t.NumMethods(); i++ {
+		ms = append(ms, t.Method(i))
+	}
+	return ms
+}
+
+// callImplementations marks, for every interface whose methods are
+// called, the method each module type that satisfies it runs in their
+// place: the promoted one included. Every method of a standard-library
+// interface counts as called, since the library calls it unseen. A
+// generic interface is skipped: the audit does not track the type
+// arguments of the instances its methods are called on.
+func (s *surface) callImplementations(named []*types.Named) {
+	for it := range s.ifaces {
+		iface := it.Underlying().(*types.Interface)
+		std := false
+		if n, ok := it.(*types.Named); ok {
+			if n.TypeParams().Len() > 0 {
+				continue
+			}
+			std = n.Obj().Pkg() == nil || s.pkgs[n.Obj().Pkg().Path()] == nil
+		}
+		for _, t := range named {
+			if types.IsInterface(t) || !types.Implements(t, iface) && !types.Implements(types.NewPointer(t), iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				if !std && !s.calls[m.Origin()] {
+					continue
+				}
+				obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), false, t.Obj().Pkg(), m.Name())
+				if fn, ok := obj.(*types.Func); ok {
+					s.calls[fn.Origin()] = true
+				}
+			}
+		}
+	}
 }
 
 func modulePath(gomod string) (string, error) {
@@ -270,7 +436,17 @@ func (s *surface) check(path string, files []*ast.File, under string) error {
 				case *ast.ValueSpec:
 					return !isBlankAssertion(n)
 				case *ast.Ident:
-					obj := s.ownerOf(info.Uses[n])
+					use := info.Uses[n]
+					if use == nil || use.Pkg() == nil || use.Pkg().Path() == under {
+						return false
+					}
+					if fn, ok := use.(*types.Func); ok {
+						s.noteCall(fn)
+					}
+					if s.pkgs[use.Pkg().Path()] == nil {
+						s.noteStd(use.Type())
+					}
+					obj := s.ownerOf(use)
 					if obj == nil || obj == self || obj.Pkg() == nil || obj.Pkg().Path() == under {
 						return false
 					}
@@ -283,6 +459,52 @@ func (s *surface) check(path string, files []*ast.File, under string) error {
 		}
 	}
 	return nil
+}
+
+// noteCall records a reference to a function. A method of an interface
+// puts the interface among those whose implementations it reaches.
+func (s *surface) noteCall(fn *types.Func) {
+	fn = fn.Origin()
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return
+	}
+	s.calls[fn] = true
+	if t := recv.Type(); types.IsInterface(t) {
+		if n, ok := t.(*types.Named); ok {
+			t = n.Origin()
+		}
+		s.ifaces[t] = true
+	}
+}
+
+// noteStd records the standard-library interfaces a referenced
+// standard-library object's type names: a module value passed as one
+// has its methods called by the library.
+func (s *surface) noteStd(t types.Type) {
+	switch t := t.(type) {
+	case *types.Named:
+		if types.IsInterface(t) {
+			s.ifaces[t.Origin()] = true
+		}
+	case *types.Pointer:
+		s.noteStd(t.Elem())
+	case *types.Slice:
+		s.noteStd(t.Elem())
+	case *types.Array:
+		s.noteStd(t.Elem())
+	case *types.Map:
+		s.noteStd(t.Key())
+		s.noteStd(t.Elem())
+	case *types.Chan:
+		s.noteStd(t.Elem())
+	case *types.Signature:
+		for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+			for i := 0; i < tup.Len(); i++ {
+				s.noteStd(tup.At(i).Type())
+			}
+		}
+	}
 }
 
 // isBlankAssertion reports a `var _ T = v` declaration: a compile-time

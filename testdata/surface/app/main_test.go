@@ -1,0 +1,13 @@
+package main
+
+import (
+	"testing"
+
+	"example.com/surface/lib"
+)
+
+func TestByOtherTest(t *testing.T) {
+	if (lib.Field{}).ByOtherTest() != 6 {
+		t.Fatal("wrong")
+	}
+}

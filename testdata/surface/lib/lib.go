@@ -36,3 +36,44 @@ type Asserted struct{}
 func (Asserted) M() {}
 
 var _ Iface = Asserted{}
+
+// Via is an interface another package calls through.
+type Via interface{ Via() int }
+
+// Impl is used as a Via by another package.
+type Impl struct{}
+
+// Via is called only through the Via interface: not listed.
+func (Impl) Via() int { return 3 }
+
+// NotVia is in no interface anything calls through: listed.
+func (Impl) NotVia() int { return 4 }
+
+// Inner is embedded in Outer.
+type Inner struct{}
+
+// Promoted is called only through Outer, which embeds Inner: not listed.
+func (Inner) Promoted() int { return 5 }
+
+// Outer is used by another package.
+type Outer struct{ Inner }
+
+// Kind is printed by another package.
+type Kind int
+
+// String is called by fmt: not listed.
+func (Kind) String() string { return "kind" }
+
+// Is is called by errors: not listed.
+func (Kind) Is(error) bool { return false }
+
+// Sorted is sorted by another package: sort calls its methods, none of
+// which is listed.
+type Sorted []int
+
+func (s Sorted) Len() int           { return len(s) }
+func (s Sorted) Less(i, j int) bool { return s[i] < s[j] }
+func (s Sorted) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// ByOtherTest is called only by another package's tests: not listed.
+func (Field) ByOtherTest() int { return 6 }
