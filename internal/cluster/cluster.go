@@ -27,9 +27,8 @@ type Config struct {
 	SyncReplicas int
 	// AckTimeout bounds the semi-sync wait (0 = edge.DefaultAckTimeout).
 	AckTimeout time.Duration
-	// PullInterval / ProbeInterval / FailThreshold tune replication and
-	// failover cadence (0 = package defaults).
-	PullInterval  time.Duration
+	// ProbeInterval / FailThreshold tune failover cadence (0 = package
+	// defaults).
 	ProbeInterval time.Duration
 	FailThreshold int
 	// GrayLatency arms gray-failure detection: a leader whose probe
@@ -74,7 +73,6 @@ func Start(cfg Config) (*Cluster, error) {
 				Build:        cfg.Build,
 				SyncReplicas: cfg.SyncReplicas,
 				AckTimeout:   cfg.AckTimeout,
-				PullInterval: cfg.PullInterval,
 				ScrubEvery:   cfg.ScrubEvery,
 				Seed:         cfg.Seed,
 				Logger:       cfg.Logger,

@@ -18,9 +18,8 @@ import (
 	"github.com/drdp/drdp/internal/telemetry"
 )
 
-// fastConfig is the chaos-test cadence: millisecond replication pulls
-// and sub-second failure detection so a failover completes well inside
-// a test timeout.
+// fastConfig is the chaos-test cadence: sub-second failure detection
+// so a failover completes well inside a test timeout.
 func fastConfig(shards, replicas int) Config {
 	return Config{
 		Shards:        shards,
@@ -28,7 +27,6 @@ func fastConfig(shards, replicas int) Config {
 		Build:         dpprior.BuildOptions{Alpha: 1, Seed: 7},
 		SyncReplicas:  1,
 		AckTimeout:    300 * time.Millisecond,
-		PullInterval:  2 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
 		FailThreshold: 2,
 		Seed:          11,
@@ -252,7 +250,6 @@ func TestFollowerTornTailRestartCatchup(t *testing.T) {
 	followerCfg := NodeConfig{
 		Shard: 0, Replica: 1, Dir: filepath.Join(base, "r1"),
 		Build: build, LeaderAddr: leader.Addr(),
-		PullInterval: 2 * time.Millisecond, CatchupJitter: -1,
 		Seed: 21, Logger: telemetry.Discard(),
 	}
 	follower, err := StartNode(followerCfg)
@@ -356,7 +353,6 @@ func TestFollowerLagGaugeTracksCatchup(t *testing.T) {
 	follower, err := StartNode(NodeConfig{
 		Shard: 0, Replica: 1, Dir: filepath.Join(base, "r1"),
 		Build: build, LeaderAddr: leader.Addr(),
-		PullInterval: 2 * time.Millisecond, CatchupJitter: -1,
 		Seed: 31, Logger: telemetry.Discard(),
 	})
 	if err != nil {

@@ -40,8 +40,6 @@ import (
 )
 
 const (
-	// DefaultPullInterval paces a caught-up follower's polling.
-	DefaultPullInterval = 20 * time.Millisecond
 	// DefaultCatchupJitter bounds the seeded random delay before a
 	// (re)started follower's first pull, so a fleet of restarting
 	// followers does not stampede the leader in lockstep.
@@ -49,6 +47,9 @@ const (
 	// DefaultMaxHealthyLag is the replication lag (in sequence numbers)
 	// beyond which a follower's /healthz check reports unhealthy.
 	DefaultMaxHealthyLag = 256
+	// pullRetryPause is how long a follower waits after a failed pull or
+	// apply before pulling again.
+	pullRetryPause = 20 * time.Millisecond
 )
 
 // NodeConfig configures one replica.
@@ -73,12 +74,6 @@ type NodeConfig struct {
 	// this node leads (see edge.CloudServer).
 	SyncReplicas int
 	AckTimeout   time.Duration
-	// PullInterval paces the caught-up follower poll
-	// (0 = DefaultPullInterval).
-	PullInterval time.Duration
-	// CatchupJitter bounds the seeded pre-pull delay on (re)start
-	// (0 = DefaultCatchupJitter; negative = none).
-	CatchupJitter time.Duration
 	// Seed drives the catch-up jitter and the pull client's backoff.
 	Seed   int64
 	Logger *slog.Logger
@@ -240,11 +235,9 @@ func (n *Node) pullLoop(leaderAddr string, stop chan struct{}) {
 	defer n.pullWg.Done()
 	gauge := telemetry.ReplLagGauge(n.Name())
 	Replicate(n.srv, leaderAddr, ReplicateOptions{
-		FollowerID:    n.cfg.Replica + 1,
-		Interval:      n.cfg.PullInterval,
-		CatchupJitter: n.cfg.CatchupJitter,
-		Seed:          n.cfg.Seed + int64(1000*n.cfg.Shard+n.cfg.Replica),
-		Logger:        n.logger,
+		FollowerID: n.cfg.Replica + 1,
+		Seed:       n.cfg.Seed + int64(1000*n.cfg.Shard+n.cfg.Replica),
+		Logger:     n.logger,
 		OnLag: func(lag uint64) {
 			n.mu.Lock()
 			n.lag = lag
@@ -260,11 +253,6 @@ type ReplicateOptions struct {
 	// leader records the pull's AfterSeq as this follower's durable
 	// acknowledgement).
 	FollowerID int
-	// Interval paces a caught-up follower's polling (0 = DefaultPullInterval).
-	Interval time.Duration
-	// CatchupJitter bounds the seeded pre-pull delay
-	// (0 = DefaultCatchupJitter; negative = none).
-	CatchupJitter time.Duration
 	// Seed drives the catch-up jitter and the pull client's backoff.
 	Seed int64
 	// OnLag, when set, observes the replication lag after every
@@ -275,18 +263,16 @@ type ReplicateOptions struct {
 
 // Replicate streams a leader's log into srv until stop closes: pull
 // frames after the local durable version, apply them (fsync-gated), and
-// immediately pull again while behind — the immediate re-pull is also
-// what carries the acknowledgement of the batch just applied. All
-// reconnect/backoff behavior comes from ResilientClient; there is no
-// bespoke retry here. This is the loop behind a cluster Node's follower
-// role, exported so a standalone drdp-cloud process can follow a leader
-// too.
+// pull again at once — the re-pull carries the acknowledgement of the
+// batch just applied, and once caught up the leader holds it until the
+// next append, so nothing here paces polling. All reconnect/backoff
+// behavior comes from ResilientClient; there is no bespoke retry here.
+// This is the loop behind a cluster Node's follower role, exported so a
+// standalone drdp-cloud process can follow a leader too.
 func Replicate(srv *edge.CloudServer, leaderAddr string, o ReplicateOptions, stop <-chan struct{}) {
 	logger := telemetry.OrDefault(o.Logger)
 	rng := rand.New(rand.NewSource(o.Seed))
-	// One timer serves the jitter sleep and every pause below. The loop
-	// pauses on most iterations of a long-lived follower, and a fresh
-	// time.After per pause allocates a timer each lap.
+	// One timer serves the jitter sleep and every retry pause below.
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -307,18 +293,8 @@ func Replicate(srv *edge.CloudServer, leaderAddr string, o ReplicateOptions, sto
 	}
 	// Seeded catch-up jitter: desynchronize a herd of (re)starting
 	// followers before the first pull.
-	jitterMax := o.CatchupJitter
-	if jitterMax == 0 {
-		jitterMax = DefaultCatchupJitter
-	}
-	if jitterMax > 0 {
-		if !pause(time.Duration(rng.Int63n(int64(jitterMax)))) {
-			return
-		}
-	}
-	interval := o.Interval
-	if interval <= 0 {
-		interval = DefaultPullInterval
+	if !pause(time.Duration(rng.Int63n(int64(DefaultCatchupJitter)))) {
+		return
 	}
 	client := edge.DialResilient(leaderAddr, edge.ResilientOptions{
 		Retry:            edge.RetryPolicy{MaxAttempts: 3, Base: 10 * time.Millisecond, Max: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.2},
@@ -341,16 +317,16 @@ func Replicate(srv *edge.CloudServer, leaderAddr string, o ReplicateOptions, sto
 			// Transport retries are exhausted or the leader refused (e.g. it
 			// was demoted); pause and try again — the coordinator will
 			// repoint us if the topology changed. Failed pulls are
-			// retro-recorded (idle successful polls are not — at the pull
-			// cadence they would flood the flight recorder).
+			// retro-recorded (idle successful pulls are not — one per
+			// held-pull period would flood the flight recorder).
 			trace.Default.Record("repl-pull", pullStart, time.Since(pullStart), err,
 				trace.Str("node", srv.NodeName()), trace.Str("leader", leaderAddr))
-			pause(interval)
+			pause(pullRetryPause)
 			continue
 		}
 		if len(batch.Frames) > 0 {
 			// A pull that actually shipped frames is worth a trace; only
-			// after the fact do we know it was not an idle poll.
+			// after the fact do we know it was not an idle pull.
 			trace.Default.Record("repl-pull", pullStart, time.Since(pullStart), nil,
 				trace.Str("node", srv.NodeName()), trace.Str("leader", leaderAddr),
 				trace.Int("frames", int64(len(batch.Frames))), trace.Int("up-to", int64(batch.UpTo)))
@@ -358,7 +334,7 @@ func Replicate(srv *edge.CloudServer, leaderAddr string, o ReplicateOptions, sto
 		v, err := srv.ApplyReplicated(batch.Frames, batch.Verdicts)
 		if err != nil {
 			logger.Error("cluster: applying replicated frames failed", "err", err)
-			pause(interval)
+			pause(pullRetryPause)
 			continue
 		}
 		lag := uint64(0)
@@ -367,14 +343,6 @@ func Replicate(srv *edge.CloudServer, leaderAddr string, o ReplicateOptions, sto
 		}
 		if o.OnLag != nil {
 			o.OnLag(lag)
-		}
-		if len(batch.Frames) > 0 || lag > 0 {
-			// Still behind (or just applied a batch whose ack the next pull
-			// must deliver): pull again immediately.
-			continue
-		}
-		if !pause(interval) {
-			return
 		}
 	}
 }

@@ -19,9 +19,15 @@ import (
 // worker is already running.
 
 // SetFollower flips the replica role (safe on a live server). Demotion
-// to follower does not interrupt in-flight writes; promotion to leader
-// takes effect on the next request.
-func (s *CloudServer) SetFollower(follower bool) { s.follower.Store(follower) }
+// to follower does not interrupt in-flight writes, but releases held
+// replication pulls; promotion to leader takes effect on the next
+// request.
+func (s *CloudServer) SetFollower(follower bool) {
+	s.follower.Store(follower)
+	if follower {
+		s.wakePulls(false)
+	}
+}
 
 // IsFollower reports whether this replica currently refuses writes.
 func (s *CloudServer) IsFollower() bool { return s.follower.Load() }
@@ -147,7 +153,9 @@ type LogBatch struct {
 // servePullLog answers one replication pull: the follower's AfterSeq is
 // recorded as its acknowledgement first (so semi-sync writers waiting on
 // it unblock even when no new frames exist), then frames after it are
-// shipped together with the verdict sidecar.
+// shipped together with the verdict sidecar. A caught-up follower's pull
+// is held until the next append (holdPull), so replication is pushed:
+// a new frame reaches the follower one round trip after it lands.
 //
 // Replication pulls (FollowerID > 0) are refused on followers — the
 // chain is follower→leader only. Anonymous pulls (FollowerID <= 0) are
@@ -162,6 +170,7 @@ func (s *CloudServer) servePullLog(req *Request, sp *trace.Span) *Response {
 			return &Response{Err: errNotLeader.Error(), Code: CodeNotLeader}
 		}
 		s.recordAck(req.FollowerID, req.AfterSeq)
+		s.holdPull(req.AfterSeq)
 	}
 	frames, upTo, err := s.st.FramesSince(req.AfterSeq, req.MaxFrames)
 	if err != nil {
@@ -176,4 +185,49 @@ func (s *CloudServer) servePullLog(req *Request, sp *trace.Span) *Response {
 		sp.Event("frames", trace.Int("count", int64(len(frames))), trace.Int("up-to", int64(upTo)))
 	}
 	return &Response{Frames: frames, VerdictMap: s.st.Verdicts(), UpTo: upTo, Version: upTo}
+}
+
+// holdPull parks a replication pull from a caught-up follower (afterSeq
+// is the store's version) until the next append, a demotion or Close,
+// and for at most pullHold, so an idle follower re-pulls (and re-acks)
+// once per pullHold.
+func (s *CloudServer) holdPull(afterSeq uint64) {
+	if s.st.Version() > afterSeq {
+		return
+	}
+	s.pullMu.Lock()
+	if s.pullsClosed {
+		s.pullMu.Unlock()
+		return
+	}
+	if s.pullCh == nil {
+		s.pullCh = make(chan struct{})
+	}
+	ch := s.pullCh
+	s.pullMu.Unlock()
+	// Looked at again with ch in hand: an append or demotion before this
+	// point shows here, and one after it closes ch.
+	if s.st.Version() > afterSeq || s.IsFollower() {
+		return
+	}
+	timer := time.NewTimer(s.pullHold)
+	defer timer.Stop()
+	select {
+	case <-ch:
+	case <-timer.C:
+	}
+}
+
+// wakePulls releases every held pull; closing also stops new holds.
+// With no pull held it takes one uncontended lock and allocates nothing.
+func (s *CloudServer) wakePulls(closing bool) {
+	s.pullMu.Lock()
+	if closing {
+		s.pullsClosed = true
+	}
+	if s.pullCh != nil {
+		close(s.pullCh)
+		s.pullCh = nil
+	}
+	s.pullMu.Unlock()
 }

@@ -258,3 +258,195 @@ func TestSemiSyncAckTimeout(t *testing.T) {
 		t.Fatalf("acked append still waited %v", elapsed)
 	}
 }
+
+// holdPullsFor makes srv hold a caught-up pull for d instead of
+// pullHoldMax, so a test can tell a released hold from an expired one.
+func holdPullsFor(d time.Duration) func(*CloudServer) {
+	return func(s *CloudServer) { s.pullHold = d }
+}
+
+type pullResult struct {
+	batch *LogBatch
+	err   error
+}
+
+// pullAsync runs one PullLog on its own connection and delivers the
+// answer.
+func pullAsync(t *testing.T, addr string, followerID int, afterSeq uint64) <-chan pullResult {
+	t.Helper()
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ch := make(chan pullResult, 1)
+	go func() {
+		b, err := c.PullLog(followerID, afterSeq, 0)
+		ch <- pullResult{b, err}
+	}()
+	return ch
+}
+
+// awaitHeld returns once a pull is parked in holdPull (the first holder
+// makes pullCh).
+func awaitHeld(t *testing.T, s *CloudServer) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.pullMu.Lock()
+		held := s.pullCh != nil
+		s.pullMu.Unlock()
+		if held {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no pull was held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitPull fails the test unless the pull answers; with an hour-long
+// hold, an answer at all means the hold was released.
+func awaitPull(t *testing.T, ch <-chan pullResult) pullResult {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("pull still held")
+		return pullResult{}
+	}
+}
+
+// TestPullLogHeldUntilAppend: a caught-up follower's pull is held, and
+// the next append releases it carrying that append's frame, long before
+// the hold would expire.
+func TestPullLogHeldUntilAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	tasks := seedTasks(rng, 4, 3)
+	addr, leader := startServerCfg(t, tasks[:3], holdPullsFor(time.Hour))
+	v := leader.Store().Version()
+	ch := pullAsync(t, addr, 1, v)
+	awaitHeld(t, leader)
+	nv, err := leader.AddTask(tasks[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := awaitPull(t, ch)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.batch.Frames) != 1 || r.batch.UpTo != nv {
+		t.Fatalf("released pull shipped %d frames up to %d, want 1 up to %d", len(r.batch.Frames), r.batch.UpTo, nv)
+	}
+}
+
+// TestPullLogScrubAndBehindPullsAnswerAtOnce: an anonymous (scrub) pull
+// never waits, even caught up, and a follower that trails gets its
+// frames without a hold.
+func TestPullLogScrubAndBehindPullsAnswerAtOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(212))
+	addr, leader := startServerCfg(t, seedTasks(rng, 3, 3), holdPullsFor(time.Hour))
+	v := leader.Store().Version()
+	if r := awaitPull(t, pullAsync(t, addr, 0, v)); r.err != nil || len(r.batch.Frames) != 0 {
+		t.Fatalf("scrub pull: %d frames, err %v", len(r.batch.Frames), r.err)
+	}
+	if r := awaitPull(t, pullAsync(t, addr, 1, v-1)); r.err != nil || len(r.batch.Frames) != 1 {
+		t.Fatalf("trailing pull: %v", r.err)
+	}
+	leader.pullMu.Lock()
+	held := leader.pullCh != nil
+	leader.pullMu.Unlock()
+	if held {
+		t.Fatal("a pull that must not wait was held")
+	}
+}
+
+// TestPullLogDemotionReleasesHeldPull: demoting the leader answers a
+// held pull at once, and the follower's next pull is refused.
+func TestPullLogDemotionReleasesHeldPull(t *testing.T) {
+	rng := rand.New(rand.NewSource(213))
+	addr, leader := startServerCfg(t, seedTasks(rng, 3, 3), holdPullsFor(time.Hour))
+	v := leader.Store().Version()
+	ch := pullAsync(t, addr, 1, v)
+	awaitHeld(t, leader)
+	leader.SetFollower(true)
+	if r := awaitPull(t, ch); r.err != nil || len(r.batch.Frames) != 0 {
+		t.Fatalf("released pull: err %v", r.err)
+	}
+	var se *ServerError
+	if r := awaitPull(t, pullAsync(t, addr, 1, v)); !errors.As(r.err, &se) || se.Code != CodeNotLeader {
+		t.Fatalf("pull from a demoted leader: err %v, want not-leader", r.err)
+	}
+}
+
+// TestPullLogCloseReleasesHeldPull: Close releases a held pull before it
+// waits for in-flight handlers, so neither waits out the hold.
+func TestPullLogCloseReleasesHeldPull(t *testing.T) {
+	rng := rand.New(rand.NewSource(214))
+	addr, leader := startServerCfg(t, seedTasks(rng, 3, 3), holdPullsFor(time.Hour))
+	ch := pullAsync(t, addr, 1, leader.Store().Version())
+	awaitHeld(t, leader)
+	closed := make(chan error, 1)
+	go func() { closed <- leader.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		leader.wakePulls(true) // so Close, and the test's cleanup, can end
+		<-closed
+		t.Fatal("Close waited on a held pull")
+	}
+	awaitPull(t, ch)
+}
+
+// TestPullLogAppendWithoutWaiterAllocatesNothing: releasing held pulls
+// costs an append nothing when none is held — no channel is made per
+// append. AddTask allocates what its append does, plus the attribute
+// list of its (untraced) store-append span.
+func TestPullLogAppendWithoutWaiterAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(215))
+	tasks := seedTasks(rng, 205, 3)
+	srv, err := NewCloudServer(tasks[:1], buildOpts(), telemetry.Discard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Park the rebuild worker in its hook so no build allocates while
+	// the appends are counted.
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	srv.priorMu.Lock()
+	srv.buildHook = func(uint64) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	srv.priorMu.Unlock()
+	srv.kickRebuild()
+	<-entered
+	defer func() {
+		close(release)
+		srv.Close()
+	}()
+	if n := testing.AllocsPerRun(100, func() { srv.wakePulls(false) }); n != 0 {
+		t.Errorf("waking no held pull allocates %v", n)
+	}
+	i := 1
+	add := testing.AllocsPerRun(100, func() {
+		if _, err := srv.AddTask(tasks[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	app := testing.AllocsPerRun(100, func() {
+		if _, err := srv.appendTask(tasks[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if add > app+1 {
+		t.Errorf("AddTask allocates %v, its append %v: more than the span attributes on top", add, app)
+	}
+}

@@ -25,6 +25,10 @@ const (
 	// follower acknowledgements before it acks anyway (availability over
 	// strict durability — the timeout is counted and logged).
 	DefaultAckTimeout = 2 * time.Second
+	// pullHoldMax bounds how long a caught-up replication pull is held
+	// waiting for the next append, so an idle follower still re-pulls
+	// (and re-acks) at this period.
+	pullHoldMax = 20 * time.Millisecond
 )
 
 // CloudServer accumulates task posteriors in a durable store and serves
@@ -83,6 +87,16 @@ type CloudServer struct {
 	ackMu sync.Mutex
 	acks  map[int]uint64
 	ackCh chan struct{}
+
+	// pullMu guards pullCh, the channel held replication pulls wait on.
+	// It is nil while no pull waits, so an append nobody waits for
+	// allocates nothing; the first holder makes it, and the next append,
+	// demotion or Close closes and clears it. pullsClosed latches Close.
+	// pullHold is one hold's bound (pullHoldMax; tests lengthen it).
+	pullMu      sync.Mutex
+	pullCh      chan struct{}
+	pullsClosed bool
+	pullHold    time.Duration
 
 	// priorMu guards the ring of published priors and the built version.
 	// The ring holds the last deltaHistory published priors, oldest
@@ -162,6 +176,7 @@ func NewCloudServerWithStore(st *store.Store, seed []dpprior.TaskPosterior, opts
 		stopCh:    make(chan struct{}),
 		acks:      make(map[int]uint64),
 		ackCh:     make(chan struct{}),
+		pullHold:  pullHoldMax,
 	}
 	s.Endpoint = NewEndpoint(s.dispatch, logger)
 	s.builtCond = sync.NewCond(&s.priorMu)
@@ -294,6 +309,7 @@ func (s *CloudServer) addTasks(ts []dpprior.TaskPosterior, sp *trace.Span) (uint
 	}
 	ap.SetAttr(trace.Int("version", int64(version)))
 	ap.EndErr(err)
+	s.wakePulls(false)
 	s.kickRebuild()
 	if s.syncReplicas.Load() > 0 && !s.IsFollower() {
 		aw := sp.Child("ack-wait", trace.Int("version", int64(version)))
@@ -630,8 +646,10 @@ func (s *CloudServer) Stats() Stats {
 // Close stops accepting, closes active connections (clients see a clean
 // connection error on their next round trip), stops the rebuild worker,
 // and syncs and closes the task store so every acknowledged task is on
-// disk. It waits for in-flight handlers.
+// disk. It releases held replication pulls first, so the wait for
+// in-flight handlers is not a wait for their holds.
 func (s *CloudServer) Close() error {
+	s.wakePulls(true)
 	err := s.Endpoint.Close()
 	s.closeOnce.Do(func() {
 		close(s.stopCh)

@@ -58,14 +58,13 @@ type Fault struct {
 }
 
 // The shard tier's fixed setup. Every schedule runs on one cadence:
-// pulls every 10ms, probes every 25ms, failover after 3 missed probes,
+// probes every 25ms, failover after 3 missed probes,
 // and demotion once a leader's probe-latency EWMA stays above
 // grayLatency for grayAfter probes. The gray threshold is deliberately
 // generous: the whole cluster shares one process (and often one core,
 // under the race detector), so a healthy-but-loaded replica's probe RTT
 // is scheduler noise well above anything a production deployment sees.
 const (
-	pullInterval  = 10 * time.Millisecond
 	probeInterval = 25 * time.Millisecond
 	failThreshold = 3
 	grayLatency   = 150 * time.Millisecond
@@ -265,7 +264,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		Dir:           cfg.Dir,
 		Build:         dpprior.BuildOptions{Alpha: alpha, Seed: cfg.Seed + 1},
 		AckTimeout:    500 * time.Millisecond,
-		PullInterval:  pullInterval,
 		ProbeInterval: probeInterval,
 		FailThreshold: failThreshold,
 		GrayLatency:   grayLatency,
