@@ -470,57 +470,6 @@ func TestSoftmaxMulticlassFit(t *testing.T) {
 	}
 }
 
-func TestRegressionEndToEnd(t *testing.T) {
-	// Least-squares through the full DRDP pipeline: a prior over
-	// regression weights plus scarce noisy data must beat local fitting
-	// on parameter recovery.
-	rng := rand.New(rand.NewSource(88))
-	wstar := mat.Vec{1.5, -2, 0.5}
-	truth := append(mat.CloneVec(wstar), 0.3)
-	gen := func(n int) (*mat.Dense, []float64) {
-		x := mat.NewDense(n, 3)
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			row := x.Row(i)
-			for j := range row {
-				row[j] = rng.NormFloat64()
-			}
-			y[i] = mat.Dot(wstar, row) + 0.3 + 0.8*rng.NormFloat64()
-		}
-		return x, y
-	}
-	x, y := gen(8) // scarce and noisy
-	m := model.LeastSquares{Dim: 3}
-
-	local, err := New(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRes, err := local.Fit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prior := priorAround(t, truth, 0.05, 0.9)
-	guided, err := New(m, WithPrior(prior), WithPriorWeight(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	guidedRes, err := guided.Fit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dLocal := mat.Dist2(localRes.Params, truth)
-	dGuided := mat.Dist2(guidedRes.Params, truth)
-	if dGuided >= dLocal {
-		t.Errorf("regression prior did not help: guided %v vs local %v", dGuided, dLocal)
-	}
-	// Prediction works end to end.
-	if pred := guided.Predict(guidedRes.Params, mat.Vec{1, 0, 0}); math.Abs(pred-1.8) > 1 {
-		t.Errorf("prediction %v far from 1.8", pred)
-	}
-}
-
 // optZeroIter returns M-step options that stop almost immediately.
 func optZeroIter() opt.Options {
 	return opt.Options{MaxIter: 1, Tol: 1e-12}

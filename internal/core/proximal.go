@@ -12,8 +12,8 @@ import (
 // WithProximalMStep switches the inner solver to proximal gradient
 // descent, handling the Wasserstein dual-norm penalty ρ·‖w‖₂ through its
 // exact proximal operator (block soft threshold) instead of a
-// subgradient. Requires a model implementing model.BlockNormer (logistic,
-// least squares); validated at construction. With non-Wasserstein sets
+// subgradient. Requires a model implementing model.BlockNormer
+// (logistic); validated at construction. With non-Wasserstein sets
 // the prox is the identity and the solver reduces to plain proximal GD.
 //
 // The proximal form converges faster near sparse/shrunk optima and can

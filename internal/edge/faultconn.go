@@ -58,12 +58,6 @@ type FaultConfig struct {
 	wrapped int
 }
 
-// enabled reports whether the config can inject anything.
-func (f FaultConfig) enabled() bool {
-	return f.DropWrite > 0 || f.PartialWrite > 0 || f.CorruptWrite > 0 ||
-		f.CorruptRead > 0 || f.Reset > 0 || f.DelayProb > 0 || f.FailAfterOps > 0
-}
-
 // Wrap decorates conn with the fault schedule. Each call derives an
 // independent RNG stream from Seed, so every wrapped connection (e.g.
 // across redials) gets its own deterministic schedule.

@@ -11,10 +11,9 @@ import (
 // TestNamesAndBlocks covers the identity metadata of every model family.
 func TestNamesAndBlocks(t *testing.T) {
 	models := map[string]Model{
-		"logistic":     Logistic{Dim: 2},
-		"softmax":      Softmax{Dim: 2, Classes: 3},
-		"leastsquares": LeastSquares{Dim: 2},
-		"mlp":          MLP{Dim: 2, Hidden: 3, Classes: 2},
+		"logistic": Logistic{Dim: 2},
+		"softmax":  Softmax{Dim: 2, Classes: 3},
+		"mlp":      MLP{Dim: 2, Hidden: 3, Classes: 2},
 	}
 	for want, m := range models {
 		if got := m.Name(); got != want {
@@ -24,7 +23,7 @@ func TestNamesAndBlocks(t *testing.T) {
 			t.Errorf("%s InputDim = %d", want, m.InputDim())
 		}
 	}
-	for _, bn := range []BlockNormer{Logistic{Dim: 4}, LeastSquares{Dim: 4}} {
+	for _, bn := range []BlockNormer{Logistic{Dim: 4}} {
 		from, to := bn.WeightBlock()
 		if from != 0 || to != 4 {
 			t.Errorf("WeightBlock = [%d,%d), want [0,4)", from, to)
@@ -38,7 +37,6 @@ func TestLipschitzGradFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(260))
 	models := []Model{
 		Logistic{Dim: 4},
-		LeastSquares{Dim: 4},
 		Softmax{Dim: 3, Classes: 3},
 		MLP{Dim: 3, Hidden: 4, Classes: 3},
 	}
@@ -66,7 +64,7 @@ func TestLipschitzGradFiniteDifference(t *testing.T) {
 // is zero (no direction is privileged) for every model.
 func TestLipschitzGradZeroParams(t *testing.T) {
 	models := []Model{
-		Logistic{Dim: 3}, LeastSquares{Dim: 3},
+		Logistic{Dim: 3},
 		Softmax{Dim: 2, Classes: 3}, MLP{Dim: 2, Hidden: 2, Classes: 2},
 	}
 	for _, m := range models {
@@ -122,16 +120,6 @@ func TestMLPProbaSimplex(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
-func TestLeastSquaresLipschitzGradDirection(t *testing.T) {
-	l := LeastSquares{Dim: 2}
-	grad := make(mat.Vec, 3)
-	l.LipschitzGrad(mat.Vec{3, 4, 7}, 2, grad)
-	// 2·w/‖w‖ = 2·(0.6, 0.8); bias untouched.
-	if math.Abs(grad[0]-1.2) > 1e-12 || math.Abs(grad[1]-1.6) > 1e-12 || grad[2] != 0 {
-		t.Errorf("grad = %v", grad)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package model implements the supervised models drdp trains at the edge,
 // with all gradients hand-written (the reproduction explicitly avoids any
-// deep-learning framework): least squares, binary logistic regression,
-// multiclass softmax regression, and a one-hidden-layer MLP with
-// backpropagation.
+// deep-learning framework): binary logistic regression, multiclass
+// softmax regression, and a one-hidden-layer MLP with backpropagation.
 //
 // Every model exposes per-sample losses and a weighted-gradient kernel.
 // That shape is what the DRO layer needs: by Danskin's theorem the
@@ -109,8 +108,8 @@ func ensureGrad(grad mat.Vec, n int) mat.Vec {
 }
 
 // BlockNormer is implemented by models whose feature-Lipschitz constant
-// is exactly the l2 norm of one contiguous parameter block (logistic and
-// least-squares: the weights, excluding the bias). For these models the
+// is exactly the l2 norm of one contiguous parameter block (logistic: the
+// weights, excluding the bias). For these models the
 // Wasserstein penalty ρ·Lipschitz(θ) admits an exact proximal operator,
 // enabling the proximal M-step solver.
 type BlockNormer interface {
@@ -120,9 +119,6 @@ type BlockNormer interface {
 
 // WeightBlock implements BlockNormer.
 func (l Logistic) WeightBlock() (from, to int) { return 0, l.Dim }
-
-// WeightBlock implements BlockNormer.
-func (l LeastSquares) WeightBlock() (from, to int) { return 0, l.Dim }
 
 // Accuracy returns the fraction of samples whose Predict output matches
 // the label (after rounding, so it works for ±1 and index labels alike).

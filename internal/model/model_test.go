@@ -9,7 +9,7 @@ import (
 )
 
 // randData generates a random design matrix and labels for the given model
-// family; kind is "binary" (±1), "class" (0..classes-1) or "reg".
+// family; kind is "binary" (±1) or "class" (0..classes-1).
 func randData(rng *rand.Rand, n, d int, kind string, classes int) (*mat.Dense, []float64) {
 	x := mat.NewDense(n, d)
 	for i := range x.Data {
@@ -26,8 +26,6 @@ func randData(rng *rand.Rand, n, d int, kind string, classes int) (*mat.Dense, [
 			}
 		case "class":
 			y[i] = float64(rng.Intn(classes))
-		case "reg":
-			y[i] = rng.NormFloat64()
 		}
 	}
 	return x, y
@@ -134,7 +132,6 @@ func TestGradChecks(t *testing.T) {
 	}{
 		{"logistic", Logistic{Dim: 4}, "binary"},
 		{"softmax", Softmax{Dim: 4, Classes: 3}, "class"},
-		{"leastsquares", LeastSquares{Dim: 4}, "reg"},
 		{"mlp", MLP{Dim: 4, Hidden: 5, Classes: 3}, "class"},
 	}
 	for _, tt := range tests {
@@ -202,23 +199,6 @@ func TestMLPLipschitzPositive(t *testing.T) {
 	// Zero params → zero Lipschitz.
 	if l := m.Lipschitz(make(mat.Vec, m.NumParams())); l != 0 {
 		t.Errorf("Lipschitz of zero params = %v", l)
-	}
-}
-
-func TestLeastSquaresExactFit(t *testing.T) {
-	// y = 2x + 1 fit exactly → zero loss, correct predictions.
-	l := LeastSquares{Dim: 1}
-	params := mat.Vec{2, 1}
-	x := mat.FromRows([][]float64{{0}, {1}, {2}})
-	y := []float64{1, 3, 5}
-	losses := l.Losses(params, x, y, nil)
-	for _, v := range losses {
-		if v != 0 {
-			t.Errorf("exact fit has loss %v", v)
-		}
-	}
-	if got := l.Predict(params, mat.Vec{3}); got != 7 {
-		t.Errorf("Predict(3) = %v, want 7", got)
 	}
 }
 

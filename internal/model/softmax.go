@@ -128,84 +128,3 @@ func (s Softmax) Predict(params mat.Vec, x mat.Vec) float64 {
 	logits := s.Logits(params, x, nil)
 	return float64(mat.ArgMax(logits))
 }
-
-// LeastSquares is linear regression with squared loss
-// ℓ = ½(wᵀx + b − y)². Parameters are [w, b]. Its feature-Lipschitz
-// constant is not globally bounded; Lipschitz returns ‖w‖₂ as the local
-// scale so Wasserstein regularization remains usable as a heuristic, and
-// the documentation of the core learner points users at logistic/softmax
-// for exact Wasserstein duality.
-type LeastSquares struct {
-	Dim int
-}
-
-var _ Model = LeastSquares{}
-
-// Name implements Model.
-func (l LeastSquares) Name() string { return "leastsquares" }
-
-// InputDim implements Model.
-func (l LeastSquares) InputDim() int { return l.Dim }
-
-// NumParams returns d weights plus one bias.
-func (l LeastSquares) NumParams() int { return l.Dim + 1 }
-
-// Losses implements Model.
-func (l LeastSquares) Losses(params mat.Vec, x *mat.Dense, y []float64, out []float64) []float64 {
-	checkParams(l, params)
-	checkData(l, x, y)
-	out = ensureOut(out, x.Rows)
-	w := params[:l.Dim]
-	b := params[l.Dim]
-	for i := 0; i < x.Rows; i++ {
-		r := mat.Dot(w, x.Row(i)) + b - y[i]
-		out[i] = 0.5 * r * r
-	}
-	return out
-}
-
-// WeightedGrad implements Model: ∇ℓ_i = r_i [x_i; 1].
-func (l LeastSquares) WeightedGrad(params mat.Vec, x *mat.Dense, y []float64, w []float64, grad mat.Vec) mat.Vec {
-	checkParams(l, params)
-	checkData(l, x, y)
-	if len(w) != x.Rows {
-		panic("model: leastsquares: weights length mismatch")
-	}
-	grad = ensureGrad(grad, l.NumParams())
-	wv := params[:l.Dim]
-	b := params[l.Dim]
-	for i := 0; i < x.Rows; i++ {
-		if w[i] == 0 {
-			continue
-		}
-		xi := x.Row(i)
-		r := mat.Dot(wv, xi) + b - y[i]
-		coeff := w[i] * r
-		mat.Axpy(coeff, xi, grad[:l.Dim])
-		grad[l.Dim] += coeff
-	}
-	return grad
-}
-
-// Lipschitz implements Model (local scale; see type comment).
-func (l LeastSquares) Lipschitz(params mat.Vec) float64 {
-	checkParams(l, params)
-	return mat.Norm2(params[:l.Dim])
-}
-
-// LipschitzGrad implements Model (same form as logistic regression).
-func (l LeastSquares) LipschitzGrad(params mat.Vec, coef float64, grad mat.Vec) {
-	checkParams(l, params)
-	w := params[:l.Dim]
-	norm := mat.Norm2(w)
-	if norm == 0 {
-		return
-	}
-	mat.Axpy(coef/norm, w, grad[:l.Dim])
-}
-
-// Predict implements Model, returning the regression value.
-func (l LeastSquares) Predict(params mat.Vec, x mat.Vec) float64 {
-	checkParams(l, params)
-	return mat.Dot(params[:l.Dim], x) + params[l.Dim]
-}

@@ -82,5 +82,3 @@ func (h *Histogram) buckets() (bounds []float64, cumulative []uint64, infCount u
 	infCount = cum + h.counts[len(h.bounds)].Load()
 	return bounds, cumulative, infCount
 }
-
-func (h *Histogram) labelString() string { return h.labels }

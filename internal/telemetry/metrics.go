@@ -53,11 +53,9 @@ func (k kind) String() string {
 	}
 }
 
-// instrument is the common surface of Counter, Gauge and Histogram that
-// the registry needs for exposition.
-type instrument interface {
-	labelString() string // rendered `{k="v",...}` or ""
-}
+// instrument is a family's child: a *Counter, *Gauge or *Histogram,
+// which exposition tells apart by type.
+type instrument any
 
 // family groups all instruments sharing one metric name.
 type family struct {
@@ -230,8 +228,6 @@ func (c *Counter) Add(delta float64) {
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.val.load() }
 
-func (c *Counter) labelString() string { return c.labels }
-
 // Gauge is a metric that can go up and down (state, sizes, last-seen
 // values).
 type Gauge struct {
@@ -247,8 +243,6 @@ func (g *Gauge) Add(delta float64) { g.val.add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.val.load() }
-
-func (g *Gauge) labelString() string { return g.labels }
 
 // renderLabels produces the canonical `{k="v",...}` form (keys sorted)
 // or "" for no labels.

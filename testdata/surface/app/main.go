@@ -11,6 +11,9 @@ import (
 func main() {
 	var f lib.Field
 	var v lib.Via = lib.Impl{}
+	st := lib.Wrap(lib.Source{})
+	k, p := lib.Configure()
 	sort.Sort(lib.Sorted{2, 1})
-	fmt.Println(lib.Called(), f.N, v.Via(), lib.Outer{}.Promoted(), lib.Kind(0))
+	fmt.Println(lib.Called(), f.N, v.Via(), lib.Outer{Inner: lib.Inner{}}.Promoted(), lib.Kind(0),
+		st.Get(), k.TestSet, p.A)
 }

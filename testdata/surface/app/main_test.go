@@ -7,7 +7,7 @@ import (
 )
 
 func TestByOtherTest(t *testing.T) {
-	if (lib.Field{}).ByOtherTest() != 6 {
+	if (lib.Field{}).ByOtherTest() != 6 || lib.ForOtherTest() != 10 {
 		t.Fatal("wrong")
 	}
 }

@@ -8,7 +8,12 @@ func Called() int { return helper() + Reached() }
 // Reached is called only by its own package's non-test code: not listed.
 func Reached() int { return 1 }
 
-func helper() int { return 0 }
+func helper() int {
+	if even(4) {
+		return 0
+	}
+	return 1
+}
 
 // TestOnly is called only by its own package's tests: listed.
 func TestOnly() int { return 2 }
